@@ -57,12 +57,10 @@ from .orchestrator import (
     BaselineConfig,
     CentralizedResult,
     FederationConfig,
-    FinalReport,
     RoundRecord,
     Workflow,
     baseline_stream,
     client_stream,
-    evaluate_final,
     run_centralized,
     run_federation,
     write_metrics_logs,
@@ -70,6 +68,7 @@ from .orchestrator import (
 from .strategies import (
     LocalRunResult,
     MetricsReport,
+    Scores,
     SelectionMetric,
     StrategyKind,
     confusion_matrix,
@@ -77,6 +76,7 @@ from .strategies import (
     mean_correct_confidence,
     metrics_from_confusion,
     run_local,
+    score,
     select_epoch,
 )
 

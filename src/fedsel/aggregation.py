@@ -24,7 +24,6 @@ class ClientUpdate:
     client_id: int
     params: ParameterVector
     train_sample_count: int
-    local_metrics: MetricsReport | None = None
 
     def __post_init__(self) -> None:
         if self.train_sample_count < 1:
@@ -42,12 +41,14 @@ def _check_updates(updates: Sequence[ClientUpdate]) -> None:
     if not updates:
         raise ProtocolError("cannot aggregate zero updates")
     manifest = updates[0].params.manifest
-    for u in updates[1:]:
+    for u in updates:
         if u.params.manifest != manifest:
             raise ShapeError(
                 f"client {u.client_id} update has manifest {u.params.manifest}, "
                 f"expected {manifest}"
             )
+        if not np.isfinite(u.params.values).all():
+            raise ProtocolError(f"client {u.client_id} update has non-finite weights")
 
 
 def aggregate_plain(updates: Sequence[ClientUpdate]) -> ParameterVector:

@@ -132,7 +132,6 @@ KEY_TABLE: dict[str, tuple] = {
     "federation.master_seed": (_parse_int, 0),
     "federation.hidden_layers": (_parse_int_tuple, (32,)),
     "federation.model_seed": (_parse_int, 3),
-    "federation.parallel": (_parse_bool, True),
     "baseline.enabled": (_parse_bool, False),
     "baseline.max_epochs": (_parse_int, 100),
     "baseline.patience": (_parse_int, 30),
@@ -283,7 +282,6 @@ def load_config(
             batch_size=values["federation.batch_size"],
         ),
         master_seed=values["federation.master_seed"],
-        parallel=values["federation.parallel"],
     )
     baseline = BaselineConfig(
         max_epochs=values["baseline.max_epochs"],

@@ -2,8 +2,9 @@
 
 The model is a configurable MLP over 64-bit floats. Everything here is a pure
 function over immutable inputs: parameter arrays are frozen (non-writeable)
-and every update returns fresh vectors, so concurrent client workers can share
-inputs freely.
+and every update returns fresh vectors, so callers can hold on to any vector
+they were given. ``train_epoch`` trains on private writable copies of the
+weights and velocity and wraps them in fresh vectors once the epoch ends.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, ShapeError
 
 Manifest = tuple[tuple[int, int], ...]
+Layers = list[tuple[np.ndarray, np.ndarray]]  # (weight matrix, bias vector) per layer
 
 MAX_SEED = 2**64 - 1
 
@@ -95,12 +97,12 @@ class ParameterVector:
     def compatible_with(self, other: "ParameterVector") -> bool:
         return self.manifest == other.manifest
 
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def layers(self) -> Layers:
         """Read-only (weight matrix, bias vector) views per layer."""
         return _unflatten(self.values, self.manifest)
 
 
-def _unflatten(values: np.ndarray, manifest: Manifest) -> list[tuple[np.ndarray, np.ndarray]]:
+def _unflatten(values: np.ndarray, manifest: Manifest) -> Layers:
     views = []
     offset = 0
     for rows, cols in manifest:
@@ -140,20 +142,23 @@ def _activate(z: np.ndarray, kind: Activation) -> np.ndarray:
     return np.tanh(z)
 
 
-def _forward_pass(
-    params: ParameterVector, spec: ModelSpec, batch: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Returns (layer inputs, hidden pre-activations, final logits)."""
+def _model_layers(params: ParameterVector, spec: ModelSpec) -> Layers:
     if params.manifest != spec.manifest:
         raise ShapeError("parameter manifest does not match the model spec")
-    layers = _unflatten(params.values, params.manifest)
+    return _unflatten(params.values, params.manifest)
+
+
+def _forward_pass(
+    layers: Layers, kind: Activation, batch: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Returns (layer inputs, hidden pre-activations, final logits)."""
     inputs = [batch]
     pre = []
     h = batch
     for w, b in layers[:-1]:
         z = h @ w + b
         pre.append(z)
-        h = _activate(z, spec.activation)
+        h = _activate(z, kind)
         inputs.append(h)
     w, b = layers[-1]
     logits = h @ w + b
@@ -165,11 +170,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def forward(params: ParameterVector, spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
-    """Class-probability matrix; each row is a softmax distribution."""
+def forward(
+    params: ParameterVector, spec: ModelSpec, batch: np.ndarray, *, log: bool = False
+) -> np.ndarray:
+    """Class-probability matrix; each row is a softmax distribution. With
+    ``log`` the matrix holds log-probabilities, whose ``exp`` is exactly the
+    probability matrix, so one pass can yield both a loss and predictions."""
     batch = _check_batch(spec, batch)
-    _, _, logits = _forward_pass(params, spec, batch)
-    return np.exp(_log_softmax(logits))
+    _, _, logits = _forward_pass(_model_layers(params, spec), spec.activation, batch)
+    log_probs = _log_softmax(logits)
+    return log_probs if log else np.exp(log_probs)
 
 
 def _check_labels(spec: ModelSpec, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -198,9 +208,36 @@ def cross_entropy_loss(
     if batch.shape[0] == 0:
         raise DataError("batch is empty")
     labels = _check_labels(spec, batch, labels)
-    _, _, logits = _forward_pass(params, spec, batch)
-    log_probs = _log_softmax(logits)
+    log_probs = forward(params, spec, batch, log=True)
     return float(-log_probs[np.arange(batch.shape[0]), labels].mean())
+
+
+def _backprop(
+    layers: Layers, kind: Activation, batch: np.ndarray, labels: np.ndarray, grads: Layers
+) -> np.ndarray:
+    """Gradient of the batch's mean cross-entropy, written into ``grads``
+    (per-layer weight and bias views shaped like ``layers``). Returns the
+    batch's log-probabilities. Inputs must already be checked."""
+    n = batch.shape[0]
+    inputs, pre, logits = _forward_pass(layers, kind, batch)
+    log_probs = _log_softmax(logits)
+
+    # Gradient w.r.t. logits of the mean loss.
+    delta = np.exp(log_probs)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    for i in range(len(layers) - 1, -1, -1):
+        grad_w, grad_b = grads[i]
+        np.matmul(inputs[i].T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
+        if i > 0:
+            upstream = delta @ layers[i][0].T
+            if kind is Activation.RELU:
+                delta = upstream * (pre[i - 1] > 0.0)
+            else:
+                delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
+    return log_probs
 
 
 def loss_and_gradient(
@@ -213,29 +250,13 @@ def loss_and_gradient(
         raise DataError("batch is empty")
     labels = _check_labels(spec, batch, labels)
 
-    inputs, pre, logits = _forward_pass(params, spec, batch)
-    log_probs = _log_softmax(logits)
+    grad = np.empty(len(params))
+    log_probs = _backprop(
+        _model_layers(params, spec), spec.activation, batch, labels,
+        _unflatten(grad, params.manifest),
+    )
     loss = float(-log_probs[np.arange(n), labels].mean())
-
-    # Gradient w.r.t. logits of the mean loss.
-    delta = np.exp(log_probs)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-
-    layers = _unflatten(params.values, params.manifest)
-    grads: list[np.ndarray | None] = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grad_w = inputs[i].T @ delta
-        grad_b = delta.sum(axis=0)
-        grads[i] = np.concatenate([grad_w.ravel(), grad_b])
-        if i > 0:
-            upstream = delta @ w.T
-            if spec.activation is Activation.RELU:
-                delta = upstream * (pre[i - 1] > 0.0)
-            else:
-                delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
-    return loss, ParameterVector(np.concatenate(grads), params.manifest)
+    return loss, ParameterVector(grad, params.manifest)
 
 
 @dataclass(frozen=True)
@@ -296,19 +317,37 @@ def train_epoch(
     rng: np.random.Generator,
 ) -> tuple[ParameterVector, OptimizerState]:
     """One pass over the data: deterministic shuffle from rng, one momentum step
-    per mini-batch. The final partial batch is trained, not dropped."""
+    per mini-batch. The final partial batch is trained, not dropped.
+
+    Bitwise the same as ``loss_and_gradient`` then ``sgd_momentum_step`` per
+    batch, but the inputs are checked once per epoch and the steps update
+    private copies of the weights and velocity in place."""
     train_x = _check_batch(spec, train_x)
     n = train_x.shape[0]
     if n == 0:
         raise DataError("training split is empty")
     train_y = _check_labels(spec, train_x, train_y)
+    if not (params.manifest == state.velocity.manifest == spec.manifest):
+        raise ShapeError("params, velocity, and model manifests must be identical")
+
+    weights = params.values.copy()
+    velocity = state.velocity.values.copy()
+    grad = np.empty_like(weights)
+    layers = _unflatten(weights, params.manifest)
+    grads = _unflatten(grad, params.manifest)
 
     order = rng.permutation(n)
     for start in range(0, n, state.batch_size):
         idx = order[start : start + state.batch_size]
-        _, grad = loss_and_gradient(params, spec, train_x[idx], train_y[idx])
-        params, state = sgd_momentum_step(params, grad, state)
-    return params, state
+        _backprop(layers, spec.activation, train_x[idx], train_y[idx], grads)
+        # same operation order as sgd_momentum_step
+        velocity *= state.momentum
+        velocity += grad
+        weights -= state.learning_rate * velocity
+    return (
+        ParameterVector(weights, params.manifest),
+        replace(state, velocity=ParameterVector(velocity, params.manifest)),
+    )
 
 
 def save_weights(params: ParameterVector, path) -> None:

@@ -8,9 +8,9 @@ Two round-loop flavors:
   test split before training; the server averages those reports and stops at
   the first round whose aggregate reaches the halting threshold.
 
-Per-client RNG streams are child streams of the master seed keyed by
-(round, client_id), so client execution order or parallelism cannot change
-any result.
+Clients of a round run one after another, in client order. Per-client RNG
+streams are child streams of the master seed keyed by (round, client_id), so
+no client's result depends on which clients ran before it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -51,7 +50,6 @@ from .strategies import (
     SelectionMetric,
     StrategyKind,
     evaluate,
-    mean_correct_confidence,
     run_local,
 )
 
@@ -89,7 +87,6 @@ class FederationConfig:
     halting: HaltingCriterion | None = None
     optimizer: OptimizerConfig = OptimizerConfig()
     master_seed: int = 0
-    parallel: bool = True
 
     def __post_init__(self) -> None:
         for name, low in (("client_count", 1), ("rounds", 1), ("local_epochs", 1)):
@@ -121,35 +118,14 @@ def _run_clients(
     incoming: ParameterVector,
     round_index: int,
 ) -> list[LocalRunResult]:
-    def job(client: ClientDataset) -> LocalRunResult:
-        rng = client_stream(cfg.master_seed, round_index, client.client_id)
-        return run_local(
-            incoming,
-            cfg.model,
-            client,
-            cfg.optimizer,
-            cfg.local_epochs,
-            cfg.strategy,
-            rng,
-            cfg.selection_metric,
-        )
-
-    if cfg.parallel and len(clients) > 1:
-        with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-            futures = [pool.submit(job, c) for c in clients]
-            results = []
-            for client, fut in zip(clients, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise ProtocolError(
-                        f"client {client.client_id} failed in round {round_index}: {exc}"
-                    ) from exc
-            return results
     results = []
     for client in clients:
+        rng = client_stream(cfg.master_seed, round_index, client.client_id)
         try:
-            results.append(job(client))
+            results.append(run_local(
+                incoming, cfg.model, client, cfg.optimizer, cfg.local_epochs,
+                cfg.strategy, rng, cfg.selection_metric,
+            ))
         except Exception as exc:
             raise ProtocolError(
                 f"client {client.client_id} failed in round {round_index}: {exc}"
@@ -188,11 +164,8 @@ def run_federation(
                 client_id=c.client_id,
                 params=r.selected_params,
                 train_sample_count=r.train_sample_count,
-                local_metrics=rep,
             )
-            for c, r, rep in zip(
-                clients, results, incoming_reports or [None] * len(clients)
-            )
+            for c, r in zip(clients, results)
         ]
         params = aggregate(updates, cfg.aggregation)
         selected = tuple(r.selected_epoch for r in results)
@@ -296,37 +269,6 @@ def run_centralized(
         epochs_run=epochs_run,
         trace=tuple(trace),
         per_epoch_val=tuple(reports),
-    )
-
-
-@dataclass(frozen=True)
-class FinalReport:
-    global_test: MetricsReport
-    external_test: MetricsReport
-    per_client: tuple[MetricsReport, ...]
-    confidence_global: float
-    confidence_external: float
-
-
-def evaluate_final(
-    params: ParameterVector,
-    model: ModelSpec,
-    evals: EvalSets,
-    clients: list[ClientDataset],
-) -> FinalReport:
-    """Score one trained model everywhere it matters: pooled global test,
-    shifted external test, each client's local test, plus mean softmax
-    confidence on correct predictions for both shared sets."""
-    return FinalReport(
-        global_test=evaluate(params, model, evals.global_test.x, evals.global_test.y),
-        external_test=evaluate(params, model, evals.external_test.x, evals.external_test.y),
-        per_client=tuple(evaluate(params, model, c.test.x, c.test.y) for c in clients),
-        confidence_global=mean_correct_confidence(
-            params, model, evals.global_test.x, evals.global_test.y
-        ),
-        confidence_external=mean_correct_confidence(
-            params, model, evals.external_test.x, evals.external_test.y
-        ),
     )
 
 

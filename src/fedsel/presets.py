@@ -65,10 +65,6 @@ HARD_SHIFT = ExperimentPreset(
 
 PRESETS = {p.name: p for p in (DEFAULT, ELEVATED_NOISE, HARD_SHIFT)}
 
-# Alternate schedule kept for parity experiments; the 15x5 schedule drives
-# everything else in this repository.
-SCHEDULES = {"15x5": (15, 5), "10x10": (10, 10)}
-
 
 def get_preset(name: str) -> ExperimentPreset:
     try:

@@ -23,7 +23,7 @@ from .orchestrator import (
     run_centralized,
     run_federation,
 )
-from .strategies import StrategyKind, evaluate, mean_correct_confidence
+from .strategies import StrategyKind, score
 
 METRIC_COLUMNS = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "confidence")
 TEST_SETS = ("global", "external")
@@ -46,13 +46,14 @@ def variant_order(rows: list[ComparisonRow]) -> list[str]:
 
 
 def _score(params: ParameterVector, model, x, y) -> dict[str, float]:
-    report = evaluate(params, model, x, y)
+    scores = score(params, model, x, y)
+    report = scores.report
     return {
         "accuracy": report.accuracy,
         "macro_precision": report.macro_precision,
         "macro_recall": report.macro_recall,
         "macro_f1": report.macro_f1,
-        "confidence": mean_correct_confidence(params, model, x, y),
+        "confidence": scores.confidence,
     }
 
 

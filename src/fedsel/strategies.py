@@ -8,6 +8,7 @@ epoch on ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -20,7 +21,6 @@ from .nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
-    cross_entropy_loss,
     forward,
     init_optimizer,
     train_epoch,
@@ -107,12 +107,33 @@ def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
     )
 
 
+@dataclass(frozen=True)
+class Scores:
+    """Everything one forward pass over a labelled split yields."""
+
+    report: MetricsReport
+    loss: float  # mean softmax cross-entropy, as nn.cross_entropy_loss
+    confidence: float  # as mean_correct_confidence
+
+
+def score(params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> Scores:
+    """Metrics, loss and correct-prediction confidence from a single forward
+    pass over (x, y)."""
+    log_probs = forward(params, model, x, log=True)
+    probs = np.exp(log_probs)
+    preds = np.argmax(probs, axis=1)
+    y = np.asarray(y)
+    report = metrics_from_confusion(confusion_matrix(y, preds, model.class_count))
+    loss = float(-log_probs[np.arange(y.size), y].mean())
+    correct = preds == y
+    confidence = float(probs[correct, preds[correct]].mean()) if correct.any() else 0.0
+    return Scores(report=report, loss=loss, confidence=confidence)
+
+
 def evaluate(
     params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray
 ) -> MetricsReport:
-    probs = forward(params, model, x)
-    preds = np.argmax(probs, axis=1)
-    return metrics_from_confusion(confusion_matrix(y, preds, model.class_count))
+    return score(params, model, x, y).report
 
 
 def mean_correct_confidence(
@@ -120,12 +141,7 @@ def mean_correct_confidence(
 ) -> float:
     """Average predicted-class probability over the correctly classified
     samples; 0.0 when nothing is classified correctly."""
-    probs = forward(params, model, x)
-    preds = np.argmax(probs, axis=1)
-    correct = preds == np.asarray(y)
-    if not correct.any():
-        return 0.0
-    return float(probs[correct, preds[correct]].mean())
+    return score(params, model, x, y).confidence
 
 
 def select_epoch(
@@ -176,7 +192,9 @@ def run_local(
 
     The trajectory depends only on the incoming weights, the data, and the
     rng stream; the strategy changes which epoch is returned, never how
-    training runs. Only one best-so-far snapshot is held, not one per epoch.
+    training runs. The shipped weights are those of the epoch ``select_epoch``
+    picks from the trace. A non-finite validation score raises DataError
+    naming the client and the epoch.
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
@@ -184,31 +202,30 @@ def run_local(
         raise DataError(f"client {client.client_id} has an empty train or val split")
     strategy = StrategyKind(strategy)
     metric = SelectionMetric(metric)
-    higher = metric.higher_is_better
 
     state = init_optimizer(global_params, optimizer)
     params = global_params
+    snapshots: list[ParameterVector] = []
     reports: list[MetricsReport] = []
     trace: list[float] = []
-    best_params = global_params
-    best_score = -np.inf if higher else np.inf
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         params, state = train_epoch(params, model, state, client.train.x, client.train.y, rng)
-        report = evaluate(params, model, client.val.x, client.val.y)
-        reports.append(report)
+        scores = score(params, model, client.val.x, client.val.y)
         if metric is SelectionMetric.VAL_LOSS:
-            score = cross_entropy_loss(params, model, client.val.x, client.val.y)
+            value = scores.loss
         else:
-            score = report.scalar(metric.value)
-        trace.append(score)
-        if (higher and score >= best_score) or (not higher and score <= best_score):
-            best_score = score
-            best_params = params
+            value = scores.report.scalar(metric.value)
+        if not math.isfinite(value):
+            raise DataError(
+                f"client {client.client_id} epoch {epoch}: validation {metric.value} is {value}"
+            )
+        snapshots.append(params)
+        reports.append(scores.report)
+        trace.append(value)
 
-    picked = select_epoch(trace, strategy, higher_is_better=higher)
-    selected = params if strategy is StrategyKind.FEWS else best_params
+    picked = select_epoch(trace, strategy, higher_is_better=metric.higher_is_better)
     return LocalRunResult(
-        selected_params=selected,
+        selected_params=snapshots[picked - 1],
         selected_epoch=picked,
         per_epoch_val=tuple(reports),
         train_sample_count=len(client.train),

@@ -116,6 +116,14 @@ def test_aggregation_error_cases():
         ClientUpdate(client_id=0, params=ParameterVector(np.zeros(2), PAIR), train_sample_count=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_update_is_rejected_naming_the_client(bad):
+    updates = [_update([1.0, 2.0]), _update([3.0, bad], client_id=3)]
+    for kind in AggregationKind:
+        with pytest.raises(ProtocolError, match="client 3"):
+            aggregate(updates, kind)
+
+
 def test_aggregate_metrics_means_and_sums():
     a = metrics_from_confusion(np.array([[4, 1], [1, 4]]))  # accuracy 0.8
     b = metrics_from_confusion(np.array([[5, 0], [0, 5]]))  # accuracy 1.0

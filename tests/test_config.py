@@ -80,8 +80,8 @@ def test_bad_value_names_key():
         load_config(overrides={"corpus.noise_scale": "loud"})
     with pytest.raises(ConfigurationError, match="federation.strategy"):
         load_config(overrides={"federation.strategy": "freshest"})
-    with pytest.raises(ConfigurationError, match="federation.parallel"):
-        load_config(overrides={"federation.parallel": "maybe"})
+    with pytest.raises(ConfigurationError, match="baseline.enabled"):
+        load_config(overrides={"baseline.enabled": "maybe"})
 
 
 def test_missing_class_map_parse_errors():

@@ -1,0 +1,145 @@
+"""Golden SHA-256 digests of the outputs a run is judged by.
+
+Each case runs a short schedule and hashes the final aggregated weights
+(their float64 bytes), the metrics JSONL that ``write_metrics_logs`` writes,
+and the comparison CSV that ``rows_to_csv`` renders. The expected digests
+were recorded from the client-thread-pool code with its per-batch epoch
+loop, so any refactor of the round loop, the training kernel or the scoring
+pass must reproduce that code's bits exactly. A change that means to move a
+digest has to say why.
+
+The logs are written under a fixed run id, so the digests pin the content
+of a run and not the hash of its configuration.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from fedsel.config import load_config
+from fedsel.data import make_dataset
+from fedsel.orchestrator import run_federation, write_metrics_logs
+from fedsel.presets import preset_run_config
+from fedsel.reporting import rows_to_csv, run_comparison
+from fedsel.strategies import StrategyKind
+
+SHORT = {
+    "federation.rounds": "2",
+    "federation.local_epochs": "3",
+    "baseline.max_epochs": "3",
+    "baseline.patience": "3",
+}
+
+INDUSTRIAL = {
+    "corpus.per_class_train": "40",
+    "corpus.noise_scale": "2.0",
+    "federation.workflow": "industrial",
+    "federation.strategy": "oews",
+    "federation.selection_metric": "val_loss",
+    "federation.aggregation": "weighted",
+    "federation.hidden_layers": "24,12",
+    "federation.learning_rate": "0.03",
+    "federation.local_epochs": "4",
+    "federation.halting_threshold": "0.8",
+    "federation.max_rounds": "4",
+    "federation.master_seed": "5",
+}
+
+GOLDEN = {
+    "default": {
+        "weights": "3de46eb8a862090b0f7508a04f8135c716b33f1618a4e9e6703f4edc35f33726",
+        "metrics_jsonl": "4acd3a8fa94ae8c7317380cd2face0e3dc5712544eaee709ed9669d3e194c4ac",
+        "compare_csv": "1c11c82a55a185e9a93cac45df2a53a1efdf503af2338b504ce4d063589d02d0",
+    },
+    "industrial": {
+        "weights": "970e20b4f749282d93a8f55a517846056f9c2d71a8b9c8755873827445710aac",
+        "metrics_jsonl": "9414c8e6842d413f813c2f17b85a2a049161d3154d71e0d76aa8c743181d8e56",
+    },
+    "preset_default": {
+        "weights": "1359d128df590393fd2086ad9d2883881dfff9421adc1567dd76f69dcb684af8",
+        "metrics_jsonl": "e66c76ee222649254e155d9e7e3e3e4442370352a5565e23df6bb901e2d6c7a0",
+        "compare_csv": "3b41f5e8aadd4c53b427e75668ee66d73960e7fe6d068030193cddfa9b55bb09",
+    },
+    "preset_elevated_noise": {
+        "weights": "633ffb62fb3b614b947c14e835db6f7f86e2c4481187e3d94daed56f9ce2d456",
+        "metrics_jsonl": "d470751551e074fecc2d5d115d579238337f429c07e1ae762e23aed8407b4ba2",
+        "compare_csv": "0d10548ec24e208eebc0bd0bba8dbb288c1079a56b67fe53d9203a35c434dff9",
+    },
+    "preset_hard_shift": {
+        "weights": "6afa68dd959eaedc238a85268514ba414695f39f92bd38022373c991bbe252e4",
+        "metrics_jsonl": "406870e11487f39f27df052001f6ee0918c4b3041b759cc09dd8ec263636fffb",
+        "compare_csv": "1835509533193caf30e0461bf5990559bf264883ff1a1b14661c4d693c25a38d",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _federation_digests(cfg, out_dir) -> dict[str, str]:
+    clients, evals = make_dataset(cfg.corpus, cfg.partition)
+    records, params = run_federation(cfg.federation, clients, evals)
+    jsonl, _ = write_metrics_logs(
+        records, "golden", cfg.federation.workflow, cfg.federation.strategy, out_dir
+    )
+    return {
+        "weights": _sha256(params.values.tobytes()),
+        "metrics_jsonl": _sha256(jsonl.read_bytes()),
+    }
+
+
+def _default(out_dir) -> dict[str, str]:
+    cfg, _ = load_config(overrides=SHORT)
+    digests = _federation_digests(cfg, out_dir)
+    digests["compare_csv"] = _sha256(rows_to_csv(run_comparison(cfg, [0])).encode())
+    return digests
+
+
+def _industrial(out_dir) -> dict[str, str]:
+    cfg, _ = load_config(overrides=INDUSTRIAL)
+    return _federation_digests(cfg, out_dir)
+
+
+def _preset(name: str, seed: int = 1):
+    """One campaign seed of a preset on the short schedule: the OEWS
+    federation's weights and logs, and the whole comparison's CSV."""
+
+    def run(out_dir) -> dict[str, str]:
+        full = preset_run_config(name)
+        cfg = replace(
+            full,
+            corpus=replace(full.corpus, seed=seed),
+            federation=replace(
+                full.federation,
+                rounds=int(SHORT["federation.rounds"]),
+                local_epochs=int(SHORT["federation.local_epochs"]),
+                strategy=StrategyKind.OEWS,
+                master_seed=seed,
+            ),
+            baseline=replace(
+                full.baseline,
+                max_epochs=int(SHORT["baseline.max_epochs"]),
+                patience=int(SHORT["baseline.patience"]),
+            ),
+        )
+        digests = _federation_digests(cfg, out_dir)
+        digests["compare_csv"] = _sha256(rows_to_csv(run_comparison(cfg, [seed])).encode())
+        return digests
+
+    return run
+
+
+CASES = {
+    "default": _default,
+    "industrial": _industrial,
+    "preset_default": _preset("default"),
+    "preset_elevated_noise": _preset("elevated_noise"),
+    "preset_hard_shift": _preset("hard_shift"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_digests(case, tmp_path):
+    assert CASES[case](tmp_path) == GOLDEN[case]

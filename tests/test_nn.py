@@ -189,6 +189,20 @@ def test_optimizer_config_validation():
         OptimizerConfig(batch_size=0)
 
 
+def _reference_epoch(params, spec, state, x, y, rng):
+    """The per-batch epoch ``train_epoch`` must match bit for bit: shuffle
+    once, then ``loss_and_gradient`` and ``sgd_momentum_step`` on fresh
+    ParameterVectors for every batch. Returns (params, state, batch count)."""
+    order = rng.permutation(len(x))
+    batches = 0
+    for lo in range(0, len(x), state.batch_size):
+        idx = order[lo : lo + state.batch_size]
+        _, g = loss_and_gradient(params, spec, x[idx], y[idx])
+        params, state = sgd_momentum_step(params, g, state)
+        batches += 1
+    return params, state, batches
+
+
 def test_train_epoch_matches_manual_loop():
     """One epoch is exactly: shuffle once, then a momentum step per batch,
     with the final short batch included. Verified bitwise against a
@@ -202,17 +216,64 @@ def test_train_epoch_matches_manual_loop():
 
     got_p, got_s = train_epoch(start, spec, init_optimizer(start, cfg), x, y, np.random.default_rng(5))
 
-    order = np.random.default_rng(5).permutation(40)
-    p, s = start, init_optimizer(start, cfg)
-    batches = 0
-    for lo in range(0, 40, cfg.batch_size):
-        idx = order[lo : lo + cfg.batch_size]
-        _, g = loss_and_gradient(p, spec, x[idx], y[idx])
-        p, s = sgd_momentum_step(p, g, s)
-        batches += 1
+    p, s, batches = _reference_epoch(
+        start, spec, init_optimizer(start, cfg), x, y, np.random.default_rng(5)
+    )
     assert batches == 3
     assert (got_p.values == p.values).all()
     assert (got_s.velocity.values == s.velocity.values).all()
+
+
+@pytest.mark.parametrize(
+    "layer_sizes, activation, n, batch_size",
+    [
+        ((6, 9, 4), "relu", 40, 16),  # partial last batch
+        ((6, 9, 4), "tanh", 40, 16),
+        ((5, 8, 7, 3), "relu", 37, 8),  # two hidden layers
+        ((5, 8, 7, 3), "tanh", 37, 8),
+        ((4, 6, 3), "relu", 9, 1),  # batch_size 1
+        ((4, 6, 5, 3), "tanh", 11, 32),  # batch_size larger than n
+    ],
+)
+def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, activation, n, batch_size):
+    """Several epochs in a row, from a nonzero velocity and at a learning
+    rate that moves the weights: weights and velocity equal the reference
+    bit for bit, and the caller's inputs are left as they were."""
+    spec = ModelSpec(layer_sizes=layer_sizes, activation=activation, seed=4)
+    data_rng = np.random.default_rng(n)
+    x = data_rng.standard_normal((n, layer_sizes[0]))
+    y = data_rng.integers(0, layer_sizes[-1], n)
+    cfg = OptimizerConfig(learning_rate=0.05, momentum=0.9, batch_size=batch_size)
+    params = init_parameters(spec)
+    state = init_optimizer(params, cfg)
+    ref_p, ref_s = params, state
+    for epoch in range(3):
+        before_p = params.values.copy()
+        before_v = state.velocity.values.copy()
+        params_in, state_in = params, state
+        params, state = train_epoch(params, spec, state, x, y, np.random.default_rng(epoch))
+        ref_p, ref_s, _ = _reference_epoch(ref_p, spec, ref_s, x, y, np.random.default_rng(epoch))
+        assert (params.values == ref_p.values).all()
+        assert (state.velocity.values == ref_s.velocity.values).all()
+        hyper = ("learning_rate", "momentum", "batch_size")
+        assert [getattr(state, h) for h in hyper] == [getattr(ref_s, h) for h in hyper]
+        assert (params_in.values == before_p).all()
+        assert (state_in.velocity.values == before_v).all()
+        assert not params.values.flags.writeable
+        assert not state.velocity.values.flags.writeable
+    assert not (params.values == init_parameters(spec).values).all()
+
+
+def test_train_epoch_rejects_mismatched_manifests():
+    spec = ModelSpec(layer_sizes=(6, 9, 4), seed=10)
+    params = init_parameters(spec)
+    state = init_optimizer(params, OptimizerConfig())
+    x, y = np.zeros((4, 6)), np.zeros(4, dtype=int)
+    other = init_parameters(ModelSpec(layer_sizes=(6, 8, 4), seed=10))
+    with pytest.raises(ShapeError):
+        train_epoch(other, spec, state, x, y, np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        train_epoch(params, spec, init_optimizer(other, OptimizerConfig()), x, y, np.random.default_rng(0))
 
 
 def test_train_epoch_rejects_empty_data():

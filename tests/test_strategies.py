@@ -1,9 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedsel.data import ClientDataset, CorpusSpec, PartitionSpec, Split, make_dataset
 from fedsel.errors import ConfigurationError, DataError
-from fedsel.nn import ModelSpec, OptimizerConfig, ParameterVector, init_parameters, manifest_size
+from fedsel.nn import (
+    ModelSpec,
+    OptimizerConfig,
+    ParameterVector,
+    cross_entropy_loss,
+    forward,
+    init_parameters,
+    loss_and_gradient,
+    manifest_size,
+)
 from fedsel.strategies import (
     SelectionMetric,
     StrategyKind,
@@ -12,6 +23,7 @@ from fedsel.strategies import (
     mean_correct_confidence,
     metrics_from_confusion,
     run_local,
+    score,
     select_epoch,
 )
 
@@ -95,6 +107,34 @@ def test_uniform_predictor_confidence():
     y = np.zeros(50, dtype=int)  # argmax of a uniform row is class 0
     assert mean_correct_confidence(zeros, spec, x, y) == pytest.approx(0.2)
     assert mean_correct_confidence(zeros, spec, x, np.full(50, 3)) == 0.0
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_score_is_one_pass_of_the_separate_scorers(activation):
+    """Metrics, loss and confidence from one pass equal, bit for bit, what a
+    probability pass plus a separate loss pass compute."""
+    rng = np.random.default_rng(12)
+    spec = ModelSpec(layer_sizes=(6, 10, 7, 4), activation=activation, seed=5)
+    for _ in range(5):
+        start = init_parameters(spec)
+        params = ParameterVector(start.values + rng.standard_normal(len(start)), start.manifest)
+        x = rng.standard_normal((33, 6)) * 3.0
+        y = rng.integers(0, 4, 33)
+        got = score(params, spec, x, y)
+
+        probs = forward(params, spec, x)
+        preds = np.argmax(probs, axis=1)
+        want = metrics_from_confusion(confusion_matrix(y, preds, 4))
+        correct = preds == y
+        assert got.report.macro_f1 == want.macro_f1
+        assert got.report.accuracy == want.accuracy
+        assert got.report.per_class_precision == want.per_class_precision
+        assert (got.report.confusion == want.confusion).all()
+        assert got.loss == cross_entropy_loss(params, spec, x, y)
+        assert got.loss == loss_and_gradient(params, spec, x, y)[0]
+        assert got.confidence == float(probs[correct, preds[correct]].mean())
+        assert evaluate(params, spec, x, y).macro_f1 == got.report.macro_f1
+        assert mean_correct_confidence(params, spec, x, y) == got.confidence
 
 
 def test_select_epoch_rules():
@@ -204,6 +244,43 @@ def test_val_loss_selection_prefers_low_loss():
     assert all(best <= v for v in result.trace)
     assert result.selected_epoch == select_epoch(result.trace, StrategyKind.OEWS,
                                                  higher_is_better=False)
+
+
+@pytest.mark.parametrize("metric", list(SelectionMetric))
+def test_shipped_weights_are_the_reported_epochs(metric):
+    """OEWS ships exactly the weights a run stopped at its reported epoch
+    would end with."""
+    client = _client(seed=5)
+    incoming = init_parameters(MODEL)
+    opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
+    oews = run_local(incoming, MODEL, client, opt, 8, StrategyKind.OEWS,
+                     np.random.default_rng(7), metric)
+    assert oews.selected_epoch == select_epoch(
+        oews.trace, StrategyKind.OEWS, higher_is_better=metric.higher_is_better
+    )
+    upto = run_local(incoming, MODEL, client, opt, oews.selected_epoch, StrategyKind.FEWS,
+                     np.random.default_rng(7), metric)
+    assert (oews.selected_params.values == upto.selected_params.values).all()
+
+
+def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
+    """A NaN first validation loss is rejected, not skipped: before, the
+    trace (nan, ...) reported epoch 1 but shipped a later epoch's weights."""
+    import fedsel.strategies as strategies
+
+    real = strategies.score
+    calls = []
+
+    def first_loss_nan(*args):
+        result = real(*args)
+        calls.append(None)
+        return replace(result, loss=float("nan")) if len(calls) == 1 else result
+
+    monkeypatch.setattr(strategies, "score", first_loss_nan)
+    client = _client(seed=11)
+    with pytest.raises(DataError, match=f"client {client.client_id} epoch 1: validation val_loss"):
+        run_local(init_parameters(MODEL), MODEL, client, OptimizerConfig(learning_rate=0.02),
+                  3, StrategyKind.OEWS, np.random.default_rng(4), SelectionMetric.VAL_LOSS)
 
 
 def test_run_local_rejects_bad_input():

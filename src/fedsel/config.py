@@ -268,7 +268,6 @@ def load_config(
     )
     federation = FederationConfig(
         model=model,
-        client_count=partition.client_count,
         rounds=values["federation.rounds"],
         local_epochs=values["federation.local_epochs"],
         strategy=values["federation.strategy"],

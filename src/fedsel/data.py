@@ -68,7 +68,10 @@ class PartitionSpec:
             raise ConfigurationError(f"client_count must be >= 1, got {self.client_count}")
         missing = dict(self.missing_class)
         if not missing:
-            missing = {k: default_missing_class(k, 5) for k in range(self.client_count)}
+            raise ConfigurationError(
+                "missing_class is empty; the default rotation depends on the class "
+                "count, so use PartitionSpec.default(client_count, class_count)"
+            )
         if set(missing) != set(range(self.client_count)):
             raise ConfigurationError(
                 f"missing_class must map every client in 0..{self.client_count - 1}"
@@ -295,6 +298,9 @@ def dump_dataset_csv(clients: list[ClientDataset], evals: EvalSets, path) -> Non
 
 
 def load_dataset_csv(path) -> tuple[list[ClientDataset], EvalSets]:
+    """Read what ``dump_dataset_csv`` wrote. The class count is one more than
+    the largest label anywhere in the file, so a client's missing class is
+    found even when its test split lacks the top class."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -322,13 +328,16 @@ def load_dataset_csv(path) -> tuple[list[ClientDataset], EvalSets]:
         next_id += len(samples)
         return Split(x, y, ids)
 
+    if not grouped:
+        raise DataError(f"{path}: no sample rows")
+    class_count = max(label for samples in grouped.values() for _, label in samples) + 1
     client_ids = sorted({c for c, _ in grouped if c >= 0})
     clients = []
     for cid in client_ids:
         train = build((cid, "train"))
         val = build((cid, "val"))
         test = build((cid, "test"))
-        absent = set(range(int(test.y.max()) + 1)) - set(train.y) - set(val.y)
+        absent = set(range(class_count)) - set(train.y) - set(val.y)
         if len(absent) != 1:
             raise DataError(f"{path}: client {cid} should lack exactly one class, lacks {absent}")
         clients.append(

@@ -10,7 +10,10 @@ Two round-loop flavors:
 
 Clients of a round run one after another, in client order. Per-client RNG
 streams are child streams of the master seed keyed by (round, client_id), so
-no client's result depends on which clients ran before it.
+no client's result depends on which clients ran before it, nor on which
+strategy will pick an epoch from its trajectory: federations that differ only
+in strategy run in lockstep and share every client run while their global
+weights agree.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -50,7 +53,7 @@ from .strategies import (
     SelectionMetric,
     StrategyKind,
     evaluate,
-    run_local,
+    train_local,
 )
 
 METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
@@ -77,7 +80,6 @@ def baseline_stream(master_seed: int, tag: int = 0) -> np.random.Generator:
 @dataclass(frozen=True)
 class FederationConfig:
     model: ModelSpec
-    client_count: int = 4
     rounds: int = 5
     local_epochs: int = 15
     strategy: StrategyKind = StrategyKind.FEWS
@@ -89,7 +91,7 @@ class FederationConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("client_count", 1), ("rounds", 1), ("local_epochs", 1)):
+        for name, low in (("rounds", 1), ("local_epochs", 1)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 <= self.master_seed <= MAX_SEED:
@@ -112,95 +114,184 @@ class RoundRecord:
     halted: bool
 
 
-def _run_clients(
+FederationOutcome = tuple[list[RoundRecord], ParameterVector]
+
+
+@dataclass
+class _Lockstep:
+    """One federation's state as the lockstep round loop advances it."""
+
+    cfg: FederationConfig
+    params: ParameterVector
+    records: list[RoundRecord] = field(default_factory=list)
+    error: Exception | None = None
+    halted: bool = False
+
+
+def _group_by_weights(runs: list[_Lockstep]) -> list[list[_Lockstep]]:
+    """Runs whose global weights are bitwise equal, in first-seen order."""
+    groups: dict[bytes, list[_Lockstep]] = {}
+    for run in runs:
+        groups.setdefault(run.params.values.tobytes(), []).append(run)
+    return list(groups.values())
+
+
+def _train_clients(
     cfg: FederationConfig,
     clients: list[ClientDataset],
     incoming: ParameterVector,
     round_index: int,
-) -> list[LocalRunResult]:
-    results = []
+    strategies: list[StrategyKind],
+) -> list[list[LocalRunResult]]:
+    """Train every client once from ``incoming``; returns, per strategy, each
+    client's pick. Only one client's trajectory is alive at a time."""
+    picks: list[list[LocalRunResult]] = [[] for _ in strategies]
     for client in clients:
         rng = client_stream(cfg.master_seed, round_index, client.client_id)
         try:
-            results.append(run_local(
+            trajectory = train_local(
                 incoming, cfg.model, client, cfg.optimizer, cfg.local_epochs,
-                cfg.strategy, rng, cfg.selection_metric,
-            ))
+                rng, cfg.selection_metric,
+            )
         except Exception as exc:
             raise ProtocolError(
                 f"client {client.client_id} failed in round {round_index}: {exc}"
             ) from exc
-    return results
+        for results, strategy in zip(picks, strategies):
+            results.append(trajectory.select(strategy))
+    return picks
+
+
+def _finish_round(
+    run: _Lockstep,
+    t: int,
+    clients: list[ClientDataset],
+    evals: EvalSets,
+    results: list[LocalRunResult],
+    incoming_reports: tuple[MetricsReport, ...],
+    global_reports: dict[bytes, MetricsReport],
+) -> None:
+    """Aggregate and record round ``t`` of one federation from its clients'
+    picks. ``global_reports`` holds this round's global-test scores by
+    weights."""
+    cfg = run.cfg
+    updates = [
+        ClientUpdate(
+            client_id=c.client_id,
+            params=r.selected_params,
+            train_sample_count=r.train_sample_count,
+        )
+        for c, r in zip(clients, results)
+    ]
+    run.params = aggregate(updates, cfg.aggregation)
+    selected = tuple(r.selected_epoch for r in results)
+
+    if cfg.workflow is Workflow.INDUSTRIAL:
+        agg = aggregate_metrics(incoming_reports)
+        run.records.append(
+            RoundRecord(
+                round=t,
+                global_metrics=None,
+                per_client_metrics=incoming_reports,
+                aggregated_metrics=agg,
+                selected_epochs=selected,
+                halted=threshold_met(agg, cfg.halting),
+            )
+        )
+        run.halted = should_halt(agg, cfg.halting, t)
+        return
+    key = run.params.values.tobytes()
+    if key not in global_reports:
+        global_reports[key] = evaluate(
+            run.params, cfg.model, evals.global_test.x, evals.global_test.y
+        )
+    # local val reports at each client's selected epoch, for diagnostics
+    per_client = tuple(r.per_epoch_val[r.selected_epoch - 1] for r in results)
+    run.records.append(
+        RoundRecord(
+            round=t,
+            global_metrics=global_reports[key],
+            per_client_metrics=per_client,
+            aggregated_metrics=None,
+            selected_epochs=selected,
+            halted=False,
+        )
+    )
+
+
+def run_federations(
+    cfgs: list[FederationConfig], clients: list[ClientDataset], evals: EvalSets
+) -> list[FederationOutcome | Exception]:
+    """Run federations that differ only in strategy, in lockstep.
+
+    Each round, the federations whose global weights are bitwise equal train
+    every client once from those weights, and each federation then picks its
+    own epochs and aggregates. Each distinct weight vector is scored once: on
+    the global test set in the academic flow, on every client's test split in
+    the industrial flow, where each federation halts on its own. Every result
+    is bitwise what a federation run alone produces.
+
+    Returns, per config, its round records and final weights, or the
+    exception that ended it; a failure ends only the federations that shared
+    the failing computation.
+    """
+    if not cfgs:
+        raise ConfigurationError("run_federations needs at least one config")
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        if replace(cfg, strategy=first.strategy) != first:
+            raise ConfigurationError("lockstep federations may differ only in strategy")
+    if not clients:
+        raise ConfigurationError("a federation needs at least one client")
+    dim = clients[0].train.x.shape[1]
+    if dim != first.model.feature_dim:
+        raise ShapeError(
+            f"model expects {first.model.feature_dim} features, data has {dim}"
+        )
+    industrial = first.workflow is Workflow.INDUSTRIAL
+    horizon = first.halting.max_rounds if industrial else first.rounds
+
+    init = init_parameters(first.model)
+    runs = [_Lockstep(cfg, init) for cfg in cfgs]
+    for t in range(1, horizon + 1):
+        live = [r for r in runs if r.error is None and not r.halted]
+        if not live:
+            break
+        global_reports: dict[bytes, MetricsReport] = {}
+        for group in _group_by_weights(live):
+            incoming = group[0].params
+            try:
+                incoming_reports: tuple[MetricsReport, ...] = ()
+                if industrial:
+                    incoming_reports = tuple(
+                        evaluate(incoming, first.model, c.test.x, c.test.y) for c in clients
+                    )
+                picks = _train_clients(
+                    first, clients, incoming, t, [run.cfg.strategy for run in group]
+                )
+            except Exception as exc:
+                for run in group:
+                    run.error = exc
+                continue
+            for run, results in zip(group, picks):
+                try:
+                    _finish_round(
+                        run, t, clients, evals, results, incoming_reports, global_reports
+                    )
+                except Exception as exc:
+                    run.error = exc
+    return [r.error if r.error is not None else (r.records, r.params) for r in runs]
 
 
 def run_federation(
     cfg: FederationConfig, clients: list[ClientDataset], evals: EvalSets
-) -> tuple[list[RoundRecord], ParameterVector]:
+) -> FederationOutcome:
     """Execute the round loop; returns one record per executed round plus the
     final aggregated weights."""
-    if len(clients) != cfg.client_count:
-        raise ConfigurationError(
-            f"config says {cfg.client_count} clients, got {len(clients)} datasets"
-        )
-    dim = clients[0].train.x.shape[1]
-    if dim != cfg.model.feature_dim:
-        raise ShapeError(
-            f"model expects {cfg.model.feature_dim} features, data has {dim}"
-        )
-    industrial = cfg.workflow is Workflow.INDUSTRIAL
-    horizon = cfg.halting.max_rounds if industrial else cfg.rounds
-
-    params = init_parameters(cfg.model)
-    records: list[RoundRecord] = []
-    for t in range(1, horizon + 1):
-        incoming_reports: tuple[MetricsReport, ...] = ()
-        if industrial:
-            incoming_reports = tuple(
-                evaluate(params, cfg.model, c.test.x, c.test.y) for c in clients
-            )
-        results = _run_clients(cfg, clients, params, t)
-        updates = [
-            ClientUpdate(
-                client_id=c.client_id,
-                params=r.selected_params,
-                train_sample_count=r.train_sample_count,
-            )
-            for c, r in zip(clients, results)
-        ]
-        params = aggregate(updates, cfg.aggregation)
-        selected = tuple(r.selected_epoch for r in results)
-
-        if industrial:
-            agg = aggregate_metrics(incoming_reports)
-            records.append(
-                RoundRecord(
-                    round=t,
-                    global_metrics=None,
-                    per_client_metrics=incoming_reports,
-                    aggregated_metrics=agg,
-                    selected_epochs=selected,
-                    halted=threshold_met(agg, cfg.halting),
-                )
-            )
-            if should_halt(agg, cfg.halting, t):
-                break
-        else:
-            global_report = evaluate(
-                params, cfg.model, evals.global_test.x, evals.global_test.y
-            )
-            # local val reports at each client's selected epoch, for diagnostics
-            per_client = tuple(r.per_epoch_val[r.selected_epoch - 1] for r in results)
-            records.append(
-                RoundRecord(
-                    round=t,
-                    global_metrics=global_report,
-                    per_client_metrics=per_client,
-                    aggregated_metrics=None,
-                    selected_epochs=selected,
-                    halted=False,
-                )
-            )
-    return records, params
+    outcome = run_federations([cfg], clients, evals)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from .data import make_dataset, merge_for_centralized
 from .errors import ConfigurationError
 from .nn import ParameterVector
 from .orchestrator import (
+    FederationOutcome,
     atomic_write_text,
     baseline_stream,
     run_centralized,
-    run_federation,
+    run_federations,
 )
 from .strategies import StrategyKind, score
 
@@ -57,9 +58,18 @@ def _score(params: ParameterVector, model, x, y) -> dict[str, float]:
     }
 
 
+def _final_weights(outcome: FederationOutcome | Exception) -> ParameterVector:
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[1]
+
+
 def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
     """One ComparisonRow per (seed, variant, test set). A variant that raises
-    is recorded as failed for both test sets and the campaign proceeds."""
+    is recorded as failed for both test sets and the campaign proceeds.
+
+    The two federations of a seed run in lockstep (``run_federations``), and
+    each distinct set of final weights is scored once per test set."""
     if not seeds:
         raise ConfigurationError("comparison needs at least one seed")
     model = cfg.federation.model
@@ -72,13 +82,16 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
             "external": (evals.external_test.x, evals.external_test.y),
         }
 
+        scored: dict[tuple[bytes, str], dict[str, float]] = {}
+
         def attempt(variant: str, train_fn) -> None:
             try:
                 params = train_fn()
                 for name, (x, y) in sets.items():
-                    rows.append(
-                        ComparisonRow(seed, variant, name, "ok", _score(params, model, x, y))
-                    )
+                    key = (params.values.tobytes(), name)
+                    if key not in scored:
+                        scored[key] = _score(params, model, x, y)
+                    rows.append(ComparisonRow(seed, variant, name, "ok", scored[key]))
             except Exception as exc:
                 for name in sets:
                     rows.append(ComparisonRow(seed, variant, name, "failed", None, str(exc)))
@@ -98,12 +111,16 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
                 baseline_stream(seed, tag=0),
             ).params,
         )
-        for strategy in (StrategyKind.FEWS, StrategyKind.OEWS):
-            fed_cfg = replace(cfg.federation, strategy=strategy, master_seed=seed)
-            attempt(
-                f"fl_{strategy.value}",
-                lambda fc=fed_cfg: run_federation(fc, clients, evals)[1],
-            )
+        fed_cfgs = [
+            replace(cfg.federation, strategy=strategy, master_seed=seed)
+            for strategy in (StrategyKind.FEWS, StrategyKind.OEWS)
+        ]
+        try:
+            outcomes = run_federations(fed_cfgs, clients, evals)
+        except Exception as exc:
+            outcomes = [exc] * len(fed_cfgs)
+        for fed_cfg, outcome in zip(fed_cfgs, outcomes):
+            attempt(f"fl_{fed_cfg.strategy.value}", lambda o=outcome: _final_weights(o))
     return rows
 
 

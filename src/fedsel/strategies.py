@@ -176,31 +176,52 @@ class LocalRunResult:
     trace: tuple[float, ...]
 
 
-def run_local(
+@dataclass(frozen=True)
+class LocalTrajectory:
+    """One client's local training from some incoming weights: every epoch's
+    weights, its validation report and its selection-metric value."""
+
+    snapshots: tuple[ParameterVector, ...]
+    per_epoch_val: tuple[MetricsReport, ...]
+    trace: tuple[float, ...]
+    train_sample_count: int
+    metric: SelectionMetric
+
+    def select(self, strategy: StrategyKind) -> LocalRunResult:
+        """Ship the weights of the epoch ``select_epoch`` picks from the trace."""
+        picked = select_epoch(
+            self.trace, strategy, higher_is_better=self.metric.higher_is_better
+        )
+        return LocalRunResult(
+            selected_params=self.snapshots[picked - 1],
+            selected_epoch=picked,
+            per_epoch_val=self.per_epoch_val,
+            train_sample_count=self.train_sample_count,
+            trace=self.trace,
+        )
+
+
+def train_local(
     global_params: ParameterVector,
     model: ModelSpec,
     client: ClientDataset,
     optimizer: OptimizerConfig,
     epochs: int,
-    strategy: StrategyKind,
     rng: np.random.Generator,
     metric: SelectionMetric = SelectionMetric.MACRO_F1,
-) -> LocalRunResult:
-    """One client's contribution to a round: train ``epochs`` epochs from the
-    incoming global weights, score each epoch's weights on the local
-    validation split, and pick per the strategy.
+) -> LocalTrajectory:
+    """Train ``epochs`` epochs from the incoming global weights and score each
+    epoch's weights on the client's validation split.
 
     The trajectory depends only on the incoming weights, the data, and the
-    rng stream; the strategy changes which epoch is returned, never how
-    training runs. The shipped weights are those of the epoch ``select_epoch``
-    picks from the trace. A non-finite validation score raises DataError
-    naming the client and the epoch.
+    rng stream, never on the strategy that later picks an epoch from it. A
+    non-finite validation score raises DataError naming the client and the
+    epoch.
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     if len(client.train) == 0 or len(client.val) == 0:
         raise DataError(f"client {client.client_id} has an empty train or val split")
-    strategy = StrategyKind(strategy)
     metric = SelectionMetric(metric)
 
     state = init_optimizer(global_params, optimizer)
@@ -222,12 +243,28 @@ def run_local(
         snapshots.append(params)
         reports.append(scores.report)
         trace.append(value)
-
-    picked = select_epoch(trace, strategy, higher_is_better=metric.higher_is_better)
-    return LocalRunResult(
-        selected_params=snapshots[picked - 1],
-        selected_epoch=picked,
+    return LocalTrajectory(
+        snapshots=tuple(snapshots),
         per_epoch_val=tuple(reports),
-        train_sample_count=len(client.train),
         trace=tuple(trace),
+        train_sample_count=len(client.train),
+        metric=metric,
     )
+
+
+def run_local(
+    global_params: ParameterVector,
+    model: ModelSpec,
+    client: ClientDataset,
+    optimizer: OptimizerConfig,
+    epochs: int,
+    strategy: StrategyKind,
+    rng: np.random.Generator,
+    metric: SelectionMetric = SelectionMetric.MACRO_F1,
+) -> LocalRunResult:
+    """One client's contribution to a round: ``train_local``, then the epoch
+    the strategy picks from the trace. The strategy changes which epoch is
+    returned, never how training runs."""
+    strategy = StrategyKind(strategy)
+    trajectory = train_local(global_params, model, client, optimizer, epochs, rng, metric)
+    return trajectory.select(strategy)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsel.aggregation import (
     AggregationKind,
@@ -16,7 +18,7 @@ from fedsel.aggregation import (
 )
 from fedsel.errors import ConfigurationError, ProtocolError, ShapeError
 from fedsel.nn import ParameterVector
-from fedsel.strategies import metrics_from_confusion
+from fedsel.strategies import MetricsReport, metrics_from_confusion
 
 PAIR = ((1, 1),)  # two-parameter manifest: one weight, one bias
 
@@ -63,6 +65,57 @@ def test_plain_is_permutation_invariant_and_bounded():
     stacked = np.stack([u.params.values for u in updates])
     assert (forward_ >= stacked.min(axis=0) - 1e-15).all()
     assert (forward_ <= stacked.max(axis=0) + 1e-15).all()
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vectors=st.lists(st.lists(FINITE, min_size=2, max_size=2), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_plain_permutation_moves_the_mean_by_summation_rounding_only(vectors, data):
+    """Reordering the clients moves each element by at most the rounding of
+    k - 1 additions and one division: 2k ulps of the mean magnitude. A
+    bound of 1 ulp of the result does not hold once values cancel: the means
+    of (1.1, 108, 0, -141) and of its reverse differ by 2 ulps."""
+    k = len(vectors)
+    order = data.draw(st.permutations(range(k)))
+    updates = [_update(v, client_id=i) for i, v in enumerate(vectors)]
+    forward_ = aggregate_plain(updates).values
+    permuted = aggregate_plain([updates[i] for i in order]).values
+    magnitude = np.abs(np.array(vectors)).sum(axis=0) / k
+    assert (np.abs(forward_ - permuted) <= 2 * k * np.spacing(magnitude)).all()
+
+
+def _report(value: float) -> MetricsReport:
+    return MetricsReport(
+        accuracy=value, macro_precision=value, macro_recall=value, macro_f1=value,
+        per_class_precision=(value,), per_class_recall=(value,), per_class_f1=(value,),
+        confusion=np.ones((1, 1), dtype=np.int64), sample_count=1,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trace=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]) | st.floats(0, 1),
+                   min_size=1, max_size=8),
+    max_rounds=st.integers(1, 8),
+    data=st.data(),
+)
+def test_should_halt_agrees_with_halt_round(trace, max_rounds, data):
+    """Asking should_halt round by round stops where halt_round says, and
+    threshold_met there says whether the threshold was the reason."""
+    threshold = data.draw(st.sampled_from(trace) | st.floats(0, 1))
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=threshold,
+                            max_rounds=max_rounds)
+    stop, met = len(trace), False
+    for t, value in enumerate(trace, start=1):
+        if should_halt(_report(value), crit, t):
+            stop, met = t, threshold_met(_report(value), crit)
+            break
+    assert halt_round(trace, crit) == (stop, met)
 
 
 def test_weighted_hand_oracle():

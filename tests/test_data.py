@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fedsel.data import (
     ClientDataset,
     CorpusSpec,
     PartitionSpec,
+    Split,
     class_directions,
     default_missing_class,
     dump_dataset_csv,
@@ -43,6 +46,11 @@ def test_default_missing_class_pattern():
 def test_partition_spec_rejects_gaps():
     with pytest.raises(ConfigurationError):
         PartitionSpec(client_count=3, missing_class={0: 1, 2: 2})
+    # an empty map would have to guess the class count
+    with pytest.raises(ConfigurationError, match=r"PartitionSpec\.default\(client_count, class_count\)"):
+        PartitionSpec()
+    with pytest.raises(ConfigurationError):
+        PartitionSpec(client_count=2, missing_class={})
 
 
 def test_class_directions_orthonormal():
@@ -167,6 +175,27 @@ def test_dataset_csv_round_trip(tmp_path):
             assert (getattr(back, name).y == getattr(orig, name).y).all()
     assert (loaded_evals.external_test.x == evals.external_test.x).all()
     assert (loaded_evals.global_test.x == evals.global_test.x).all()
+
+
+def test_dataset_csv_round_trip_when_a_test_split_lacks_the_top_class(tmp_path):
+    """Client 1 lacks class 4 in train/val; with class 4 also cut from its
+    test split, the class count must still come from the whole file."""
+    clients, evals = make_dataset(SMALL, PartitionSpec.default())
+    victim = clients[1]
+    assert victim.missing_class == 4
+    keep = victim.test.y != 4
+    clients[1] = replace(
+        victim, test=Split(victim.test.x[keep], victim.test.y[keep], victim.test.ids[keep])
+    )
+    path = tmp_path / "data.csv"
+    dump_dataset_csv(clients, evals, path)
+    loaded_clients, loaded_evals = load_dataset_csv(path)
+    assert [c.missing_class for c in loaded_clients] == [1, 4, 3, 2]
+    for orig, back in zip(clients, loaded_clients):
+        for name in ("train", "val", "test"):
+            assert (getattr(back, name).x == getattr(orig, name).x).all()
+            assert (getattr(back, name).y == getattr(orig, name).y).all()
+    assert len(loaded_evals.global_test) == sum(len(c.test) for c in clients)
 
 
 def test_load_dataset_csv_rejects_wrong_header(tmp_path):

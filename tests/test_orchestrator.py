@@ -1,10 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fedsel.aggregation import HaltingCriterion, HaltingMetric
+from fedsel.config import load_config
 from fedsel.data import ClientDataset, CorpusSpec, PartitionSpec, Split, make_dataset
 from fedsel.errors import ConfigurationError, ProtocolError
 from fedsel.nn import ModelSpec, OptimizerConfig
@@ -18,8 +20,10 @@ from fedsel.orchestrator import (
     round_metrics,
     run_centralized,
     run_federation,
+    run_federations,
     write_metrics_logs,
 )
+from fedsel.reporting import rows_to_csv, run_comparison
 from fedsel.strategies import StrategyKind, evaluate
 
 MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
@@ -71,7 +75,7 @@ def test_academic_runs_fixed_horizon():
 def test_single_client_federation_is_local_training():
     cspec = replace(SMALL, seed=33)
     pools_clients, evals = make_dataset(cspec, PartitionSpec(client_count=1, missing_class={0: 2}))
-    cfg = fast_cfg(client_count=1, rounds=1)
+    cfg = fast_cfg(rounds=1)
     records, params = run_federation(cfg, pools_clients, evals)
     # plain mean of one client's update is that update, bitwise
     from fedsel.strategies import run_local
@@ -100,12 +104,6 @@ def test_replay_determinism():
             assert (x.global_metrics.confusion == y.global_metrics.confusion).all()
 
 
-def test_client_count_mismatch_rejected():
-    clients, evals = small_dataset()
-    with pytest.raises(ConfigurationError):
-        run_federation(fast_cfg(client_count=3), clients, evals)
-
-
 def test_client_failure_becomes_protocol_error():
     clients, evals = small_dataset()
     empty = Split(np.zeros((0, 16)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
@@ -114,8 +112,161 @@ def test_client_failure_becomes_protocol_error():
         client_id=2, missing_class=clients[2].missing_class,
         train=clients[2].train, val=empty, test=clients[2].test,
     )
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError) as alone:
         run_federation(fast_cfg(), broken, evals)
+    # a failure in a client run that both federations share fails both alike
+    outcomes = run_federations([fast_cfg(), fast_cfg(strategy="oews")], broken, evals)
+    for outcome in outcomes:
+        assert isinstance(outcome, ProtocolError)
+        assert str(outcome) == str(alone.value)
+
+
+def test_lockstep_needs_configs_that_differ_only_in_strategy():
+    clients, evals = small_dataset()
+    with pytest.raises(ConfigurationError):
+        run_federations([], clients, evals)
+    with pytest.raises(ConfigurationError):
+        run_federations([fast_cfg(), fast_cfg(strategy="oews", rounds=3)], clients, evals)
+    with pytest.raises(ConfigurationError):
+        run_federations([fast_cfg(), fast_cfg(master_seed=14)], clients, evals)
+    with pytest.raises(ConfigurationError):
+        run_federation(fast_cfg(), [], evals)
+
+
+def _report_key(report):
+    if report is None:
+        return None
+    return tuple(
+        getattr(report, f.name).tobytes() if f.name == "confusion" else getattr(report, f.name)
+        for f in fields(report)
+    )
+
+
+def _records_key(records):
+    """Every field of every record; repr of a float is exact, so equal keys
+    mean bitwise-equal records."""
+    return repr([
+        (
+            r.round,
+            _report_key(r.global_metrics),
+            tuple(_report_key(m) for m in r.per_client_metrics),
+            _report_key(r.aggregated_metrics),
+            r.selected_epochs,
+            r.halted,
+        )
+        for r in records
+    ])
+
+
+def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
+    import fedsel.orchestrator as orchestrator
+
+    calls = []
+    real = orchestrator.train_local
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    with mock.patch.object(orchestrator, "train_local", counted):
+        together = run_federations(cfgs, clients, evals)
+    for i, (cfg, outcome) in enumerate(zip(cfgs, together)):
+        records, params = outcome
+        alone_records, alone_params = run_federation(cfg, clients, evals)
+        assert params.values.tobytes() == alone_params.values.tobytes()
+        assert _records_key(records) == _records_key(alone_records)
+        logs = []
+        for tag, recs in (("together", records), ("alone", alone_records)):
+            jsonl, txt = write_metrics_logs(recs, "run", cfg.workflow, cfg.strategy,
+                                            tmp_path / f"{i}-{tag}")
+            logs.append((jsonl.read_bytes(), txt.read_bytes()))
+        assert logs[0] == logs[1]
+    return together, len(calls)
+
+
+DIVERGING = dict(local_epochs=3, optimizer=OptimizerConfig(learning_rate=0.03, batch_size=8))
+
+
+def test_lockstep_academic_equals_separate_runs(tmp_path):
+    """FEWS and OEWS share round 1, then part: OEWS ships an earlier epoch in
+    round 2. A second FEWS config stays in the FEWS group throughout."""
+    clients, evals = small_dataset(noise=2.0, seed=55)
+    cfgs = [fast_cfg(strategy=s, rounds=3, **DIVERGING) for s in ("fews", "oews", "fews")]
+    together, trained = _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path)
+    (fews, _), (oews, _) = together[:2]
+    assert fews[1].selected_epochs != oews[1].selected_epochs
+    assert fews[2].global_metrics.macro_f1 != oews[2].global_metrics.macro_f1
+    # 4 clients: round 1 and 2 once, round 3 once per strategy
+    assert trained == 4 + 4 + 8
+
+
+def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
+    """Threshold 0.85 on this corpus: the federations share rounds 1 and 2,
+    FEWS halts in round 3 (0.875) and OEWS runs on alone to the cap."""
+    clients, evals = small_dataset(noise=2.0, seed=55)
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.85, max_rounds=4)
+    cfgs = [
+        fast_cfg(strategy=s, workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
+        for s in ("fews", "oews")
+    ]
+    together, trained = _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path)
+    (fews, _), (oews, _) = together
+    assert [r.halted for r in fews] == [False, False, True]
+    assert [r.halted for r in oews] == [False, False, False, False]
+    assert trained == 4 + 4 + 8 + 4
+
+
+def test_comparison_fails_only_the_federation_whose_own_run_fails():
+    """Seed 1: OEWS ships an earlier epoch in round 1, so its round-2 client
+    runs are its own. A NaN validation score in one of them (client 1,
+    epoch 2) fails fl_oews alone; every other row is as in a clean run."""
+    overrides = {
+        "corpus.per_class_train": "8", "corpus.per_class_val": "4",
+        "corpus.per_class_test": "4", "corpus.noise_scale": "2.5",
+        "federation.rounds": "2", "federation.local_epochs": "3",
+        "federation.learning_rate": "0.03", "federation.batch_size": "8",
+        "baseline.max_epochs": "2", "baseline.patience": "2",
+    }
+    cfg, _ = load_config(overrides=overrides)
+    seeds = [1, 3]
+    clients, evals = make_dataset(replace(cfg.corpus, seed=1), cfg.partition)
+    round_one = {
+        s: run_federation(replace(cfg.federation, strategy=s, rounds=1, master_seed=1),
+                          clients, evals)[1].values.tobytes()
+        for s in ("fews", "oews")
+    }
+    assert round_one["fews"] != round_one["oews"]
+
+    import fedsel.strategies as strategies
+
+    real_init, real_score = strategies.init_optimizer, strategies.score
+    armed = {"on": False, "epoch": 0}
+
+    def watch_init(params, opt):
+        armed["on"] = params.values.tobytes() == round_one["oews"]
+        armed["epoch"] = 0
+        return real_init(params, opt)
+
+    def nan_in_oews_round_two(params, model, x, y):
+        result = real_score(params, model, x, y)
+        if armed["on"] and np.array_equal(x, clients[1].val.x):
+            armed["epoch"] += 1
+            if armed["epoch"] == 2:
+                return replace(result, report=replace(result.report, macro_f1=float("nan")))
+        return result
+
+    clean = run_comparison(cfg, seeds)
+    with mock.patch.object(strategies, "init_optimizer", watch_init), \
+            mock.patch.object(strategies, "score", nan_in_oews_round_two):
+        rows = run_comparison(cfg, seeds)
+    failed = [r for r in rows if r.status == "failed"]
+    assert [(r.seed, r.variant) for r in failed] == [(1, "fl_oews"), (1, "fl_oews")]
+    for r in failed:
+        assert r.error == "client 1 failed in round 2: client 1 epoch 2: validation macro_f1 is nan"
+    kept = [r for r in rows if r.status == "ok"]
+    assert rows_to_csv(kept) == rows_to_csv(
+        [r for r in clean if (r.seed, r.variant) != (1, "fl_oews")]
+    )
 
 
 def test_non_finite_score_names_client_round_and_epoch(monkeypatch):

@@ -1,7 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsel.data import ClientDataset, CorpusSpec, PartitionSpec, Split, make_dataset
 from fedsel.errors import ConfigurationError, DataError
@@ -11,9 +14,11 @@ from fedsel.nn import (
     ParameterVector,
     cross_entropy_loss,
     forward,
+    init_optimizer,
     init_parameters,
     loss_and_gradient,
     manifest_size,
+    train_epoch,
 )
 from fedsel.strategies import (
     SelectionMetric,
@@ -261,6 +266,49 @@ def test_shipped_weights_are_the_reported_epochs(metric):
     upto = run_local(incoming, MODEL, client, opt, oews.selected_epoch, StrategyKind.FEWS,
                      np.random.default_rng(7), metric)
     assert (oews.selected_params.values == upto.selected_params.values).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trace=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=5),
+    strategy=st.sampled_from(list(StrategyKind)),
+    metric=st.sampled_from(list(SelectionMetric)),
+)
+def test_shipped_weights_are_the_reported_epochs_snapshot(trace, strategy, metric):
+    """Whatever the validation trace, run_local reports the epoch the
+    selection rule names and ships the weights training had at that epoch,
+    rebuilt here by calling train_epoch directly."""
+    import fedsel.strategies as strategies
+
+    client = _client(seed=5)
+    incoming = init_parameters(MODEL)
+    opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
+    real = strategies.score
+    values = iter(trace)
+
+    def scripted(*args):
+        v = next(values)
+        result = real(*args)
+        report = replace(result.report, accuracy=v, macro_f1=v)
+        return replace(result, report=report, loss=v)
+
+    with mock.patch.object(strategies, "score", scripted):
+        result = run_local(incoming, MODEL, client, opt, len(trace), strategy,
+                           np.random.default_rng(11), metric)
+    assert result.trace == tuple(trace)
+
+    if strategy is StrategyKind.FEWS:
+        expected = len(trace)
+    else:
+        best = max(trace) if metric.higher_is_better else min(trace)
+        expected = max(i + 1 for i, v in enumerate(trace) if v == best)
+    assert result.selected_epoch == expected
+
+    params, state = incoming, init_optimizer(incoming, opt)
+    rng = np.random.default_rng(11)
+    for _ in range(expected):
+        params, state = train_epoch(params, MODEL, state, client.train.x, client.train.y, rng)
+    assert (result.selected_params.values == params.values).all()
 
 
 def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):

@@ -200,7 +200,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"no .compare.csv files under {out}; run compare first")
     rows = []
     for path in candidates:
-        rows.extend(csv_to_rows(path.read_text(encoding="utf-8")))
+        try:
+            rows.extend(csv_to_rows(path.read_text(encoding="utf-8")))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
     summaries = summarize(rows)
     text = summary_to_text(summaries)
     stem = manifest.run_id if len(candidates) == 1 else "report"

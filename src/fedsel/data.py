@@ -309,10 +309,20 @@ def load_dataset_csv(path) -> tuple[list[ClientDataset], EvalSets]:
         dim = len(header) - 3
         grouped: dict[tuple[int, str], list[tuple[np.ndarray, int]]] = {}
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
             if len(row) != dim + 3:
-                raise DataError(f"{path}: row with {len(row)} cells, expected {dim + 3}")
-            split, client, label = row[0], int(row[1]), int(row[2])
-            x = np.array([float(v) for v in row[3:]], dtype=np.float64)
+                raise DataError(f"{where}: {len(row)} cells, expected {dim + 3}")
+            try:
+                split, client, label = row[0], int(row[1]), int(row[2])
+                x = np.array([float(v) for v in row[3:]], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            if not (split in ("train", "val", "test") and client >= 0
+                    or split == "external" and client == -1):
+                raise DataError(
+                    f"{where}: split {split!r} of client {client}; expected train, val"
+                    " or test of a client >= 0, or external of client -1"
+                )
             grouped.setdefault((client, split), []).append((x, label))
 
     next_id = 0

@@ -94,9 +94,6 @@ class ParameterVector:
     def __len__(self) -> int:
         return self.values.size
 
-    def compatible_with(self, other: "ParameterVector") -> bool:
-        return self.manifest == other.manifest
-
     def layers(self) -> Layers:
         """Read-only (weight matrix, bias vector) views per layer."""
         return _unflatten(self.values, self.manifest)
@@ -360,12 +357,17 @@ def save_weights(params: ParameterVector, path) -> None:
 
 def load_weights(path) -> ParameterVector:
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("manifest "):
+        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+    if not lines or not lines[0][1].startswith("manifest "):
         raise DataError(f"{path}: missing manifest header")
-    manifest = []
-    for token in lines[0].split()[1:]:
-        rows, _, cols = token.partition("x")
-        manifest.append((int(rows), int(cols)))
-    values = np.array([float(line) for line in lines[1:]], dtype=np.float64)
-    return ParameterVector(values, tuple(manifest))
+    manifest, values = [], []
+    n, header = lines[0]
+    try:
+        for token in header.split()[1:]:
+            rows, _, cols = token.partition("x")
+            manifest.append((int(rows), int(cols)))
+        for n, text in lines[1:]:
+            values.append(float(text))
+    except ValueError as exc:
+        raise DataError(f"{path}: line {n}: {exc}") from None
+    return ParameterVector(np.array(values, dtype=np.float64), tuple(manifest))

@@ -11,9 +11,10 @@ Two round-loop flavors:
 Clients of a round run one after another, in client order. Per-client RNG
 streams are child streams of the master seed keyed by (round, client_id), so
 no client's result depends on which clients ran before it, nor on which
-strategy will pick an epoch from its trajectory: federations that differ only
-in strategy run in lockstep and share every client run while their global
-weights agree.
+strategy will pick an epoch from its trajectory. So federations that differ
+only in strategy run in lockstep, one by one through one round function over
+a per-round memo keyed by starting weights: they share client runs and
+scoring passes while their global weights agree.
 """
 
 from __future__ import annotations
@@ -128,95 +129,76 @@ class _Lockstep:
     halted: bool = False
 
 
-def _group_by_weights(runs: list[_Lockstep]) -> list[list[_Lockstep]]:
-    """Runs whose global weights are bitwise equal, in first-seen order."""
-    groups: dict[bytes, list[_Lockstep]] = {}
-    for run in runs:
-        groups.setdefault(run.params.values.tobytes(), []).append(run)
-    return list(groups.values())
+def _memo(memo: dict, key: tuple, compute):
+    """``memo[key]``, computed on first use. A failure is raised, not stored,
+    so every caller that reaches it recomputes it and fails alike."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
-def _train_clients(
-    cfg: FederationConfig,
-    clients: list[ClientDataset],
-    incoming: ParameterVector,
-    round_index: int,
-    strategies: list[StrategyKind],
-) -> list[list[LocalRunResult]]:
-    """Train every client once from ``incoming``; returns, per strategy, each
-    client's pick. Only one client's trajectory is alive at a time."""
-    picks: list[list[LocalRunResult]] = [[] for _ in strategies]
-    for client in clients:
-        rng = client_stream(cfg.master_seed, round_index, client.client_id)
-        try:
-            trajectory = train_local(
-                incoming, cfg.model, client, cfg.optimizer, cfg.local_epochs,
-                rng, cfg.selection_metric,
-            )
-        except Exception as exc:
-            raise ProtocolError(
-                f"client {client.client_id} failed in round {round_index}: {exc}"
-            ) from exc
-        for results, strategy in zip(picks, strategies):
-            results.append(trajectory.select(strategy))
-    return picks
-
-
-def _finish_round(
+def _round(
     run: _Lockstep,
     t: int,
     clients: list[ClientDataset],
     evals: EvalSets,
-    results: list[LocalRunResult],
-    incoming_reports: tuple[MetricsReport, ...],
-    global_reports: dict[bytes, MetricsReport],
+    strategies: tuple[StrategyKind, ...],
+    memo: dict,
 ) -> None:
-    """Aggregate and record round ``t`` of one federation from its clients'
-    picks. ``global_reports`` holds this round's global-test scores by
-    weights."""
-    cfg = run.cfg
-    updates = [
-        ClientUpdate(
-            client_id=c.client_id,
-            params=r.selected_params,
-            train_sample_count=r.train_sample_count,
+    """Round ``t`` of one federation. Every computation that starts from
+    weights goes through ``memo``, so the federations of a round that reach
+    it with equal weights share it."""
+    cfg, incoming = run.cfg, run.params
+    weights = incoming.values.tobytes()
+
+    def train(c: ClientDataset) -> dict[StrategyKind, LocalRunResult]:
+        rng = client_stream(cfg.master_seed, t, c.client_id)
+        try:
+            trajectory = train_local(
+                incoming, cfg.model, c, cfg.optimizer, cfg.local_epochs,
+                rng, cfg.selection_metric,
+            )
+        except Exception as exc:
+            raise ProtocolError(f"client {c.client_id} failed in round {t}: {exc}") from exc
+        # only the picks outlive this call, never the whole trajectory
+        return {s: trajectory.select(s) for s in strategies}
+
+    industrial = cfg.workflow is Workflow.INDUSTRIAL
+    if industrial:
+        incoming_reports = tuple(
+            _memo(memo, ("test", c.client_id, weights),
+                  lambda c=c: evaluate(incoming, cfg.model, c.test.x, c.test.y))
+            for c in clients
         )
+    results = [
+        _memo(memo, ("train", c.client_id, weights), lambda c=c: train(c))[cfg.strategy]
+        for c in clients
+    ]
+    updates = [
+        ClientUpdate(c.client_id, r.selected_params, r.train_sample_count)
         for c, r in zip(clients, results)
     ]
     run.params = aggregate(updates, cfg.aggregation)
     selected = tuple(r.selected_epoch for r in results)
-
-    if cfg.workflow is Workflow.INDUSTRIAL:
+    if industrial:
         agg = aggregate_metrics(incoming_reports)
-        run.records.append(
-            RoundRecord(
-                round=t,
-                global_metrics=None,
-                per_client_metrics=incoming_reports,
-                aggregated_metrics=agg,
-                selected_epochs=selected,
-                halted=threshold_met(agg, cfg.halting),
-            )
-        )
         run.halted = should_halt(agg, cfg.halting, t)
+        run.records.append(RoundRecord(
+            round=t, global_metrics=None, per_client_metrics=incoming_reports,
+            aggregated_metrics=agg, selected_epochs=selected,
+            halted=threshold_met(agg, cfg.halting),
+        ))
         return
-    key = run.params.values.tobytes()
-    if key not in global_reports:
-        global_reports[key] = evaluate(
-            run.params, cfg.model, evals.global_test.x, evals.global_test.y
-        )
+    global_report = _memo(
+        memo, ("global", run.params.values.tobytes()),
+        lambda: evaluate(run.params, cfg.model, evals.global_test.x, evals.global_test.y),
+    )
     # local val reports at each client's selected epoch, for diagnostics
     per_client = tuple(r.per_epoch_val[r.selected_epoch - 1] for r in results)
-    run.records.append(
-        RoundRecord(
-            round=t,
-            global_metrics=global_reports[key],
-            per_client_metrics=per_client,
-            aggregated_metrics=None,
-            selected_epochs=selected,
-            halted=False,
-        )
-    )
+    run.records.append(RoundRecord(
+        round=t, global_metrics=global_report, per_client_metrics=per_client,
+        aggregated_metrics=None, selected_epochs=selected, halted=False,
+    ))
 
 
 def run_federations(
@@ -224,60 +206,41 @@ def run_federations(
 ) -> list[FederationOutcome | Exception]:
     """Run federations that differ only in strategy, in lockstep.
 
-    Each round, the federations whose global weights are bitwise equal train
-    every client once from those weights, and each federation then picks its
-    own epochs and aggregates. Each distinct weight vector is scored once: on
-    the global test set in the academic flow, on every client's test split in
-    the industrial flow, where each federation halts on its own. Every result
-    is bitwise what a federation run alone produces.
+    Each round runs every live federation in config order through one round
+    function and a memo that lives for that round. Client runs and scoring
+    passes are keyed by the weights they start from, so federations whose
+    global weights are bitwise equal train each client once and score each
+    weight vector once; the memo keeps each client's picks, never its
+    trajectory. In the industrial flow each federation halts on its own.
+    Every result is bitwise what a federation run alone produces.
 
     Returns, per config, its round records and final weights, or the
-    exception that ended it; a failure ends only the federations that shared
-    the failing computation.
+    exception that ended it. A failure is not memoized: each federation that
+    reaches it recomputes it, fails with the same error and ends alone.
     """
     if not cfgs:
         raise ConfigurationError("run_federations needs at least one config")
     first = cfgs[0]
     for cfg in cfgs[1:]:
+        # the memo keys hold weights and client ids only
         if replace(cfg, strategy=first.strategy) != first:
             raise ConfigurationError("lockstep federations may differ only in strategy")
     if not clients:
         raise ConfigurationError("a federation needs at least one client")
     dim = clients[0].train.x.shape[1]
     if dim != first.model.feature_dim:
-        raise ShapeError(
-            f"model expects {first.model.feature_dim} features, data has {dim}"
-        )
-    industrial = first.workflow is Workflow.INDUSTRIAL
-    horizon = first.halting.max_rounds if industrial else first.rounds
+        raise ShapeError(f"model expects {first.model.feature_dim} features, data has {dim}")
+    horizon = first.halting.max_rounds if first.workflow is Workflow.INDUSTRIAL else first.rounds
+    strategies = tuple(dict.fromkeys(cfg.strategy for cfg in cfgs))
 
     init = init_parameters(first.model)
     runs = [_Lockstep(cfg, init) for cfg in cfgs]
     for t in range(1, horizon + 1):
-        live = [r for r in runs if r.error is None and not r.halted]
-        if not live:
-            break
-        global_reports: dict[bytes, MetricsReport] = {}
-        for group in _group_by_weights(live):
-            incoming = group[0].params
-            try:
-                incoming_reports: tuple[MetricsReport, ...] = ()
-                if industrial:
-                    incoming_reports = tuple(
-                        evaluate(incoming, first.model, c.test.x, c.test.y) for c in clients
-                    )
-                picks = _train_clients(
-                    first, clients, incoming, t, [run.cfg.strategy for run in group]
-                )
-            except Exception as exc:
-                for run in group:
-                    run.error = exc
-                continue
-            for run, results in zip(group, picks):
+        memo: dict = {}
+        for run in runs:
+            if run.error is None and not run.halted:
                 try:
-                    _finish_round(
-                        run, t, clients, evals, results, incoming_reports, global_reports
-                    )
+                    _round(run, t, clients, evals, strategies, memo)
                 except Exception as exc:
                     run.error = exc
     return [r.error if r.error is not None else (r.records, r.params) for r in runs]

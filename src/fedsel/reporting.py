@@ -182,14 +182,20 @@ def csv_to_rows(text: str) -> list[ComparisonRow]:
         raise ConfigurationError(f"unexpected comparison CSV header: {header}")
     rows = []
     for cells in reader:
-        seed, variant, test_set, status = cells[0], cells[1], cells[2], cells[3]
-        metric_cells = cells[4 : 4 + len(METRIC_COLUMNS)]
-        metrics = None
-        if status == "ok":
-            metrics = {m: float(v) for m, v in zip(METRIC_COLUMNS, metric_cells)}
-        rows.append(
-            ComparisonRow(int(seed), variant, test_set, status, metrics, cells[-1])
-        )
+        where = f"comparison CSV line {reader.line_num}"
+        if len(cells) != len(expected):
+            raise ConfigurationError(f"{where}: {len(cells)} cells, expected {len(expected)}")
+        seed, variant, test_set, status = cells[:4]
+        if status not in ("ok", "failed"):
+            raise ConfigurationError(f"{where}: status {status!r} is neither ok nor failed")
+        try:
+            seed_number = int(seed)
+            metrics = None
+            if status == "ok":
+                metrics = {m: float(v) for m, v in zip(METRIC_COLUMNS, cells[4:-1])}
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        rows.append(ComparisonRow(seed_number, variant, test_set, status, metrics, cells[-1]))
     return rows
 
 

@@ -113,7 +113,9 @@ class Scores:
 
     report: MetricsReport
     loss: float  # mean softmax cross-entropy, as nn.cross_entropy_loss
-    confidence: float  # as mean_correct_confidence
+    # mean predicted-class probability over the correctly classified samples;
+    # 0.0 when nothing is classified correctly
+    confidence: float
 
 
 def score(params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> Scores:
@@ -134,14 +136,6 @@ def evaluate(
     params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray
 ) -> MetricsReport:
     return score(params, model, x, y).report
-
-
-def mean_correct_confidence(
-    params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray
-) -> float:
-    """Average predicted-class probability over the correctly classified
-    samples; 0.0 when nothing is classified correctly."""
-    return score(params, model, x, y).confidence
 
 
 def select_epoch(

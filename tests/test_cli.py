@@ -163,6 +163,29 @@ def test_compare_and_report_flow(tiny_config, tmp_path, capsys):
     assert "sources:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("short_row", "5 cells, expected 10"),
+    ("bad_metric", "could not convert string to float: 'n/a'"),
+])
+def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys, damage, message):
+    out = tmp_path / "cmp"
+    main(["compare", "--config", str(tiny_config), "--seeds", "1", "--out", str(out)])
+    path = next(out.glob("*.compare.csv"))
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    assert cells[3] == "ok"
+    if damage == "short_row":
+        cells = cells[:5]
+    else:
+        cells[4] = "n/a"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["report", "--config", str(tiny_config), "--out", str(out)])
+    assert code == 2
+    assert f"{path.name}: comparison CSV line 4: {message}" in capsys.readouterr().err
+
+
 def test_report_without_compare_output_fails(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path / "empty")])
     assert code == 2

@@ -205,6 +205,21 @@ def test_load_dataset_csv_rejects_wrong_header(tmp_path):
         load_dataset_csv(path)
 
 
+def test_load_dataset_csv_names_the_line_of_a_malformed_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("split,client,class,f0\ntrain,0,0,1.0\ntrain,a,0,1.0\n")
+    with pytest.raises(DataError, match=r"bad\.csv: line 3: invalid literal for int\(\)"):
+        load_dataset_csv(path)
+
+
+def test_load_dataset_csv_names_the_line_of_an_unknown_split(tmp_path):
+    """A row with an unknown split is rejected, not dropped."""
+    path = tmp_path / "bad.csv"
+    path.write_text("split,client,class,f0\ntrain,0,0,1.0\ntrian,0,0,1.0\n")
+    with pytest.raises(DataError, match=r"bad\.csv: line 3: split 'trian' of client 0"):
+        load_dataset_csv(path)
+
+
 def test_partition_summary_shows_zero_for_missing():
     clients, _ = make_dataset(SMALL, PartitionSpec.default())
     text = partition_summary(clients, 5)

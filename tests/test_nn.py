@@ -301,3 +301,13 @@ def test_load_weights_rejects_missing_header(tmp_path):
     path.write_text("1.0\n2.0\n")
     with pytest.raises(DataError):
         load_weights(path)
+
+
+def test_load_weights_names_the_line_of_a_bad_manifest_entry(tmp_path):
+    path = tmp_path / "weights.txt"
+    path.write_text("\nmanifest 2x\n1.0\n2.0\n")
+    with pytest.raises(DataError, match=r"weights\.txt: line 2: invalid literal for int\(\)"):
+        load_weights(path)
+    path.write_text("manifest 1x2\n1.0\n\n2.O\n")
+    with pytest.raises(DataError, match=r"weights\.txt: line 4: could not convert"):
+        load_weights(path)

@@ -161,14 +161,18 @@ def _records_key(records):
 def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
     import fedsel.orchestrator as orchestrator
 
-    calls = []
-    real = orchestrator.train_local
+    calls = {"train_local": 0, "evaluate": 0}
 
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
+    def counted(name):
+        real = getattr(orchestrator, name)
 
-    with mock.patch.object(orchestrator, "train_local", counted):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    with mock.patch.object(orchestrator, "train_local", counted("train_local")), \
+            mock.patch.object(orchestrator, "evaluate", counted("evaluate")):
         together = run_federations(cfgs, clients, evals)
     for i, (cfg, outcome) in enumerate(zip(cfgs, together)):
         records, params = outcome
@@ -181,7 +185,7 @@ def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
                                             tmp_path / f"{i}-{tag}")
             logs.append((jsonl.read_bytes(), txt.read_bytes()))
         assert logs[0] == logs[1]
-    return together, len(calls)
+    return together, calls["train_local"], calls["evaluate"]
 
 
 DIVERGING = dict(local_epochs=3, optimizer=OptimizerConfig(learning_rate=0.03, batch_size=8))
@@ -189,15 +193,19 @@ DIVERGING = dict(local_epochs=3, optimizer=OptimizerConfig(learning_rate=0.03, b
 
 def test_lockstep_academic_equals_separate_runs(tmp_path):
     """FEWS and OEWS share round 1, then part: OEWS ships an earlier epoch in
-    round 2. A second FEWS config stays in the FEWS group throughout."""
+    round 2. A second FEWS config shares every FEWS run throughout."""
     clients, evals = small_dataset(noise=2.0, seed=55)
     cfgs = [fast_cfg(strategy=s, rounds=3, **DIVERGING) for s in ("fews", "oews", "fews")]
-    together, trained = _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path)
+    together, trained, scored = _assert_lockstep_matches_separate_runs(
+        cfgs, clients, evals, tmp_path
+    )
     (fews, _), (oews, _) = together[:2]
     assert fews[1].selected_epochs != oews[1].selected_epochs
     assert fews[2].global_metrics.macro_f1 != oews[2].global_metrics.macro_f1
     # 4 clients: round 1 and 2 once, round 3 once per strategy
     assert trained == 4 + 4 + 8
+    # one global score of round 1's shared weights, two in rounds 2 and 3
+    assert scored == 1 + 2 + 2
 
 
 def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
@@ -209,11 +217,15 @@ def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
         fast_cfg(strategy=s, workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
         for s in ("fews", "oews")
     ]
-    together, trained = _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path)
+    together, trained, scored = _assert_lockstep_matches_separate_runs(
+        cfgs, clients, evals, tmp_path
+    )
     (fews, _), (oews, _) = together
     assert [r.halted for r in fews] == [False, False, True]
     assert [r.halted for r in oews] == [False, False, False, False]
     assert trained == 4 + 4 + 8 + 4
+    # each client scores each distinct incoming weight vector once
+    assert scored == 4 + 4 + 8 + 4
 
 
 def test_comparison_fails_only_the_federation_whose_own_run_fails():

@@ -25,7 +25,6 @@ from fedsel.strategies import (
     StrategyKind,
     confusion_matrix,
     evaluate,
-    mean_correct_confidence,
     metrics_from_confusion,
     run_local,
     score,
@@ -110,8 +109,8 @@ def test_uniform_predictor_confidence():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((50, 4))
     y = np.zeros(50, dtype=int)  # argmax of a uniform row is class 0
-    assert mean_correct_confidence(zeros, spec, x, y) == pytest.approx(0.2)
-    assert mean_correct_confidence(zeros, spec, x, np.full(50, 3)) == 0.0
+    assert score(zeros, spec, x, y).confidence == pytest.approx(0.2)
+    assert score(zeros, spec, x, np.full(50, 3)).confidence == 0.0
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -139,7 +138,6 @@ def test_score_is_one_pass_of_the_separate_scorers(activation):
         assert got.loss == loss_and_gradient(params, spec, x, y)[0]
         assert got.confidence == float(probs[correct, preds[correct]].mean())
         assert evaluate(params, spec, x, y).macro_f1 == got.report.macro_f1
-        assert mean_correct_confidence(params, spec, x, y) == got.confidence
 
 
 def test_select_epoch_rules():

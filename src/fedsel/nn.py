@@ -1,16 +1,18 @@
 """Minimal feed-forward classifier with manual backprop and SGD-with-momentum.
 
-The model is a configurable MLP over 64-bit floats. Everything here is a pure
-function over immutable inputs: parameter arrays are frozen (non-writeable)
-and every update returns fresh vectors, so callers can hold on to any vector
-they were given. ``train_epoch`` trains on private writable copies of the
-weights and velocity and wraps them in fresh vectors once the epoch ends.
+The model is a configurable MLP over 64-bit floats. A ``ParameterVector``
+holds one model's weights, frozen on construction. The forward pass and the
+epoch kernel work on a stack of R models at once: weights and velocity as
+(R, P) arrays, data as (R, n, d) features and (R, n) labels. R = 1 is the
+single model. Stacking batches the numpy calls and nothing else, so every
+row's bits equal those of a run of that row alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -94,22 +96,6 @@ class ParameterVector:
     def __len__(self) -> int:
         return self.values.size
 
-    def layers(self) -> Layers:
-        """Read-only (weight matrix, bias vector) views per layer."""
-        return _unflatten(self.values, self.manifest)
-
-
-def _unflatten(values: np.ndarray, manifest: Manifest) -> Layers:
-    views = []
-    offset = 0
-    for rows, cols in manifest:
-        w = values[offset : offset + rows * cols].reshape(rows, cols)
-        offset += rows * cols
-        b = values[offset : offset + cols]
-        offset += cols
-        views.append((w, b))
-    return views
-
 
 def init_parameters(spec: ModelSpec) -> ParameterVector:
     """Seeded init: weights uniform in +-sqrt(1/fan_in) per layer, biases zero."""
@@ -122,138 +108,123 @@ def init_parameters(spec: ModelSpec) -> ParameterVector:
     return ParameterVector(np.concatenate(blocks), spec.manifest)
 
 
-def _check_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2:
-        raise ShapeError(f"batch must be 2-D, got shape {batch.shape}")
-    if batch.shape[1] != spec.feature_dim:
-        raise ShapeError(
-            f"batch has {batch.shape[1]} features, model expects {spec.feature_dim}"
+def check_split(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as an (n, d) float64 batch of the model's feature dim, and ``y``
+    as its n int64 labels, each in range."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"batch must be 2-D, got shape {x.shape}")
+    if x.shape[1] != spec.feature_dim:
+        raise ShapeError(f"batch has {x.shape[1]} features, model expects {spec.feature_dim}")
+    y = np.asarray(y)
+    if y.shape != x.shape[:1]:
+        raise ShapeError(f"labels shape {y.shape} does not match batch of {x.shape[0]}")
+    if not np.issubdtype(y.dtype, np.integer):
+        rounded = np.rint(y)
+        if not np.array_equal(rounded, y):
+            raise DataError("labels must be integers")
+        y = rounded
+    y = y.astype(np.int64, copy=False)
+    if y.size and (y.min() < 0 or y.max() >= spec.class_count):
+        raise DataError(
+            f"labels must lie in [0, {spec.class_count}), got range [{y.min()}, {y.max()}]"
         )
-    return batch
+    return x, y
 
 
-def _activate(z: np.ndarray, kind: Activation) -> np.ndarray:
-    if kind is Activation.RELU:
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+def _stack_layers(weights: np.ndarray, manifest: Manifest) -> Layers:
+    """(R, rows, cols) weight and (R, cols) bias views per layer of an
+    (R, P) stack; writing to a view writes to the stack."""
+    views = []
+    offset = 0
+    for rows, cols in manifest:
+        w = weights[:, offset : offset + rows * cols].reshape(-1, rows, cols)
+        offset += rows * cols
+        views.append((w, weights[:, offset : offset + cols]))
+        offset += cols
+    return views
 
 
-def _model_layers(params: ParameterVector, spec: ModelSpec) -> Layers:
-    if params.manifest != spec.manifest:
-        raise ShapeError("parameter manifest does not match the model spec")
-    return _unflatten(params.values, params.manifest)
+def _check_stack(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
+    weights = np.asarray(weights)
+    if weights.ndim != 2 or weights.shape[1] != manifest_size(spec.manifest):
+        raise ShapeError(
+            f"weights must be (R, {manifest_size(spec.manifest)}), got {weights.shape}"
+        )
+    return weights
 
 
 def _forward_pass(
     layers: Layers, kind: Activation, batch: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Returns (layer inputs, hidden pre-activations, final logits)."""
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Returns (layer inputs, final logits), each (R, n, width). Hidden
+    activations are applied in place, so each layer keeps one array."""
     inputs = [batch]
-    pre = []
     h = batch
     for w, b in layers[:-1]:
-        z = h @ w + b
-        pre.append(z)
-        h = _activate(z, kind)
+        h = np.matmul(h, w)
+        h += b[:, None, :]
+        if kind is Activation.RELU:
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
         inputs.append(h)
     w, b = layers[-1]
-    logits = h @ w + b
-    return inputs, pre, logits
+    logits = np.matmul(h, w)
+    logits += b[:, None, :]
+    return inputs, logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def forward(
-    params: ParameterVector, spec: ModelSpec, batch: np.ndarray, *, log: bool = False
+    weights: np.ndarray, spec: ModelSpec, batch: np.ndarray, *, log: bool = False
 ) -> np.ndarray:
-    """Class-probability matrix; each row is a softmax distribution. With
-    ``log`` the matrix holds log-probabilities, whose ``exp`` is exactly the
-    probability matrix, so one pass can yield both a loss and predictions."""
-    batch = _check_batch(spec, batch)
-    _, _, logits = _forward_pass(_model_layers(params, spec), spec.activation, batch)
+    """Class probabilities of R models, row r of ``weights`` on its own
+    batch ``batch[r]``: an (R, n, classes) array whose last axis holds
+    softmax distributions. With ``log`` it holds log-probabilities, whose
+    ``exp`` is exactly the probabilities, so one pass can yield both a loss
+    and predictions."""
+    weights = _check_stack(spec, weights)
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 3 or batch.shape[0] != weights.shape[0]:
+        raise ShapeError(f"batch must be ({weights.shape[0]}, n, d), got shape {batch.shape}")
+    if batch.shape[2] != spec.feature_dim:
+        raise ShapeError(f"batch has {batch.shape[2]} features, model expects {spec.feature_dim}")
+    _, logits = _forward_pass(_stack_layers(weights, spec.manifest), spec.activation, batch)
     log_probs = _log_softmax(logits)
     return log_probs if log else np.exp(log_probs)
 
 
-def _check_labels(spec: ModelSpec, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != batch.shape[0]:
-        raise ShapeError(f"labels shape {labels.shape} does not match batch of {batch.shape[0]}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        rounded = np.rint(labels)
-        if not np.array_equal(rounded, labels):
-            raise DataError("labels must be integers")
-        labels = rounded
-    labels = labels.astype(np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= spec.class_count):
-        raise DataError(
-            f"labels must lie in [0, {spec.class_count}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
-
-
-def cross_entropy_loss(
-    params: ParameterVector, spec: ModelSpec, batch: np.ndarray, labels: np.ndarray
-) -> float:
-    """Mean softmax cross-entropy, forward only."""
-    batch = _check_batch(spec, batch)
-    if batch.shape[0] == 0:
-        raise DataError("batch is empty")
-    labels = _check_labels(spec, batch, labels)
-    log_probs = forward(params, spec, batch, log=True)
-    return float(-log_probs[np.arange(batch.shape[0]), labels].mean())
-
-
 def _backprop(
-    layers: Layers, kind: Activation, batch: np.ndarray, labels: np.ndarray, grads: Layers
-) -> np.ndarray:
-    """Gradient of the batch's mean cross-entropy, written into ``grads``
-    (per-layer weight and bias views shaped like ``layers``). Returns the
-    batch's log-probabilities. Inputs must already be checked."""
-    n = batch.shape[0]
-    inputs, pre, logits = _forward_pass(layers, kind, batch)
-    log_probs = _log_softmax(logits)
+    layers: Layers, kind: Activation, batch: np.ndarray, target: np.ndarray, grads: Layers
+) -> None:
+    """Gradient of each row's mean cross-entropy over its batch, written
+    into ``grads`` (views shaped like ``layers``). ``target`` holds the
+    one-hot labels; subtracting it changes only the label's entry, by
+    exactly 1. Inputs must already be checked."""
+    inputs, logits = _forward_pass(layers, kind, batch)
 
     # Gradient w.r.t. logits of the mean loss.
-    delta = np.exp(log_probs)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    delta = np.exp(_log_softmax(logits))
+    delta -= target
+    delta /= batch.shape[1]
 
     for i in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grads[i]
-        np.matmul(inputs[i].T, delta, out=grad_w)
-        np.sum(delta, axis=0, out=grad_b)
+        np.matmul(inputs[i].swapaxes(1, 2), delta, out=grad_w)
+        np.add.reduce(delta, axis=1, out=grad_b)
         if i > 0:
-            upstream = delta @ layers[i][0].T
+            # the activation's derivative from its output: relu(z) > 0 iff
+            # z > 0, and tanh'(z) = 1 - tanh(z)**2
+            delta = np.matmul(delta, layers[i][0].swapaxes(1, 2))
             if kind is Activation.RELU:
-                delta = upstream * (pre[i - 1] > 0.0)
+                delta *= inputs[i] > 0.0
             else:
-                delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
-    return log_probs
-
-
-def loss_and_gradient(
-    params: ParameterVector, spec: ModelSpec, batch: np.ndarray, labels: np.ndarray
-) -> tuple[float, ParameterVector]:
-    """Mean cross-entropy over the batch and its gradient, same manifest as params."""
-    batch = _check_batch(spec, batch)
-    n = batch.shape[0]
-    if n == 0:
-        raise DataError("batch is empty")
-    labels = _check_labels(spec, batch, labels)
-
-    grad = np.empty(len(params))
-    log_probs = _backprop(
-        _model_layers(params, spec), spec.activation, batch, labels,
-        _unflatten(grad, params.manifest),
-    )
-    loss = float(-log_probs[np.arange(n), labels].mean())
-    return loss, ParameterVector(grad, params.manifest)
+                delta *= 1.0 - inputs[i] ** 2
 
 
 @dataclass(frozen=True)
@@ -271,80 +242,64 @@ class OptimizerConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Velocity buffer plus hyperparameters; velocity manifest matches the model."""
-
-    velocity: ParameterVector
-    learning_rate: float
-    momentum: float
-    batch_size: int
-
-
-def init_optimizer(params: ParameterVector, config: OptimizerConfig) -> OptimizerState:
-    zero = ParameterVector(np.zeros(len(params)), params.manifest)
-    return OptimizerState(
-        velocity=zero,
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        batch_size=config.batch_size,
-    )
-
-
-def sgd_momentum_step(
-    params: ParameterVector, grad: ParameterVector, state: OptimizerState
-) -> tuple[ParameterVector, OptimizerState]:
-    """Classical momentum: v' = momentum*v + grad; params' = params - lr*v'."""
-    if not (params.manifest == grad.manifest == state.velocity.manifest):
-        raise ShapeError("params, grad, and velocity manifests must be identical")
-    velocity = state.momentum * state.velocity.values + grad.values
-    updated = params.values - state.learning_rate * velocity
-    return (
-        ParameterVector(updated, params.manifest),
-        replace(state, velocity=ParameterVector(velocity, params.manifest)),
-    )
-
-
 def train_epoch(
-    params: ParameterVector,
+    weights: np.ndarray,
+    velocity: np.ndarray,
     spec: ModelSpec,
-    state: OptimizerState,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[ParameterVector, OptimizerState]:
-    """One pass over the data: deterministic shuffle from rng, one momentum step
-    per mini-batch. The final partial batch is trained, not dropped.
+    optimizer: OptimizerConfig,
+    train_x: Sequence[np.ndarray],
+    train_y: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """One epoch of R models at once, updating the (R, P) ``weights`` and
+    ``velocity`` in place. Row r trains on its own n samples (train_x[r],
+    train_y[r]), in the order ``rngs[r].permutation(n)`` draws, with one
+    classical momentum step per mini-batch (v' = momentum*v + grad;
+    w' = w - lr*v'); the final partial batch is trained, not dropped. The
+    data may be (R, n, d) and (R, n) arrays or R arrays of one size each.
+    Returns the (R,) mask of rows whose weights are all finite.
 
-    Bitwise the same as ``loss_and_gradient`` then ``sgd_momentum_step`` per
-    batch, but the inputs are checked once per epoch and the steps update
-    private copies of the weights and velocity in place."""
-    train_x = _check_batch(spec, train_x)
-    n = train_x.shape[0]
+    Each row's bits equal an epoch of that row alone: each row's shuffled
+    data is gathered once into one (R, n, d) stack, batches are contiguous
+    slices of it, and every numpy call acts on each row as on one model."""
+    weights = _check_stack(spec, weights)
+    for name, arr in (("weights", weights), ("velocity", velocity)):
+        if not (arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable):
+            raise ShapeError(f"{name} must be a writable C-contiguous float64 array")
+    if velocity.shape != weights.shape:
+        raise ShapeError(f"velocity shape {velocity.shape} differs from weights {weights.shape}")
+    rows = weights.shape[0]
+    if not rows or not len(train_x) == len(train_y) == len(rngs) == rows:
+        raise ShapeError(
+            f"{rows} weight rows, {len(train_x)} and {len(train_y)} data rows, {len(rngs)} rngs"
+        )
+    n = len(train_x[0])
     if n == 0:
         raise DataError("training split is empty")
-    train_y = _check_labels(spec, train_x, train_y)
-    if not (params.manifest == state.velocity.manifest == spec.manifest):
-        raise ShapeError("params, velocity, and model manifests must be identical")
 
-    weights = params.values.copy()
-    velocity = state.velocity.values.copy()
+    xs = np.empty((rows, n, spec.feature_dim))
+    ys = np.empty((rows, n), dtype=np.int64)
+    for r in range(rows):
+        x, y = check_split(spec, train_x[r], train_y[r])
+        if len(x) != n:
+            raise ShapeError(f"data row {r} has {len(x)} samples, row 0 has {n}")
+        order = rngs[r].permutation(n)
+        np.take(x, order, axis=0, out=xs[r])
+        np.take(y, order, out=ys[r])
+    target = np.eye(spec.class_count)[ys]
     grad = np.empty_like(weights)
-    layers = _unflatten(weights, params.manifest)
-    grads = _unflatten(grad, params.manifest)
-
-    order = rng.permutation(n)
-    for start in range(0, n, state.batch_size):
-        idx = order[start : start + state.batch_size]
-        _backprop(layers, spec.activation, train_x[idx], train_y[idx], grads)
-        # same operation order as sgd_momentum_step
-        velocity *= state.momentum
+    step = np.empty_like(weights)
+    layers = _stack_layers(weights, spec.manifest)
+    grads = _stack_layers(grad, spec.manifest)
+    size = optimizer.batch_size
+    for start in range(0, n, size):
+        _backprop(layers, spec.activation, xs[:, start : start + size],
+                  target[:, start : start + size], grads)
+        velocity *= optimizer.momentum
         velocity += grad
-        weights -= state.learning_rate * velocity
-    return (
-        ParameterVector(weights, params.manifest),
-        replace(state, velocity=ParameterVector(velocity, params.manifest)),
-    )
+        np.multiply(velocity, optimizer.learning_rate, out=step)
+        weights -= step
+    return np.isfinite(weights).all(axis=1)
 
 
 def save_weights(params: ParameterVector, path) -> None:

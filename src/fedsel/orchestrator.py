@@ -8,13 +8,13 @@ Two round-loop flavors:
   test split before training; the server averages those reports and stops at
   the first round whose aggregate reaches the halting threshold.
 
-Clients of a round run one after another, in client order. Per-client RNG
-streams are child streams of the master seed keyed by (round, client_id), so
-no client's result depends on which clients ran before it, nor on which
-strategy will pick an epoch from its trajectory. So federations that differ
-only in strategy run in lockstep, one by one through one round function over
-a per-round memo keyed by starting weights: they share client runs and
-scoring passes while their global weights agree.
+Per-client RNG streams are child streams of the master seed keyed by
+(round, client_id), so no client's result depends on which other clients
+train beside it, nor on which strategy will pick an epoch from its
+trajectory. So federations that differ only in strategy run in lockstep, one
+by one through one round function over a per-round memo keyed by starting
+weights: they share client runs and scoring passes while their global
+weights agree. Each round's distinct client runs train first, as one stack.
 """
 
 from __future__ import annotations
@@ -38,23 +38,17 @@ from .aggregation import (
     threshold_met,
 )
 from .data import ClientDataset, EvalSets, Split
-from .errors import ConfigurationError, DataError, ProtocolError, ShapeError
-from .nn import (
-    MAX_SEED,
-    ModelSpec,
-    OptimizerConfig,
-    ParameterVector,
-    init_optimizer,
-    init_parameters,
-    train_epoch,
-)
+from .errors import ConfigurationError, ProtocolError, ShapeError
+from .nn import MAX_SEED, ModelSpec, OptimizerConfig, ParameterVector, init_parameters
 from .strategies import (
     LocalRunResult,
     MetricsReport,
+    Scores,
     SelectionMetric,
     StrategyKind,
     evaluate,
     train_local,
+    train_stacked,
 )
 
 METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
@@ -152,15 +146,17 @@ def _round(
     weights = incoming.values.tobytes()
 
     def train(c: ClientDataset) -> dict[StrategyKind, LocalRunResult]:
+        # reached only for a run that failed in _train_missing: rerun alone
         rng = client_stream(cfg.master_seed, t, c.client_id)
         try:
-            trajectory = train_local(
-                incoming, cfg.model, c, cfg.optimizer, cfg.local_epochs,
-                rng, cfg.selection_metric,
+            (trajectory,) = train_local(
+                [(incoming, c, rng)], cfg.model, cfg.optimizer, cfg.local_epochs,
+                cfg.selection_metric,
             )
+            if isinstance(trajectory, Exception):
+                raise trajectory
         except Exception as exc:
             raise ProtocolError(f"client {c.client_id} failed in round {t}: {exc}") from exc
-        # only the picks outlive this call, never the whole trajectory
         return {s: trajectory.select(s) for s in strategies}
 
     industrial = cfg.workflow is Workflow.INDUSTRIAL
@@ -236,14 +232,45 @@ def run_federations(
     init = init_parameters(first.model)
     runs = [_Lockstep(cfg, init) for cfg in cfgs]
     for t in range(1, horizon + 1):
+        live = [run for run in runs if run.error is None and not run.halted]
         memo: dict = {}
-        for run in runs:
-            if run.error is None and not run.halted:
-                try:
-                    _round(run, t, clients, evals, strategies, memo)
-                except Exception as exc:
-                    run.error = exc
+        _train_missing(live, t, clients, strategies, memo)
+        for run in live:
+            try:
+                _round(run, t, clients, evals, strategies, memo)
+            except Exception as exc:
+                run.error = exc
     return [r.error if r.error is not None else (r.records, r.params) for r in runs]
+
+
+def _train_missing(
+    live: list[_Lockstep],
+    t: int,
+    clients: list[ClientDataset],
+    strategies: tuple[StrategyKind, ...],
+    memo: dict,
+) -> None:
+    """Train every distinct client run of round ``t`` that the live
+    federations will ask ``_round`` for, in one ``train_local`` call, so
+    runs of equal size share one stack; memoize each run's picks. A failed
+    run is not stored, so ``_round`` reruns it alone and raises its error."""
+    if not live:
+        return
+    cfg = live[0].cfg
+    rows = {}
+    for run in live:
+        weights = run.params.values.tobytes()
+        for c in clients:
+            key = ("train", c.client_id, weights)
+            if key not in rows:
+                rows[key] = (run.params, c, client_stream(cfg.master_seed, t, c.client_id))
+    trajectories = train_local(
+        list(rows.values()), cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
+    )
+    for key, trajectory in zip(rows, trajectories):
+        if not isinstance(trajectory, Exception):
+            # only the picks outlive this call, never the whole trajectory
+            memo[key] = {s: trajectory.select(s) for s in strategies}
 
 
 def run_federation(
@@ -281,6 +308,64 @@ class CentralizedResult:
     per_epoch_val: tuple[MetricsReport, ...]
 
 
+@dataclass
+class _EarlyStop:
+    """One baseline's best epoch so far and its patience counter."""
+
+    params: ParameterVector
+    best_score: float = -np.inf
+    best_epoch: int = 0
+    stale: int = 0
+    trace: list[float] = field(default_factory=list)
+    reports: list[MetricsReport] = field(default_factory=list)
+
+
+def run_baselines(
+    bcfg: BaselineConfig,
+    rows: list[tuple[str, Split, Split, np.random.Generator]],
+    model: ModelSpec,
+) -> list[CentralizedResult | Exception]:
+    """Non-federated baselines, one model per row (label, train, val, rng),
+    each from the model's initial weights: train up to max_epochs, stop
+    after `patience` consecutive epochs without a strict val macro-F1
+    improvement, return the best epoch's snapshot.
+
+    Rows of equal split sizes train as one stack; each keeps its own
+    patience and leaves the stack when it stops. Returns, per row, its
+    result or the exception that failed it alone; non-finite weights are a
+    DataError naming the row's label and the epoch."""
+    init = init_parameters(model)
+    runs = [_EarlyStop(init) for _ in rows]
+
+    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
+        run, report = runs[i], scores.report
+        run.reports.append(report)
+        run.trace.append(report.macro_f1)
+        if report.macro_f1 > run.best_score:
+            run.best_score = report.macro_f1
+            run.params = ParameterVector(weights, model.manifest)
+            run.best_epoch = epoch
+            run.stale = 0
+            return True
+        run.stale += 1
+        return run.stale < bcfg.patience
+
+    errors = train_stacked(
+        [(init, train, val, rng, label) for label, train, val, rng in rows],
+        model, bcfg.optimizer, bcfg.max_epochs, visit,
+    )
+    return [
+        error if error is not None else CentralizedResult(
+            params=run.params,
+            best_epoch=run.best_epoch,
+            epochs_run=len(run.trace),
+            trace=tuple(run.trace),
+            per_epoch_val=tuple(run.reports),
+        )
+        for run, error in zip(runs, errors)
+    ]
+
+
 def run_centralized(
     bcfg: BaselineConfig,
     train: Split,
@@ -288,42 +373,12 @@ def run_centralized(
     model: ModelSpec,
     rng: np.random.Generator,
 ) -> CentralizedResult:
-    """Single-model baseline on pooled data: train up to max_epochs, stop
-    after `patience` consecutive epochs without a strict val macro-F1
-    improvement, return the best epoch's snapshot."""
-    if len(train) == 0 or len(val) == 0:
-        raise DataError("centralized baseline needs nonempty train and val splits")
-    params = init_parameters(model)
-    state = init_optimizer(params, bcfg.optimizer)
-    best_params = params
-    best_score = -np.inf
-    best_epoch = 0
-    stale = 0
-    trace: list[float] = []
-    reports: list[MetricsReport] = []
-    epochs_run = 0
-    for epoch in range(1, bcfg.max_epochs + 1):
-        params, state = train_epoch(params, model, state, train.x, train.y, rng)
-        report = evaluate(params, model, val.x, val.y)
-        reports.append(report)
-        trace.append(report.macro_f1)
-        epochs_run = epoch
-        if report.macro_f1 > best_score:
-            best_score = report.macro_f1
-            best_params = params
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= bcfg.patience:
-                break
-    return CentralizedResult(
-        params=best_params,
-        best_epoch=best_epoch,
-        epochs_run=epochs_run,
-        trace=tuple(trace),
-        per_epoch_val=tuple(reports),
-    )
+    """One baseline on pooled data: ``run_baselines`` of one row labelled
+    ``centralized``, raising its failure."""
+    (result,) = run_baselines(bcfg, [("centralized", train, val, rng)], model)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

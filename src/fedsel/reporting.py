@@ -17,14 +17,8 @@ from .config import RunConfig
 from .data import make_dataset, merge_for_centralized
 from .errors import ConfigurationError
 from .nn import ParameterVector
-from .orchestrator import (
-    FederationOutcome,
-    atomic_write_text,
-    baseline_stream,
-    run_centralized,
-    run_federations,
-)
-from .strategies import StrategyKind, score
+from .orchestrator import atomic_write_text, baseline_stream, run_baselines, run_federations
+from .strategies import StrategyKind, score_one
 
 METRIC_COLUMNS = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "confidence")
 TEST_SETS = ("global", "external")
@@ -47,7 +41,7 @@ def variant_order(rows: list[ComparisonRow]) -> list[str]:
 
 
 def _score(params: ParameterVector, model, x, y) -> dict[str, float]:
-    scores = score(params, model, x, y)
+    scores = score_one(params, model, x, y)
     report = scores.report
     return {
         "accuracy": report.accuracy,
@@ -58,18 +52,20 @@ def _score(params: ParameterVector, model, x, y) -> dict[str, float]:
     }
 
 
-def _final_weights(outcome: FederationOutcome | Exception) -> ParameterVector:
+def _ok(outcome):
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome[1]
+    return outcome
 
 
 def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
     """One ComparisonRow per (seed, variant, test set). A variant that raises
     is recorded as failed for both test sets and the campaign proceeds.
 
-    The two federations of a seed run in lockstep (``run_federations``), and
-    each distinct set of final weights is scored once per test set."""
+    A seed's local-client and pooled baselines train in one
+    ``run_baselines`` call, so the equal-size local clients share a stack.
+    Its two federations run in lockstep (``run_federations``), and each
+    distinct set of final weights is scored once per test set."""
     if not seeds:
         raise ConfigurationError("comparison needs at least one seed")
     model = cfg.federation.model
@@ -96,21 +92,19 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
                 for name in sets:
                     rows.append(ComparisonRow(seed, variant, name, "failed", None, str(exc)))
 
-        for client in clients:
-            attempt(
-                f"local_client_{client.client_id}",
-                lambda c=client: run_centralized(
-                    cfg.baseline, c.train, c.val, model,
-                    baseline_stream(seed, tag=c.client_id + 1),
-                ).params,
-            )
-        attempt(
-            "centralized",
-            lambda: run_centralized(
-                cfg.baseline, *merge_for_centralized(clients), model,
-                baseline_stream(seed, tag=0),
-            ).params,
-        )
+        baselines = [
+            (f"client {c.client_id}", c.train, c.val, baseline_stream(seed, tag=c.client_id + 1))
+            for c in clients
+        ]
+        try:
+            pooled = merge_for_centralized(clients)
+            baselines.append(("centralized", *pooled, baseline_stream(seed, tag=0)))
+            results = run_baselines(cfg.baseline, baselines, model)
+        except Exception as exc:
+            results = [exc] * (len(clients) + 1)
+        variants = [f"local_client_{c.client_id}" for c in clients] + ["centralized"]
+        for variant, result in zip(variants, results):
+            attempt(variant, lambda r=result: _ok(r).params)
         fed_cfgs = [
             replace(cfg.federation, strategy=strategy, master_seed=seed)
             for strategy in (StrategyKind.FEWS, StrategyKind.OEWS)
@@ -120,7 +114,7 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
         except Exception as exc:
             outcomes = [exc] * len(fed_cfgs)
         for fed_cfg, outcome in zip(fed_cfgs, outcomes):
-            attempt(f"fl_{fed_cfg.strategy.value}", lambda o=outcome: _final_weights(o))
+            attempt(f"fl_{fed_cfg.strategy.value}", lambda o=outcome: _ok(o)[1])
     return rows
 
 

@@ -4,6 +4,10 @@ A client trains for a fixed number of epochs and must pick one epoch's
 weights to send back. FEWS always sends the final epoch; OEWS sends the epoch
 that scored best on the client's validation split, preferring the latest
 epoch on ties.
+
+Models that train side by side, such as a round's client runs or a seed's
+baselines, train as one stack (``train_stacked``): each epoch is one
+``nn.train_epoch`` call and one batched scoring pass over every live row.
 """
 
 from __future__ import annotations
@@ -11,18 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import ClientDataset
-from .errors import ConfigurationError, DataError
+from .data import ClientDataset, Split
+from .errors import ConfigurationError, DataError, ShapeError
 from .nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
+    check_split,
     forward,
-    init_optimizer,
     train_epoch,
 )
 
@@ -112,30 +116,38 @@ class Scores:
     """Everything one forward pass over a labelled split yields."""
 
     report: MetricsReport
-    loss: float  # mean softmax cross-entropy, as nn.cross_entropy_loss
+    loss: float  # mean softmax cross-entropy
     # mean predicted-class probability over the correctly classified samples;
     # 0.0 when nothing is classified correctly
     confidence: float
 
 
-def score(params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> Scores:
-    """Metrics, loss and correct-prediction confidence from a single forward
-    pass over (x, y)."""
-    log_probs = forward(params, model, x, log=True)
+def score(weights: np.ndarray, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> list[Scores]:
+    """Metrics, loss and correct-prediction confidence of R models, row r of
+    the (R, P) ``weights`` on its own split (x[r], y[r]): one batched forward
+    pass, then the metrics row by row."""
+    log_probs = forward(weights, model, x, log=True)
     probs = np.exp(log_probs)
-    preds = np.argmax(probs, axis=1)
-    y = np.asarray(y)
-    report = metrics_from_confusion(confusion_matrix(y, preds, model.class_count))
-    loss = float(-log_probs[np.arange(y.size), y].mean())
-    correct = preds == y
-    confidence = float(probs[correct, preds[correct]].mean()) if correct.any() else 0.0
-    return Scores(report=report, loss=loss, confidence=confidence)
+    preds = np.argmax(probs, axis=2)
+    out = []
+    for lp, p, pred, labels in zip(log_probs, probs, preds, np.asarray(y)):
+        report = metrics_from_confusion(confusion_matrix(labels, pred, model.class_count))
+        loss = float(-lp[np.arange(labels.size), labels].mean())
+        correct = pred == labels
+        confidence = float(p[correct, pred[correct]].mean()) if correct.any() else 0.0
+        out.append(Scores(report=report, loss=loss, confidence=confidence))
+    return out
+
+
+def score_one(params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> Scores:
+    """``score`` of one model on one split."""
+    return score(params.values[None], model, np.asarray(x)[None], np.asarray(y)[None])[0]
 
 
 def evaluate(
     params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray
 ) -> MetricsReport:
-    return score(params, model, x, y).report
+    return score_one(params, model, x, y).report
 
 
 def select_epoch(
@@ -195,55 +207,133 @@ class LocalTrajectory:
         )
 
 
-def train_local(
-    global_params: ParameterVector,
+def train_stacked(
+    rows: Sequence[tuple[ParameterVector, Split, Split, np.random.Generator, str]],
     model: ModelSpec,
-    client: ClientDataset,
     optimizer: OptimizerConfig,
     epochs: int,
-    rng: np.random.Generator,
-    metric: SelectionMetric = SelectionMetric.MACRO_F1,
-) -> LocalTrajectory:
-    """Train ``epochs`` epochs from the incoming global weights and score each
-    epoch's weights on the client's validation split.
+    visit: Callable[[int, int, np.ndarray, Scores], bool],
+) -> list[Exception | None]:
+    """Train rows (start weights, train split, val split, rng, label) for up
+    to ``epochs`` epochs. Rows whose splits have equal sizes train as one
+    stack through ``nn.train_epoch``; no row is padded.
 
-    The trajectory depends only on the incoming weights, the data, and the
-    rng stream, never on the strategy that later picks an epoch from it. A
-    non-finite validation score raises DataError naming the client and the
-    epoch.
+    After each epoch, each live row's weights are scored on its val split
+    in one stacked pass, and ``visit(row, epoch, weights, scores)`` gets
+    them: it returns False to stop the row, or raises to fail it. A row
+    whose weights turn non-finite fails with a DataError naming its label
+    and the epoch. A row that stops or fails leaves its stack, which is
+    compacted, so no dead row costs work. Returns, per row, the exception
+    that failed it, or None.
+    """
+    errors: list[Exception | None] = [None] * len(rows)
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, (start, train, val, _, label) in enumerate(rows):
+        try:
+            if len(train) == 0 or len(val) == 0:
+                raise DataError(f"{label} has an empty train or val split")
+            if start.manifest != model.manifest:
+                raise ShapeError("params and model manifests must be identical")
+            check_split(model, train.x, train.y)
+            check_split(model, val.x, val.y)
+        except Exception as exc:
+            errors[i] = exc
+            continue
+        stacks.setdefault((len(train), len(val)), []).append(i)
+
+    for members in stacks.values():
+        weights = np.stack([rows[i][0].values for i in members])
+        stack = [
+            np.array(members),
+            weights,
+            np.zeros_like(weights),
+            np.stack([rows[i][2].x for i in members]),
+            np.stack([rows[i][2].y for i in members]),
+        ]
+        for epoch in range(1, epochs + 1):
+            live, weights, velocity, _, _ = stack
+            finite = train_epoch(
+                weights, velocity, model, optimizer,
+                [rows[i][1].x for i in live], [rows[i][1].y for i in live],
+                [rows[i][3] for i in live],
+            )
+            for i in live[~finite]:
+                errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
+            stack = _compact(finite, stack)
+            live, weights, _, val_x, val_y = stack
+            if not len(live):
+                break
+            keep = np.ones(len(live), dtype=bool)
+            for j, scores in enumerate(score(weights, model, val_x, val_y)):
+                try:
+                    keep[j] = visit(int(live[j]), epoch, weights[j], scores)
+                except Exception as exc:
+                    errors[live[j]] = exc
+                    keep[j] = False
+            stack = _compact(keep, stack)
+            if not len(stack[0]):
+                break
+    return errors
+
+
+def _compact(keep: np.ndarray, stack: list[np.ndarray]) -> list[np.ndarray]:
+    """The per-row arrays without the rows ``keep`` leaves out."""
+    return stack if keep.all() else [a[keep] for a in stack]
+
+
+def train_local(
+    rows: Sequence[tuple[ParameterVector, ClientDataset, np.random.Generator]],
+    model: ModelSpec,
+    optimizer: OptimizerConfig,
+    epochs: int,
+    metric: SelectionMetric = SelectionMetric.MACRO_F1,
+) -> list[LocalTrajectory | Exception]:
+    """Train each row (incoming weights, client, rng) for ``epochs`` epochs
+    and score each epoch's weights on the client's validation split; rows
+    of equal split sizes train as one stack (``train_stacked``).
+
+    A trajectory depends only on its incoming weights, its client's data and
+    its rng stream, never on the other rows or on the strategy that later
+    picks an epoch from it. Returns, per row, its trajectory or the
+    exception that failed it alone: a non-finite weight or validation score
+    is a DataError naming the client and the epoch.
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    if len(client.train) == 0 or len(client.val) == 0:
-        raise DataError(f"client {client.client_id} has an empty train or val split")
     metric = SelectionMetric(metric)
+    snapshots: list[list[ParameterVector]] = [[] for _ in rows]
+    reports: list[list[MetricsReport]] = [[] for _ in rows]
+    traces: list[list[float]] = [[] for _ in rows]
 
-    state = init_optimizer(global_params, optimizer)
-    params = global_params
-    snapshots: list[ParameterVector] = []
-    reports: list[MetricsReport] = []
-    trace: list[float] = []
-    for epoch in range(1, epochs + 1):
-        params, state = train_epoch(params, model, state, client.train.x, client.train.y, rng)
-        scores = score(params, model, client.val.x, client.val.y)
+    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
         if metric is SelectionMetric.VAL_LOSS:
             value = scores.loss
         else:
             value = scores.report.scalar(metric.value)
         if not math.isfinite(value):
             raise DataError(
-                f"client {client.client_id} epoch {epoch}: validation {metric.value} is {value}"
+                f"client {rows[i][1].client_id} epoch {epoch}: "
+                f"validation {metric.value} is {value}"
             )
-        snapshots.append(params)
-        reports.append(scores.report)
-        trace.append(value)
-    return LocalTrajectory(
-        snapshots=tuple(snapshots),
-        per_epoch_val=tuple(reports),
-        trace=tuple(trace),
-        train_sample_count=len(client.train),
-        metric=metric,
+        snapshots[i].append(ParameterVector(weights, model.manifest))
+        reports[i].append(scores.report)
+        traces[i].append(value)
+        return True
+
+    errors = train_stacked(
+        [(p, c.train, c.val, rng, f"client {c.client_id}") for p, c, rng in rows],
+        model, optimizer, epochs, visit,
     )
+    return [
+        error if error is not None else LocalTrajectory(
+            snapshots=tuple(snapshots[i]),
+            per_epoch_val=tuple(reports[i]),
+            trace=tuple(traces[i]),
+            train_sample_count=len(rows[i][1].train),
+            metric=metric,
+        )
+        for i, error in enumerate(errors)
+    ]
 
 
 def run_local(
@@ -256,9 +346,11 @@ def run_local(
     rng: np.random.Generator,
     metric: SelectionMetric = SelectionMetric.MACRO_F1,
 ) -> LocalRunResult:
-    """One client's contribution to a round: ``train_local``, then the epoch
-    the strategy picks from the trace. The strategy changes which epoch is
-    returned, never how training runs."""
+    """One client's contribution to a round: ``train_local`` of one row,
+    then the epoch the strategy picks from the trace. The strategy changes
+    which epoch is returned, never how training runs."""
     strategy = StrategyKind(strategy)
-    trajectory = train_local(global_params, model, client, optimizer, epochs, rng, metric)
+    (trajectory,) = train_local([(global_params, client, rng)], model, optimizer, epochs, metric)
+    if isinstance(trajectory, Exception):
+        raise trajectory
     return trajectory.select(strategy)

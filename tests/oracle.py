@@ -1,0 +1,157 @@
+"""Reference math for the tests: one model at a time, on fresh vectors.
+
+This is the single-model code the stacked kernel in ``fedsel.nn`` replaced:
+2-D forward and backward passes, the loss and its gradient, and one
+momentum step per mini-batch on immutable ``ParameterVector``s. Nothing in
+the package uses it. The tests check its gradient against finite
+differences and check the kernel against it bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from fedsel.errors import DataError, ShapeError
+from fedsel.nn import Activation, ModelSpec, OptimizerConfig, ParameterVector, check_split
+
+
+def unflatten(values: np.ndarray, manifest) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight matrix, bias vector) views per layer of one flat vector."""
+    views = []
+    offset = 0
+    for rows, cols in manifest:
+        w = values[offset : offset + rows * cols].reshape(rows, cols)
+        offset += rows * cols
+        b = values[offset : offset + cols]
+        offset += cols
+        views.append((w, b))
+    return views
+
+
+def _layers(params: ParameterVector, spec: ModelSpec):
+    if params.manifest != spec.manifest:
+        raise ShapeError("parameter manifest does not match the model spec")
+    return unflatten(params.values, params.manifest)
+
+
+def _activate(z, kind):
+    return np.maximum(z, 0.0) if kind is Activation.RELU else np.tanh(z)
+
+
+def _forward_pass(layers, kind, batch):
+    inputs = [batch]
+    pre = []
+    h = batch
+    for w, b in layers[:-1]:
+        z = h @ w + b
+        pre.append(z)
+        h = _activate(z, kind)
+        inputs.append(h)
+    w, b = layers[-1]
+    return inputs, pre, h @ w + b
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def forward(params: ParameterVector, spec: ModelSpec, batch, *, log: bool = False):
+    """(n, classes) probabilities, or log-probabilities, of one model."""
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != spec.feature_dim:
+        raise ShapeError(f"batch of shape {batch.shape} does not fit the model")
+    _, _, logits = _forward_pass(_layers(params, spec), spec.activation, batch)
+    log_probs = _log_softmax(logits)
+    return log_probs if log else np.exp(log_probs)
+
+
+def cross_entropy_loss(params: ParameterVector, spec: ModelSpec, batch, labels) -> float:
+    """Mean softmax cross-entropy, forward only."""
+    batch, labels = check_split(spec, batch, labels)
+    if batch.shape[0] == 0:
+        raise DataError("batch is empty")
+    log_probs = forward(params, spec, batch, log=True)
+    return float(-log_probs[np.arange(batch.shape[0]), labels].mean())
+
+
+def loss_and_gradient(
+    params: ParameterVector, spec: ModelSpec, batch, labels
+) -> tuple[float, ParameterVector]:
+    """Mean cross-entropy over the batch and its gradient, same manifest as params."""
+    batch, labels = check_split(spec, batch, labels)
+    n = batch.shape[0]
+    if n == 0:
+        raise DataError("batch is empty")
+    layers = _layers(params, spec)
+    inputs, pre, logits = _forward_pass(layers, spec.activation, batch)
+    log_probs = _log_softmax(logits)
+
+    delta = np.exp(log_probs)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    grad = np.empty(len(params))
+    grads = unflatten(grad, params.manifest)
+    for i in range(len(layers) - 1, -1, -1):
+        grad_w, grad_b = grads[i]
+        np.matmul(inputs[i].T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
+        if i > 0:
+            upstream = delta @ layers[i][0].T
+            if spec.activation is Activation.RELU:
+                delta = upstream * (pre[i - 1] > 0.0)
+            else:
+                delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
+    loss = float(-log_probs[np.arange(n), labels].mean())
+    return loss, ParameterVector(grad, params.manifest)
+
+
+@dataclass(frozen=True)
+class OptimizerState:
+    """Velocity buffer plus hyperparameters; velocity manifest matches the model."""
+
+    velocity: ParameterVector
+    learning_rate: float
+    momentum: float
+    batch_size: int
+
+
+def init_optimizer(params: ParameterVector, config: OptimizerConfig) -> OptimizerState:
+    return OptimizerState(
+        velocity=ParameterVector(np.zeros(len(params)), params.manifest),
+        learning_rate=config.learning_rate,
+        momentum=config.momentum,
+        batch_size=config.batch_size,
+    )
+
+
+def sgd_momentum_step(
+    params: ParameterVector, grad: ParameterVector, state: OptimizerState
+) -> tuple[ParameterVector, OptimizerState]:
+    """Classical momentum: v' = momentum*v + grad; params' = params - lr*v'."""
+    if not (params.manifest == grad.manifest == state.velocity.manifest):
+        raise ShapeError("params, grad, and velocity manifests must be identical")
+    velocity = state.momentum * state.velocity.values + grad.values
+    updated = params.values - state.learning_rate * velocity
+    return (
+        ParameterVector(updated, params.manifest),
+        replace(state, velocity=ParameterVector(velocity, params.manifest)),
+    )
+
+
+def reference_epoch(params, spec, state, x, y, rng):
+    """The epoch the kernel must match bit for bit: shuffle once, then
+    ``loss_and_gradient`` and ``sgd_momentum_step`` on fresh vectors for
+    every batch, the final short batch included. Returns (params, state,
+    batch count)."""
+    order = rng.permutation(len(x))
+    batches = 0
+    for lo in range(0, len(x), state.batch_size):
+        idx = order[lo : lo + state.batch_size]
+        _, g = loss_and_gradient(params, spec, x[idx], y[idx])
+        params, state = sgd_momentum_step(params, g, state)
+        batches += 1
+    return params, state, batches

@@ -32,16 +32,14 @@ from fedsel.nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
-    cross_entropy_loss,
-    forward,
     init_parameters,
-    loss_and_gradient,
     manifest_size,
 )
 from fedsel.orchestrator import client_stream
 from fedsel.presets import preset_run_config
 from fedsel.reporting import run_comparison
 from fedsel.strategies import StrategyKind, evaluate, run_local, select_epoch
+from oracle import cross_entropy_loss, forward, loss_and_gradient
 
 SEEDS = list(range(1, 11))
 

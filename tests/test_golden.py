@@ -10,6 +10,10 @@ digest has to say why.
 
 The logs are written under a fixed run id, so the digests pin the content
 of a run and not the hash of its configuration.
+
+The ``early_stopping_baselines`` case, whose local baselines stop at
+different epochs, was recorded from the per-model epoch kernel that trained
+one baseline at a time, before baselines trained as one stack.
 """
 
 import hashlib
@@ -19,7 +23,7 @@ import pytest
 
 from fedsel.config import load_config
 from fedsel.data import make_dataset
-from fedsel.orchestrator import run_federation, write_metrics_logs
+from fedsel.orchestrator import baseline_stream, run_baselines, run_federation, write_metrics_logs
 from fedsel.presets import preset_run_config
 from fedsel.reporting import rows_to_csv, run_comparison
 from fedsel.strategies import StrategyKind
@@ -46,7 +50,20 @@ INDUSTRIAL = {
     "federation.master_seed": "5",
 }
 
+EARLY_STOPPING = {
+    "federation.rounds": "2",
+    "federation.local_epochs": "3",
+    "baseline.max_epochs": "12",
+    "baseline.patience": "3",
+    "baseline.learning_rate": "0.03",
+    "corpus.noise_scale": "2.0",
+}
+
 GOLDEN = {
+    "early_stopping_baselines": {
+        "baseline_weights": "5592e65209ecdd34a3284b247af9d2757d2202d9aa0a0a031eac5971fbdf0892",
+        "compare_csv": "79858dfc8e44a719f757cc16333c7bda380899f7c550fea06d46f690b89c35f8",
+    },
     "default": {
         "weights": "3de46eb8a862090b0f7508a04f8135c716b33f1618a4e9e6703f4edc35f33726",
         "metrics_jsonl": "4acd3a8fa94ae8c7317380cd2face0e3dc5712544eaee709ed9669d3e194c4ac",
@@ -131,7 +148,32 @@ def _preset(name: str, seed: int = 1):
     return run
 
 
+def _early_stopping(out_dir) -> dict[str, str]:
+    """Seed 2's four local baselines, which stop after 5, 10, 5 and 5 of
+    their 12 epochs: each one's weights, best epoch, epoch count and trace,
+    and the seed's comparison CSV."""
+    cfg, _ = load_config(overrides=EARLY_STOPPING)
+    seed = 2
+    clients, _ = make_dataset(replace(cfg.corpus, seed=seed), cfg.partition)
+    results = run_baselines(
+        cfg.baseline,
+        [(f"client {c.client_id}", c.train, c.val, baseline_stream(seed, tag=c.client_id + 1))
+         for c in clients],
+        cfg.federation.model,
+    )
+    assert [r.epochs_run for r in results] == [5, 10, 5, 5]
+    h = hashlib.sha256()
+    for r in results:
+        h.update(r.params.values.tobytes())
+        h.update(repr((r.best_epoch, r.epochs_run, r.trace)).encode())
+    return {
+        "baseline_weights": h.hexdigest(),
+        "compare_csv": _sha256(rows_to_csv(run_comparison(cfg, [seed])).encode()),
+    }
+
+
 CASES = {
+    "early_stopping_baselines": _early_stopping,
     "default": _default,
     "industrial": _industrial,
     "preset_default": _preset("default"),

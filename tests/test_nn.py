@@ -8,18 +8,23 @@ from fedsel.nn import (
     Activation,
     ModelSpec,
     OptimizerConfig,
-    OptimizerState,
     ParameterVector,
-    cross_entropy_loss,
+    check_split,
     forward,
-    init_optimizer,
     init_parameters,
     load_weights,
-    loss_and_gradient,
     manifest_size,
     save_weights,
-    sgd_momentum_step,
     train_epoch,
+)
+from oracle import (
+    OptimizerState,
+    cross_entropy_loss,
+    init_optimizer,
+    loss_and_gradient,
+    reference_epoch,
+    sgd_momentum_step,
+    unflatten,
 )
 
 
@@ -58,7 +63,7 @@ def test_init_parameters_layout():
     spec = ModelSpec(layer_sizes=(16, 32, 5), seed=11)
     params = init_parameters(spec)
     assert len(params) == manifest_size(spec.manifest)
-    for (rows, _), (w, b) in zip(spec.manifest, params.layers()):
+    for (rows, _), (w, b) in zip(spec.manifest, unflatten(params.values, params.manifest)):
         bound = math.sqrt(1.0 / rows)
         assert np.abs(w).max() <= bound
         assert (b == 0.0).all()
@@ -72,7 +77,7 @@ def test_forward_rows_are_probabilities():
     spec = ModelSpec(layer_sizes=(3, 7, 4), seed=2)
     params = init_parameters(spec)
     rng = np.random.default_rng(0)
-    probs = forward(params, spec, rng.standard_normal((9, 3)))
+    probs = forward(params.values[None], spec, rng.standard_normal((1, 9, 3)))[0]
     assert probs.shape == (9, 4)
     assert (probs > 0).all()
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -82,7 +87,7 @@ def test_forward_survives_huge_logits():
     spec = ModelSpec(layer_sizes=(3, 7, 4), seed=2)
     params = init_parameters(spec)
     big = ParameterVector(params.values * 1e4, params.manifest)
-    probs = forward(big, spec, np.random.default_rng(1).standard_normal((5, 3)) * 100)
+    probs = forward(big.values[None], spec, np.random.default_rng(1).standard_normal((1, 5, 3)) * 100)
     assert np.isfinite(probs).all()
 
 
@@ -99,11 +104,13 @@ def test_forward_shape_errors():
     spec = ModelSpec(layer_sizes=(4, 8, 5), seed=0)
     params = init_parameters(spec)
     with pytest.raises(ShapeError):
-        forward(params, spec, np.zeros((3, 6)))
+        forward(params.values[None], spec, np.zeros((1, 3, 6)))
+    with pytest.raises(ShapeError):
+        forward(params.values[None], spec, np.zeros((2, 3, 4)))
     with pytest.raises(DataError):
-        cross_entropy_loss(params, spec, np.zeros((3, 4)), np.array([0, 1, 9]))
+        check_split(spec, np.zeros((3, 4)), np.array([0, 1, 9]))
     with pytest.raises(DataError):
-        cross_entropy_loss(params, spec, np.zeros((3, 4)), np.array([0.5, 1.0, 2.0]))
+        check_split(spec, np.zeros((3, 4)), np.array([0.5, 1.0, 2.0]))
 
 
 def _fd_gradient(params, spec, x, y, h=1e-5):
@@ -189,18 +196,13 @@ def test_optimizer_config_validation():
         OptimizerConfig(batch_size=0)
 
 
-def _reference_epoch(params, spec, state, x, y, rng):
-    """The per-batch epoch ``train_epoch`` must match bit for bit: shuffle
-    once, then ``loss_and_gradient`` and ``sgd_momentum_step`` on fresh
-    ParameterVectors for every batch. Returns (params, state, batch count)."""
-    order = rng.permutation(len(x))
-    batches = 0
-    for lo in range(0, len(x), state.batch_size):
-        idx = order[lo : lo + state.batch_size]
-        _, g = loss_and_gradient(params, spec, x[idx], y[idx])
-        params, state = sgd_momentum_step(params, g, state)
-        batches += 1
-    return params, state, batches
+def _epoch(params, spec, cfg, velocity, x, y, rng):
+    """One epoch of ``train_epoch`` at R = 1 on copies; returns the new
+    weights and velocity as flat arrays."""
+    weights, velocity = params.values[None].copy(), velocity[None].copy()
+    finite = train_epoch(weights, velocity, spec, cfg, x[None], y[None], [rng])
+    assert finite.tolist() == [bool(np.isfinite(weights).all())]
+    return weights[0], velocity[0]
 
 
 def test_train_epoch_matches_manual_loop():
@@ -214,14 +216,14 @@ def test_train_epoch_matches_manual_loop():
     x = data_rng.standard_normal((40, 6))
     y = data_rng.integers(0, 4, 40)
 
-    got_p, got_s = train_epoch(start, spec, init_optimizer(start, cfg), x, y, np.random.default_rng(5))
+    got_w, got_v = _epoch(start, spec, cfg, np.zeros(len(start)), x, y, np.random.default_rng(5))
 
-    p, s, batches = _reference_epoch(
+    p, s, batches = reference_epoch(
         start, spec, init_optimizer(start, cfg), x, y, np.random.default_rng(5)
     )
     assert batches == 3
-    assert (got_p.values == p.values).all()
-    assert (got_s.velocity.values == s.velocity.values).all()
+    assert (got_w == p.values).all()
+    assert (got_v == s.velocity.values).all()
 
 
 @pytest.mark.parametrize(
@@ -238,50 +240,52 @@ def test_train_epoch_matches_manual_loop():
 def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, activation, n, batch_size):
     """Several epochs in a row, from a nonzero velocity and at a learning
     rate that moves the weights: weights and velocity equal the reference
-    bit for bit, and the caller's inputs are left as they were."""
+    bit for bit, they are updated in place, and the data is left as it was."""
     spec = ModelSpec(layer_sizes=layer_sizes, activation=activation, seed=4)
     data_rng = np.random.default_rng(n)
-    x = data_rng.standard_normal((n, layer_sizes[0]))
-    y = data_rng.integers(0, layer_sizes[-1], n)
+    x = data_rng.standard_normal((1, n, layer_sizes[0]))
+    y = data_rng.integers(0, layer_sizes[-1], (1, n))
+    x_before, y_before = x.copy(), y.copy()
     cfg = OptimizerConfig(learning_rate=0.05, momentum=0.9, batch_size=batch_size)
     params = init_parameters(spec)
-    state = init_optimizer(params, cfg)
-    ref_p, ref_s = params, state
+    weights, velocity = params.values[None].copy(), np.zeros((1, len(params)))
+    ref_p, ref_s = params, init_optimizer(params, cfg)
     for epoch in range(3):
-        before_p = params.values.copy()
-        before_v = state.velocity.values.copy()
-        params_in, state_in = params, state
-        params, state = train_epoch(params, spec, state, x, y, np.random.default_rng(epoch))
-        ref_p, ref_s, _ = _reference_epoch(ref_p, spec, ref_s, x, y, np.random.default_rng(epoch))
-        assert (params.values == ref_p.values).all()
-        assert (state.velocity.values == ref_s.velocity.values).all()
-        hyper = ("learning_rate", "momentum", "batch_size")
-        assert [getattr(state, h) for h in hyper] == [getattr(ref_s, h) for h in hyper]
-        assert (params_in.values == before_p).all()
-        assert (state_in.velocity.values == before_v).all()
-        assert not params.values.flags.writeable
-        assert not state.velocity.values.flags.writeable
-    assert not (params.values == init_parameters(spec).values).all()
+        held = weights
+        assert train_epoch(weights, velocity, spec, cfg, x, y, [np.random.default_rng(epoch)])
+        ref_p, ref_s, _ = reference_epoch(ref_p, spec, ref_s, x[0], y[0], np.random.default_rng(epoch))
+        assert (weights[0] == ref_p.values).all()
+        assert (velocity[0] == ref_s.velocity.values).all()
+        assert held is weights
+        assert (x == x_before).all() and (y == y_before).all()
+    assert not (weights[0] == params.values).all()
 
 
 def test_train_epoch_rejects_mismatched_manifests():
     spec = ModelSpec(layer_sizes=(6, 9, 4), seed=10)
     params = init_parameters(spec)
-    state = init_optimizer(params, OptimizerConfig())
-    x, y = np.zeros((4, 6)), np.zeros(4, dtype=int)
     other = init_parameters(ModelSpec(layer_sizes=(6, 8, 4), seed=10))
+    x, y = np.zeros((1, 4, 6)), np.zeros((1, 4), dtype=int)
+    cfg, rngs = OptimizerConfig(), [np.random.default_rng(0)]
+    weights, velocity = params.values[None].copy(), np.zeros((1, len(params)))
     with pytest.raises(ShapeError):
-        train_epoch(other, spec, state, x, y, np.random.default_rng(0))
+        train_epoch(other.values[None].copy(), velocity, spec, cfg, x, y, rngs)
     with pytest.raises(ShapeError):
-        train_epoch(params, spec, init_optimizer(other, OptimizerConfig()), x, y, np.random.default_rng(0))
+        train_epoch(weights, np.zeros((1, len(other))), spec, cfg, x, y, rngs)
+    with pytest.raises(ShapeError):  # a read-only stack cannot be trained in place
+        train_epoch(params.values[None], velocity, spec, cfg, x, y, rngs)
+    with pytest.raises(ShapeError):
+        train_epoch(weights, velocity, spec, cfg, np.zeros((2, 4, 6)), np.zeros((2, 4), dtype=int), rngs)
+    with pytest.raises(ShapeError):
+        train_epoch(weights, velocity, spec, cfg, x, y, rngs * 2)
 
 
 def test_train_epoch_rejects_empty_data():
     spec = ModelSpec(layer_sizes=(6, 9, 4), seed=10)
     params = init_parameters(spec)
-    state = init_optimizer(params, OptimizerConfig())
     with pytest.raises(DataError):
-        train_epoch(params, spec, state, np.zeros((0, 6)), np.zeros(0, dtype=int), np.random.default_rng(0))
+        train_epoch(params.values[None].copy(), np.zeros((1, len(params))), spec, OptimizerConfig(),
+                    np.zeros((1, 0, 6)), np.zeros((1, 0), dtype=int), [np.random.default_rng(0)])
 
 
 def test_weights_file_round_trip(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import re
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -7,7 +9,14 @@ import pytest
 
 from fedsel.aggregation import HaltingCriterion, HaltingMetric
 from fedsel.config import load_config
-from fedsel.data import ClientDataset, CorpusSpec, PartitionSpec, Split, make_dataset
+from fedsel.data import (
+    ClientDataset,
+    CorpusSpec,
+    PartitionSpec,
+    Split,
+    make_dataset,
+    merge_for_centralized,
+)
 from fedsel.errors import ConfigurationError, ProtocolError
 from fedsel.nn import ModelSpec, OptimizerConfig
 from fedsel.orchestrator import (
@@ -18,6 +27,7 @@ from fedsel.orchestrator import (
     baseline_stream,
     client_stream,
     round_metrics,
+    run_baselines,
     run_centralized,
     run_federation,
     run_federations,
@@ -163,16 +173,17 @@ def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
 
     calls = {"train_local": 0, "evaluate": 0}
 
-    def counted(name):
+    def counted(name, rows):
         real = getattr(orchestrator, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += rows(*args)
             return real(*args)
         return wrapper
 
-    with mock.patch.object(orchestrator, "train_local", counted("train_local")), \
-            mock.patch.object(orchestrator, "evaluate", counted("evaluate")):
+    # client runs count stacked rows; scoring passes count calls
+    with mock.patch.object(orchestrator, "train_local", counted("train_local", lambda r, *_: len(r))), \
+            mock.patch.object(orchestrator, "evaluate", counted("evaluate", lambda *_: 1)):
         together = run_federations(cfgs, clients, evals)
     for i, (cfg, outcome) in enumerate(zip(cfgs, together)):
         records, params = outcome
@@ -186,6 +197,45 @@ def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
             logs.append((jsonl.read_bytes(), txt.read_bytes()))
         assert logs[0] == logs[1]
     return together, calls["train_local"], calls["evaluate"]
+
+
+def _nan_macro_f1(scores):
+    return replace(scores, report=replace(scores.report, macro_f1=float("nan")))
+
+
+@contextmanager
+def _spoiled_score(arm, epoch, spoil):
+    """Within each ``orchestrator.train_local`` call, the rows (incoming
+    weights, client, rng) that ``arm`` picks get ``spoil`` applied to their
+    validation scores at ``epoch``, in the stacked run and in the lone rerun
+    alike. Assumes one stack per call (equal client sizes), so a row's index
+    in the call is its index in the stack up to the spoiled epoch."""
+    import fedsel.orchestrator as orchestrator
+    import fedsel.strategies as strategies
+
+    real_train, real_score = orchestrator.train_local, strategies.score
+    armed = {"rows": [], "epoch": 0}
+
+    def train_local(rows, *args):
+        assert len({(len(c.train), len(c.val)) for _, c, _ in rows}) == 1
+        armed.update(rows=[i for i, row in enumerate(rows) if arm(*row)], epoch=0)
+        try:
+            return real_train(rows, *args)
+        finally:
+            armed["rows"] = []
+
+    def score(*args):
+        result = real_score(*args)
+        if armed["rows"]:
+            armed["epoch"] += 1
+            if armed["epoch"] == epoch:
+                for i in armed["rows"]:
+                    result[i] = spoil(result[i])
+        return result
+
+    with mock.patch.object(orchestrator, "train_local", train_local), \
+            mock.patch.object(strategies, "score", score):
+        yield
 
 
 DIVERGING = dict(local_epochs=3, optimizer=OptimizerConfig(learning_rate=0.03, batch_size=8))
@@ -249,27 +299,11 @@ def test_comparison_fails_only_the_federation_whose_own_run_fails():
     }
     assert round_one["fews"] != round_one["oews"]
 
-    import fedsel.strategies as strategies
-
-    real_init, real_score = strategies.init_optimizer, strategies.score
-    armed = {"on": False, "epoch": 0}
-
-    def watch_init(params, opt):
-        armed["on"] = params.values.tobytes() == round_one["oews"]
-        armed["epoch"] = 0
-        return real_init(params, opt)
-
-    def nan_in_oews_round_two(params, model, x, y):
-        result = real_score(params, model, x, y)
-        if armed["on"] and np.array_equal(x, clients[1].val.x):
-            armed["epoch"] += 1
-            if armed["epoch"] == 2:
-                return replace(result, report=replace(result.report, macro_f1=float("nan")))
-        return result
+    def oews_round_two(params, client, rng):
+        return client.client_id == 1 and params.values.tobytes() == round_one["oews"]
 
     clean = run_comparison(cfg, seeds)
-    with mock.patch.object(strategies, "init_optimizer", watch_init), \
-            mock.patch.object(strategies, "score", nan_in_oews_round_two):
+    with _spoiled_score(oews_round_two, 2, _nan_macro_f1):
         rows = run_comparison(cfg, seeds)
     failed = [r for r in rows if r.status == "failed"]
     assert [(r.seed, r.variant) for r in failed] == [(1, "fl_oews"), (1, "fl_oews")]
@@ -281,26 +315,19 @@ def test_comparison_fails_only_the_federation_whose_own_run_fails():
     )
 
 
-def test_non_finite_score_names_client_round_and_epoch(monkeypatch):
+def test_non_finite_score_names_client_round_and_epoch():
     """A validation loss forced to NaN in round 2, client 1, epoch 2 stops
     the run with an error naming all three."""
-    import fedsel.strategies as strategies
-
-    real = strategies.score
-    calls = []
-
-    def nan_at_call_12(*args):
-        # per round: 4 clients x 2 epochs of validation scoring, then the
-        # global evaluation; call 12 (0-based) is round 2, client 1, epoch 2
-        result = real(*args)
-        calls.append(None)
-        return replace(result, loss=float("nan")) if len(calls) == 13 else result
-
-    monkeypatch.setattr(strategies, "score", nan_at_call_12)
     clients, evals = small_dataset()
     cfg = fast_cfg(selection_metric="val_loss", strategy="oews")
-    with pytest.raises(ProtocolError, match="client 1 failed in round 2: client 1 epoch 2"):
-        run_federation(cfg, clients, evals)
+    round_two = client_stream(cfg.master_seed, 2, 1).bit_generator.state
+
+    def client_1_round_2(params, client, rng):
+        return client.client_id == 1 and rng.bit_generator.state == round_two
+
+    with _spoiled_score(client_1_round_2, 2, lambda s: replace(s, loss=float("nan"))):
+        with pytest.raises(ProtocolError, match="client 1 failed in round 2: client 1 epoch 2"):
+            run_federation(cfg, clients, evals)
 
 
 def test_industrial_halts_at_first_qualifying_round():
@@ -394,6 +421,52 @@ def test_centralized_improving_trace_returns_final_epoch():
     result = run_centralized(bcfg, train, val, MODEL, baseline_stream(9, tag=0))
     if all(b > a for a, b in zip(result.trace, result.trace[1:])):
         assert result.best_epoch == 4
+
+
+def test_stacked_baselines_equal_separate_runs():
+    """Four local baselines and the pooled model in one ``run_baselines``
+    call: the locals share a stack and stop at different epochs, the pooled
+    model trains alone. Every row equals a lone ``run_centralized`` call in
+    every ``CentralizedResult`` field."""
+    overrides = {
+        "baseline.max_epochs": "12", "baseline.patience": "3",
+        "baseline.learning_rate": "0.03", "corpus.noise_scale": "2.0", "corpus.seed": "2",
+    }
+    cfg, _ = load_config(overrides=overrides)
+    clients, _ = make_dataset(cfg.corpus, cfg.partition)
+    model = cfg.federation.model
+    rows = [(f"client {c.client_id}", c.train, c.val, c.client_id + 1) for c in clients]
+    rows.append(("centralized", *merge_for_centralized(clients), 0))
+    stacked = run_baselines(
+        cfg.baseline, [(label, train, val, baseline_stream(2, tag)) for label, train, val, tag in rows],
+        model,
+    )
+    assert [r.epochs_run for r in stacked] == [5, 10, 5, 5, 6]
+    for result, (_, train, val, tag) in zip(stacked, rows):
+        alone = run_centralized(cfg.baseline, train, val, model, baseline_stream(2, tag))
+        assert result.params.values.tobytes() == alone.params.values.tobytes()
+        assert (result.best_epoch, result.epochs_run, result.trace) == (
+            alone.best_epoch, alone.epochs_run, alone.trace
+        )
+        assert [_report_key(r) for r in result.per_epoch_val] == [
+            _report_key(r) for r in alone.per_epoch_val
+        ]
+
+
+def test_non_finite_weights_name_client_round_and_epoch():
+    """A learning rate of 1e150 overflows every client's weights in round 1;
+    the run fails with the first client and the first epoch whose weights
+    are not finite, and lockstep federations fail alike."""
+    clients, evals = small_dataset()
+    cfg = fast_cfg(optimizer=OptimizerConfig(learning_rate=1e150))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ProtocolError) as alone:
+            run_federation(cfg, clients, evals)
+        outcomes = run_federations([cfg, replace(cfg, strategy="oews")], clients, evals)
+    assert re.fullmatch(
+        r"client 0 failed in round 1: client 0 epoch \d+: weights are not finite", str(alone.value)
+    )
+    assert [str(o) for o in outcomes] == [str(alone.value)] * 2
 
 
 def test_metrics_logs_shape_and_determinism(tmp_path):

@@ -1,9 +1,14 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fedsel.config import load_config
 from fedsel.errors import ConfigurationError
+from fedsel.nn import OptimizerConfig
+from fedsel.orchestrator import BaselineConfig
+from fedsel.presets import preset_run_config
 from fedsel.reporting import (
     METRIC_COLUMNS,
     ComparisonRow,
@@ -89,22 +94,48 @@ def test_summarize_handles_failed_rows():
 def test_run_comparison_survives_variant_exception(monkeypatch):
     import fedsel.reporting as reporting
 
-    real = reporting.run_centralized
-    calls = {"n": 0}
+    real = reporting.run_baselines
 
     def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("synthetic failure")
-        return real(*args, **kwargs)
+        results = real(*args, **kwargs)
+        results[0] = RuntimeError("synthetic failure")  # the first baseline row fails alone
+        return results
 
-    monkeypatch.setattr(reporting, "run_centralized", flaky)
+    monkeypatch.setattr(reporting, "run_baselines", flaky)
     rows = run_comparison(tiny_cfg(), seeds=[3])
     bad = [r for r in rows if r.status == "failed"]
     assert len(bad) == 2  # one variant, both test sets
     assert all(r.variant == "local_client_0" for r in bad)
     assert all("synthetic failure" in r.error for r in bad)
     assert sum(r.status == "ok" for r in rows) == len(rows) - 2
+
+
+def test_diverged_baselines_fail_naming_client_and_epoch():
+    """At a learning rate of 1e6 every baseline's weights overflow. Each
+    such row fails alone, naming its client (or the pooled model) and the
+    first epoch whose weights are not finite, instead of shipping NaN
+    weights as an ``ok`` row with a NaN confidence; the federations, at
+    the preset's own rate, are untouched."""
+    full = preset_run_config("default")
+    cfg = replace(
+        full,
+        baseline=BaselineConfig(max_epochs=3, patience=3,
+                                optimizer=OptimizerConfig(learning_rate=1e6)),
+        federation=replace(full.federation, rounds=1, local_epochs=1),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = run_comparison(cfg, seeds=[1])
+    errors = {r.variant: r.error for r in rows if r.status == "failed"}
+    assert errors == {
+        "local_client_0": "client 0 epoch 2: weights are not finite",
+        "local_client_1": "client 1 epoch 2: weights are not finite",
+        "local_client_2": "client 2 epoch 2: weights are not finite",
+        "local_client_3": "client 3 epoch 2: weights are not finite",
+        "centralized": "centralized epoch 1: weights are not finite",
+    }
+    ok = [r for r in rows if r.status == "ok"]
+    assert {r.variant for r in ok} == {"fl_fews", "fl_oews"}
+    assert all(math.isfinite(v) for r in ok for v in r.metrics.values())
 
 
 def test_row_csv_round_trip(campaign):

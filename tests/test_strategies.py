@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -12,11 +12,7 @@ from fedsel.nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
-    cross_entropy_loss,
-    forward,
-    init_optimizer,
     init_parameters,
-    loss_and_gradient,
     manifest_size,
     train_epoch,
 )
@@ -28,8 +24,10 @@ from fedsel.strategies import (
     metrics_from_confusion,
     run_local,
     score,
+    score_one,
     select_epoch,
 )
+from oracle import cross_entropy_loss, forward, loss_and_gradient
 
 
 def brute_force_metrics(y_true, y_pred, class_count):
@@ -109,8 +107,8 @@ def test_uniform_predictor_confidence():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((50, 4))
     y = np.zeros(50, dtype=int)  # argmax of a uniform row is class 0
-    assert score(zeros, spec, x, y).confidence == pytest.approx(0.2)
-    assert score(zeros, spec, x, np.full(50, 3)).confidence == 0.0
+    assert score_one(zeros, spec, x, y).confidence == pytest.approx(0.2)
+    assert score_one(zeros, spec, x, np.full(50, 3)).confidence == 0.0
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -124,7 +122,7 @@ def test_score_is_one_pass_of_the_separate_scorers(activation):
         params = ParameterVector(start.values + rng.standard_normal(len(start)), start.manifest)
         x = rng.standard_normal((33, 6)) * 3.0
         y = rng.integers(0, 4, 33)
-        got = score(params, spec, x, y)
+        got = score_one(params, spec, x, y)
 
         probs = forward(params, spec, x)
         preds = np.argmax(probs, axis=1)
@@ -138,6 +136,65 @@ def test_score_is_one_pass_of_the_separate_scorers(activation):
         assert got.loss == loss_and_gradient(params, spec, x, y)[0]
         assert got.confidence == float(probs[correct, preds[correct]].mean())
         assert evaluate(params, spec, x, y).macro_f1 == got.report.macro_f1
+
+
+def _scores_key(scores):
+    """Every field of a Scores; repr of a float is exact."""
+    report = scores.report
+    return repr((
+        [getattr(report, f.name) for f in fields(report) if f.name != "confusion"],
+        report.confusion.tolist(),
+        scores.loss,
+        scores.confidence,
+    ))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_stacking_equals_separate_runs(data):
+    """R models trained and scored as one stack equal R separate R = 1
+    calls bit for bit: weights and velocity after two epochs, and every
+    field of every row's scores. Rows differ in their incoming weights,
+    velocity, data and rng; shapes cover partial and single-sample batches,
+    batches larger than the data, one or two hidden layers, relu and tanh."""
+    rows = data.draw(st.integers(1, 6), label="R")
+    n = data.draw(st.integers(1, 40), label="n")
+    batch_size = data.draw(st.integers(1, n + 3), label="batch_size")
+    hidden = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=2), label="hidden")
+    activation = data.draw(st.sampled_from(["relu", "tanh"]), label="activation")
+    dim, classes = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    spec = ModelSpec(layer_sizes=(dim, *hidden, classes), activation=activation)
+    size = manifest_size(spec.manifest)
+    weights = init_parameters(spec).values + rng.standard_normal((rows, size))
+    velocity = rng.standard_normal((rows, size)) * 0.1
+    x, y = rng.standard_normal((rows, n, dim)) * 2.0, rng.integers(0, classes, (rows, n))
+    opt = OptimizerConfig(learning_rate=0.05, momentum=0.9, batch_size=batch_size)
+    seeds = rng.integers(0, 2**32, rows).tolist()
+
+    def streams(r, epoch):
+        return [np.random.default_rng([s, epoch]) for s in seeds[r]]
+
+    stacked_w, stacked_v = weights.copy(), velocity.copy()
+    for epoch in range(2):
+        train_epoch(stacked_w, stacked_v, spec, opt, x, y, streams(slice(None), epoch))
+    for r in range(rows):
+        one = slice(r, r + 1)
+        w, v = weights[one].copy(), velocity[one].copy()
+        for epoch in range(2):
+            train_epoch(w, v, spec, opt, x[one], y[one], streams(one, epoch))
+        assert w.tobytes() == stacked_w[one].tobytes()
+        assert v.tobytes() == stacked_v[one].tobytes()
+
+    m = data.draw(st.integers(1, 20), label="val size")
+    val_x, val_y = rng.standard_normal((rows, m, dim)) * 2.0, rng.integers(0, classes, (rows, m))
+    stacked = score(stacked_w, spec, val_x, val_y)
+    assert len(stacked) == rows
+    for r in range(rows):
+        one = slice(r, r + 1)
+        (alone,) = score(stacked_w[one], spec, val_x[one], val_y[one])
+        assert _scores_key(stacked[r]) == _scores_key(alone)
 
 
 def test_select_epoch_rules():
@@ -286,9 +343,9 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, strategy, metri
 
     def scripted(*args):
         v = next(values)
-        result = real(*args)
+        (result,) = real(*args)
         report = replace(result.report, accuracy=v, macro_f1=v)
-        return replace(result, report=report, loss=v)
+        return [replace(result, report=report, loss=v)]
 
     with mock.patch.object(strategies, "score", scripted):
         result = run_local(incoming, MODEL, client, opt, len(trace), strategy,
@@ -302,11 +359,11 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, strategy, metri
         expected = max(i + 1 for i, v in enumerate(trace) if v == best)
     assert result.selected_epoch == expected
 
-    params, state = incoming, init_optimizer(incoming, opt)
+    weights, velocity = incoming.values[None].copy(), np.zeros((1, len(incoming)))
     rng = np.random.default_rng(11)
     for _ in range(expected):
-        params, state = train_epoch(params, MODEL, state, client.train.x, client.train.y, rng)
-    assert (result.selected_params.values == params.values).all()
+        train_epoch(weights, velocity, MODEL, opt, client.train.x[None], client.train.y[None], [rng])
+    assert (result.selected_params.values == weights[0]).all()
 
 
 def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
@@ -320,7 +377,7 @@ def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
     def first_loss_nan(*args):
         result = real(*args)
         calls.append(None)
-        return replace(result, loss=float("nan")) if len(calls) == 1 else result
+        return [replace(result[0], loss=float("nan"))] if len(calls) == 1 else result
 
     monkeypatch.setattr(strategies, "score", first_loss_nan)
     client = _client(seed=11)

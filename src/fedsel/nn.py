@@ -23,6 +23,13 @@ Layers = list[tuple[np.ndarray, np.ndarray]]  # (weight matrix, bias vector) per
 
 MAX_SEED = 2**64 - 1
 
+# The most values the epoch kernel's gathered window of shuffled training
+# data may hold (64 KiB of float64): a stack wider or longer than that is
+# gathered a few batches at a time, which costs a few more numpy calls but
+# keeps the copy from raising the process's peak memory above that of
+# training one model at a time.
+GATHER_VALUES = 1 << 13
+
 
 class Activation(str, Enum):
     RELU = "relu"
@@ -205,7 +212,8 @@ def _backprop(
     """Gradient of each row's mean cross-entropy over its batch, written
     into ``grads`` (views shaped like ``layers``). ``target`` holds the
     one-hot labels; subtracting it changes only the label's entry, by
-    exactly 1. Inputs must already be checked."""
+    exactly 1, as a boolean one-hot subtracts as 0.0 and 1.0. Inputs must
+    already be checked."""
     inputs, logits = _forward_pass(layers, kind, batch)
 
     # Gradient w.r.t. logits of the mean loss.
@@ -259,9 +267,12 @@ def train_epoch(
     data may be (R, n, d) and (R, n) arrays or R arrays of one size each.
     Returns the (R,) mask of rows whose weights are all finite.
 
-    Each row's bits equal an epoch of that row alone: each row's shuffled
-    data is gathered once into one (R, n, d) stack, batches are contiguous
-    slices of it, and every numpy call acts on each row as on one model."""
+    Each row's bits equal an epoch of that row alone: the rows' shuffled
+    data is gathered into one (R, m, d) stack a window of m samples at a
+    time, m a whole number of batches sized so that the stack holds at most
+    ``GATHER_VALUES`` values (all n samples when they fit); batches are
+    contiguous slices of it, and every numpy call acts on each row as on
+    one model."""
     weights = _check_stack(spec, weights)
     for name, arr in (("weights", weights), ("velocity", velocity)):
         if not (arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable):
@@ -277,28 +288,34 @@ def train_epoch(
     if n == 0:
         raise DataError("training split is empty")
 
-    xs = np.empty((rows, n, spec.feature_dim))
-    ys = np.empty((rows, n), dtype=np.int64)
+    data = []
     for r in range(rows):
         x, y = check_split(spec, train_x[r], train_y[r])
         if len(x) != n:
             raise ShapeError(f"data row {r} has {len(x)} samples, row 0 has {n}")
-        order = rngs[r].permutation(n)
-        np.take(x, order, axis=0, out=xs[r])
-        np.take(y, order, out=ys[r])
-    target = np.eye(spec.class_count)[ys]
+        data.append((x, y, rngs[r].permutation(n)))
+    size = optimizer.batch_size
+    window = size * max(1, GATHER_VALUES // (rows * size * spec.feature_dim))
+    xs = np.empty((rows, min(window, n), spec.feature_dim))
+    ys = np.empty((rows, min(window, n)), dtype=np.int64)
+    classes = np.arange(spec.class_count)
     grad = np.empty_like(weights)
-    step = np.empty_like(weights)
     layers = _stack_layers(weights, spec.manifest)
     grads = _stack_layers(grad, spec.manifest)
-    size = optimizer.batch_size
-    for start in range(0, n, size):
-        _backprop(layers, spec.activation, xs[:, start : start + size],
-                  target[:, start : start + size], grads)
-        velocity *= optimizer.momentum
-        velocity += grad
-        np.multiply(velocity, optimizer.learning_rate, out=step)
-        weights -= step
+    for lo in range(0, n, window):
+        count = min(window, n - lo)
+        for r, (x, y, order) in enumerate(data):
+            np.take(x, order[lo : lo + count], axis=0, out=xs[r, :count])
+            np.take(y, order[lo : lo + count], out=ys[r, :count])
+        target = ys[:, :count, None] == classes
+        for start in range(0, count, size):
+            end = min(start + size, count)
+            _backprop(layers, spec.activation, xs[:, start:end], target[:, start:end], grads)
+            velocity *= optimizer.momentum
+            velocity += grad
+            # the gradient is spent: its buffer holds the step
+            np.multiply(velocity, optimizer.learning_rate, out=grad)
+            weights -= grad
     return np.isfinite(weights).all(axis=1)
 
 

@@ -41,7 +41,6 @@ from .data import ClientDataset, EvalSets, Split
 from .errors import ConfigurationError, ProtocolError, ShapeError
 from .nn import MAX_SEED, ModelSpec, OptimizerConfig, ParameterVector, init_parameters
 from .strategies import (
-    LocalRunResult,
     MetricsReport,
     Scores,
     SelectionMetric,
@@ -124,8 +123,8 @@ class _Lockstep:
 
 
 def _memo(memo: dict, key: tuple, compute):
-    """``memo[key]``, computed on first use. A failure is raised, not stored,
-    so every caller that reaches it recomputes it and fails alike."""
+    """``memo[key]``, computed on first use. A scoring failure is raised, not
+    stored, so every caller that reaches it recomputes it and fails alike."""
     if key not in memo:
         memo[key] = compute()
     return memo[key]
@@ -141,23 +140,10 @@ def _round(
 ) -> None:
     """Round ``t`` of one federation. Every computation that starts from
     weights goes through ``memo``, so the federations of a round that reach
-    it with equal weights share it."""
+    it with equal weights share it. The client runs are already there, as
+    picks or as the error that failed them (``_train_missing``)."""
     cfg, incoming = run.cfg, run.params
     weights = incoming.values.tobytes()
-
-    def train(c: ClientDataset) -> dict[StrategyKind, LocalRunResult]:
-        # reached only for a run that failed in _train_missing: rerun alone
-        rng = client_stream(cfg.master_seed, t, c.client_id)
-        try:
-            (trajectory,) = train_local(
-                [(incoming, c, rng)], cfg.model, cfg.optimizer, cfg.local_epochs,
-                cfg.selection_metric,
-            )
-            if isinstance(trajectory, Exception):
-                raise trajectory
-        except Exception as exc:
-            raise ProtocolError(f"client {c.client_id} failed in round {t}: {exc}") from exc
-        return {s: trajectory.select(s) for s in strategies}
 
     industrial = cfg.workflow is Workflow.INDUSTRIAL
     if industrial:
@@ -166,10 +152,12 @@ def _round(
                   lambda c=c: evaluate(incoming, cfg.model, c.test.x, c.test.y))
             for c in clients
         )
-    results = [
-        _memo(memo, ("train", c.client_id, weights), lambda c=c: train(c))[cfg.strategy]
-        for c in clients
-    ]
+    results = []
+    for c in clients:
+        picks = memo[("train", c.client_id, weights)]
+        if isinstance(picks, Exception):
+            raise picks
+        results.append(picks[cfg.strategy])
     updates = [
         ClientUpdate(c.client_id, r.selected_params, r.train_sample_count)
         for c, r in zip(clients, results)
@@ -211,8 +199,10 @@ def run_federations(
     Every result is bitwise what a federation run alone produces.
 
     Returns, per config, its round records and final weights, or the
-    exception that ended it. A failure is not memoized: each federation that
-    reaches it recomputes it, fails with the same error and ends alone.
+    exception that ended it. A failed client run is memoized as its error,
+    which each federation that reaches it raises; a failed scoring pass is
+    recomputed by each federation that reaches it. Either way a failure ends
+    only the federations that reach it.
     """
     if not cfgs:
         raise ConfigurationError("run_federations needs at least one config")
@@ -252,8 +242,8 @@ def _train_missing(
 ) -> None:
     """Train every distinct client run of round ``t`` that the live
     federations will ask ``_round`` for, in one ``train_local`` call, so
-    runs of equal size share one stack; memoize each run's picks. A failed
-    run is not stored, so ``_round`` reruns it alone and raises its error."""
+    runs of equal size share one stack. Memoize each run's picks, or, for a
+    run that failed, a ProtocolError naming its client and the round."""
     if not live:
         return
     cfg = live[0].cfg
@@ -267,9 +257,13 @@ def _train_missing(
     trajectories = train_local(
         list(rows.values()), cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
     )
-    for key, trajectory in zip(rows, trajectories):
-        if not isinstance(trajectory, Exception):
-            # only the picks outlive this call, never the whole trajectory
+    for (key, (_, c, _)), trajectory in zip(rows.items(), trajectories):
+        if isinstance(trajectory, Exception):
+            error = ProtocolError(f"client {c.client_id} failed in round {t}: {trajectory}")
+            error.__cause__ = trajectory
+            memo[key] = error
+        else:
+            # only the picks outlive this call, never the trajectory
             memo[key] = {s: trajectory.select(s) for s in strategies}
 
 

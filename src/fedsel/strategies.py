@@ -7,7 +7,7 @@ epoch on ties.
 
 Models that train side by side, such as a round's client runs or a seed's
 baselines, train as one stack (``train_stacked``): each epoch is one
-``nn.train_epoch`` call and one batched scoring pass over every live row.
+``nn.train_epoch`` call and one batched scoring of every live row.
 """
 
 from __future__ import annotations
@@ -122,26 +122,48 @@ class Scores:
     confidence: float
 
 
-def score(weights: np.ndarray, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> list[Scores]:
+# The most values one activation of a scoring pass may hold (128 KiB of
+# float64): a stack whose activations would be larger is scored a few rows
+# per pass, so that scoring it at once does not raise the process's peak
+# memory.
+SCORE_VALUES = 1 << 14
+
+
+def score(
+    weights: np.ndarray,
+    model: ModelSpec,
+    x: Sequence[np.ndarray],
+    y: Sequence[np.ndarray],
+) -> list[Scores]:
     """Metrics, loss and correct-prediction confidence of R models, row r of
-    the (R, P) ``weights`` on its own split (x[r], y[r]): one batched forward
-    pass, then the metrics row by row."""
-    log_probs = forward(weights, model, x, log=True)
-    probs = np.exp(log_probs)
-    preds = np.argmax(probs, axis=2)
+    the (R, P) ``weights`` on its own split (x[r], y[r]); the splits may be
+    (R, n, d) and (R, n) arrays or R arrays of one size each. Rows go
+    through batched forward passes of as many rows as keep each activation
+    within ``SCORE_VALUES`` values, at least one; the metrics are computed
+    row by row."""
+    width = len(x[0]) * max(model.layer_sizes)
+    chunk = max(1, SCORE_VALUES // max(width, 1))
     out = []
-    for lp, p, pred, labels in zip(log_probs, probs, preds, np.asarray(y)):
-        report = metrics_from_confusion(confusion_matrix(labels, pred, model.class_count))
-        loss = float(-lp[np.arange(labels.size), labels].mean())
-        correct = pred == labels
-        confidence = float(p[correct, pred[correct]].mean()) if correct.any() else 0.0
-        out.append(Scores(report=report, loss=loss, confidence=confidence))
+    for lo in range(0, len(weights), chunk):
+        batch = x[lo : lo + chunk]
+        if len(batch) == 1:
+            batch = np.asarray(batch[0])[None]  # a view: one row needs no stacked copy
+        log_probs = forward(weights[lo : lo + chunk], model, batch, log=True)
+        probs = np.exp(log_probs)
+        preds = np.argmax(probs, axis=2)
+        for lp, p, pred, labels in zip(log_probs, probs, preds, y[lo : lo + chunk]):
+            labels = np.asarray(labels)
+            report = metrics_from_confusion(confusion_matrix(labels, pred, model.class_count))
+            loss = float(-lp[np.arange(labels.size), labels].mean())
+            correct = pred == labels
+            confidence = float(p[correct, pred[correct]].mean()) if correct.any() else 0.0
+            out.append(Scores(report=report, loss=loss, confidence=confidence))
     return out
 
 
 def score_one(params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> Scores:
     """``score`` of one model on one split."""
-    return score(params.values[None], model, np.asarray(x)[None], np.asarray(y)[None])[0]
+    return score(params.values[None], model, [x], [y])[0]
 
 
 def evaluate(
@@ -184,10 +206,12 @@ class LocalRunResult:
 
 @dataclass(frozen=True)
 class LocalTrajectory:
-    """One client's local training from some incoming weights: every epoch's
-    weights, its validation report and its selection-metric value."""
+    """One client's local training from some incoming weights: each epoch's
+    validation report and selection-metric value, and the weights of the
+    only epochs a strategy can pick, keyed by epoch: the last one and the
+    best one (ties to the latest)."""
 
-    snapshots: tuple[ParameterVector, ...]
+    snapshots: dict[int, ParameterVector]
     per_epoch_val: tuple[MetricsReport, ...]
     trace: tuple[float, ...]
     train_sample_count: int
@@ -199,7 +223,7 @@ class LocalTrajectory:
             self.trace, strategy, higher_is_better=self.metric.higher_is_better
         )
         return LocalRunResult(
-            selected_params=self.snapshots[picked - 1],
+            selected_params=self.snapshots[picked],
             selected_epoch=picked,
             per_epoch_val=self.per_epoch_val,
             train_sample_count=self.train_sample_count,
@@ -219,7 +243,7 @@ def train_stacked(
     stack through ``nn.train_epoch``; no row is padded.
 
     After each epoch, each live row's weights are scored on its val split
-    in one stacked pass, and ``visit(row, epoch, weights, scores)`` gets
+    by one ``score`` call, and ``visit(row, epoch, weights, scores)`` gets
     them: it returns False to stop the row, or raises to fail it. A row
     whose weights turn non-finite fails with a DataError naming its label
     and the epoch. A row that stops or fails leaves its stack, which is
@@ -243,15 +267,9 @@ def train_stacked(
 
     for members in stacks.values():
         weights = np.stack([rows[i][0].values for i in members])
-        stack = [
-            np.array(members),
-            weights,
-            np.zeros_like(weights),
-            np.stack([rows[i][2].x for i in members]),
-            np.stack([rows[i][2].y for i in members]),
-        ]
+        stack = [np.array(members), weights, np.zeros_like(weights)]
         for epoch in range(1, epochs + 1):
-            live, weights, velocity, _, _ = stack
+            live, weights, velocity = stack
             finite = train_epoch(
                 weights, velocity, model, optimizer,
                 [rows[i][1].x for i in live], [rows[i][1].y for i in live],
@@ -260,11 +278,14 @@ def train_stacked(
             for i in live[~finite]:
                 errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
             stack = _compact(finite, stack)
-            live, weights, _, val_x, val_y = stack
+            live, weights, _ = stack
             if not len(live):
                 break
             keep = np.ones(len(live), dtype=bool)
-            for j, scores in enumerate(score(weights, model, val_x, val_y)):
+            val = [rows[i][2] for i in live]
+            for j, scores in enumerate(
+                score(weights, model, [v.x for v in val], [v.y for v in val])
+            ):
                 try:
                     keep[j] = visit(int(live[j]), epoch, weights[j], scores)
                 except Exception as exc:
@@ -301,9 +322,10 @@ def train_local(
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     metric = SelectionMetric(metric)
-    snapshots: list[list[ParameterVector]] = [[] for _ in rows]
+    snapshots: list[dict[int, ParameterVector]] = [{} for _ in rows]
     reports: list[list[MetricsReport]] = [[] for _ in rows]
     traces: list[list[float]] = [[] for _ in rows]
+    best: list[float] = [math.nan] * len(rows)
 
     def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
         if metric is SelectionMetric.VAL_LOSS:
@@ -315,7 +337,13 @@ def train_local(
                 f"client {rows[i][1].client_id} epoch {epoch}: "
                 f"validation {metric.value} is {value}"
             )
-        snapshots[i].append(ParameterVector(weights, model.manifest))
+        # keep only the weights select_epoch can pick: the best so far,
+        # ties to the latest, and the last epoch's
+        if epoch == 1 or (value >= best[i] if metric.higher_is_better else value <= best[i]):
+            best[i] = value
+            snapshots[i] = {epoch: ParameterVector(weights, model.manifest)}
+        elif epoch == epochs:
+            snapshots[i][epoch] = ParameterVector(weights, model.manifest)
         reports[i].append(scores.report)
         traces[i].append(value)
         return True
@@ -326,7 +354,7 @@ def train_local(
     )
     return [
         error if error is not None else LocalTrajectory(
-            snapshots=tuple(snapshots[i]),
+            snapshots=snapshots[i],
             per_epoch_val=tuple(reports[i]),
             trace=tuple(traces[i]),
             train_sample_count=len(rows[i][1].train),

@@ -207,9 +207,9 @@ def _nan_macro_f1(scores):
 def _spoiled_score(arm, epoch, spoil):
     """Within each ``orchestrator.train_local`` call, the rows (incoming
     weights, client, rng) that ``arm`` picks get ``spoil`` applied to their
-    validation scores at ``epoch``, in the stacked run and in the lone rerun
-    alike. Assumes one stack per call (equal client sizes), so a row's index
-    in the call is its index in the stack up to the spoiled epoch."""
+    validation scores at ``epoch``. Assumes one stack per call (equal client
+    sizes), so a row's index in the call is its index in the stack up to the
+    spoiled epoch."""
     import fedsel.orchestrator as orchestrator
     import fedsel.strategies as strategies
 

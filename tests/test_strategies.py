@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsel import nn, strategies
 from fedsel.data import ClientDataset, CorpusSpec, PartitionSpec, Split, make_dataset
 from fedsel.errors import ConfigurationError, DataError
 from fedsel.nn import (
@@ -156,7 +157,9 @@ def test_stacking_equals_separate_runs(data):
     calls bit for bit: weights and velocity after two epochs, and every
     field of every row's scores. Rows differ in their incoming weights,
     velocity, data and rng; shapes cover partial and single-sample batches,
-    batches larger than the data, one or two hidden layers, relu and tanh."""
+    batches larger than the data, one or two hidden layers, relu and tanh.
+    The stack runs under a drawn buffer cap, so its data is gathered a few
+    batches at a time and it is scored a few rows per pass."""
     rows = data.draw(st.integers(1, 6), label="R")
     n = data.draw(st.integers(1, 40), label="n")
     batch_size = data.draw(st.integers(1, n + 3), label="batch_size")
@@ -172,13 +175,17 @@ def test_stacking_equals_separate_runs(data):
     x, y = rng.standard_normal((rows, n, dim)) * 2.0, rng.integers(0, classes, (rows, n))
     opt = OptimizerConfig(learning_rate=0.05, momentum=0.9, batch_size=batch_size)
     seeds = rng.integers(0, 2**32, rows).tolist()
+    cap = data.draw(st.sampled_from([None, 1, 30, 200]), label="buffer cap")
+    gather_cap = mock.patch.object(nn, "GATHER_VALUES", cap or nn.GATHER_VALUES)
+    score_cap = mock.patch.object(strategies, "SCORE_VALUES", cap or strategies.SCORE_VALUES)
 
     def streams(r, epoch):
         return [np.random.default_rng([s, epoch]) for s in seeds[r]]
 
     stacked_w, stacked_v = weights.copy(), velocity.copy()
-    for epoch in range(2):
-        train_epoch(stacked_w, stacked_v, spec, opt, x, y, streams(slice(None), epoch))
+    with gather_cap:
+        for epoch in range(2):
+            train_epoch(stacked_w, stacked_v, spec, opt, x, y, streams(slice(None), epoch))
     for r in range(rows):
         one = slice(r, r + 1)
         w, v = weights[one].copy(), velocity[one].copy()
@@ -189,7 +196,8 @@ def test_stacking_equals_separate_runs(data):
 
     m = data.draw(st.integers(1, 20), label="val size")
     val_x, val_y = rng.standard_normal((rows, m, dim)) * 2.0, rng.integers(0, classes, (rows, m))
-    stacked = score(stacked_w, spec, val_x, val_y)
+    with score_cap:
+        stacked = score(stacked_w, spec, val_x, val_y)
     assert len(stacked) == rows
     for r in range(rows):
         one = slice(r, r + 1)

@@ -14,7 +14,9 @@ train beside it, nor on which strategy will pick an epoch from its
 trajectory. So federations that differ only in strategy run in lockstep, one
 by one through one round function over a per-round memo keyed by starting
 weights: they share client runs and scoring passes while their global
-weights agree. Each round's distinct client runs train first, as one stack.
+weights agree. Cohorts of such federations, one per campaign seed, also run
+in lockstep, each over its own memo: each round, the distinct client runs of
+every cohort train first, as one stack.
 """
 
 from __future__ import annotations
@@ -135,7 +137,6 @@ def _round(
     t: int,
     clients: list[ClientDataset],
     evals: EvalSets,
-    strategies: tuple[StrategyKind, ...],
     memo: dict,
 ) -> None:
     """Round ``t`` of one federation. Every computation that starts from
@@ -185,86 +186,114 @@ def _round(
     ))
 
 
-def run_federations(
-    cfgs: list[FederationConfig], clients: list[ClientDataset], evals: EvalSets
-) -> list[FederationOutcome | Exception]:
-    """Run federations that differ only in strategy, in lockstep.
+# One seed's federations: configs that differ only in strategy, and the
+# clients and evaluation sets they all train and score on.
+Cohort = tuple[list[FederationConfig], list[ClientDataset], EvalSets]
 
-    Each round runs every live federation in config order through one round
-    function and a memo that lives for that round. Client runs and scoring
-    passes are keyed by the weights they start from, so federations whose
-    global weights are bitwise equal train each client once and score each
-    weight vector once; the memo keeps each client's picks, never its
-    trajectory. In the industrial flow each federation halts on its own.
-    Every result is bitwise what a federation run alone produces.
 
-    Returns, per config, its round records and final weights, or the
-    exception that ended it. A failed client run is memoized as its error,
-    which each federation that reaches it raises; a failed scoring pass is
-    recomputed by each federation that reaches it. Either way a failure ends
-    only the federations that reach it.
+def _check_cohorts(cohorts: list[Cohort]) -> FederationConfig:
+    """Reject cohorts that cannot share a round's stack; returns the first
+    config, whose model, optimizer and schedule every config shares."""
+    if not cohorts or not all(cfgs for cfgs, _, _ in cohorts):
+        raise ConfigurationError("run_federations needs at least one config per cohort")
+    first = cohorts[0][0][0]
+    for cfgs, clients, _ in cohorts:
+        lead = cfgs[0]
+        for cfg in cfgs[1:]:
+            # a cohort's memo keys hold weights and client ids only
+            if replace(cfg, strategy=lead.strategy) != lead:
+                raise ConfigurationError("lockstep federations may differ only in strategy")
+        if replace(lead, strategy=first.strategy, master_seed=first.master_seed) != first:
+            raise ConfigurationError(
+                "lockstep cohorts may differ only in strategy and master_seed"
+            )
+        if not clients:
+            raise ConfigurationError("a federation needs at least one client")
+        dim = clients[0].train.x.shape[1]
+        if dim != first.model.feature_dim:
+            raise ShapeError(f"model expects {first.model.feature_dim} features, data has {dim}")
+    return first
+
+
+def run_federations(cohorts: list[Cohort]) -> list[list[FederationOutcome | Exception]]:
+    """Run the federations of every cohort in lockstep.
+
+    A cohort is one seed's federations, which differ only in strategy;
+    cohorts differ from each other only in strategy and master seed. Each
+    round runs every live federation in config order through one round
+    function and its cohort's memo, which lives for that round. Client runs
+    and scoring passes are keyed by the weights they start from, so a
+    cohort's federations whose global weights are bitwise equal train each
+    client once and score each weight vector once; the memo keeps each
+    client's picks, never its trajectory. Memos are never shared: every
+    cohort starts from the same initial weights, but trains on its own
+    data and streams. Each round, the missing client runs of every cohort
+    train as one ``train_local`` call. In the industrial flow each
+    federation halts on its own. Every result is bitwise what a federation
+    run alone produces.
+
+    Returns, per cohort and per config, its round records and final
+    weights, or the exception that ended it. A failed client run is
+    memoized as its error, which each federation of its cohort that
+    reaches it raises; a failed scoring pass is recomputed by each
+    federation that reaches it. Either way a failure ends only the
+    federations that reach it.
     """
-    if not cfgs:
-        raise ConfigurationError("run_federations needs at least one config")
-    first = cfgs[0]
-    for cfg in cfgs[1:]:
-        # the memo keys hold weights and client ids only
-        if replace(cfg, strategy=first.strategy) != first:
-            raise ConfigurationError("lockstep federations may differ only in strategy")
-    if not clients:
-        raise ConfigurationError("a federation needs at least one client")
-    dim = clients[0].train.x.shape[1]
-    if dim != first.model.feature_dim:
-        raise ShapeError(f"model expects {first.model.feature_dim} features, data has {dim}")
+    first = _check_cohorts(cohorts)
     horizon = first.halting.max_rounds if first.workflow is Workflow.INDUSTRIAL else first.rounds
-    strategies = tuple(dict.fromkeys(cfg.strategy for cfg in cfgs))
-
     init = init_parameters(first.model)
-    runs = [_Lockstep(cfg, init) for cfg in cfgs]
+    runs = [[_Lockstep(cfg, init) for cfg in cfgs] for cfgs, _, _ in cohorts]
     for t in range(1, horizon + 1):
-        live = [run for run in runs if run.error is None and not run.halted]
-        memo: dict = {}
-        _train_missing(live, t, clients, strategies, memo)
-        for run in live:
-            try:
-                _round(run, t, clients, evals, strategies, memo)
-            except Exception as exc:
-                run.error = exc
-    return [r.error if r.error is not None else (r.records, r.params) for r in runs]
+        live = [[run for run in cohort if run.error is None and not run.halted] for cohort in runs]
+        memos: list[dict] = [{} for _ in cohorts]
+        _train_missing(first, t, cohorts, live, memos)
+        for (_, clients, evals), cohort, memo in zip(cohorts, live, memos):
+            for run in cohort:
+                try:
+                    _round(run, t, clients, evals, memo)
+                except Exception as exc:
+                    run.error = exc
+    return [
+        [r.error if r.error is not None else (r.records, r.params) for r in cohort]
+        for cohort in runs
+    ]
 
 
 def _train_missing(
-    live: list[_Lockstep],
+    cfg: FederationConfig,
     t: int,
-    clients: list[ClientDataset],
-    strategies: tuple[StrategyKind, ...],
-    memo: dict,
+    cohorts: list[Cohort],
+    live: list[list[_Lockstep]],
+    memos: list[dict],
 ) -> None:
     """Train every distinct client run of round ``t`` that the live
-    federations will ask ``_round`` for, in one ``train_local`` call, so
-    runs of equal size share one stack. Memoize each run's picks, or, for a
-    run that failed, a ProtocolError naming its client and the round."""
-    if not live:
-        return
-    cfg = live[0].cfg
+    federations of each cohort will ask ``_round`` for, in one
+    ``train_local`` call, so runs of equal size share one stack whatever
+    their cohort. Each run draws from its own federation's client stream.
+    Memoize, in its cohort's memo, each run's picks, or, for a run that
+    failed, a ProtocolError naming its client and the round."""
     rows = {}
-    for run in live:
-        weights = run.params.values.tobytes()
-        for c in clients:
-            key = ("train", c.client_id, weights)
-            if key not in rows:
-                rows[key] = (run.params, c, client_stream(cfg.master_seed, t, c.client_id))
+    for i, ((_, clients, _), cohort) in enumerate(zip(cohorts, live)):
+        for run in cohort:
+            weights = run.params.values.tobytes()
+            for c in clients:
+                key = ("train", c.client_id, weights)
+                if (i, key) not in rows:
+                    stream = client_stream(run.cfg.master_seed, t, c.client_id)
+                    rows[i, key] = (run.params, c, stream)
+    if not rows:
+        return
     trajectories = train_local(
         list(rows.values()), cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
     )
-    for (key, (_, c, _)), trajectory in zip(rows.items(), trajectories):
+    for ((i, key), (_, c, _)), trajectory in zip(rows.items(), trajectories):
         if isinstance(trajectory, Exception):
             error = ProtocolError(f"client {c.client_id} failed in round {t}: {trajectory}")
             error.__cause__ = trajectory
-            memo[key] = error
+            memos[i][key] = error
         else:
             # only the picks outlive this call, never the trajectory
-            memo[key] = {s: trajectory.select(s) for s in strategies}
+            memos[i][key] = {s: trajectory.select(s) for s in StrategyKind}
 
 
 def run_federation(
@@ -272,7 +301,7 @@ def run_federation(
 ) -> FederationOutcome:
     """Execute the round loop; returns one record per executed round plus the
     final aggregated weights."""
-    outcome = run_federations([cfg], clients, evals)[0]
+    outcome = run_federations([([cfg], clients, evals)])[0][0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -12,12 +12,19 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 from .config import RunConfig
-from .data import make_dataset, merge_for_centralized
+from .data import ClientDataset, EvalSets, make_dataset, merge_for_centralized
 from .errors import ConfigurationError
 from .nn import ParameterVector
-from .orchestrator import atomic_write_text, baseline_stream, run_baselines, run_federations
+from .orchestrator import (
+    CentralizedResult,
+    atomic_write_text,
+    baseline_stream,
+    run_baselines,
+    run_federations,
+)
 from .strategies import StrategyKind, score_one
 
 METRIC_COLUMNS = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "confidence")
@@ -52,69 +59,99 @@ def _score(params: ParameterVector, model, x, y) -> dict[str, float]:
     }
 
 
-def _ok(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
-    """One ComparisonRow per (seed, variant, test set). A variant that raises
-    is recorded as failed for both test sets and the campaign proceeds.
+    """One ComparisonRow per (seed, variant, test set), seed by seed in the
+    order given. A variant that raises is recorded as failed for both test
+    sets and the campaign proceeds.
 
-    A seed's local-client and pooled baselines train in one
-    ``run_baselines`` call, so the equal-size local clients share a stack.
-    Its two federations run in lockstep (``run_federations``), and each
-    distinct set of final weights is scored once per test set."""
+    The seeds run in lockstep. Every seed's local-client and pooled
+    baselines train in one ``run_baselines`` call, so the equal-size local
+    clients of all seeds share a stack. Every seed's two federations run in
+    one ``run_federations`` call, a cohort per seed, so each round's client
+    runs of all seeds share a stack too. A failure stays inside its seed.
+    Each distinct set of a seed's final weights is scored once per test
+    set."""
     if not seeds:
         raise ConfigurationError("comparison needs at least one seed")
-    model = cfg.federation.model
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ConfigurationError(f"comparison seeds must be distinct; seed {repeated} is repeated")
+    datasets = [make_dataset(replace(cfg.corpus, seed=seed), cfg.partition) for seed in seeds]
+    baselines = _baselines(cfg, seeds, datasets)
+    cohorts = [
+        ([replace(cfg.federation, strategy=strategy, master_seed=seed)
+          for strategy in (StrategyKind.FEWS, StrategyKind.OEWS)], clients, evals)
+        for seed, (clients, evals) in zip(seeds, datasets)
+    ]
+    try:
+        federations = run_federations(cohorts)
+    except Exception as exc:
+        federations = [[exc] * len(fed_cfgs) for fed_cfgs, _, _ in cohorts]
+
     rows: list[ComparisonRow] = []
-    for seed in seeds:
-        corpus = replace(cfg.corpus, seed=seed)
-        clients, evals = make_dataset(corpus, cfg.partition)
-        sets = {
-            "global": (evals.global_test.x, evals.global_test.y),
-            "external": (evals.external_test.x, evals.external_test.y),
-        }
+    for seed, (clients, evals), results, (fed_cfgs, _, _), outcomes in zip(
+        seeds, datasets, baselines, cohorts, federations
+    ):
+        variants = [f"local_client_{c.client_id}" for c in clients] + ["centralized"]
+        variants += [f"fl_{fed_cfg.strategy.value}" for fed_cfg in fed_cfgs]
+        trained = [r if isinstance(r, Exception) else r.params for r in results]
+        trained += [o if isinstance(o, Exception) else o[1] for o in outcomes]
+        rows += _score_seed(seed, zip(variants, trained), cfg.federation.model, evals)
+    return rows
 
-        scored: dict[tuple[bytes, str], dict[str, float]] = {}
 
-        def attempt(variant: str, train_fn) -> None:
-            try:
-                params = train_fn()
-                for name, (x, y) in sets.items():
-                    key = (params.values.tobytes(), name)
-                    if key not in scored:
-                        scored[key] = _score(params, model, x, y)
-                    rows.append(ComparisonRow(seed, variant, name, "ok", scored[key]))
-            except Exception as exc:
-                for name in sets:
-                    rows.append(ComparisonRow(seed, variant, name, "failed", None, str(exc)))
-
-        baselines = [
+def _baselines(
+    cfg: RunConfig, seeds: list[int], datasets: list[tuple[list[ClientDataset], EvalSets]]
+) -> list[list[CentralizedResult | Exception]]:
+    """Per seed, the results of its local-client baselines and then of its
+    pooled baseline, every seed's trained in one ``run_baselines`` call. A
+    seed whose clients cannot be pooled fails all of its baselines with
+    that error. The pooled copies live only as long as the call."""
+    per_seed = []
+    for seed, (clients, _) in zip(seeds, datasets):
+        rows = [
             (f"client {c.client_id}", c.train, c.val, baseline_stream(seed, tag=c.client_id + 1))
             for c in clients
         ]
         try:
             pooled = merge_for_centralized(clients)
-            baselines.append(("centralized", *pooled, baseline_stream(seed, tag=0)))
-            results = run_baselines(cfg.baseline, baselines, model)
+            rows.append(("centralized", *pooled, baseline_stream(seed, tag=0)))
         except Exception as exc:
-            results = [exc] * (len(clients) + 1)
-        variants = [f"local_client_{c.client_id}" for c in clients] + ["centralized"]
-        for variant, result in zip(variants, results):
-            attempt(variant, lambda r=result: _ok(r).params)
-        fed_cfgs = [
-            replace(cfg.federation, strategy=strategy, master_seed=seed)
-            for strategy in (StrategyKind.FEWS, StrategyKind.OEWS)
-        ]
+            rows = [exc] * (len(clients) + 1)
+        per_seed.append(rows)
+    trainable = [row for rows in per_seed for row in rows if not isinstance(row, Exception)]
+    try:
+        results = iter(run_baselines(cfg.baseline, trainable, cfg.federation.model))
+    except Exception as exc:
+        results = iter([exc] * len(trainable))
+    return [
+        [row if isinstance(row, Exception) else next(results) for row in rows]
+        for rows in per_seed
+    ]
+
+
+def _score_seed(
+    seed: int, trained: Iterable[tuple[str, ParameterVector | Exception]], model, evals: EvalSets
+) -> list[ComparisonRow]:
+    """A seed's rows from its (variant, final weights or exception) pairs:
+    the weights scored on both test sets, or the error on both."""
+    sets = {
+        "global": (evals.global_test.x, evals.global_test.y),
+        "external": (evals.external_test.x, evals.external_test.y),
+    }
+    scored: dict[tuple[bytes, str], dict[str, float]] = {}
+    rows = []
+    for variant, params in trained:
         try:
-            outcomes = run_federations(fed_cfgs, clients, evals)
+            if isinstance(params, Exception):
+                raise params
+            for name, (x, y) in sets.items():
+                key = (params.values.tobytes(), name)
+                if key not in scored:
+                    scored[key] = _score(params, model, x, y)
+                rows.append(ComparisonRow(seed, variant, name, "ok", scored[key]))
         except Exception as exc:
-            outcomes = [exc] * len(fed_cfgs)
-        for fed_cfg, outcome in zip(fed_cfgs, outcomes):
-            attempt(f"fl_{fed_cfg.strategy.value}", lambda o=outcome: _ok(o)[1])
+            rows += [ComparisonRow(seed, variant, name, "failed", None, str(exc)) for name in sets]
     return rows
 
 

@@ -200,6 +200,14 @@ def test_bad_seeds_flag_exits_2(tiny_config, tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_repeated_seed_exits_2(tiny_config, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = main(["compare", "--config", str(tiny_config), "--seeds", "1-3,2", "--out", str(out)])
+    assert code == 2
+    assert "seed 2 is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("corpus.classcount = 5\n")

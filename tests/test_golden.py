@@ -14,6 +14,10 @@ of a run and not the hash of its configuration.
 The ``early_stopping_baselines`` case, whose local baselines stop at
 different epochs, was recorded from the per-model epoch kernel that trained
 one baseline at a time, before baselines trained as one stack.
+
+The ``campaign_elevated_noise`` case, a three-seed comparison, was recorded
+while ``run_comparison`` still ran its seeds one after another, before the
+seeds of a campaign trained in lockstep.
 """
 
 import hashlib
@@ -59,7 +63,16 @@ EARLY_STOPPING = {
     "corpus.noise_scale": "2.0",
 }
 
+# elevated_noise on a short schedule: in every seed FEWS and OEWS share
+# round 1 and part in round 2, and the local baselines of the three seeds
+# stop at different epochs (6, 8, 4, 6 / 5, 4, 5, 7 / 8, 8, 5, 4 of 8)
+CAMPAIGN_SEEDS = [1, 2, 3]
+CAMPAIGN = {"rounds": 3, "local_epochs": 2, "max_epochs": 8, "patience": 2}
+
 GOLDEN = {
+    "campaign_elevated_noise": {
+        "compare_csv": "1a9a587e3ef56a28f73a3e52539c3519ae26487d85fbd1718cf34b05d5342425",
+    },
     "early_stopping_baselines": {
         "baseline_weights": "5592e65209ecdd34a3284b247af9d2757d2202d9aa0a0a031eac5971fbdf0892",
         "compare_csv": "79858dfc8e44a719f757cc16333c7bda380899f7c550fea06d46f690b89c35f8",
@@ -172,7 +185,23 @@ def _early_stopping(out_dir) -> dict[str, str]:
     }
 
 
+def _campaign(out_dir) -> dict[str, str]:
+    """A three-seed ``elevated_noise`` comparison CSV."""
+    full = preset_run_config("elevated_noise")
+    cfg = replace(
+        full,
+        federation=replace(
+            full.federation, rounds=CAMPAIGN["rounds"], local_epochs=CAMPAIGN["local_epochs"]
+        ),
+        baseline=replace(
+            full.baseline, max_epochs=CAMPAIGN["max_epochs"], patience=CAMPAIGN["patience"]
+        ),
+    )
+    return {"compare_csv": _sha256(rows_to_csv(run_comparison(cfg, CAMPAIGN_SEEDS)).encode())}
+
+
 CASES = {
+    "campaign_elevated_noise": _campaign,
     "early_stopping_baselines": _early_stopping,
     "default": _default,
     "industrial": _industrial,

@@ -125,7 +125,7 @@ def test_client_failure_becomes_protocol_error():
     with pytest.raises(ProtocolError) as alone:
         run_federation(fast_cfg(), broken, evals)
     # a failure in a client run that both federations share fails both alike
-    outcomes = run_federations([fast_cfg(), fast_cfg(strategy="oews")], broken, evals)
+    outcomes = run_federations([([fast_cfg(), fast_cfg(strategy="oews")], broken, evals)])[0]
     for outcome in outcomes:
         assert isinstance(outcome, ProtocolError)
         assert str(outcome) == str(alone.value)
@@ -134,11 +134,11 @@ def test_client_failure_becomes_protocol_error():
 def test_lockstep_needs_configs_that_differ_only_in_strategy():
     clients, evals = small_dataset()
     with pytest.raises(ConfigurationError):
-        run_federations([], clients, evals)
+        run_federations([([], clients, evals)])[0]
     with pytest.raises(ConfigurationError):
-        run_federations([fast_cfg(), fast_cfg(strategy="oews", rounds=3)], clients, evals)
+        run_federations([([fast_cfg(), fast_cfg(strategy="oews", rounds=3)], clients, evals)])[0]
     with pytest.raises(ConfigurationError):
-        run_federations([fast_cfg(), fast_cfg(master_seed=14)], clients, evals)
+        run_federations([([fast_cfg(), fast_cfg(master_seed=14)], clients, evals)])[0]
     with pytest.raises(ConfigurationError):
         run_federation(fast_cfg(), [], evals)
 
@@ -184,7 +184,7 @@ def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
     # client runs count stacked rows; scoring passes count calls
     with mock.patch.object(orchestrator, "train_local", counted("train_local", lambda r, *_: len(r))), \
             mock.patch.object(orchestrator, "evaluate", counted("evaluate", lambda *_: 1)):
-        together = run_federations(cfgs, clients, evals)
+        together = run_federations([(cfgs, clients, evals)])[0]
     for i, (cfg, outcome) in enumerate(zip(cfgs, together)):
         records, params = outcome
         alone_records, alone_params = run_federation(cfg, clients, evals)
@@ -209,7 +209,9 @@ def _spoiled_score(arm, epoch, spoil):
     weights, client, rng) that ``arm`` picks get ``spoil`` applied to their
     validation scores at ``epoch``. Assumes one stack per call (equal client
     sizes), so a row's index in the call is its index in the stack up to the
-    spoiled epoch."""
+    spoiled epoch. A call holds the rows of every seed of a campaign, and
+    round-1 weights are equal across seeds, so an arm must pick the rows of
+    one seed by their rng state or by weights from after round 1."""
     import fedsel.orchestrator as orchestrator
     import fedsel.strategies as strategies
 
@@ -276,6 +278,69 @@ def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
     assert trained == 4 + 4 + 8 + 4
     # each client scores each distinct incoming weight vector once
     assert scored == 4 + 4 + 8 + 4
+
+
+def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
+    """Two seeds' industrial cohorts in one call, at threshold 0.8: the
+    first cohort's federations share rounds 1 and 2 and halt in round 3,
+    the second's part in round 1 and halt in round 2, so round 3 trains the
+    first cohort alone. Each round is one ``train_local`` call over both
+    cohorts, and every outcome equals a call with its cohort alone."""
+    import fedsel.orchestrator as orchestrator
+
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8, max_rounds=4)
+    cohorts = []
+    for data_seed, master_seed in ((55, 13), (56, 14)):
+        clients, evals = small_dataset(noise=2.0, seed=data_seed)
+        cfgs = [
+            fast_cfg(strategy=s, workflow=Workflow.INDUSTRIAL, halting=crit,
+                     master_seed=master_seed, **DIVERGING)
+            for s in ("fews", "oews")
+        ]
+        cohorts.append((cfgs, clients, evals))
+    calls = []
+    real = orchestrator.train_local
+
+    def train_local(rows, *args):
+        calls.append(len(rows))
+        return real(rows, *args)
+
+    with mock.patch.object(orchestrator, "train_local", train_local):
+        together = run_federations(cohorts)
+    assert calls == [4 + 4, 4 + 8, 8]
+    assert [[len(records) for records, _ in outcomes] for outcomes in together] == [[3, 3], [2, 2]]
+    for i, (cohort, outcomes) in enumerate(zip(cohorts, together)):
+        alone = run_federations([cohort])[0]
+        for j, (cfg, (records, params), (alone_records, alone_params)) in enumerate(
+            zip(cohort[0], outcomes, alone)
+        ):
+            assert params.values.tobytes() == alone_params.values.tobytes()
+            assert _records_key(records) == _records_key(alone_records)
+            logs = [
+                tuple(p.read_bytes() for p in write_metrics_logs(
+                    recs, "run", cfg.workflow, cfg.strategy, tmp_path / f"{i}-{j}-{tag}"))
+                for tag, recs in (("together", records), ("alone", alone_records))
+            ]
+            assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("change", [
+    dict(rounds=3),
+    dict(local_epochs=3),
+    dict(optimizer=OptimizerConfig(learning_rate=0.03)),
+    dict(model=ModelSpec(layer_sizes=(16, 8, 5), seed=3)),
+    dict(selection_metric="val_loss"),
+    dict(aggregation="weighted"),
+    dict(workflow=Workflow.INDUSTRIAL, halting=HaltingCriterion(max_rounds=2)),
+])
+def test_cohorts_may_differ_only_in_strategy_and_master_seed(change):
+    clients, evals = small_dataset()
+    other = small_dataset(seed=22)
+    with pytest.raises(ConfigurationError, match="differ only in strategy and master_seed"):
+        run_federations([
+            ([fast_cfg()], clients, evals),
+            ([fast_cfg(strategy="oews", master_seed=14, **change)], *other),
+        ])
 
 
 def test_comparison_fails_only_the_federation_whose_own_run_fails():
@@ -462,7 +527,7 @@ def test_non_finite_weights_name_client_round_and_epoch():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ProtocolError) as alone:
             run_federation(cfg, clients, evals)
-        outcomes = run_federations([cfg, replace(cfg, strategy="oews")], clients, evals)
+        outcomes = run_federations([([cfg, replace(cfg, strategy="oews")], clients, evals)])[0]
     assert re.fullmatch(
         r"client 0 failed in round 1: client 0 epoch \d+: weights are not finite", str(alone.value)
     )

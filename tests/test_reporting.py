@@ -76,6 +76,32 @@ def test_empty_seed_list_rejected():
         run_comparison(tiny_cfg(), seeds=[])
 
 
+def test_repeated_seed_rejected():
+    """A repeated seed would run twice and count twice in the summary."""
+    with pytest.raises(ConfigurationError, match="seed 1 is repeated"):
+        run_comparison(preset_run_config("elevated_noise"), [1, 1])
+    with pytest.raises(ConfigurationError, match="seed 2 is repeated"):
+        run_comparison(tiny_cfg(), [2, 3, 2])
+
+
+def test_lockstep_seeds_equal_single_seed_campaigns():
+    """Seeds in lockstep, given out of order, give the same bytes as one
+    campaign per seed: the local baselines of the three seeds stop after 4
+    to 9 of their 10 epochs, and FEWS and OEWS end apart in every seed."""
+    cfg = tiny_cfg(**{
+        "corpus.noise_scale": "2.5", "federation.local_epochs": "3",
+        "federation.learning_rate": "0.03", "federation.batch_size": "8",
+        "baseline.max_epochs": "10", "baseline.patience": "2", "baseline.learning_rate": "0.05",
+    })
+    seeds = [3, 1, 2]
+    together = run_comparison(cfg, seeds)
+    assert rows_to_csv(together) == rows_to_csv(
+        [row for seed in seeds for row in run_comparison(cfg, [seed])]
+    )
+    fl = {(r.seed, r.variant): r.metrics for r in together if r.test_set == "global"}
+    assert all(fl[s, "fl_fews"] != fl[s, "fl_oews"] for s in seeds)
+
+
 def test_summarize_handles_failed_rows():
     rows = [
         ComparisonRow(1, "centralized", "global", "failed", None, "boom"),

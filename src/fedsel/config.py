@@ -180,7 +180,6 @@ class RunManifest:
     run_id: str
     config_hash: str
     items: dict[str, str]
-    out_dir: str
 
 
 def _canonical(value) -> str:
@@ -305,7 +304,6 @@ def load_config(
         run_id=config_hash[:12],
         config_hash=config_hash,
         items=items,
-        out_dir=values["output.dir"],
     )
     cfg = RunConfig(
         corpus=corpus,

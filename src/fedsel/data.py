@@ -128,10 +128,10 @@ class EvalSets:
 
 @dataclass(frozen=True)
 class CorpusPools:
-    """Per-class sample pools, sized for ``client_count`` clients."""
+    """Per-class sample pools drawn from ``spec``, sized for the client count
+    ``generate_corpus`` was given."""
 
     spec: CorpusSpec
-    client_count: int
     train: tuple[Split, ...]
     val: tuple[Split, ...]
     test: tuple[Split, ...]
@@ -193,7 +193,6 @@ def generate_corpus(spec: CorpusSpec, client_count: int = 4) -> CorpusPools:
     )
     return CorpusPools(
         spec=spec,
-        client_count=client_count,
         train=pools["train"],
         val=pools["val"],
         test=pools["test"],
@@ -231,11 +230,12 @@ def _concat(splits: list[Split]) -> Split:
 
 
 def partition(
-    pools: CorpusPools, pspec: PartitionSpec, cspec: CorpusSpec
+    pools: CorpusPools, pspec: PartitionSpec
 ) -> tuple[list[ClientDataset], EvalSets]:
     """Deals disjoint slices to each client; client k's train/val omit its
     missing class while its test covers everything. The global test set is the
     concatenation of client tests in client order."""
+    cspec = pools.spec
     for client, missing in pspec.missing_class.items():
         if not 0 <= missing < cspec.class_count:
             raise ConfigurationError(
@@ -274,7 +274,7 @@ def make_dataset(
 ) -> tuple[list[ClientDataset], EvalSets]:
     """Generate and partition in one step."""
     pools = generate_corpus(cspec, client_count=pspec.client_count)
-    return partition(pools, pspec, cspec)
+    return partition(pools, pspec)
 
 
 def dump_dataset_csv(clients: list[ClientDataset], evals: EvalSets, path) -> None:
@@ -317,6 +317,8 @@ def load_dataset_csv(path) -> tuple[list[ClientDataset], EvalSets]:
                 x = np.array([float(v) for v in row[3:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from None
+            if label < 0:
+                raise DataError(f"{where}: class {label} is negative")
             if not (split in ("train", "val", "test") and client >= 0
                     or split == "external" and client == -1):
                 raise DataError(

@@ -10,13 +10,13 @@ Two round-loop flavors:
 
 Per-client RNG streams are child streams of the master seed keyed by
 (round, client_id), so no client's result depends on which other clients
-train beside it, nor on which strategy will pick an epoch from its
-trajectory. So federations that differ only in strategy run in lockstep, one
-by one through one round function over a per-round memo keyed by starting
-weights: they share client runs and scoring passes while their global
-weights agree. Cohorts of such federations, one per campaign seed, also run
-in lockstep, each over its own memo: each round, the distinct client runs of
-every cohort train first, as one stack.
+train beside it, and one client run yields the epochs both strategies ship.
+So federations that differ only in strategy run in lockstep, one by one
+through one round function over a per-round memo keyed by starting weights,
+which holds each client run's picks: they share client runs and scoring
+passes while their global weights agree. Cohorts of such federations, one
+per campaign seed, also run in lockstep, each over its own memo: each
+round, the distinct client runs of every cohort train first, as one stack.
 """
 
 from __future__ import annotations
@@ -225,12 +225,13 @@ def run_federations(cohorts: list[Cohort]) -> list[list[FederationOutcome | Exce
     and scoring passes are keyed by the weights they start from, so a
     cohort's federations whose global weights are bitwise equal train each
     client once and score each weight vector once; the memo keeps each
-    client's picks, never its trajectory. Memos are never shared: every
-    cohort starts from the same initial weights, but trains on its own
-    data and streams. Each round, the missing client runs of every cohort
-    train as one ``train_local`` call. In the industrial flow each
-    federation halts on its own. Every result is bitwise what a federation
-    run alone produces.
+    client run's picks, as ``train_local`` returns them, and no weights of
+    the epochs no strategy picked. Memos are never shared: every cohort
+    starts from the same initial weights, but trains on its own data and
+    streams. Each round, the missing client runs of every cohort train as
+    one ``train_local`` call. In the industrial flow each federation halts
+    on its own. Every result is bitwise what a federation run alone
+    produces.
 
     Returns, per cohort and per config, its round records and final
     weights, or the exception that ended it. A failed client run is
@@ -283,17 +284,15 @@ def _train_missing(
                     rows[i, key] = (run.params, c, stream)
     if not rows:
         return
-    trajectories = train_local(
+    outcomes = train_local(
         list(rows.values()), cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
     )
-    for ((i, key), (_, c, _)), trajectory in zip(rows.items(), trajectories):
-        if isinstance(trajectory, Exception):
-            error = ProtocolError(f"client {c.client_id} failed in round {t}: {trajectory}")
-            error.__cause__ = trajectory
-            memos[i][key] = error
-        else:
-            # only the picks outlive this call, never the trajectory
-            memos[i][key] = {s: trajectory.select(s) for s in StrategyKind}
+    for ((i, key), (_, c, _)), outcome in zip(rows.items(), outcomes):
+        if isinstance(outcome, Exception):
+            error = ProtocolError(f"client {c.client_id} failed in round {t}: {outcome}")
+            error.__cause__ = outcome
+            outcome = error
+        memos[i][key] = outcome
 
 
 def run_federation(

@@ -204,33 +204,6 @@ class LocalRunResult:
     trace: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class LocalTrajectory:
-    """One client's local training from some incoming weights: each epoch's
-    validation report and selection-metric value, and the weights of the
-    only epochs a strategy can pick, keyed by epoch: the last one and the
-    best one (ties to the latest)."""
-
-    snapshots: dict[int, ParameterVector]
-    per_epoch_val: tuple[MetricsReport, ...]
-    trace: tuple[float, ...]
-    train_sample_count: int
-    metric: SelectionMetric
-
-    def select(self, strategy: StrategyKind) -> LocalRunResult:
-        """Ship the weights of the epoch ``select_epoch`` picks from the trace."""
-        picked = select_epoch(
-            self.trace, strategy, higher_is_better=self.metric.higher_is_better
-        )
-        return LocalRunResult(
-            selected_params=self.snapshots[picked],
-            selected_epoch=picked,
-            per_epoch_val=self.per_epoch_val,
-            train_sample_count=self.train_sample_count,
-            trace=self.trace,
-        )
-
-
 def train_stacked(
     rows: Sequence[tuple[ParameterVector, Split, Split, np.random.Generator, str]],
     model: ModelSpec,
@@ -308,16 +281,18 @@ def train_local(
     optimizer: OptimizerConfig,
     epochs: int,
     metric: SelectionMetric = SelectionMetric.MACRO_F1,
-) -> list[LocalTrajectory | Exception]:
-    """Train each row (incoming weights, client, rng) for ``epochs`` epochs
-    and score each epoch's weights on the client's validation split; rows
-    of equal split sizes train as one stack (``train_stacked``).
+) -> list[dict[StrategyKind, LocalRunResult] | Exception]:
+    """Train each row (incoming weights, client, rng) for ``epochs`` epochs,
+    score each epoch's weights on the client's validation split, and pick
+    the epoch each strategy ships; rows of equal split sizes train as one
+    stack (``train_stacked``).
 
-    A trajectory depends only on its incoming weights, its client's data and
-    its rng stream, never on the other rows or on the strategy that later
-    picks an epoch from it. Returns, per row, its trajectory or the
-    exception that failed it alone: a non-finite weight or validation score
-    is a DataError naming the client and the epoch.
+    A row's training depends only on its incoming weights, its client's
+    data and its rng stream, never on the other rows; both strategies pick
+    from it with ``select_epoch``. Returns, per row, each strategy's pick,
+    both sharing one trace and one per-epoch report tuple, or the exception
+    that failed the row alone: a non-finite weight or validation score is a
+    DataError naming the client and the epoch.
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
@@ -325,7 +300,6 @@ def train_local(
     snapshots: list[dict[int, ParameterVector]] = [{} for _ in rows]
     reports: list[list[MetricsReport]] = [[] for _ in rows]
     traces: list[list[float]] = [[] for _ in rows]
-    best: list[float] = [math.nan] * len(rows)
 
     def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
         if metric is SelectionMetric.VAL_LOSS:
@@ -337,31 +311,35 @@ def train_local(
                 f"client {rows[i][1].client_id} epoch {epoch}: "
                 f"validation {metric.value} is {value}"
             )
-        # keep only the weights select_epoch can pick: the best so far,
-        # ties to the latest, and the last epoch's
-        if epoch == 1 or (value >= best[i] if metric.higher_is_better else value <= best[i]):
-            best[i] = value
+        reports[i].append(scores.report)
+        traces[i].append(value)
+        # keep only the weights a strategy can pick: OEWS's pick so far,
+        # which replaces its earlier pick, and the last epoch's
+        if select_epoch(traces[i], StrategyKind.OEWS, metric.higher_is_better) == epoch:
             snapshots[i] = {epoch: ParameterVector(weights, model.manifest)}
         elif epoch == epochs:
             snapshots[i][epoch] = ParameterVector(weights, model.manifest)
-        reports[i].append(scores.report)
-        traces[i].append(value)
         return True
+
+    def picks(i: int) -> dict[StrategyKind, LocalRunResult]:
+        trace, per_epoch_val = tuple(traces[i]), tuple(reports[i])
+        out = {}
+        for strategy in StrategyKind:
+            epoch = select_epoch(trace, strategy, metric.higher_is_better)
+            out[strategy] = LocalRunResult(
+                selected_params=snapshots[i][epoch],
+                selected_epoch=epoch,
+                per_epoch_val=per_epoch_val,
+                train_sample_count=len(rows[i][1].train),
+                trace=trace,
+            )
+        return out
 
     errors = train_stacked(
         [(p, c.train, c.val, rng, f"client {c.client_id}") for p, c, rng in rows],
         model, optimizer, epochs, visit,
     )
-    return [
-        error if error is not None else LocalTrajectory(
-            snapshots=snapshots[i],
-            per_epoch_val=tuple(reports[i]),
-            trace=tuple(traces[i]),
-            train_sample_count=len(rows[i][1].train),
-            metric=metric,
-        )
-        for i, error in enumerate(errors)
-    ]
+    return [picks(i) if error is None else error for i, error in enumerate(errors)]
 
 
 def run_local(
@@ -374,11 +352,11 @@ def run_local(
     rng: np.random.Generator,
     metric: SelectionMetric = SelectionMetric.MACRO_F1,
 ) -> LocalRunResult:
-    """One client's contribution to a round: ``train_local`` of one row,
-    then the epoch the strategy picks from the trace. The strategy changes
-    which epoch is returned, never how training runs."""
+    """One client's contribution to a round: the strategy's pick of
+    ``train_local`` of one row. The strategy changes which epoch is
+    returned, never how training runs."""
     strategy = StrategyKind(strategy)
-    (trajectory,) = train_local([(global_params, client, rng)], model, optimizer, epochs, metric)
-    if isinstance(trajectory, Exception):
-        raise trajectory
-    return trajectory.select(strategy)
+    (picks,) = train_local([(global_params, client, rng)], model, optimizer, epochs, metric)
+    if isinstance(picks, Exception):
+        raise picks
+    return picks[strategy]

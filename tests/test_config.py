@@ -136,10 +136,10 @@ def test_run_id_tracks_content_not_formatting(tmp_path):
 
 
 def test_run_id_ignores_output_dir():
-    _, a = load_config(overrides={"output.dir": "here"})
-    _, b = load_config(overrides={"output.dir": "there"})
+    cfg_a, a = load_config(overrides={"output.dir": "here"})
+    cfg_b, b = load_config(overrides={"output.dir": "there"})
     assert a.run_id == b.run_id
-    assert a.out_dir != b.out_dir
+    assert cfg_a.out_dir != cfg_b.out_dir
     assert "output.dir" not in a.items
 
 

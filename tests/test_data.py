@@ -114,14 +114,14 @@ def test_global_test_is_concatenation_of_client_tests():
 def test_partition_exhausts_pool():
     pools = generate_corpus(SMALL, client_count=2)
     with pytest.raises(ConfigurationError):
-        partition(pools, PartitionSpec.default(), SMALL)  # 4 clients, pools sized for 2
+        partition(pools, PartitionSpec.default())  # 4 clients, pools sized for 2
 
 
 def test_partition_rejects_out_of_range_class():
     pools = generate_corpus(SMALL, client_count=2)
     bad = PartitionSpec(client_count=2, missing_class={0: 9, 1: 1})
     with pytest.raises(ConfigurationError):
-        partition(pools, bad, SMALL)
+        partition(pools, bad)
 
 
 def test_shift_moves_external_means():
@@ -217,6 +217,20 @@ def test_load_dataset_csv_names_the_line_of_an_unknown_split(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("split,client,class,f0\ntrain,0,0,1.0\ntrian,0,0,1.0\n")
     with pytest.raises(DataError, match=r"bad\.csv: line 3: split 'trian' of client 0"):
+        load_dataset_csv(path)
+
+
+def test_load_dataset_csv_names_the_line_of_a_negative_class(tmp_path):
+    """A negative label is rejected as it is read, naming the file and the
+    line, rather than loading and failing later at training time."""
+    clients, evals = make_dataset(SMALL, PartitionSpec.default())
+    path = tmp_path / "data.csv"
+    dump_dataset_csv(clients, evals, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("train,0,0,")
+    lines[2] = "train,0,-1," + lines[2][len("train,0,0,"):]
+    path.write_text("".join(lines))
+    with pytest.raises(DataError, match=r"data\.csv: line 3: class -1 is negative"):
         load_dataset_csv(path)
 
 

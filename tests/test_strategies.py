@@ -27,6 +27,7 @@ from fedsel.strategies import (
     score,
     score_one,
     select_epoch,
+    train_local,
 )
 from oracle import cross_entropy_loss, forward, loss_and_gradient
 
@@ -334,13 +335,13 @@ def test_shipped_weights_are_the_reported_epochs(metric):
 @settings(max_examples=40, deadline=None)
 @given(
     trace=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=5),
-    strategy=st.sampled_from(list(StrategyKind)),
     metric=st.sampled_from(list(SelectionMetric)),
 )
-def test_shipped_weights_are_the_reported_epochs_snapshot(trace, strategy, metric):
-    """Whatever the validation trace, run_local reports the epoch the
-    selection rule names and ships the weights training had at that epoch,
-    rebuilt here by calling train_epoch directly."""
+def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
+    """Whatever the validation trace, one train_local call reports, for
+    each strategy, the epoch the selection rule names and ships the weights
+    training had at that epoch, rebuilt here by calling train_epoch
+    directly; both picks share one trace."""
     import fedsel.strategies as strategies
 
     client = _client(seed=5)
@@ -356,22 +357,25 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, strategy, metri
         return [replace(result, report=report, loss=v)]
 
     with mock.patch.object(strategies, "score", scripted):
-        result = run_local(incoming, MODEL, client, opt, len(trace), strategy,
-                           np.random.default_rng(11), metric)
-    assert result.trace == tuple(trace)
+        (picks,) = train_local([(incoming, client, np.random.default_rng(11))], MODEL, opt,
+                               len(trace), metric)
+    fews, oews = picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
+    assert fews.trace is oews.trace
+    assert fews.per_epoch_val is oews.per_epoch_val
+    assert oews.trace == tuple(trace)
 
-    if strategy is StrategyKind.FEWS:
-        expected = len(trace)
-    else:
-        best = max(trace) if metric.higher_is_better else min(trace)
-        expected = max(i + 1 for i, v in enumerate(trace) if v == best)
-    assert result.selected_epoch == expected
+    best = max(trace) if metric.higher_is_better else min(trace)
+    assert fews.selected_epoch == len(trace)
+    assert oews.selected_epoch == max(i + 1 for i, v in enumerate(trace) if v == best)
 
     weights, velocity = incoming.values[None].copy(), np.zeros((1, len(incoming)))
     rng = np.random.default_rng(11)
-    for _ in range(expected):
+    snapshots = []
+    for _ in trace:
         train_epoch(weights, velocity, MODEL, opt, client.train.x[None], client.train.y[None], [rng])
-    assert (result.selected_params.values == weights[0]).all()
+        snapshots.append(weights[0].copy())
+    for result in (fews, oews):
+        assert (result.selected_params.values == snapshots[result.selected_epoch - 1]).all()
 
 
 def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):

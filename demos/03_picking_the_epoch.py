@@ -10,22 +10,22 @@ Run:  python3 demos/03_picking_the_epoch.py
 
 from dataclasses import replace
 
-from fedsel.data import PartitionSpec, make_dataset
+from fedsel.data import make_dataset
 from fedsel.nn import init_parameters
-from fedsel.orchestrator import FederationConfig, client_stream, run_federation
-from fedsel.presets import get_preset
+from fedsel.orchestrator import client_stream, run_federation
+from fedsel.presets import preset_run_config
 from fedsel.strategies import StrategyKind, run_local
 
-preset = get_preset("elevated_noise")
+preset = preset_run_config("elevated_noise")
 seed = 7
-corpus = replace(preset.corpus, seed=seed)
-clients, evals = make_dataset(corpus, PartitionSpec.default())
-model = preset.model()
+clients, evals = make_dataset(replace(preset.corpus, seed=seed), preset.partition)
+fed = preset.federation
+model = fed.model
 
 # one client, one round, by hand
 result = run_local(
-    init_parameters(model), model, clients[0], preset.optimizer,
-    preset.local_epochs, StrategyKind.OEWS, client_stream(seed, 1, 0),
+    init_parameters(model), model, clients[0], fed.optimizer,
+    fed.local_epochs, StrategyKind.OEWS, client_stream(seed, 1, 0),
 )
 print("client 0, round 1, per-epoch validation macro-F1:")
 for epoch, value in enumerate(result.trace, start=1):
@@ -39,14 +39,7 @@ for epoch, value in enumerate(result.trace, start=1):
 # same schedule end to end, both strategies
 print("\nfull federation, both strategies:")
 for strategy in (StrategyKind.FEWS, StrategyKind.OEWS):
-    cfg = FederationConfig(
-        model=model,
-        rounds=preset.rounds,
-        local_epochs=preset.local_epochs,
-        optimizer=preset.optimizer,
-        strategy=strategy,
-        master_seed=seed,
-    )
+    cfg = replace(fed, strategy=strategy, master_seed=seed)
     records, _ = run_federation(cfg, clients, evals)
     final = records[-1].global_metrics
     epochs = ",".join(str(e) for e in records[-1].selected_epochs)

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, RunManifest, load_config
+from .config import RunConfig, load_config
 from .data import dump_dataset_csv, make_dataset, merge_for_centralized, partition_summary
 from .errors import ConfigurationError, FedselError
 from .nn import save_weights
@@ -84,7 +84,7 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
     return out
 
 
-def _load(args: argparse.Namespace) -> tuple[RunConfig, RunManifest]:
+def _load(args: argparse.Namespace) -> tuple[RunConfig, str]:
     return load_config(args.config, overrides=_overrides(args), seed_override=args.seed)
 
 
@@ -112,36 +112,36 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg, manifest = _load(args)
+    cfg, run_id = _load(args)
     clients, evals = make_dataset(cfg.corpus, cfg.partition)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset_path = out / f"{manifest.run_id}.dataset.csv"
+    dataset_path = out / f"{run_id}.dataset.csv"
     dump_dataset_csv(clients, evals, dataset_path)
     summary = partition_summary(clients, cfg.corpus.class_count)
-    atomic_write_text(out / f"{manifest.run_id}.partition.txt", summary + "\n")
+    atomic_write_text(out / f"{run_id}.partition.txt", summary + "\n")
     print(summary)
     print(f"\ndataset: {dataset_path}")
-    print(f"partition summary: {out / (manifest.run_id + '.partition.txt')}")
+    print(f"partition summary: {out / (run_id + '.partition.txt')}")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg, manifest = _load(args)
+    cfg, run_id = _load(args)
     clients, evals = make_dataset(cfg.corpus, cfg.partition)
     records, params = run_federation(cfg.federation, clients, evals)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jsonl_path, txt_path = write_metrics_logs(
-        records, manifest.run_id, cfg.federation.workflow, cfg.federation.strategy, out
+        records, run_id, cfg.federation.workflow, cfg.federation.strategy, out
     )
-    weights_path = out / f"{manifest.run_id}.weights.txt"
+    weights_path = out / f"{run_id}.weights.txt"
     save_weights(params, weights_path)
 
     last = records[-1]
     metrics = round_metrics(last)
     cells = " ".join(f"{k}={v:.6f}" for k, v in metrics.items())
-    print(f"run {manifest.run_id}: {len(records)} round(s), final {cells}")
+    print(f"run {run_id}: {len(records)} round(s), final {cells}")
     if cfg.federation.workflow is Workflow.INDUSTRIAL:
         verdict = "threshold met" if last.halted else "round cap reached"
         print(f"halting: {verdict} at round {last.round}")
@@ -159,9 +159,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"epoch {i} val_macro_f1 {v:.6f}" for i, v in enumerate(result.trace, start=1)
         ]
         lines.append(f"best_epoch {result.best_epoch} epochs_run {result.epochs_run}")
-        baseline_log = out / f"{manifest.run_id}.baseline.txt"
+        baseline_log = out / f"{run_id}.baseline.txt"
         atomic_write_text(baseline_log, "\n".join(lines) + "\n")
-        baseline_weights = out / f"{manifest.run_id}.baseline.weights.txt"
+        baseline_weights = out / f"{run_id}.baseline.weights.txt"
         save_weights(result.params, baseline_weights)
         print(f"baseline: stopped after {result.epochs_run} epochs, best {result.best_epoch}")
         print(f"          {baseline_log}")
@@ -170,10 +170,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg, manifest = _load(args)
+    cfg, run_id = _load(args)
     seeds = _parse_seeds(args.seeds)
     rows = run_comparison(cfg, seeds)
-    paths = write_comparison(rows, manifest.run_id, cfg.out_dir)
+    paths = write_comparison(rows, run_id, cfg.out_dir)
     print(summary_to_text(summarize(rows)))
     for name in ("rows", "summary_csv", "summary_txt"):
         print(f"{name}: {paths[name]}")
@@ -190,10 +190,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg, manifest = _load(args)
+    cfg, run_id = _load(args)
     out = Path(cfg.out_dir)
     candidates = sorted(out.glob("*.compare.csv")) if out.is_dir() else []
-    preferred = out / f"{manifest.run_id}.compare.csv"
+    preferred = out / f"{run_id}.compare.csv"
     if args.config is not None and preferred.exists():
         candidates = [preferred]
     if not candidates:
@@ -206,7 +206,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"{path}: {exc}") from None
     summaries = summarize(rows)
     text = summary_to_text(summaries)
-    stem = manifest.run_id if len(candidates) == 1 else "report"
+    stem = run_id if len(candidates) == 1 else "report"
     atomic_write_text(out / f"{stem}.summary.csv", summary_to_csv(summaries))
     atomic_write_text(out / f"{stem}.summary.txt", text)
     print(text)

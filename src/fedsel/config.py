@@ -2,9 +2,9 @@
 
 One file drives a whole run: corpus shape, partition, federation settings,
 baseline settings, output location. Lines are ``section.key = value``; blank
-lines and ``#`` comments are ignored. Unknown keys, duplicate keys, and
-untypeable values are rejected with the offending key named, so a typo fails
-fast instead of silently falling back to a default.
+lines and ``#`` comments are ignored. Unknown keys, duplicate keys,
+untypeable values and non-finite numbers are rejected with the offending key
+named, so a typo fails fast instead of silently falling back to a default.
 
 Seed precedence: an explicit --seed flag beats the FEDSEL_SEED environment
 variable, which beats ``federation.master_seed`` in the file, which beats the
@@ -14,6 +14,7 @@ default of 0.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,9 +40,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"config key {key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"config key {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -175,13 +179,6 @@ class RunConfig:
     out_dir: str
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    run_id: str
-    config_hash: str
-    items: dict[str, str]
-
-
 def _canonical(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -200,8 +197,9 @@ def load_config(
     path: str | Path | None = None,
     overrides: dict[str, str] | None = None,
     seed_override: int | None = None,
-) -> tuple[RunConfig, RunManifest]:
-    """Assemble a validated run configuration.
+) -> tuple[RunConfig, str]:
+    """Assemble a validated run configuration and its run id, the first 12
+    hex digits of a SHA-256 over the canonical resolved key values.
 
     ``overrides`` holds raw flag values keyed like file entries; they replace
     file values before typing. ``seed_override`` (the --seed flag) beats the
@@ -293,18 +291,12 @@ def load_config(
 
     # output.dir is plumbing, not experiment content: the same run written
     # somewhere else must keep its run_id
-    items = {
-        key: _canonical(values[key])
-        for key in KEY_TABLE
+    canonical_text = "\n".join(
+        f"{key} = {_canonical(values[key])}"
+        for key in sorted(KEY_TABLE)
         if values[key] is not None and key != "output.dir"
-    }
-    canonical_text = "\n".join(f"{key} = {items[key]}" for key in sorted(items))
-    config_hash = hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()
-    manifest = RunManifest(
-        run_id=config_hash[:12],
-        config_hash=config_hash,
-        items=items,
     )
+    run_id = hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()[:12]
     cfg = RunConfig(
         corpus=corpus,
         partition=partition,
@@ -313,4 +305,4 @@ def load_config(
         baseline_enabled=values["baseline.enabled"],
         out_dir=values["output.dir"],
     )
-    return cfg, manifest
+    return cfg, run_id

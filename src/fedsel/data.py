@@ -349,13 +349,18 @@ def load_dataset_csv(path) -> tuple[list[ClientDataset], EvalSets]:
         train = build((cid, "train"))
         val = build((cid, "val"))
         test = build((cid, "test"))
-        absent = set(range(class_count)) - set(train.y) - set(val.y)
-        if len(absent) != 1:
-            raise DataError(f"{path}: client {cid} should lack exactly one class, lacks {absent}")
+        # labels are in [0, class_count), so the count of distinct ones
+        # present says how many are absent without listing them
+        present = set(train.y.tolist()) | set(val.y.tolist())
+        if class_count - len(present) != 1:
+            raise DataError(
+                f"{path}: client {cid} should lack exactly one of {class_count} classes,"
+                f" has {len(present)}"
+            )
         clients.append(
             ClientDataset(
                 client_id=cid,
-                missing_class=absent.pop(),
+                missing_class=next(k for k in range(class_count) if k not in present),
                 train=train,
                 val=val,
                 test=test,

@@ -5,6 +5,7 @@ import pytest
 from fedsel.cli import _parse_seeds, main
 from fedsel.config import SEED_ENV_VAR
 from fedsel.errors import ConfigurationError
+from test_config import FLOAT_KEYS
 
 TINY = """
 corpus.per_class_train = 8
@@ -190,6 +191,18 @@ def test_report_without_compare_output_fails(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path / "empty")])
     assert code == 2
     assert "run compare first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_run_with_a_non_finite_float_exits_2(tiny_config, tmp_path, capsys, key, raw):
+    """A non-finite number fails before any training, naming its key."""
+    cfg = tiny_config.parent / "bad.cfg"
+    cfg.write_text(TINY + f"{key} = {raw}\n")
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config key {key}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_seeds_flag_exits_2(tiny_config, tmp_path, capsys):

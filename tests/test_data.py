@@ -234,6 +234,27 @@ def test_load_dataset_csv_names_the_line_of_a_negative_class(tmp_path):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("label, class_count", [(100000, 100001), (1, 5)])
+def test_load_dataset_csv_counts_the_classes_a_client_has(tmp_path, label, class_count):
+    """Client 0 lacks class 1. One of its labels typed as 100000 makes the
+    class count 100001, and typed as 1 leaves it lacking none; either way
+    the error says how many classes the client has instead of listing the
+    absent ones."""
+    clients, evals = make_dataset(SMALL, PartitionSpec.default())
+    path = tmp_path / "data.csv"
+    dump_dataset_csv(clients, evals, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("train,0,0,")
+    lines[2] = f"train,0,{label}," + lines[2][len("train,0,0,"):]
+    path.write_text("".join(lines))
+    with pytest.raises(DataError) as exc:
+        load_dataset_csv(path)
+    message = str(exc.value)
+    assert message == (
+        f"{path}: client 0 should lack exactly one of {class_count} classes, has 5"
+    )
+
+
 def test_partition_summary_shows_zero_for_missing():
     clients, _ = make_dataset(SMALL, PartitionSpec.default())
     text = partition_summary(clients, 5)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ProtocolError, ShapeError
 from .nn import ParameterVector
-from .strategies import MetricsReport
+from .strategies import METRIC_NAMES, MetricsReport
 
 
 @dataclass(frozen=True)
@@ -85,38 +85,17 @@ def aggregate(
     return aggregate_weighted(updates)
 
 
-def _mean(values: Sequence[float]) -> float:
-    return float(sum(values) / len(values))
-
-
 def aggregate_metrics(reports: Sequence[MetricsReport]) -> MetricsReport:
-    """Server-side view of per-client metric reports: every scalar metric is
-    the unweighted mean across clients, confusion matrices and sample counts
-    are summed. The result is a cross-client summary, not a recomputation
-    from the pooled confusion matrix."""
+    """Server-side view of per-client metric reports: each metric is the
+    unweighted mean of the clients' values, summed in client order. The
+    result is a cross-client summary, not a recomputation from pooled
+    predictions."""
     if not reports:
         raise ProtocolError("cannot aggregate zero metric reports")
-    shape = reports[0].confusion.shape
-    for r in reports[1:]:
-        if r.confusion.shape != shape:
-            raise ProtocolError(
-                f"metric reports disagree on class count: {r.confusion.shape} vs {shape}"
-            )
-    per_class = {
-        name: tuple(
-            _mean([getattr(r, name)[c] for r in reports]) for c in range(shape[0])
-        )
-        for name in ("per_class_precision", "per_class_recall", "per_class_f1")
-    }
-    return MetricsReport(
-        accuracy=_mean([r.accuracy for r in reports]),
-        macro_precision=_mean([r.macro_precision for r in reports]),
-        macro_recall=_mean([r.macro_recall for r in reports]),
-        macro_f1=_mean([r.macro_f1 for r in reports]),
-        confusion=sum(r.confusion for r in reports),
-        sample_count=sum(r.sample_count for r in reports),
-        **per_class,
-    )
+    return MetricsReport(**{
+        name: float(sum(getattr(r, name) for r in reports) / len(reports))
+        for name in METRIC_NAMES
+    })
 
 
 class HaltingMetric(str, Enum):

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
-from .data import dump_dataset_csv, make_dataset, merge_for_centralized, partition_summary
+from .data import dataset_csv_text, make_dataset, merge_for_centralized, partition_summary
 from .errors import ConfigurationError, FedselError
-from .nn import save_weights
+from .nn import weights_text
 from .orchestrator import (
     Workflow,
     atomic_write_text,
@@ -117,7 +117,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset_path = out / f"{run_id}.dataset.csv"
-    dump_dataset_csv(clients, evals, dataset_path)
+    atomic_write_text(dataset_path, dataset_csv_text(clients, evals))
     summary = partition_summary(clients, cfg.corpus.class_count)
     atomic_write_text(out / f"{run_id}.partition.txt", summary + "\n")
     print(summary)
@@ -136,7 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         records, run_id, cfg.federation.workflow, cfg.federation.strategy, out
     )
     weights_path = out / f"{run_id}.weights.txt"
-    save_weights(params, weights_path)
+    atomic_write_text(weights_path, weights_text(params))
 
     last = records[-1]
     metrics = round_metrics(last)
@@ -162,7 +162,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         baseline_log = out / f"{run_id}.baseline.txt"
         atomic_write_text(baseline_log, "\n".join(lines) + "\n")
         baseline_weights = out / f"{run_id}.baseline.weights.txt"
-        save_weights(result.params, baseline_weights)
+        atomic_write_text(baseline_weights, weights_text(result.params))
         print(f"baseline: stopped after {result.epochs_run} epochs, best {result.best_epoch}")
         print(f"          {baseline_log}")
         print(f"          {baseline_weights}")

@@ -10,6 +10,8 @@ environment.
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +44,9 @@ class CorpusSpec:
         for name in ("per_class_train", "per_class_val", "per_class_test"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("class_separation", "noise_scale", "shift_magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.class_separation <= 0:
             raise ConfigurationError("class_separation must be > 0")
         if self.noise_scale < 0:
@@ -277,10 +282,12 @@ def make_dataset(
     return partition(pools, pspec)
 
 
-def dump_dataset_csv(clients: list[ClientDataset], evals: EvalSets, path) -> None:
-    """One row per sample: split,client,class,f0..f{D-1}. Client -1 marks the
-    external test set; the global test set is the clients' tests combined and
-    is not duplicated. Values survive a round-trip at 17 significant digits."""
+def dataset_csv_text(clients: list[ClientDataset], evals: EvalSets) -> str:
+    """The dataset as CSV text, one row per sample: split,client,class,
+    f0..f{D-1}, with the csv module's CRLF line ends. Client -1 marks the
+    external test set; the global test set is the clients' tests combined
+    and is not duplicated. Values survive a round-trip at 17 significant
+    digits."""
     dim = clients[0].train.x.shape[1] if clients else evals.external_test.x.shape[1]
     header = ["split", "client", "class"] + [f"f{i}" for i in range(dim)]
 
@@ -288,87 +295,14 @@ def dump_dataset_csv(clients: list[ClientDataset], evals: EvalSets, path) -> Non
         for x, y in zip(split.x, split.y):
             yield [name, str(client), str(int(y))] + [f"{v:.17g}" for v in x]
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for c in clients:
-            for name in ("train", "val", "test"):
-                writer.writerows(rows(getattr(c, name), name, c.client_id))
-        writer.writerows(rows(evals.external_test, "external", -1))
-
-
-def load_dataset_csv(path) -> tuple[list[ClientDataset], EvalSets]:
-    """Read what ``dump_dataset_csv`` wrote. The class count is one more than
-    the largest label anywhere in the file, so a client's missing class is
-    found even when its test split lacks the top class."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:3] != ["split", "client", "class"]:
-            raise DataError(f"{path}: unexpected CSV header")
-        dim = len(header) - 3
-        grouped: dict[tuple[int, str], list[tuple[np.ndarray, int]]] = {}
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != dim + 3:
-                raise DataError(f"{where}: {len(row)} cells, expected {dim + 3}")
-            try:
-                split, client, label = row[0], int(row[1]), int(row[2])
-                x = np.array([float(v) for v in row[3:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
-            if label < 0:
-                raise DataError(f"{where}: class {label} is negative")
-            if not (split in ("train", "val", "test") and client >= 0
-                    or split == "external" and client == -1):
-                raise DataError(
-                    f"{where}: split {split!r} of client {client}; expected train, val"
-                    " or test of a client >= 0, or external of client -1"
-                )
-            grouped.setdefault((client, split), []).append((x, label))
-
-    next_id = 0
-
-    def build(key: tuple[int, str]) -> Split:
-        nonlocal next_id
-        samples = grouped.get(key)
-        if not samples:
-            raise DataError(f"{path}: no rows for client {key[0]} split {key[1]}")
-        x = np.stack([s[0] for s in samples])
-        y = np.array([s[1] for s in samples])
-        ids = np.arange(next_id, next_id + len(samples))
-        next_id += len(samples)
-        return Split(x, y, ids)
-
-    if not grouped:
-        raise DataError(f"{path}: no sample rows")
-    class_count = max(label for samples in grouped.values() for _, label in samples) + 1
-    client_ids = sorted({c for c, _ in grouped if c >= 0})
-    clients = []
-    for cid in client_ids:
-        train = build((cid, "train"))
-        val = build((cid, "val"))
-        test = build((cid, "test"))
-        # labels are in [0, class_count), so the count of distinct ones
-        # present says how many are absent without listing them
-        present = set(train.y.tolist()) | set(val.y.tolist())
-        if class_count - len(present) != 1:
-            raise DataError(
-                f"{path}: client {cid} should lack exactly one of {class_count} classes,"
-                f" has {len(present)}"
-            )
-        clients.append(
-            ClientDataset(
-                client_id=cid,
-                missing_class=next(k for k in range(class_count) if k not in present),
-                train=train,
-                val=val,
-                test=test,
-            )
-        )
-    external = build((-1, "external"))
-    global_test = _concat([c.test for c in clients])
-    return clients, EvalSets(global_test=global_test, external_test=external)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for c in clients:
+        for name in ("train", "val", "test"):
+            writer.writerows(rows(getattr(c, name), name, c.client_id))
+    writer.writerows(rows(evals.external_test, "external", -1))
+    return buf.getvalue()
 
 
 def partition_summary(clients: list[ClientDataset], class_count: int) -> str:

@@ -10,6 +10,7 @@ row's bits equal those of a run of that row alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -242,8 +243,10 @@ class OptimizerConfig:
     batch_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
@@ -319,27 +322,8 @@ def train_epoch(
     return np.isfinite(weights).all(axis=1)
 
 
-def save_weights(params: ParameterVector, path) -> None:
+def weights_text(params: ParameterVector) -> str:
     """Decimal text format: manifest header then one value per line, 17 significant digits."""
     lines = ["manifest " + " ".join(f"{r}x{c}" for r, c in params.manifest)]
     lines.extend(f"{v:.17g}" for v in params.values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_weights(path) -> ParameterVector:
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
-    if not lines or not lines[0][1].startswith("manifest "):
-        raise DataError(f"{path}: missing manifest header")
-    manifest, values = [], []
-    n, header = lines[0]
-    try:
-        for token in header.split()[1:]:
-            rows, _, cols = token.partition("x")
-            manifest.append((int(rows), int(cols)))
-        for n, text in lines[1:]:
-            values.append(float(text))
-    except ValueError as exc:
-        raise DataError(f"{path}: line {n}: {exc}") from None
-    return ParameterVector(np.array(values, dtype=np.float64), tuple(manifest))
+    return "\n".join(lines) + "\n"

@@ -43,6 +43,7 @@ from .data import ClientDataset, EvalSets, Split
 from .errors import ConfigurationError, ProtocolError, ShapeError
 from .nn import MAX_SEED, ModelSpec, OptimizerConfig, ParameterVector, init_parameters
 from .strategies import (
+    METRIC_NAMES,
     MetricsReport,
     Scores,
     SelectionMetric,
@@ -51,8 +52,6 @@ from .strategies import (
     train_local,
     train_stacked,
 )
-
-METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 
 
 class Workflow(str, Enum):
@@ -327,7 +326,6 @@ class CentralizedResult:
     best_epoch: int
     epochs_run: int
     trace: tuple[float, ...]
-    per_epoch_val: tuple[MetricsReport, ...]
 
 
 @dataclass
@@ -339,7 +337,6 @@ class _EarlyStop:
     best_epoch: int = 0
     stale: int = 0
     trace: list[float] = field(default_factory=list)
-    reports: list[MetricsReport] = field(default_factory=list)
 
 
 def run_baselines(
@@ -361,7 +358,6 @@ def run_baselines(
 
     def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
         run, report = runs[i], scores.report
-        run.reports.append(report)
         run.trace.append(report.macro_f1)
         if report.macro_f1 > run.best_score:
             run.best_score = report.macro_f1
@@ -382,7 +378,6 @@ def run_baselines(
             best_epoch=run.best_epoch,
             epochs_run=len(run.trace),
             trace=tuple(run.trace),
-            per_epoch_val=tuple(run.reports),
         )
         for run, error in zip(runs, errors)
     ]
@@ -405,11 +400,11 @@ def run_centralized(
 
 def atomic_write_text(path: Path | str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
-    half-written file."""
+    half-written file. Line ends are written as given, on every platform."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -25,9 +25,9 @@ from .orchestrator import (
     run_baselines,
     run_federations,
 )
-from .strategies import StrategyKind, score_one
+from .strategies import METRIC_NAMES, StrategyKind, score_one
 
-METRIC_COLUMNS = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "confidence")
+METRIC_COLUMNS = (*METRIC_NAMES, "confidence")
 TEST_SETS = ("global", "external")
 
 
@@ -49,12 +49,8 @@ def variant_order(rows: list[ComparisonRow]) -> list[str]:
 
 def _score(params: ParameterVector, model, x, y) -> dict[str, float]:
     scores = score_one(params, model, x, y)
-    report = scores.report
     return {
-        "accuracy": report.accuracy,
-        "macro_precision": report.macro_precision,
-        "macro_recall": report.macro_recall,
-        "macro_f1": report.macro_f1,
+        **{name: scores.report.scalar(name) for name in METRIC_NAMES},
         "confidence": scores.confidence,
     }
 

@@ -46,20 +46,19 @@ class SelectionMetric(str, Enum):
         return self is not SelectionMetric.VAL_LOSS
 
 
+# The metrics a model is judged by, in the order every log and table lists them.
+METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     accuracy: float
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    per_class_precision: tuple[float, ...]
-    per_class_recall: tuple[float, ...]
-    per_class_f1: tuple[float, ...]
-    confusion: np.ndarray
-    sample_count: int
 
     def scalar(self, name: str) -> float:
-        if name not in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
+        if name not in METRIC_NAMES:
             raise ConfigurationError(f"unknown metric name {name!r}")
         return getattr(self, name)
 
@@ -103,11 +102,6 @@ def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
         macro_precision=float(precision.sum() / c),
         macro_recall=float(recall.sum() / c),
         macro_f1=float(f1.sum() / c),
-        per_class_precision=tuple(precision.tolist()),
-        per_class_recall=tuple(recall.tolist()),
-        per_class_f1=tuple(f1.tolist()),
-        confusion=confusion,
-        sample_count=int(total),
     )
 
 

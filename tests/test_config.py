@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
 from fedsel.aggregation import AggregationKind
 from fedsel.config import KEY_TABLE, SEED_ENV_VAR, load_config, parse_config_text
+from fedsel.data import CorpusSpec
 from fedsel.errors import ConfigurationError
+from fedsel.nn import OptimizerConfig
 from fedsel.orchestrator import Workflow
 from fedsel.presets import PRESETS, preset_run_config
 from fedsel.strategies import SelectionMetric, StrategyKind
@@ -103,6 +107,24 @@ def test_bad_value_names_key():
 def test_non_finite_float_rejected_by_name(key, raw):
     with pytest.raises(ConfigurationError, match=f"{key}: expected a finite number"):
         load_config(overrides={key: raw})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (CorpusSpec, "noise_scale"),
+        (CorpusSpec, "class_separation"),
+        (CorpusSpec, "shift_magnitude"),
+        (OptimizerConfig, "learning_rate"),
+    ],
+)
+def test_non_finite_spec_value_rejected_by_name(spec, field, value):
+    """Built in code rather than from config keys, a spec rejects a
+    non-finite number as well, naming the field, instead of letting a run
+    fail later at a client."""
+    with pytest.raises(ConfigurationError, match=field):
+        spec(**{field: value})
 
 
 def test_missing_class_map_parse_errors():

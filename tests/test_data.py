@@ -1,25 +1,25 @@
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedsel.data import (
-    ClientDataset,
     CorpusSpec,
     PartitionSpec,
     Split,
     class_directions,
+    dataset_csv_text,
     default_missing_class,
-    dump_dataset_csv,
     generate_corpus,
-    load_dataset_csv,
     make_dataset,
     merge_for_centralized,
     partition,
     partition_summary,
     shift_direction,
 )
-from fedsel.errors import ConfigurationError, DataError
+from fedsel.errors import ConfigurationError
 
 SMALL = CorpusSpec(per_class_train=12, per_class_val=6, per_class_test=5, seed=42)
 
@@ -161,25 +161,37 @@ def test_merge_for_centralized_orders_by_client():
         merge_for_centralized([])
 
 
-def test_dataset_csv_round_trip(tmp_path):
+def _check_dataset_csv(text, clients, evals):
+    """Parse the CSV text in the test's own way and check every row against
+    the splits it came from: split, client and class, and every feature
+    value bit for bit."""
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    dim = evals.external_test.x.shape[1]
+    assert rows[0] == ["split", "client", "class"] + [f"f{i}" for i in range(dim)]
+    expected = [
+        (name, c.client_id, getattr(c, name)) for c in clients for name in ("train", "val", "test")
+    ] + [("external", -1, evals.external_test)]
+    at = 1
+    for name, client, split in expected:
+        block = rows[at : at + len(split)]
+        at += len(split)
+        assert [(r[0], int(r[1]), int(r[2])) for r in block] == [
+            (name, client, int(y)) for y in split.y
+        ]
+        values = np.array([[float(v) for v in r[3:]] for r in block])
+        assert values.tobytes() == split.x.tobytes()
+    assert at == len(rows)
+
+
+def test_dataset_csv_round_trip():
     clients, evals = make_dataset(SMALL, PartitionSpec.default())
-    path = tmp_path / "data.csv"
-    dump_dataset_csv(clients, evals, path)
-    loaded_clients, loaded_evals = load_dataset_csv(path)
-    assert len(loaded_clients) == len(clients)
-    for orig, back in zip(clients, loaded_clients):
-        assert back.client_id == orig.client_id
-        assert back.missing_class == orig.missing_class
-        for name in ("train", "val", "test"):
-            assert (getattr(back, name).x == getattr(orig, name).x).all()
-            assert (getattr(back, name).y == getattr(orig, name).y).all()
-    assert (loaded_evals.external_test.x == evals.external_test.x).all()
-    assert (loaded_evals.global_test.x == evals.global_test.x).all()
+    _check_dataset_csv(dataset_csv_text(clients, evals), clients, evals)
 
 
-def test_dataset_csv_round_trip_when_a_test_split_lacks_the_top_class(tmp_path):
+def test_dataset_csv_round_trip_when_a_test_split_lacks_the_top_class():
     """Client 1 lacks class 4 in train/val; with class 4 also cut from its
-    test split, the class count must still come from the whole file."""
+    test split, every remaining row is still written as it is."""
     clients, evals = make_dataset(SMALL, PartitionSpec.default())
     victim = clients[1]
     assert victim.missing_class == 4
@@ -187,72 +199,7 @@ def test_dataset_csv_round_trip_when_a_test_split_lacks_the_top_class(tmp_path):
     clients[1] = replace(
         victim, test=Split(victim.test.x[keep], victim.test.y[keep], victim.test.ids[keep])
     )
-    path = tmp_path / "data.csv"
-    dump_dataset_csv(clients, evals, path)
-    loaded_clients, loaded_evals = load_dataset_csv(path)
-    assert [c.missing_class for c in loaded_clients] == [1, 4, 3, 2]
-    for orig, back in zip(clients, loaded_clients):
-        for name in ("train", "val", "test"):
-            assert (getattr(back, name).x == getattr(orig, name).x).all()
-            assert (getattr(back, name).y == getattr(orig, name).y).all()
-    assert len(loaded_evals.global_test) == sum(len(c.test) for c in clients)
-
-
-def test_load_dataset_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(DataError):
-        load_dataset_csv(path)
-
-
-def test_load_dataset_csv_names_the_line_of_a_malformed_cell(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("split,client,class,f0\ntrain,0,0,1.0\ntrain,a,0,1.0\n")
-    with pytest.raises(DataError, match=r"bad\.csv: line 3: invalid literal for int\(\)"):
-        load_dataset_csv(path)
-
-
-def test_load_dataset_csv_names_the_line_of_an_unknown_split(tmp_path):
-    """A row with an unknown split is rejected, not dropped."""
-    path = tmp_path / "bad.csv"
-    path.write_text("split,client,class,f0\ntrain,0,0,1.0\ntrian,0,0,1.0\n")
-    with pytest.raises(DataError, match=r"bad\.csv: line 3: split 'trian' of client 0"):
-        load_dataset_csv(path)
-
-
-def test_load_dataset_csv_names_the_line_of_a_negative_class(tmp_path):
-    """A negative label is rejected as it is read, naming the file and the
-    line, rather than loading and failing later at training time."""
-    clients, evals = make_dataset(SMALL, PartitionSpec.default())
-    path = tmp_path / "data.csv"
-    dump_dataset_csv(clients, evals, path)
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines[2].startswith("train,0,0,")
-    lines[2] = "train,0,-1," + lines[2][len("train,0,0,"):]
-    path.write_text("".join(lines))
-    with pytest.raises(DataError, match=r"data\.csv: line 3: class -1 is negative"):
-        load_dataset_csv(path)
-
-
-@pytest.mark.parametrize("label, class_count", [(100000, 100001), (1, 5)])
-def test_load_dataset_csv_counts_the_classes_a_client_has(tmp_path, label, class_count):
-    """Client 0 lacks class 1. One of its labels typed as 100000 makes the
-    class count 100001, and typed as 1 leaves it lacking none; either way
-    the error says how many classes the client has instead of listing the
-    absent ones."""
-    clients, evals = make_dataset(SMALL, PartitionSpec.default())
-    path = tmp_path / "data.csv"
-    dump_dataset_csv(clients, evals, path)
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines[2].startswith("train,0,0,")
-    lines[2] = f"train,0,{label}," + lines[2][len("train,0,0,"):]
-    path.write_text("".join(lines))
-    with pytest.raises(DataError) as exc:
-        load_dataset_csv(path)
-    message = str(exc.value)
-    assert message == (
-        f"{path}: client 0 should lack exactly one of {class_count} classes, has 5"
-    )
+    _check_dataset_csv(dataset_csv_text(clients, evals), clients, evals)
 
 
 def test_partition_summary_shows_zero_for_missing():

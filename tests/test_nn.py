@@ -12,10 +12,9 @@ from fedsel.nn import (
     check_split,
     forward,
     init_parameters,
-    load_weights,
     manifest_size,
-    save_weights,
     train_epoch,
+    weights_text,
 )
 from oracle import (
     OptimizerState,
@@ -288,30 +287,12 @@ def test_train_epoch_rejects_empty_data():
                     np.zeros((1, 0, 6)), np.zeros((1, 0), dtype=int), [np.random.default_rng(0)])
 
 
-def test_weights_file_round_trip(tmp_path):
+def test_weights_file_round_trip():
+    """The weights text is the manifest line, then every value at 17
+    significant digits, which parses back bit for bit."""
     spec = ModelSpec(layer_sizes=(16, 32, 5), seed=8)
     params = init_parameters(spec)
-    path = tmp_path / "weights.txt"
-    save_weights(params, path)
-    first_line = path.read_text().splitlines()[0]
-    assert first_line == "manifest 16x32 32x5"
-    loaded = load_weights(path)
-    assert loaded.manifest == params.manifest
-    assert (loaded.values == params.values).all()
-
-
-def test_load_weights_rejects_missing_header(tmp_path):
-    path = tmp_path / "weights.txt"
-    path.write_text("1.0\n2.0\n")
-    with pytest.raises(DataError):
-        load_weights(path)
-
-
-def test_load_weights_names_the_line_of_a_bad_manifest_entry(tmp_path):
-    path = tmp_path / "weights.txt"
-    path.write_text("\nmanifest 2x\n1.0\n2.0\n")
-    with pytest.raises(DataError, match=r"weights\.txt: line 2: invalid literal for int\(\)"):
-        load_weights(path)
-    path.write_text("manifest 1x2\n1.0\n\n2.O\n")
-    with pytest.raises(DataError, match=r"weights\.txt: line 4: could not convert"):
-        load_weights(path)
+    manifest, *values, end = weights_text(params).split("\n")
+    assert manifest == "manifest 16x32 32x5"
+    assert end == ""
+    assert np.array([float(v) for v in values]).tobytes() == params.values.tobytes()

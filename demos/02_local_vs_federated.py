@@ -42,7 +42,7 @@ print("\nrunning the federation (15 local epochs x 5 rounds, plain averaging)...
 cfg = FederationConfig(model=model, master_seed=1)
 records, params = run_federation(cfg, clients, evals)
 for record in records:
-    print(f"  round {record.round}: global macro-F1 {record.global_metrics.macro_f1:.4f}")
+    print(f"  round {record.round}: global macro-F1 {record.metrics.macro_f1:.4f}")
 
 fed = evaluate(params, model, evals.global_test.x, evals.global_test.y)
 mean_local = sum(local_scores) / len(local_scores)

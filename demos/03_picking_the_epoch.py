@@ -41,7 +41,7 @@ print("\nfull federation, both strategies:")
 for strategy in (StrategyKind.FEWS, StrategyKind.OEWS):
     cfg = replace(fed, strategy=strategy, master_seed=seed)
     records, _ = run_federation(cfg, clients, evals)
-    final = records[-1].global_metrics
+    final = records[-1].metrics
     epochs = ",".join(str(e) for e in records[-1].selected_epochs)
     print(
         f"  {strategy.value}: global accuracy {final.accuracy:.4f}, "

@@ -30,7 +30,7 @@ for r in records:
     scores = " ".join(f"{m.macro_f1:.3f}" for m in r.per_client_metrics)
     print(
         f"round {r.round}: client scores [{scores}] -> "
-        f"aggregated {r.aggregated_metrics.macro_f1:.4f}"
+        f"aggregated {r.metrics.macro_f1:.4f}"
         + ("  HALT" if r.halted else "")
     )
 

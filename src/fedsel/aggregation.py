@@ -132,17 +132,3 @@ def should_halt(
         raise ConfigurationError(f"round_index must be >= 1, got {round_index}")
     return threshold_met(aggregated, criterion) or round_index >= criterion.max_rounds
 
-
-def halt_round(trace: Sequence[float], criterion: HaltingCriterion) -> tuple[int, bool]:
-    """Where a run with the given per-round aggregated metric values stops.
-
-    Returns the 1-based stopping round and whether the threshold was met
-    there. A trace that never reaches the threshold stops at max_rounds (or
-    at the end of a shorter trace)."""
-    last = min(len(trace), criterion.max_rounds)
-    if last == 0:
-        raise ConfigurationError("halting needs at least one round value")
-    for i in range(last):
-        if trace[i] >= criterion.threshold:
-            return i + 1, True
-    return last, False

@@ -101,10 +101,16 @@ class FederationConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round as its outputs report it. ``metrics`` is the report the
+    round is judged by: the new global weights on the global test set in
+    the academic flow; in the industrial flow, ``aggregate_metrics`` of
+    ``per_client_metrics``, the clients' test reports on the incoming
+    weights, and ``halted`` says it met the threshold. The academic flow
+    scores no client: its ``per_client_metrics`` is ()."""
+
     round: int
-    global_metrics: MetricsReport | None
+    metrics: MetricsReport
     per_client_metrics: tuple[MetricsReport, ...]
-    aggregated_metrics: MetricsReport | None
     selected_epochs: tuple[int, ...]
     halted: bool
 
@@ -159,7 +165,7 @@ def _round(
             raise picks
         results.append(picks[cfg.strategy])
     updates = [
-        ClientUpdate(c.client_id, r.selected_params, r.train_sample_count)
+        ClientUpdate(c.client_id, r.selected_params, len(c.train))
         for c, r in zip(clients, results)
     ]
     run.params = aggregate(updates, cfg.aggregation)
@@ -168,20 +174,17 @@ def _round(
         agg = aggregate_metrics(incoming_reports)
         run.halted = should_halt(agg, cfg.halting, t)
         run.records.append(RoundRecord(
-            round=t, global_metrics=None, per_client_metrics=incoming_reports,
-            aggregated_metrics=agg, selected_epochs=selected,
-            halted=threshold_met(agg, cfg.halting),
+            round=t, metrics=agg, per_client_metrics=incoming_reports,
+            selected_epochs=selected, halted=threshold_met(agg, cfg.halting),
         ))
         return
     global_report = _memo(
         memo, ("global", run.params.values.tobytes()),
         lambda: evaluate(run.params, cfg.model, evals.global_test.x, evals.global_test.y),
     )
-    # local val reports at each client's selected epoch, for diagnostics
-    per_client = tuple(r.per_epoch_val[r.selected_epoch - 1] for r in results)
     run.records.append(RoundRecord(
-        round=t, global_metrics=global_report, per_client_metrics=per_client,
-        aggregated_metrics=None, selected_epochs=selected, halted=False,
+        round=t, metrics=global_report, per_client_metrics=(),
+        selected_epochs=selected, halted=False,
     ))
 
 
@@ -414,12 +417,10 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 
 
 def round_metrics(record: RoundRecord) -> dict[str, float]:
-    """The scalar metrics a round is judged by: global-test metrics in the
-    academic flow, aggregated client metrics in the industrial flow."""
-    report = record.global_metrics if record.global_metrics is not None else record.aggregated_metrics
-    if report is None:
-        raise ProtocolError(f"round {record.round} carries no metrics")
-    return {name: round(report.scalar(name), 6) for name in METRIC_NAMES}
+    """``record.metrics``, the report the round is judged by, as the
+    scalars every log and table prints: one per metric name, rounded to 6
+    decimals."""
+    return {name: round(record.metrics.scalar(name), 6) for name in METRIC_NAMES}
 
 
 def write_metrics_logs(

@@ -193,8 +193,6 @@ def select_epoch(
 class LocalRunResult:
     selected_params: ParameterVector
     selected_epoch: int
-    per_epoch_val: tuple[MetricsReport, ...]
-    train_sample_count: int
     trace: tuple[float, ...]
 
 
@@ -284,15 +282,14 @@ def train_local(
     A row's training depends only on its incoming weights, its client's
     data and its rng stream, never on the other rows; both strategies pick
     from it with ``select_epoch``. Returns, per row, each strategy's pick,
-    both sharing one trace and one per-epoch report tuple, or the exception
-    that failed the row alone: a non-finite weight or validation score is a
-    DataError naming the client and the epoch.
+    both sharing one trace, or the exception that failed the row alone: a
+    non-finite weight or validation score is a DataError naming the client
+    and the epoch.
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     metric = SelectionMetric(metric)
     snapshots: list[dict[int, ParameterVector]] = [{} for _ in rows]
-    reports: list[list[MetricsReport]] = [[] for _ in rows]
     traces: list[list[float]] = [[] for _ in rows]
 
     def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
@@ -305,7 +302,6 @@ def train_local(
                 f"client {rows[i][1].client_id} epoch {epoch}: "
                 f"validation {metric.value} is {value}"
             )
-        reports[i].append(scores.report)
         traces[i].append(value)
         # keep only the weights a strategy can pick: OEWS's pick so far,
         # which replaces its earlier pick, and the last epoch's
@@ -316,17 +312,11 @@ def train_local(
         return True
 
     def picks(i: int) -> dict[StrategyKind, LocalRunResult]:
-        trace, per_epoch_val = tuple(traces[i]), tuple(reports[i])
+        trace = tuple(traces[i])
         out = {}
         for strategy in StrategyKind:
             epoch = select_epoch(trace, strategy, metric.higher_is_better)
-            out[strategy] = LocalRunResult(
-                selected_params=snapshots[i][epoch],
-                selected_epoch=epoch,
-                per_epoch_val=per_epoch_val,
-                train_sample_count=len(rows[i][1].train),
-                trace=trace,
-            )
+            out[strategy] = LocalRunResult(snapshots[i][epoch], epoch, trace)
         return out
 
     errors = train_stacked(

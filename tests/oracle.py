@@ -5,15 +5,20 @@ This is the single-model code the stacked kernel in ``fedsel.nn`` replaced:
 momentum step per mini-batch on immutable ``ParameterVector``s. Nothing in
 the package uses it. The tests check its gradient against finite
 differences and check the kernel against it bit for bit.
+
+``halt_round`` is the halting rule read off a whole trace at once, which the
+tests hold the package's round-by-round ``should_halt`` to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from fedsel.errors import DataError, ShapeError
+from fedsel.aggregation import HaltingCriterion
+from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import Activation, ModelSpec, OptimizerConfig, ParameterVector, check_split
 
 
@@ -155,3 +160,18 @@ def reference_epoch(params, spec, state, x, y, rng):
         params, state = sgd_momentum_step(params, g, state)
         batches += 1
     return params, state, batches
+
+
+def halt_round(trace: Sequence[float], criterion: HaltingCriterion) -> tuple[int, bool]:
+    """Where a run with the given per-round aggregated metric values stops.
+
+    Returns the 1-based stopping round and whether the threshold was met
+    there. A trace that never reaches the threshold stops at max_rounds (or
+    at the end of a shorter trace)."""
+    last = min(len(trace), criterion.max_rounds)
+    if last == 0:
+        raise ConfigurationError("halting needs at least one round value")
+    for i in range(last):
+        if trace[i] >= criterion.threshold:
+            return i + 1, True
+    return last, False

@@ -23,7 +23,8 @@ from fedsel.aggregation import (
     HaltingCriterion,
     aggregate_plain,
     aggregate_weighted,
-    halt_round,
+    should_halt,
+    threshold_met,
 )
 from fedsel.cli import main
 from fedsel.data import CorpusSpec, PartitionSpec, make_dataset
@@ -38,7 +39,7 @@ from fedsel.nn import (
 from fedsel.orchestrator import client_stream
 from fedsel.presets import preset_run_config
 from fedsel.reporting import run_comparison
-from fedsel.strategies import StrategyKind, evaluate, run_local, select_epoch
+from fedsel.strategies import MetricsReport, StrategyKind, evaluate, run_local, select_epoch
 from oracle import cross_entropy_loss, forward, loss_and_gradient
 
 SEEDS = list(range(1, 11))
@@ -243,8 +244,9 @@ def test_a3_selection_properties():
 
 
 def test_a4_halting_exactness():
-    """halt_round stops at exactly the first round whose metric reaches the
-    threshold, or at max_rounds when no round does, on 50 random traces."""
+    """Asked round by round, should_halt stops at exactly the first round
+    whose metric reaches the threshold, or at max_rounds when no round does,
+    and threshold_met there says which, on 50 random traces."""
     rng = np.random.default_rng(404)
     never_met = 0
     for i in range(50):
@@ -259,7 +261,13 @@ def test_a4_halting_exactness():
             (idx + 1 for idx, v in enumerate(trace) if v >= threshold), length
         )
         expected_met = any(v >= threshold for v in trace[:expected_round])
-        got_round, got_met = halt_round(trace, criterion)
+        for t, value in enumerate(trace, start=1):
+            report = MetricsReport(value, value, value, value)
+            if should_halt(report, criterion, t):
+                break
+        else:
+            pytest.fail(f"should_halt never halted on {trace} at threshold {threshold}")
+        got_round, got_met = t, threshold_met(report, criterion)
         assert (got_round, got_met) == (expected_round, expected_met), (trace, threshold)
         never_met += int(not expected_met)
     verdict(

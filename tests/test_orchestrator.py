@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fedsel.aggregation import HaltingCriterion, HaltingMetric
+from fedsel.aggregation import HaltingCriterion, HaltingMetric, aggregate_metrics
 from fedsel.config import load_config
 from fedsel.data import (
     ClientDataset,
@@ -34,7 +34,7 @@ from fedsel.orchestrator import (
     write_metrics_logs,
 )
 from fedsel.reporting import rows_to_csv, run_comparison
-from fedsel.strategies import StrategyKind, evaluate
+from fedsel.strategies import MetricsReport, StrategyKind, evaluate
 
 MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
 SMALL = CorpusSpec(per_class_train=8, per_class_val=4, per_class_test=4, seed=21)
@@ -75,9 +75,8 @@ def test_academic_runs_fixed_horizon():
     records, params = run_federation(fast_cfg(rounds=3), clients, evals)
     assert [r.round for r in records] == [1, 2, 3]
     for r in records:
-        assert r.global_metrics is not None
-        assert r.aggregated_metrics is None
-        assert len(r.per_client_metrics) == 4
+        assert isinstance(r.metrics, MetricsReport)
+        assert r.per_client_metrics == ()  # the academic flow scores no client
         assert len(r.selected_epochs) == 4
         assert not r.halted
 
@@ -110,7 +109,7 @@ def test_replay_determinism():
     for other in (rec_b, rec_c):
         for x, y in zip(rec_a, other):
             assert x.selected_epochs == y.selected_epochs
-            assert x.global_metrics == y.global_metrics
+            assert x.metrics == y.metrics
 
 
 def test_client_failure_becomes_protocol_error():
@@ -233,11 +232,23 @@ def test_lockstep_academic_equals_separate_runs(tmp_path):
     )
     (fews, _), (oews, _) = together[:2]
     assert fews[1].selected_epochs != oews[1].selected_epochs
-    assert fews[2].global_metrics.macro_f1 != oews[2].global_metrics.macro_f1
+    assert fews[2].metrics.macro_f1 != oews[2].metrics.macro_f1
     # 4 clients: round 1 and 2 once, round 3 once per strategy
     assert trained == 4 + 4 + 8
     # one global score of round 1's shared weights, two in rounds 2 and 3
     assert scored == 1 + 2 + 2
+
+
+def test_last_record_reports_the_shipped_weights():
+    """Run in lockstep, FEWS and OEWS part, and each federation's last
+    record reports exactly its final weights on the global test set."""
+    clients, evals = small_dataset(noise=2.0, seed=55)
+    cfgs = [fast_cfg(strategy=s, rounds=3, **DIVERGING) for s in ("fews", "oews")]
+    outcomes = run_federations([(cfgs, clients, evals)])[0]
+    assert outcomes[0][1].values.tobytes() != outcomes[1][1].values.tobytes()
+    for records, params in outcomes:
+        shipped = evaluate(params, MODEL, evals.global_test.x, evals.global_test.y)
+        assert records[-1].metrics == shipped
 
 
 def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
@@ -387,7 +398,7 @@ def test_industrial_halts_at_first_qualifying_round():
         return run_federation(cfg, clients, evals)
 
     scout, _ = run_with(1.0)
-    trace = [r.aggregated_metrics.macro_f1 for r in scout]
+    trace = [r.metrics.macro_f1 for r in scout]
     assert len(trace) == 4  # 1.0 unreachable on this corpus
     assert not scout[-1].halted
 
@@ -401,7 +412,7 @@ def test_industrial_halts_at_first_qualifying_round():
         expected = next((i + 1 for i, v in enumerate(trace) if v >= threshold), 4)
         records, _ = run_with(threshold)
         assert len(records) == expected
-        assert [r.aggregated_metrics.macro_f1 for r in records] == trace[:expected]
+        assert [r.metrics.macro_f1 for r in records] == trace[:expected]
         assert records[-1].halted == (trace[expected - 1] >= threshold)
         for r in records[:-1]:
             assert not r.halted
@@ -415,11 +426,9 @@ def test_industrial_record_shape():
     assert len(records) == 1  # threshold 0 is met by any metric
     r = records[0]
     assert r.halted
-    assert r.global_metrics is None
     assert len(r.per_client_metrics) == 4
-    # aggregated scalars are the unweighted client means
-    mean_f1 = sum(m.macro_f1 for m in r.per_client_metrics) / 4
-    assert r.aggregated_metrics.macro_f1 == pytest.approx(mean_f1, abs=1e-15)
+    # the round is judged by the unweighted mean of the client reports
+    assert r.metrics == aggregate_metrics(r.per_client_metrics)
 
 
 def test_baseline_config_validation():
@@ -533,15 +542,25 @@ def test_metrics_logs_shape_and_determinism(tmp_path):
     assert entry["halted"] is False
     assert len(entry["selected_epochs"]) == 4
     assert set(entry["metrics"]) == {"accuracy", "macro_precision", "macro_recall", "macro_f1"}
-    assert entry["metrics"]["macro_f1"] == round(records[0].global_metrics.macro_f1, 6)
+    assert entry["metrics"]["macro_f1"] == round(records[0].metrics.macro_f1, 6)
     assert len(txt_a.read_text().splitlines()) == len(records)
 
 
-def test_round_metrics_prefers_available_report():
+def test_round_metrics_rounds_the_record_report():
+    """In both flows, round_metrics is the record's one report, each metric
+    rounded to 6 decimals."""
     clients, evals = small_dataset()
-    records, _ = run_federation(fast_cfg(), clients, evals)
-    metrics = round_metrics(records[0])
-    assert metrics["accuracy"] == round(records[0].global_metrics.accuracy, 6)
+    crit = HaltingCriterion(threshold=1.0, max_rounds=2)
+    for cfg in (fast_cfg(), fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit)):
+        records, _ = run_federation(cfg, clients, evals)
+        for r in records:
+            m = r.metrics
+            assert round_metrics(r) == {
+                "accuracy": round(m.accuracy, 6),
+                "macro_precision": round(m.macro_precision, 6),
+                "macro_recall": round(m.macro_recall, 6),
+                "macro_f1": round(m.macro_f1, 6),
+            }
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

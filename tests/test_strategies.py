@@ -231,11 +231,9 @@ def test_run_local_shapes_and_ranges():
     incoming = init_parameters(MODEL)
     result = run_local(incoming, MODEL, client, OptimizerConfig(), 4,
                        StrategyKind.OEWS, np.random.default_rng(1))
-    assert len(result.per_epoch_val) == 4
     assert len(result.trace) == 4
+    assert all(0.0 <= v <= 1.0 for v in result.trace)
     assert 1 <= result.selected_epoch <= 4
-    assert result.train_sample_count == len(client.train)
-    assert result.trace == tuple(r.macro_f1 for r in result.per_epoch_val)
 
 
 def test_run_local_never_mutates_incoming():
@@ -350,7 +348,6 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
                                len(trace), metric)
     fews, oews = picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
     assert fews.trace is oews.trace
-    assert fews.per_epoch_val is oews.per_epoch_val
     assert oews.trace == tuple(trace)
 
     best = max(trace) if metric.higher_is_better else min(trace)

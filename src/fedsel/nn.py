@@ -6,6 +6,13 @@ epoch kernel work on a stack of R models at once: weights and velocity as
 (R, P) arrays, data as (R, n, d) features and (R, n) labels. R = 1 is the
 single model. Stacking batches the numpy calls and nothing else, so every
 row's bits equal those of a run of that row alone.
+
+``_forward_pass`` is the only forward math: ``forward`` (scoring) and
+``train_epoch`` both call it on per-layer weight and bias views of the
+stack, and it applies the activations and the log-softmax in place.
+``train_epoch`` builds those views, and the backward pass's gradient and
+transposed-weight views, once per epoch, so a mini-batch step is the
+forward pass, the backward pass inline and the momentum update.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, ShapeError
 
 Manifest = tuple[tuple[int, int], ...]
-Layers = list[tuple[np.ndarray, np.ndarray]]  # (weight matrix, bias vector) per layer
+Layers = list[tuple[np.ndarray, np.ndarray]]  # (R, rows, cols) weights, (R, 1, cols) bias per layer
 
 MAX_SEED = 2**64 - 1
 
@@ -141,14 +148,14 @@ def check_split(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarr
 
 
 def _stack_layers(weights: np.ndarray, manifest: Manifest) -> Layers:
-    """(R, rows, cols) weight and (R, cols) bias views per layer of an
+    """(R, rows, cols) weight and (R, 1, cols) bias views per layer of an
     (R, P) stack; writing to a view writes to the stack."""
     views = []
     offset = 0
     for rows, cols in manifest:
         w = weights[:, offset : offset + rows * cols].reshape(-1, rows, cols)
         offset += rows * cols
-        views.append((w, weights[:, offset : offset + cols]))
+        views.append((w, weights[:, None, offset : offset + cols]))
         offset += cols
     return views
 
@@ -163,29 +170,27 @@ def _check_stack(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(
-    layers: Layers, kind: Activation, batch: np.ndarray
+    layers: Layers, relu: bool, batch: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns (layer inputs, final logits), each (R, n, width). Hidden
-    activations are applied in place, so each layer keeps one array."""
+    """Returns (layer inputs, log-probabilities), each (R, n, width), for
+    ``_stack_layers`` views. Hidden activations, relu or else tanh, and the
+    log-softmax are applied in place, so each layer keeps one array."""
     inputs = [batch]
     h = batch
     for w, b in layers[:-1]:
         h = np.matmul(h, w)
-        h += b[:, None, :]
-        if kind is Activation.RELU:
+        h += b
+        if relu:
             np.maximum(h, 0.0, out=h)
         else:
             np.tanh(h, out=h)
         inputs.append(h)
     w, b = layers[-1]
-    logits = np.matmul(h, w)
-    logits += b[:, None, :]
-    return inputs, logits
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    z = np.matmul(h, w)
+    z += b
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    return inputs, z
 
 
 def forward(
@@ -202,38 +207,9 @@ def forward(
         raise ShapeError(f"batch must be ({weights.shape[0]}, n, d), got shape {batch.shape}")
     if batch.shape[2] != spec.feature_dim:
         raise ShapeError(f"batch has {batch.shape[2]} features, model expects {spec.feature_dim}")
-    _, logits = _forward_pass(_stack_layers(weights, spec.manifest), spec.activation, batch)
-    log_probs = _log_softmax(logits)
+    relu = spec.activation is Activation.RELU
+    _, log_probs = _forward_pass(_stack_layers(weights, spec.manifest), relu, batch)
     return log_probs if log else np.exp(log_probs)
-
-
-def _backprop(
-    layers: Layers, kind: Activation, batch: np.ndarray, target: np.ndarray, grads: Layers
-) -> None:
-    """Gradient of each row's mean cross-entropy over its batch, written
-    into ``grads`` (views shaped like ``layers``). ``target`` holds the
-    one-hot labels; subtracting it changes only the label's entry, by
-    exactly 1, as a boolean one-hot subtracts as 0.0 and 1.0. Inputs must
-    already be checked."""
-    inputs, logits = _forward_pass(layers, kind, batch)
-
-    # Gradient w.r.t. logits of the mean loss.
-    delta = np.exp(_log_softmax(logits))
-    delta -= target
-    delta /= batch.shape[1]
-
-    for i in range(len(layers) - 1, -1, -1):
-        grad_w, grad_b = grads[i]
-        np.matmul(inputs[i].swapaxes(1, 2), delta, out=grad_w)
-        np.add.reduce(delta, axis=1, out=grad_b)
-        if i > 0:
-            # the activation's derivative from its output: relu(z) > 0 iff
-            # z > 0, and tanh'(z) = 1 - tanh(z)**2
-            delta = np.matmul(delta, layers[i][0].swapaxes(1, 2))
-            if kind is Activation.RELU:
-                delta *= inputs[i] > 0.0
-            else:
-                delta *= 1.0 - inputs[i] ** 2
 
 
 @dataclass(frozen=True)
@@ -303,17 +279,37 @@ def train_epoch(
     ys = np.empty((rows, min(window, n)), dtype=np.int64)
     classes = np.arange(spec.class_count)
     grad = np.empty_like(weights)
+    relu = spec.activation is Activation.RELU
     layers = _stack_layers(weights, spec.manifest)
+    # the backward pass, output layer first: each layer's gradient views and
+    # the transposed weights that carry the delta to the layer below
     grads = _stack_layers(grad, spec.manifest)
+    backward = [(i, grads[i], layers[i][0].swapaxes(1, 2)) for i in reversed(range(len(layers)))]
     for lo in range(0, n, window):
         count = min(window, n - lo)
         for r, (x, y, order) in enumerate(data):
             np.take(x, order[lo : lo + count], axis=0, out=xs[r, :count])
             np.take(y, order[lo : lo + count], out=ys[r, :count])
-        target = ys[:, :count, None] == classes
+        target = (ys[:, :count, None] == classes).astype(np.float64)
         for start in range(0, count, size):
             end = min(start + size, count)
-            _backprop(layers, spec.activation, xs[:, start:end], target[:, start:end], grads)
+            inputs, delta = _forward_pass(layers, relu, xs[:, start:end])
+            # gradient w.r.t. the logits of each row's mean cross-entropy:
+            # subtracting the one-hot changes only the label's entry, by 1
+            np.exp(delta, out=delta)
+            delta -= target[:, start:end]
+            delta /= end - start
+            for i, (grad_w, grad_b), w_t in backward:
+                np.matmul(inputs[i].swapaxes(1, 2), delta, out=grad_w)
+                np.add.reduce(delta, axis=1, keepdims=True, out=grad_b)
+                if i:
+                    # the activation's derivative from its output: relu(z) > 0
+                    # iff z > 0, and tanh'(z) = 1 - tanh(z)**2
+                    delta = np.matmul(delta, w_t)
+                    if relu:
+                        delta *= inputs[i] > 0.0
+                    else:
+                        delta *= 1.0 - inputs[i] ** 2
             velocity *= optimizer.momentum
             velocity += grad
             # the gradient is spent: its buffer holds the step

@@ -135,6 +135,8 @@ def score(
     through batched forward passes of as many rows as keep each activation
     within ``SCORE_VALUES`` values, at least one; the metrics are computed
     row by row."""
+    if not len(x) == len(y) == len(weights):
+        raise ShapeError(f"{len(weights)} weight rows, {len(x)} feature and {len(y)} label rows")
     width = len(x[0]) * max(model.layer_sizes)
     chunk = max(1, SCORE_VALUES // max(width, 1))
     out = []

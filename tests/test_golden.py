@@ -18,10 +18,16 @@ one baseline at a time, before baselines trained as one stack.
 The ``campaign_elevated_noise`` case, a three-seed comparison, was recorded
 while ``run_comparison`` still ran its seeds one after another, before the
 seeds of a campaign trained in lockstep.
+
+The benchmark's two workloads are pinned too: one unit of each at seed 7,
+digested and checked as ``bench/run.py`` does, from ``bench/workloads.py``
+imported as it stands.
 """
 
 import hashlib
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +74,12 @@ EARLY_STOPPING = {
 # stop at different epochs (6, 8, 4, 6 / 5, 4, 5, 7 / 8, 8, 5, 4 of 8)
 CAMPAIGN_SEEDS = [1, 2, 3]
 CAMPAIGN = {"rounds": 3, "local_epochs": 2, "max_epochs": 8, "patience": 2}
+
+WORKLOAD_SEED = 7
+WORKLOAD_DIGESTS = {
+    "campaign_presets": "7e7cbd788458b3512e0e6f18bb88ae3ee36c73e1a87b51cab130aeef9c80b960",
+    "centralized_long": "1f194546fb3ef0b87ff8ee7aa029f3681bf6dc9d2278f94ddfa8f8ba4872cef1",
+}
 
 GOLDEN = {
     "campaign_elevated_noise": {
@@ -214,3 +226,20 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_digests(case, tmp_path):
     assert CASES[case](tmp_path) == GOLDEN[case]
+
+
+def _bench_workloads() -> dict:
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workloads_match_golden_digests(name):
+    workload = _bench_workloads()[name]
+    inputs = workload.setup(WORKLOAD_SEED)
+    output = [part() for part in workload.parts(inputs)]
+    assert workload.check(inputs, output) == []
+    assert workload.digest(output) == WORKLOAD_DIGESTS[name]

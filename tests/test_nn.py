@@ -234,6 +234,7 @@ def test_train_epoch_matches_manual_loop():
         ((5, 8, 7, 3), "tanh", 37, 8),
         ((4, 6, 3), "relu", 9, 1),  # batch_size 1
         ((4, 6, 5, 3), "tanh", 11, 32),  # batch_size larger than n
+        ((6, 4), "relu", 23, 8),  # no hidden layer: no delta to propagate
     ],
 )
 def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, activation, n, batch_size):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fedsel import nn, strategies
 from fedsel.data import ClientDataset, CorpusSpec, PartitionSpec, Split, make_dataset
-from fedsel.errors import ConfigurationError, DataError
+from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import (
     ModelSpec,
     OptimizerConfig,
@@ -135,6 +135,19 @@ def test_score_is_one_pass_of_the_separate_scorers(activation):
         assert evaluate(params, spec, x, y).macro_f1 == got.report.macro_f1
 
 
+def test_score_rejects_row_count_mismatch():
+    """Every weight row needs its own features and labels: a short list of
+    either fails naming the counts instead of scoring fewer rows."""
+    spec = ModelSpec(layer_sizes=(4, 6, 3), seed=1)
+    weights = np.tile(init_parameters(spec).values, (3, 1))
+    x, y = np.zeros((3, 5, 4)), np.zeros((3, 5), dtype=int)
+    assert len(score(weights, spec, x, y)) == 3
+    with pytest.raises(ShapeError, match="3 weight rows, 3 feature and 2 label rows"):
+        score(weights, spec, x, y[:2])
+    with pytest.raises(ShapeError, match="3 weight rows, 2 feature and 3 label rows"):
+        score(weights, spec, x[:2], y)
+
+
 def _scores_key(scores):
     """Every field of a Scores; repr of a float is exact."""
     return repr(scores)
@@ -147,13 +160,13 @@ def test_stacking_equals_separate_runs(data):
     calls bit for bit: weights and velocity after two epochs, and every
     field of every row's scores. Rows differ in their incoming weights,
     velocity, data and rng; shapes cover partial and single-sample batches,
-    batches larger than the data, one or two hidden layers, relu and tanh.
+    batches larger than the data, zero to two hidden layers, relu and tanh.
     The stack runs under a drawn buffer cap, so its data is gathered a few
     batches at a time and it is scored a few rows per pass."""
     rows = data.draw(st.integers(1, 6), label="R")
     n = data.draw(st.integers(1, 40), label="n")
     batch_size = data.draw(st.integers(1, n + 3), label="batch_size")
-    hidden = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=2), label="hidden")
+    hidden = data.draw(st.lists(st.integers(1, 9), min_size=0, max_size=2), label="hidden")
     activation = data.draw(st.sampled_from(["relu", "tanh"]), label="activation")
     dim, classes = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .config import RunConfig
 from .data import ClientDataset, EvalSets, make_dataset, merge_for_centralized
 from .errors import ConfigurationError
@@ -25,7 +27,7 @@ from .orchestrator import (
     run_baselines,
     run_federations,
 )
-from .strategies import METRIC_NAMES, StrategyKind, score_one
+from .strategies import METRIC_NAMES, StrategyKind, score
 
 METRIC_COLUMNS = (*METRIC_NAMES, "confidence")
 TEST_SETS = ("global", "external")
@@ -47,14 +49,6 @@ def variant_order(rows: list[ComparisonRow]) -> list[str]:
     return locals_ + tail
 
 
-def _score(params: ParameterVector, model, x, y) -> dict[str, float]:
-    scores = score_one(params, model, x, y)
-    return {
-        **{name: scores.report.scalar(name) for name in METRIC_NAMES},
-        "confidence": scores.confidence,
-    }
-
-
 def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
     """One ComparisonRow per (seed, variant, test set), seed by seed in the
     order given. A variant that raises is recorded as failed for both test
@@ -65,8 +59,8 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
     clients of all seeds share a stack. Every seed's two federations run in
     one ``run_federations`` call, a cohort per seed, so each round's client
     runs of all seeds share a stack too. A failure stays inside its seed.
-    Each distinct set of a seed's final weights is scored once per test
-    set."""
+    A seed's distinct final weights are stacked and scored by one
+    ``score`` call per test set."""
     if not seeds:
         raise ConfigurationError("comparison needs at least one seed")
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
@@ -130,24 +124,37 @@ def _score_seed(
     seed: int, trained: Iterable[tuple[str, ParameterVector | Exception]], model, evals: EvalSets
 ) -> list[ComparisonRow]:
     """A seed's rows from its (variant, final weights or exception) pairs:
-    the weights scored on both test sets, or the error on both."""
-    sets = {
-        "global": (evals.global_test.x, evals.global_test.y),
-        "external": (evals.external_test.x, evals.external_test.y),
-    }
-    scored: dict[tuple[bytes, str], dict[str, float]] = {}
+    the weights scored on both test sets, or the error on both. Variants
+    with bitwise-equal weights share one row of the stack, which one
+    ``score`` call per test set scores; if that call raises, every variant
+    it scores fails with its error."""
+    trained = list(trained)
+    distinct: dict[bytes, np.ndarray] = {}
+    for _, params in trained:
+        if not isinstance(params, Exception):
+            distinct.setdefault(params.values.tobytes(), params.values)
+    row_of = {key: i for i, key in enumerate(distinct)}
+    stack = np.array(list(distinct.values()))
+    scored: dict[str, list[dict[str, float]]] = {}
+    try:
+        for name, split in (("global", evals.global_test), ("external", evals.external_test)):
+            shape = (len(stack), *split.x.shape)
+            scored[name] = [
+                {**{m: s.report.scalar(m) for m in METRIC_NAMES}, "confidence": s.confidence}
+                for s in score(stack, model, np.broadcast_to(split.x, shape),
+                               np.broadcast_to(split.y, shape[:2]))
+            ]
+    except Exception as exc:
+        trained = [(variant, exc) for variant, _ in trained]
     rows = []
     for variant, params in trained:
-        try:
-            if isinstance(params, Exception):
-                raise params
-            for name, (x, y) in sets.items():
-                key = (params.values.tobytes(), name)
-                if key not in scored:
-                    scored[key] = _score(params, model, x, y)
-                rows.append(ComparisonRow(seed, variant, name, "ok", scored[key]))
-        except Exception as exc:
-            rows += [ComparisonRow(seed, variant, name, "failed", None, str(exc)) for name in sets]
+        if isinstance(params, Exception):
+            rows += [ComparisonRow(seed, variant, name, "failed", None, str(params))
+                     for name in TEST_SETS]
+        else:
+            i = row_of[params.values.tobytes()]
+            rows += [ComparisonRow(seed, variant, name, "ok", scored[name][i])
+                     for name in TEST_SETS]
     return rows
 
 

@@ -7,7 +7,11 @@ epoch on ties.
 
 Models that train side by side, such as a round's client runs or a seed's
 baselines, train as one stack (``train_stacked``): each epoch is one
-``nn.train_epoch`` call and one batched scoring of every live row.
+``nn.train_epoch`` call and one ``score`` call over every live row.
+``score`` is array math over the stack's rows, the metrics included: one
+``bincount`` builds every row's confusion matrix, and the metrics and
+losses come from (R, C) and (R, n) arrays, with each row's bits those of
+that row scored alone.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
+    check_labels,
     check_split,
     forward,
     train_epoch,
@@ -74,8 +79,16 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, class_count: int) -
     for name, arr in (("labels", y_true), ("predictions", y_pred)):
         if arr.min() < 0 or arr.max() >= class_count:
             raise DataError(f"{name} outside 0..{class_count - 1}")
-    flat = np.bincount(y_true * class_count + y_pred, minlength=class_count * class_count)
-    return flat.reshape(class_count, class_count)
+    return _confusions(y_true[None], y_pred[None], class_count)[0]
+
+
+def _confusions(labels: np.ndarray, preds: np.ndarray, class_count: int) -> np.ndarray:
+    """(R, C, C) confusion matrices of R rows of labels and predictions,
+    from one ``bincount``."""
+    rows, cells = len(labels), class_count * class_count
+    flat = labels * class_count + preds
+    flat += np.arange(0, rows * cells, cells)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * cells).reshape(rows, class_count, class_count)
 
 
 def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
@@ -84,25 +97,32 @@ def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
     confusion = np.asarray(confusion)
     if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
         raise DataError(f"confusion matrix must be square, got {confusion.shape}")
-    c = confusion.shape[0]
-    diag = np.diag(confusion).astype(np.float64)
-    col = confusion.sum(axis=0).astype(np.float64)
-    row = confusion.sum(axis=1).astype(np.float64)
-    total = float(confusion.sum())
-    if total == 0:
+    return _reports(confusion[None])[0]
+
+
+def _reports(confusions: np.ndarray) -> list[MetricsReport]:
+    """``metrics_from_confusion`` of each of R confusion matrices, as
+    (R, C) array math; each row's bits equal those of that matrix alone."""
+    rows, c = len(confusions), confusions.shape[-1]
+    counts = confusions.astype(np.float64)
+    # per class: the diagonal, then precision and recall, then F1
+    parts = np.zeros((4, rows, c))
+    parts[0] = counts.reshape(rows, c * c)[:, :: c + 1]
+    sums = np.empty((2, rows, c))  # column and row sums
+    np.add.reduce(counts, axis=1, out=sums[0])
+    np.add.reduce(counts, axis=2, out=sums[1])
+    total = np.add.reduce(sums[1], axis=1)
+    if not total.all():
         raise DataError("confusion matrix has zero samples")
-
-    precision = np.divide(diag, col, out=np.zeros(c), where=col > 0)
-    recall = np.divide(diag, row, out=np.zeros(c), where=row > 0)
+    np.divide(parts[0], sums, out=parts[1:3], where=sums > 0)
+    precision, recall = parts[1], parts[2]
     pr_sum = precision + recall
-    f1 = np.divide(2 * precision * recall, pr_sum, out=np.zeros(c), where=pr_sum > 0)
-
-    return MetricsReport(
-        accuracy=float(diag.sum() / total),
-        macro_precision=float(precision.sum() / c),
-        macro_recall=float(recall.sum() / c),
-        macro_f1=float(f1.sum() / c),
-    )
+    f1 = np.multiply(2 * precision, recall, out=parts[3])
+    np.divide(f1, pr_sum, out=f1, where=pr_sum > 0)
+    means = np.add.reduce(parts, axis=2)
+    means[0] /= total
+    means[1:] /= c
+    return [MetricsReport(*values) for values in means.T.tolist()]
 
 
 @dataclass(frozen=True)
@@ -131,41 +151,66 @@ def score(
 ) -> list[Scores]:
     """Metrics, loss and correct-prediction confidence of R models, row r of
     the (R, P) ``weights`` on its own split (x[r], y[r]); the splits may be
-    (R, n, d) and (R, n) arrays or R arrays of one size each. Rows go
-    through batched forward passes of as many rows as keep each activation
-    within ``SCORE_VALUES`` values, at least one; the metrics are computed
-    row by row."""
+    (R, n, d) and (R, n) arrays or R arrays of one size each. The labels
+    are checked once, by ``nn.check_split``'s rule: integral floats pass,
+    and a label out of range is a DataError. No rows score as ``[]``.
+
+    Rows go through batched forward passes of as many rows as keep each
+    activation within ``SCORE_VALUES`` values, at least one. The metrics
+    and losses of all R rows are then computed at once: one ``bincount``
+    builds every confusion matrix, and (R, C) and (R, n) array math does
+    the rest. Only the confidence, a mean over a different number of
+    samples in each row, is reduced row by row. Each row's bits equal
+    those of scoring that row alone."""
     if not len(x) == len(y) == len(weights):
         raise ShapeError(f"{len(weights)} weight rows, {len(x)} feature and {len(y)} label rows")
-    width = len(x[0]) * max(model.layer_sizes)
-    chunk = max(1, SCORE_VALUES // max(width, 1))
-    out = []
-    for lo in range(0, len(weights), chunk):
-        batch = x[lo : lo + chunk]
-        if len(batch) == 1:
+    if not len(weights):
+        return []
+    labels = check_labels(model, y)
+    rows, n = len(weights), len(x[0])
+    if labels.shape != (rows, n):
+        raise ShapeError(f"labels shape {labels.shape} does not match {rows} rows of {n} samples")
+    if not n:
+        raise DataError("cannot score zero samples")
+    chunk = max(1, SCORE_VALUES // (n * max(model.layer_sizes)))
+    classes = model.class_count
+    # flat offset of each (row, sample) of a chunk's (rows, n, classes) output
+    offsets = np.arange(0, min(chunk, rows) * n * classes, classes).reshape(-1, n)
+    preds = np.empty((rows, n), dtype=np.intp)
+    at_label = np.empty((rows, n))  # log-probability of each label
+    top = np.empty((rows, n))  # probability of each prediction
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        batch = x[lo:hi]
+        if hi - lo == 1:
             batch = np.asarray(batch[0])[None]  # a view: one row needs no stacked copy
-        log_probs = forward(weights[lo : lo + chunk], model, batch, log=True)
+        log_probs = forward(weights[lo:hi], model, batch, log=True)
         probs = np.exp(log_probs)
-        preds = np.argmax(probs, axis=2)
-        for lp, p, pred, labels in zip(log_probs, probs, preds, y[lo : lo + chunk]):
-            labels = np.asarray(labels)
-            report = metrics_from_confusion(confusion_matrix(labels, pred, model.class_count))
-            loss = float(-lp[np.arange(labels.size), labels].mean())
-            correct = pred == labels
-            confidence = float(p[correct, pred[correct]].mean()) if correct.any() else 0.0
-            out.append(Scores(report=report, loss=loss, confidence=confidence))
-    return out
+        probs.argmax(axis=2, out=preds[lo:hi])
+        at = offsets[: hi - lo]
+        # the indices are in range, so "clip" only spares take a buffer
+        log_probs.take(at + labels[lo:hi], out=at_label[lo:hi], mode="clip")
+        probs.take(at + preds[lo:hi], out=top[lo:hi], mode="clip")
 
-
-def score_one(params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray) -> Scores:
-    """``score`` of one model on one split."""
-    return score(params.values[None], model, [x], [y])[0]
+    reports = _reports(_confusions(labels, preds, classes))
+    losses = (-(np.add.reduce(at_label, axis=1) / n)).tolist()
+    # the mean over each row's correct predictions: rows differ in how many
+    # there are, so each row's run of ``hits`` is a reduction of its own
+    correct = preds == labels
+    hits = top[correct]
+    confidences = []
+    end = 0
+    for count in np.add.reduce(correct, axis=1).tolist():
+        start, end = end, end + count
+        confidences.append(float(np.add.reduce(hits[start:end]) / count) if count else 0.0)
+    return [Scores(*fields) for fields in zip(reports, losses, confidences)]
 
 
 def evaluate(
     params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray
 ) -> MetricsReport:
-    return score_one(params, model, x, y).report
+    """``score`` of one model on one split, its metrics only."""
+    return score(params.values[None], model, np.asarray(x)[None], np.asarray(y)[None])[0].report
 
 
 def select_epoch(

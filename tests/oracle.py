@@ -6,6 +6,10 @@ momentum step per mini-batch on immutable ``ParameterVector``s. Nothing in
 the package uses it. The tests check its gradient against finite
 differences and check the kernel against it bit for bit.
 
+``score_rows`` is the scorer the batched ``fedsel.strategies.score``
+replaced: one model at a time, a confusion matrix, the metrics read off it
+and the loss and confidence of that row, on the 2-D forward pass here.
+
 ``halt_round`` is the halting rule read off a whole trace at once, which the
 tests hold the package's round-by-round ``should_halt`` to.
 """
@@ -20,6 +24,7 @@ import numpy as np
 from fedsel.aggregation import HaltingCriterion
 from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import Activation, ModelSpec, OptimizerConfig, ParameterVector, check_split
+from fedsel.strategies import MetricsReport, Scores
 
 
 def unflatten(values: np.ndarray, manifest) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -112,6 +117,48 @@ def loss_and_gradient(
                 delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
     loss = float(-log_probs[np.arange(n), labels].mean())
     return loss, ParameterVector(grad, params.manifest)
+
+
+def confusion_matrix(labels: np.ndarray, preds: np.ndarray, class_count: int) -> np.ndarray:
+    """C x C counts of one row, indexed by true class, then prediction."""
+    flat = np.bincount(labels * class_count + preds, minlength=class_count * class_count)
+    return flat.reshape(class_count, class_count)
+
+
+def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
+    """Accuracy and macro averages over every class of one matrix; a class
+    with no support or no predictions contributes zero."""
+    c = confusion.shape[0]
+    diag = np.diag(confusion).astype(np.float64)
+    col = confusion.sum(axis=0).astype(np.float64)
+    row = confusion.sum(axis=1).astype(np.float64)
+    total = float(confusion.sum())
+    precision = np.divide(diag, col, out=np.zeros(c), where=col > 0)
+    recall = np.divide(diag, row, out=np.zeros(c), where=row > 0)
+    pr_sum = precision + recall
+    f1 = np.divide(2 * precision * recall, pr_sum, out=np.zeros(c), where=pr_sum > 0)
+    return MetricsReport(
+        accuracy=float(diag.sum() / total),
+        macro_precision=float(precision.sum() / c),
+        macro_recall=float(recall.sum() / c),
+        macro_f1=float(f1.sum() / c),
+    )
+
+
+def score_rows(weights, spec: ModelSpec, x, y) -> list[Scores]:
+    """Scores of each row of ``weights`` on its own split, one at a time."""
+    out = []
+    for values, batch, labels in zip(weights, x, y):
+        batch, labels = check_split(spec, batch, labels)
+        log_probs = forward(ParameterVector(values, spec.manifest), spec, batch, log=True)
+        probs = np.exp(log_probs)
+        preds = np.argmax(probs, axis=1)
+        report = metrics_from_confusion(confusion_matrix(labels, preds, spec.class_count))
+        loss = float(-log_probs[np.arange(labels.size), labels].mean())
+        correct = preds == labels
+        confidence = float(probs[correct, preds[correct]].mean()) if correct.any() else 0.0
+        out.append(Scores(report=report, loss=loss, confidence=confidence))
+    return out
 
 
 @dataclass(frozen=True)

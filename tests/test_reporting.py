@@ -136,6 +136,48 @@ def test_run_comparison_survives_variant_exception(monkeypatch):
     assert sum(r.status == "ok" for r in rows) == len(rows) - 2
 
 
+def test_each_seed_and_test_set_is_scored_in_one_call(monkeypatch):
+    """A seed's distinct final weights go through one ``score`` call per
+    test set. Variants whose weights are bitwise equal share a row of the
+    stack and get equal rows; a seed with no weights to score makes its
+    calls on an empty stack."""
+    import fedsel.reporting as reporting
+
+    real_score, real_baselines = reporting.score, reporting.run_baselines
+    stacks = []
+
+    def counted(weights, *args):
+        stacks.append(np.array(weights))
+        return real_score(weights, *args)
+
+    def twins(*args, **kwargs):
+        results = real_baselines(*args, **kwargs)
+        results[1] = results[0]  # seed 1's client 1 ships client 0's weights
+        return results
+
+    monkeypatch.setattr(reporting, "score", counted)
+    monkeypatch.setattr(reporting, "run_baselines", twins)
+    rows = run_comparison(tiny_cfg(), seeds=[1, 2])
+    assert len(stacks) == 4  # 2 seeds x 2 test sets
+    for stack in stacks:
+        assert len({w.tobytes() for w in stack}) == len(stack)
+    assert len(stacks[0]) == len(stacks[1]) < 7
+    assert all(r.status == "ok" for r in rows)
+    by_key = {(r.seed, r.variant, r.test_set): r.metrics for r in rows}
+    for test_set in ("global", "external"):
+        assert by_key[1, "local_client_1", test_set] == by_key[1, "local_client_0", test_set]
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("nothing trained")
+
+    stacks.clear()
+    monkeypatch.setattr(reporting, "run_baselines", fails)
+    monkeypatch.setattr(reporting, "run_federations", fails)
+    rows = run_comparison(tiny_cfg(), seeds=[3])
+    assert [len(stack) for stack in stacks] == [0, 0]
+    assert len(rows) == 14 and all(r.error == "nothing trained" for r in rows)
+
+
 def test_diverged_baselines_fail_naming_client_and_epoch():
     """At a learning rate of 1e6 every baseline's weights overflow. Each
     such row fails alone, naming its client (or the pooled model) and the

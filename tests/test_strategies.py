@@ -25,11 +25,10 @@ from fedsel.strategies import (
     metrics_from_confusion,
     run_local,
     score,
-    score_one,
     select_epoch,
     train_local,
 )
-from oracle import cross_entropy_loss, forward, loss_and_gradient
+from oracle import cross_entropy_loss, forward, loss_and_gradient, score_rows
 
 
 def brute_force_metrics(y_true, y_pred, class_count):
@@ -107,8 +106,9 @@ def test_uniform_predictor_confidence():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((50, 4))
     y = np.zeros(50, dtype=int)  # argmax of a uniform row is class 0
-    assert score_one(zeros, spec, x, y).confidence == pytest.approx(0.2)
-    assert score_one(zeros, spec, x, np.full(50, 3)).confidence == 0.0
+    (hit, miss) = score(np.stack([zeros.values] * 2), spec, [x, x], [y, np.full(50, 3)])
+    assert hit.confidence == pytest.approx(0.2)
+    assert miss.confidence == 0.0
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -122,7 +122,7 @@ def test_score_is_one_pass_of_the_separate_scorers(activation):
         params = ParameterVector(start.values + rng.standard_normal(len(start)), start.manifest)
         x = rng.standard_normal((33, 6)) * 3.0
         y = rng.integers(0, 4, 33)
-        got = score_one(params, spec, x, y)
+        (got,) = score(params.values[None], spec, [x], [y])
 
         probs = forward(params, spec, x)
         preds = np.argmax(probs, axis=1)
@@ -146,6 +146,58 @@ def test_score_rejects_row_count_mismatch():
         score(weights, spec, x, y[:2])
     with pytest.raises(ShapeError, match="3 weight rows, 2 feature and 3 label rows"):
         score(weights, spec, x[:2], y)
+
+
+def test_score_checks_labels_by_the_split_rule():
+    """Labels held as integral floats score as their integers, as
+    ``check_split`` accepts them; a label out of range, negative or not
+    integral is a DataError."""
+    spec = ModelSpec(layer_sizes=(4, 6, 3), seed=1)
+    rng = np.random.default_rng(4)
+    weights = init_parameters(spec).values + rng.standard_normal((2, manifest_size(spec.manifest)))
+    x, y = rng.standard_normal((2, 9, 4)), rng.integers(0, 3, (2, 9))
+    assert repr(score(weights, spec, x, y.astype(np.float64))) == repr(score(weights, spec, x, y))
+    assert repr(score(weights, spec, list(x), list(y * 1.0))) == repr(score(weights, spec, x, y))
+    for bad, match in ((y + 3, "must lie in"), (y - 3, "must lie in"), (y + 0.5, "integers")):
+        with pytest.raises(DataError, match=match):
+            score(weights, spec, x, bad)
+
+
+def test_score_of_no_rows_is_empty():
+    spec = ModelSpec(layer_sizes=(4, 6, 3), seed=1)
+    assert score(np.empty((0, manifest_size(spec.manifest))), spec, [], []) == []
+    assert score(np.empty((0, manifest_size(spec.manifest))), spec,
+                 np.empty((0, 5, 4)), np.empty((0, 5), dtype=int)) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_score_equals_the_per_row_oracle(data):
+    """The batched scorer equals ``oracle.score_rows``, one row at a time on
+    the 2-D forward pass, in every field of every row. Weights may be all
+    zero, so every probability ties and only class 0 is predicted; the
+    rows may share one split, as a campaign's test sets are scored; the
+    stack is scored a few rows per pass under a drawn ``SCORE_VALUES``."""
+    rows = data.draw(st.integers(1, 8), label="R")
+    n = data.draw(st.one_of(st.just(1), st.integers(1, 300)), label="n")
+    hidden = data.draw(st.lists(st.integers(1, 9), max_size=2), label="hidden")
+    activation = data.draw(st.sampled_from(["relu", "tanh"]), label="activation")
+    dim, classes = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    spec = ModelSpec(layer_sizes=(dim, *hidden, classes), activation=activation)
+
+    scale = data.draw(st.sampled_from([0.0, 0.5, 3.0]), label="weight scale")
+    weights = rng.standard_normal((rows, manifest_size(spec.manifest))) * scale
+    weights[rng.random(rows) < 0.25] = 0.0
+    x, y = rng.standard_normal((rows, n, dim)) * 2.0, rng.integers(0, classes, (rows, n))
+    if data.draw(st.booleans(), label="one shared split"):
+        x, y = np.broadcast_to(x[0], x.shape), np.broadcast_to(y[0], y.shape)
+    if data.draw(st.booleans(), label="float labels"):
+        y = y.astype(np.float64)
+    cap = data.draw(st.sampled_from([None, 1, 30, 200]), label="SCORE_VALUES")
+    with mock.patch.object(strategies, "SCORE_VALUES", cap or strategies.SCORE_VALUES):
+        got = score(weights, spec, x, y)
+    assert [repr(s) for s in got] == [repr(s) for s in score_rows(weights, spec, x, y)]
 
 
 def _scores_key(scores):

@@ -206,7 +206,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"{path}: {exc}") from None
     summaries = summarize(rows)
     text = summary_to_text(summaries)
-    stem = run_id if len(candidates) == 1 else "report"
+    stem = candidates[0].name.removesuffix(".compare.csv") if len(candidates) == 1 else "report"
     atomic_write_text(out / f"{stem}.summary.csv", summary_to_csv(summaries))
     atomic_write_text(out / f"{stem}.summary.txt", text)
     print(text)

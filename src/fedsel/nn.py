@@ -143,11 +143,13 @@ def check_split(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarr
 def check_labels(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
     """``y``, of any shape, as int64 labels in range; integral floats pass."""
     y = np.asarray(y)
-    if not issubclass(y.dtype.type, np.integer):
+    if y.dtype.kind == "f":
         rounded = np.rint(y)
         if not np.array_equal(rounded, y):
             raise DataError("labels must be integers")
         y = rounded
+    elif y.dtype.kind not in "biu":
+        raise DataError("labels must be integers")
     y = y.astype(np.int64, copy=False)
     if y.size and (y.min() < 0 or y.max() >= spec.class_count):
         raise DataError(

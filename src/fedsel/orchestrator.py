@@ -11,12 +11,12 @@ Two round-loop flavors:
 Per-client RNG streams are child streams of the master seed keyed by
 (round, client_id), so no client's result depends on which other clients
 train beside it, and one client run yields the epochs both strategies ship.
-So federations that differ only in strategy run in lockstep, one by one
-through one round function over a per-round memo keyed by starting weights,
-which holds each client run's picks: they share client runs and scoring
-passes while their global weights agree. Cohorts of such federations, one
-per campaign seed, also run in lockstep, each over its own memo: each
-round, the distinct client runs of every cohort train first, as one stack.
+So federations that differ only in strategy, a cohort, run in lockstep:
+each round, every distinct client run is trained once, keyed by client id
+and incoming weights, and the cohort's federations advance together, each
+scoring pass one ``score_params`` call over all of them. Cohorts, one per
+campaign seed, also run in lockstep: each round, the distinct client runs
+of every cohort train first, as one stack.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .strategies import (
     Scores,
     SelectionMetric,
     StrategyKind,
-    evaluate,
+    score_params,
     train_local,
     train_stacked,
 )
@@ -129,63 +129,59 @@ class _Lockstep:
     halted: bool = False
 
 
-def _memo(memo: dict, key: tuple, compute):
-    """``memo[key]``, computed on first use. A scoring failure is raised, not
-    stored, so every caller that reaches it recomputes it and fails alike."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def _round(
-    run: _Lockstep,
+    cfg: FederationConfig,
     t: int,
+    runs: list[_Lockstep],
     clients: list[ClientDataset],
     evals: EvalSets,
-    memo: dict,
+    picks: dict,
 ) -> None:
-    """Round ``t`` of one federation. Every computation that starts from
-    weights goes through ``memo``, so the federations of a round that reach
-    it with equal weights share it. The client runs are already there, as
-    picks or as the error that failed them (``_train_missing``)."""
-    cfg, incoming = run.cfg, run.params
-    weights = incoming.values.tobytes()
-
+    """Round ``t`` of a cohort's live federations, which ``cfg`` describes
+    up to strategy. A run finds its client runs' picks, or the error that
+    failed them, in ``picks`` (``_train_missing``); a failed client run or
+    aggregation ends that run. Each scoring pass is one ``score_params``
+    call over every run: per client test split (industrial) or on the
+    global test set (academic). A pass that raises fails the round."""
     industrial = cfg.workflow is Workflow.INDUSTRIAL
     if industrial:
-        incoming_reports = tuple(
-            _memo(memo, ("test", c.client_id, weights),
-                  lambda c=c: evaluate(incoming, cfg.model, c.test.x, c.test.y))
-            for c in clients
-        )
-    results = []
-    for c in clients:
-        picks = memo[("train", c.client_id, weights)]
-        if isinstance(picks, Exception):
-            raise picks
-        results.append(picks[cfg.strategy])
-    updates = [
-        ClientUpdate(c.client_id, r.selected_params, len(c.train))
-        for c, r in zip(clients, results)
-    ]
-    run.params = aggregate(updates, cfg.aggregation)
-    selected = tuple(r.selected_epoch for r in results)
+        incoming = [score_params([run.params for run in runs], cfg.model, c.test) for c in clients]
+    advanced = []
+    for i, run in enumerate(runs):
+        weights = run.params.values.tobytes()
+        try:
+            results = []
+            for c in clients:
+                outcome = picks[c.client_id, weights]
+                if isinstance(outcome, Exception):
+                    raise outcome
+                results.append(outcome[run.cfg.strategy])
+            updates = [
+                ClientUpdate(c.client_id, r.selected_params, len(c.train))
+                for c, r in zip(clients, results)
+            ]
+            run.params = aggregate(updates, cfg.aggregation)
+            selected = tuple(r.selected_epoch for r in results)
+            if industrial:
+                reports = tuple(scores[i].report for scores in incoming)
+                agg = aggregate_metrics(reports)
+                run.halted = should_halt(agg, cfg.halting, t)
+                run.records.append(RoundRecord(
+                    round=t, metrics=agg, per_client_metrics=reports,
+                    selected_epochs=selected, halted=threshold_met(agg, cfg.halting),
+                ))
+            else:
+                advanced.append((run, selected))
+        except Exception as exc:
+            run.error = exc
     if industrial:
-        agg = aggregate_metrics(incoming_reports)
-        run.halted = should_halt(agg, cfg.halting, t)
-        run.records.append(RoundRecord(
-            round=t, metrics=agg, per_client_metrics=incoming_reports,
-            selected_epochs=selected, halted=threshold_met(agg, cfg.halting),
-        ))
         return
-    global_report = _memo(
-        memo, ("global", run.params.values.tobytes()),
-        lambda: evaluate(run.params, cfg.model, evals.global_test.x, evals.global_test.y),
-    )
-    run.records.append(RoundRecord(
-        round=t, metrics=global_report, per_client_metrics=(),
-        selected_epochs=selected, halted=False,
-    ))
+    scored = score_params([run.params for run, _ in advanced], cfg.model, evals.global_test)
+    for (run, selected), scores in zip(advanced, scored):
+        run.records.append(RoundRecord(
+            round=t, metrics=scores.report, per_client_metrics=(),
+            selected_epochs=selected, halted=False,
+        ))
 
 
 # One seed's federations: configs that differ only in strategy, and the
@@ -202,7 +198,7 @@ def _check_cohorts(cohorts: list[Cohort]) -> FederationConfig:
     for cfgs, clients, _ in cohorts:
         lead = cfgs[0]
         for cfg in cfgs[1:]:
-            # a cohort's memo keys hold weights and client ids only
+            # a cohort's client runs are keyed by weights and client ids only
             if replace(cfg, strategy=lead.strategy) != lead:
                 raise ConfigurationError("lockstep federations may differ only in strategy")
         if replace(lead, strategy=first.strategy, master_seed=first.master_seed) != first:
@@ -222,25 +218,21 @@ def run_federations(cohorts: list[Cohort]) -> list[list[FederationOutcome | Exce
 
     A cohort is one seed's federations, which differ only in strategy;
     cohorts differ from each other only in strategy and master seed. Each
-    round runs every live federation in config order through one round
-    function and its cohort's memo, which lives for that round. Client runs
-    and scoring passes are keyed by the weights they start from, so a
-    cohort's federations whose global weights are bitwise equal train each
-    client once and score each weight vector once; the memo keeps each
-    client run's picks, as ``train_local`` returns them, and no weights of
-    the epochs no strategy picked. Memos are never shared: every cohort
-    starts from the same initial weights, but trains on its own data and
-    streams. Each round, the missing client runs of every cohort train as
-    one ``train_local`` call. In the industrial flow each federation halts
-    on its own. Every result is bitwise what a federation run alone
-    produces.
+    round, the client runs of every cohort train as one ``train_local``
+    call; a cohort's runs are keyed by client id and incoming weights, so
+    its federations whose global weights are bitwise equal train each
+    client once. Then each cohort's live federations advance together
+    through one ``_round`` call, which scores them all in one
+    ``score_params`` pass per split. Cohorts share no client run: they
+    start from the same weights, but train on their own data and streams.
+    In the industrial flow each federation halts on its own. Every result
+    is bitwise what a federation run alone produces.
 
     Returns, per cohort and per config, its round records and final
-    weights, or the exception that ended it. A failed client run is
-    memoized as its error, which each federation of its cohort that
-    reaches it raises; a failed scoring pass is recomputed by each
-    federation that reaches it. Either way a failure ends only the
-    federations that reach it.
+    weights, or the exception that ended it. A failed client run or
+    aggregation ends the federations that reach it; a failed scoring pass
+    ends every federation of its cohort that has no earlier error. No
+    failure reaches another cohort.
     """
     first = _check_cohorts(cohorts)
     horizon = first.halting.max_rounds if first.workflow is Workflow.INDUSTRIAL else first.rounds
@@ -248,14 +240,15 @@ def run_federations(cohorts: list[Cohort]) -> list[list[FederationOutcome | Exce
     runs = [[_Lockstep(cfg, init) for cfg in cfgs] for cfgs, _, _ in cohorts]
     for t in range(1, horizon + 1):
         live = [[run for run in cohort if run.error is None and not run.halted] for cohort in runs]
-        memos: list[dict] = [{} for _ in cohorts]
-        _train_missing(first, t, cohorts, live, memos)
-        for (_, clients, evals), cohort, memo in zip(cohorts, live, memos):
-            for run in cohort:
-                try:
-                    _round(run, t, clients, evals, memo)
-                except Exception as exc:
-                    run.error = exc
+        picks = _train_missing(first, t, cohorts, live)
+        for (_, clients, evals), cohort, cohort_picks in zip(cohorts, live, picks):
+            if not cohort:
+                continue
+            try:
+                _round(first, t, cohort, clients, evals, cohort_picks)
+            except Exception as exc:
+                for run in cohort:
+                    run.error = run.error or exc
     return [
         [r.error if r.error is not None else (r.records, r.params) for r in cohort]
         for cohort in runs
@@ -267,34 +260,34 @@ def _train_missing(
     t: int,
     cohorts: list[Cohort],
     live: list[list[_Lockstep]],
-    memos: list[dict],
-) -> None:
+) -> list[dict]:
     """Train every distinct client run of round ``t`` that the live
-    federations of each cohort will ask ``_round`` for, in one
-    ``train_local`` call, so runs of equal size share one stack whatever
-    their cohort. Each run draws from its own federation's client stream.
-    Memoize, in its cohort's memo, each run's picks, or, for a run that
+    federations of each cohort start, in one ``train_local`` call, so runs
+    of equal size share one stack whatever their cohort. Each run draws
+    from its own federation's client stream. Returns, per cohort, each
+    run's picks keyed by (client id, incoming weights), or, for a run that
     failed, a ProtocolError naming its client and the round."""
     rows = {}
     for i, ((_, clients, _), cohort) in enumerate(zip(cohorts, live)):
         for run in cohort:
             weights = run.params.values.tobytes()
             for c in clients:
-                key = ("train", c.client_id, weights)
-                if (i, key) not in rows:
+                if (i, c.client_id, weights) not in rows:
                     stream = client_stream(run.cfg.master_seed, t, c.client_id)
-                    rows[i, key] = (run.params, c, stream)
+                    rows[i, c.client_id, weights] = (run.params, c, stream)
+    picks: list[dict] = [{} for _ in cohorts]
     if not rows:
-        return
+        return picks
     outcomes = train_local(
         list(rows.values()), cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
     )
-    for ((i, key), (_, c, _)), outcome in zip(rows.items(), outcomes):
+    for (i, client_id, weights), outcome in zip(rows, outcomes):
         if isinstance(outcome, Exception):
-            error = ProtocolError(f"client {c.client_id} failed in round {t}: {outcome}")
+            error = ProtocolError(f"client {client_id} failed in round {t}: {outcome}")
             error.__cause__ = outcome
             outcome = error
-        memos[i][key] = outcome
+        picks[i][client_id, weights] = outcome
+    return picks
 
 
 def run_federation(

@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from .config import RunConfig
 from .data import ClientDataset, EvalSets, make_dataset, merge_for_centralized
 from .errors import ConfigurationError
@@ -27,7 +25,7 @@ from .orchestrator import (
     run_baselines,
     run_federations,
 )
-from .strategies import METRIC_NAMES, StrategyKind, score
+from .strategies import METRIC_NAMES, StrategyKind, score_params
 
 METRIC_COLUMNS = (*METRIC_NAMES, "confidence")
 TEST_SETS = ("global", "external")
@@ -59,8 +57,8 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
     clients of all seeds share a stack. Every seed's two federations run in
     one ``run_federations`` call, a cohort per seed, so each round's client
     runs of all seeds share a stack too. A failure stays inside its seed.
-    A seed's distinct final weights are stacked and scored by one
-    ``score`` call per test set."""
+    A seed's final weights are scored by one ``score_params`` call per
+    test set."""
     if not seeds:
         raise ConfigurationError("comparison needs at least one seed")
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
@@ -124,37 +122,26 @@ def _score_seed(
     seed: int, trained: Iterable[tuple[str, ParameterVector | Exception]], model, evals: EvalSets
 ) -> list[ComparisonRow]:
     """A seed's rows from its (variant, final weights or exception) pairs:
-    the weights scored on both test sets, or the error on both. Variants
-    with bitwise-equal weights share one row of the stack, which one
-    ``score`` call per test set scores; if that call raises, every variant
-    it scores fails with its error."""
+    the weights scored on both test sets, or the error on both. The
+    trained weights go through one ``score_params`` call per test set; if
+    one raises, every variant it scores fails with its error."""
     trained = list(trained)
-    distinct: dict[bytes, np.ndarray] = {}
-    for _, params in trained:
-        if not isinstance(params, Exception):
-            distinct.setdefault(params.values.tobytes(), params.values)
-    row_of = {key: i for i, key in enumerate(distinct)}
-    stack = np.array(list(distinct.values()))
-    scored: dict[str, list[dict[str, float]]] = {}
+    params = [p for _, p in trained if not isinstance(p, Exception)]
     try:
-        for name, split in (("global", evals.global_test), ("external", evals.external_test)):
-            shape = (len(stack), *split.x.shape)
-            scored[name] = [
-                {**{m: s.report.scalar(m) for m in METRIC_NAMES}, "confidence": s.confidence}
-                for s in score(stack, model, np.broadcast_to(split.x, shape),
-                               np.broadcast_to(split.y, shape[:2]))
-            ]
+        # per trained variant, its scores on each of TEST_SETS
+        scored = zip(*[score_params(params, model, split)
+                       for split in (evals.global_test, evals.external_test)])
     except Exception as exc:
         trained = [(variant, exc) for variant, _ in trained]
     rows = []
-    for variant, params in trained:
-        if isinstance(params, Exception):
-            rows += [ComparisonRow(seed, variant, name, "failed", None, str(params))
+    for variant, outcome in trained:
+        if isinstance(outcome, Exception):
+            rows += [ComparisonRow(seed, variant, name, "failed", None, str(outcome))
                      for name in TEST_SETS]
-        else:
-            i = row_of[params.values.tobytes()]
-            rows += [ComparisonRow(seed, variant, name, "ok", scored[name][i])
-                     for name in TEST_SETS]
+            continue
+        for name, s in zip(TEST_SETS, next(scored)):
+            metrics = {**{m: s.report.scalar(m) for m in METRIC_NAMES}, "confidence": s.confidence}
+            rows.append(ComparisonRow(seed, variant, name, "ok", metrics))
     return rows
 
 

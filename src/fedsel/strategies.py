@@ -11,7 +11,9 @@ baselines, train as one stack (``train_stacked``): each epoch is one
 ``score`` is array math over the stack's rows, the metrics included: one
 ``bincount`` builds every row's confusion matrix, and the metrics and
 losses come from (R, C) and (R, n) arrays, with each row's bits those of
-that row scored alone.
+that row scored alone. Models scored on one shared split, such as a
+round's global weights or a campaign seed's final ones, go through
+``score_params``, where equal weights share one row of the stack.
 """
 
 from __future__ import annotations
@@ -211,6 +213,21 @@ def evaluate(
 ) -> MetricsReport:
     """``score`` of one model on one split, its metrics only."""
     return score(params.values[None], model, np.asarray(x)[None], np.asarray(y)[None])[0].report
+
+
+def score_params(
+    params: Sequence[ParameterVector], model: ModelSpec, split: Split
+) -> list[Scores]:
+    """``score`` of each of ``params`` on one split, as one ``score`` call
+    over the bitwise-distinct weight vectors: equal weights share one row
+    of the stack, and so their scores. Every row reads one broadcast view
+    of the split; no params make the call on an empty stack."""
+    distinct = {p.values.tobytes(): p.values for p in params}
+    row_of = {key: i for i, key in enumerate(distinct)}
+    stack = np.array(list(distinct.values()))
+    x = np.broadcast_to(split.x, (len(stack), *split.x.shape))
+    scores = score(stack, model, x, np.broadcast_to(split.y, x.shape[:2]))
+    return [scores[row_of[p.values.tobytes()]] for p in params]
 
 
 def select_epoch(

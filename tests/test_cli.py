@@ -187,6 +187,22 @@ def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys
     assert f"{path.name}: comparison CSV line 4: {message}" in capsys.readouterr().err
 
 
+def test_report_names_its_summary_after_the_one_csv_it_reads(tiny_config, tmp_path, capsys):
+    """Without --config, a report over one compare CSV writes the summary
+    that compare wrote beside it, under that CSV's run id, not the default
+    config's."""
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(tiny_config), "--seeds", "1", "--out", str(out)]) == 0
+    (source,) = out.glob("*.compare.csv")
+    run_id = source.name.removesuffix(".compare.csv")
+    written = {p.name: p.read_bytes() for p in out.glob("*.summary.*")}
+    assert sorted(written) == [f"{run_id}.summary.csv", f"{run_id}.summary.txt"]
+    for name in written:
+        (out / name).unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("*.summary.*")} == written
+
+
 def test_report_without_compare_output_fails(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path / "empty")])
     assert code == 2

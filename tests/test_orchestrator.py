@@ -17,7 +17,7 @@ from fedsel.data import (
     make_dataset,
     merge_for_centralized,
 )
-from fedsel.errors import ConfigurationError, ProtocolError
+from fedsel.errors import ConfigurationError, DataError, ProtocolError
 from fedsel.nn import ModelSpec, OptimizerConfig
 from fedsel.orchestrator import (
     BaselineConfig,
@@ -147,22 +147,40 @@ def _records_key(records):
     return repr(records)
 
 
+@contextmanager
+def _scoring_stacks(module):
+    """The row count of every ``score`` call made through ``module``'s
+    ``score_params``, in call order."""
+    import fedsel.strategies as strategies
+
+    real_score_params, real_score = module.score_params, strategies.score
+    stacks = []
+
+    def score(weights, *args):
+        stacks.append(len(weights))
+        return real_score(weights, *args)
+
+    def score_params(*args):
+        with mock.patch.object(strategies, "score", score):
+            return real_score_params(*args)
+
+    with mock.patch.object(module, "score_params", score_params):
+        yield stacks
+
+
 def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
     import fedsel.orchestrator as orchestrator
 
-    calls = {"train_local": 0, "evaluate": 0}
+    trained = []
+    real_train = orchestrator.train_local
 
-    def counted(name, rows):
-        real = getattr(orchestrator, name)
+    def train_local(rows, *args):
+        trained.append(len(rows))
+        return real_train(rows, *args)
 
-        def wrapper(*args):
-            calls[name] += rows(*args)
-            return real(*args)
-        return wrapper
-
-    # client runs count stacked rows; scoring passes count calls
-    with mock.patch.object(orchestrator, "train_local", counted("train_local", lambda r, *_: len(r))), \
-            mock.patch.object(orchestrator, "evaluate", counted("evaluate", lambda *_: 1)):
+    # client runs count stacked rows; scoring passes count rows per call
+    with mock.patch.object(orchestrator, "train_local", train_local), \
+            _scoring_stacks(orchestrator) as scored:
         together = run_federations([(cfgs, clients, evals)])[0]
     for i, (cfg, outcome) in enumerate(zip(cfgs, together)):
         records, params = outcome
@@ -175,7 +193,7 @@ def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
                                             tmp_path / f"{i}-{tag}")
             logs.append((jsonl.read_bytes(), txt.read_bytes()))
         assert logs[0] == logs[1]
-    return together, calls["train_local"], calls["evaluate"]
+    return together, sum(trained), scored
 
 
 def _nan_macro_f1(scores):
@@ -235,8 +253,9 @@ def test_lockstep_academic_equals_separate_runs(tmp_path):
     assert fews[2].metrics.macro_f1 != oews[2].metrics.macro_f1
     # 4 clients: round 1 and 2 once, round 3 once per strategy
     assert trained == 4 + 4 + 8
-    # one global score of round 1's shared weights, two in rounds 2 and 3
-    assert scored == 1 + 2 + 2
+    # one global-test call per round: round 1's shared weights, then two
+    # distinct vectors in rounds 2 and 3
+    assert scored == [1, 2, 2]
 
 
 def test_last_record_reports_the_shipped_weights():
@@ -267,8 +286,8 @@ def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
     assert [r.halted for r in fews] == [False, False, True]
     assert [r.halted for r in oews] == [False, False, False, False]
     assert trained == 4 + 4 + 8 + 4
-    # each client scores each distinct incoming weight vector once
-    assert scored == 4 + 4 + 8 + 4
+    # one call per client per round, over each distinct incoming weight vector
+    assert scored == [1] * 4 + [1] * 4 + [2] * 4 + [1] * 4
 
 
 def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
@@ -313,6 +332,75 @@ def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
                 for tag, recs in (("together", records), ("alone", alone_records))
             ]
             assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("workflow", [Workflow.ACADEMIC, Workflow.INDUSTRIAL])
+def test_a_failed_scoring_pass_fails_its_cohort_alone(workflow):
+    """Two seeds' cohorts in one call. A label out of range in the first
+    cohort's global test set (academic) or in its client 2's test split
+    (industrial) fails that cohort's scoring pass, so both of its
+    federations end with the DataError; the second cohort's outcomes are
+    bitwise those of a call with it alone."""
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8, max_rounds=3)
+    flow = dict(workflow=workflow, halting=crit if workflow is Workflow.INDUSTRIAL else None)
+    cohorts = []
+    for data_seed, master_seed in ((55, 13), (56, 14)):
+        clients, evals = small_dataset(noise=2.0, seed=data_seed)
+        cfgs = [fast_cfg(strategy=s, master_seed=master_seed, **flow, **DIVERGING)
+                for s in ("fews", "oews")]
+        cohorts.append((cfgs, clients, evals))
+
+    def spoiled(split):
+        y = split.y.copy()
+        y[0] = MODEL.class_count
+        return replace(split, y=y)
+
+    cfgs, clients, evals = cohorts[0]
+    if workflow is Workflow.INDUSTRIAL:
+        clients = [replace(c, test=spoiled(c.test)) if c.client_id == 2 else c for c in clients]
+    else:
+        evals = replace(evals, global_test=spoiled(evals.global_test))
+    cohorts[0] = (cfgs, clients, evals)
+
+    failed, kept = run_federations(cohorts)
+    for outcome in failed:
+        assert isinstance(outcome, DataError)
+        assert "labels must lie in [0, 5), got range [0, 5]" in str(outcome)
+    alone = run_federations(cohorts[1:])[0]
+    assert len(kept[0][0]) > 1
+    for (records, params), (alone_records, alone_params) in zip(kept, alone):
+        assert params.values.tobytes() == alone_params.values.tobytes()
+        assert _records_key(records) == _records_key(alone_records)
+
+
+def test_a_failed_scoring_pass_keeps_a_run_s_own_earlier_error():
+    """FEWS and OEWS part in round 2. In round 3, OEWS's client 1 run
+    fails, and then the global scoring pass raises: OEWS ends with its own
+    client error, FEWS with the scoring error."""
+    import fedsel.orchestrator as orchestrator
+
+    clients, evals = small_dataset(noise=2.0, seed=55)
+    cfgs = [fast_cfg(strategy=s, rounds=3, **DIVERGING) for s in ("fews", "oews")]
+    parted = [run_federation(replace(cfg, rounds=2), clients, evals)[1] for cfg in cfgs]
+    assert parted[0].values.tobytes() != parted[1].values.tobytes()
+
+    def oews_round_three(params, client, rng):
+        return client.client_id == 1 and params.values.tobytes() == parted[1].values.tobytes()
+
+    real, calls = orchestrator.score_params, []
+
+    def score_params(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("round 3 scoring failed")
+        return real(*args)
+
+    with _spoiled_score(oews_round_three, 2, _nan_macro_f1), \
+            mock.patch.object(orchestrator, "score_params", score_params):
+        fews, oews = run_federations([(cfgs, clients, evals)])[0]
+    assert str(fews) == "round 3 scoring failed"
+    assert isinstance(oews, ProtocolError)
+    assert str(oews).startswith("client 1 failed in round 3: client 1 epoch 2")
 
 
 @pytest.mark.parametrize("change", [

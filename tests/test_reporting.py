@@ -137,25 +137,32 @@ def test_run_comparison_survives_variant_exception(monkeypatch):
 
 
 def test_each_seed_and_test_set_is_scored_in_one_call(monkeypatch):
-    """A seed's distinct final weights go through one ``score`` call per
-    test set. Variants whose weights are bitwise equal share a row of the
-    stack and get equal rows; a seed with no weights to score makes its
-    calls on an empty stack."""
+    """A seed's final weights go through one ``score_params`` call, and so
+    one ``score`` call, per test set. Variants whose weights are bitwise
+    equal share a row of the stack and get equal rows; a seed with no
+    weights to score makes its calls on an empty stack."""
     import fedsel.reporting as reporting
+    import fedsel.strategies as strategies
 
-    real_score, real_baselines = reporting.score, reporting.run_baselines
+    real_score_params, real_score = reporting.score_params, strategies.score
+    real_baselines = reporting.run_baselines
     stacks = []
 
     def counted(weights, *args):
         stacks.append(np.array(weights))
         return real_score(weights, *args)
 
+    def score_params(*args):
+        with monkeypatch.context() as m:
+            m.setattr(strategies, "score", counted)
+            return real_score_params(*args)
+
     def twins(*args, **kwargs):
         results = real_baselines(*args, **kwargs)
         results[1] = results[0]  # seed 1's client 1 ships client 0's weights
         return results
 
-    monkeypatch.setattr(reporting, "score", counted)
+    monkeypatch.setattr(reporting, "score_params", score_params)
     monkeypatch.setattr(reporting, "run_baselines", twins)
     rows = run_comparison(tiny_cfg(), seeds=[1, 2])
     assert len(stacks) == 4  # 2 seeds x 2 test sets

@@ -158,7 +158,8 @@ def test_score_checks_labels_by_the_split_rule():
     x, y = rng.standard_normal((2, 9, 4)), rng.integers(0, 3, (2, 9))
     assert repr(score(weights, spec, x, y.astype(np.float64))) == repr(score(weights, spec, x, y))
     assert repr(score(weights, spec, list(x), list(y * 1.0))) == repr(score(weights, spec, x, y))
-    for bad, match in ((y + 3, "must lie in"), (y - 3, "must lie in"), (y + 0.5, "integers")):
+    for bad, match in ((y + 3, "must lie in"), (y - 3, "must lie in"), (y + 0.5, "integers"),
+                       (y.astype(str), "integers"), (y.astype(object), "integers")):
         with pytest.raises(DataError, match=match):
             score(weights, spec, x, bad)
 

@@ -15,7 +15,7 @@ from fedsel.orchestrator import (
     run_centralized,
     run_federation,
 )
-from fedsel.strategies import evaluate
+from fedsel.strategies import score_params
 
 corpus = CorpusSpec(seed=1)
 clients, evals = make_dataset(corpus, PartitionSpec.default())
@@ -31,7 +31,7 @@ for client in clients:
         model,
         baseline_stream(1, tag=client.client_id + 1),
     )
-    report = evaluate(result.params, model, evals.global_test.x, evals.global_test.y)
+    report = score_params([result.params], model, evals.global_test)[0].report
     local_scores.append(report.macro_f1)
     print(
         f"  client {client.client_id} (missing class {client.missing_class}): "
@@ -44,7 +44,7 @@ records, params = run_federation(cfg, clients, evals)
 for record in records:
     print(f"  round {record.round}: global macro-F1 {record.metrics.macro_f1:.4f}")
 
-fed = evaluate(params, model, evals.global_test.x, evals.global_test.y)
+fed = score_params([params], model, evals.global_test)[0].report
 mean_local = sum(local_scores) / len(local_scores)
 print(f"\nmean isolated client macro-F1: {mean_local:.4f}")
 print(f"federated global macro-F1:     {fed.macro_f1:.4f}")

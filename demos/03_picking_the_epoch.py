@@ -14,7 +14,7 @@ from fedsel.data import make_dataset
 from fedsel.nn import init_parameters
 from fedsel.orchestrator import client_stream, run_federation
 from fedsel.presets import preset_run_config
-from fedsel.strategies import StrategyKind, run_local
+from fedsel.strategies import StrategyKind, train_local
 
 preset = preset_run_config("elevated_noise")
 seed = 7
@@ -22,11 +22,13 @@ clients, evals = make_dataset(replace(preset.corpus, seed=seed), preset.partitio
 fed = preset.federation
 model = fed.model
 
-# one client, one round, by hand
-result = run_local(
-    init_parameters(model), model, clients[0], fed.optimizer,
-    fed.local_epochs, StrategyKind.OEWS, client_stream(seed, 1, 0),
+# one client, one round, by hand: train_local trains each (weights, client,
+# random stream) row and returns the pick of each strategy
+(picks,) = train_local(
+    [(init_parameters(model), clients[0], client_stream(seed, 1, 0))],
+    model, fed.optimizer, fed.local_epochs,
 )
+result = picks[StrategyKind.OEWS]
 print("client 0, round 1, per-epoch validation macro-F1:")
 for epoch, value in enumerate(result.trace, start=1):
     marker = ""

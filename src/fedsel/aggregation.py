@@ -1,9 +1,9 @@
 """Server-side combination of client updates and threshold halting.
 
-Plain averaging treats every client equally regardless of data volume;
-weighted averaging is the conventional sample-count-proportional mean. Metric
-reports aggregate by unweighted mean so the halting decision mirrors plain
-weight averaging.
+Client weights combine by one weighted mean: plain averaging weights every
+client equally regardless of data volume, and weighted averaging is the
+conventional sample-count-proportional mean. Metric reports aggregate by
+unweighted mean so the halting decision mirrors plain weight averaging.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ class AggregationKind(str, Enum):
     WEIGHTED = "weighted"
 
 
-def _check_updates(updates: Sequence[ClientUpdate]) -> None:
+def aggregate(
+    updates: Sequence[ClientUpdate], kind: AggregationKind = AggregationKind.PLAIN
+) -> ParameterVector:
+    """FedAvg's server update: the elementwise mean of the clients' selected
+    weights, each weighted by 1.0 (plain) or by its training sample count
+    (weighted), accumulated in client order and divided by the weights'
+    sum. Equal counts reproduce the plain average."""
+    kind = AggregationKind(kind)
     if not updates:
         raise ProtocolError("cannot aggregate zero updates")
     manifest = updates[0].params.manifest
@@ -49,40 +56,12 @@ def _check_updates(updates: Sequence[ClientUpdate]) -> None:
             )
         if not np.isfinite(u.params.values).all():
             raise ProtocolError(f"client {u.client_id} update has non-finite weights")
-
-
-def aggregate_plain(updates: Sequence[ClientUpdate]) -> ParameterVector:
-    """Unweighted elementwise mean of the clients' selected weights,
-    accumulated in client order."""
-    _check_updates(updates)
+    plain = kind is AggregationKind.PLAIN
+    weights = [1.0 if plain else float(u.train_sample_count) for u in updates]
     total = np.zeros(len(updates[0].params))
-    for u in updates:
-        total += u.params.values
-    return ParameterVector(total / len(updates), updates[0].params.manifest)
-
-
-def aggregate_weighted(updates: Sequence[ClientUpdate]) -> ParameterVector:
-    """Elementwise mean weighted by each client's training sample count.
-    Equal counts reproduce the plain average."""
-    _check_updates(updates)
-    count_sum = 0.0
-    for u in updates:
-        count_sum += float(u.train_sample_count)
-    if count_sum <= 0:
-        raise ProtocolError("training sample counts sum to zero")
-    total = np.zeros(len(updates[0].params))
-    for u in updates:
-        total += float(u.train_sample_count) * u.params.values
-    return ParameterVector(total / count_sum, updates[0].params.manifest)
-
-
-def aggregate(
-    updates: Sequence[ClientUpdate], kind: AggregationKind = AggregationKind.PLAIN
-) -> ParameterVector:
-    kind = AggregationKind(kind)
-    if kind is AggregationKind.PLAIN:
-        return aggregate_plain(updates)
-    return aggregate_weighted(updates)
+    for w, u in zip(weights, updates):
+        total += w * u.params.values
+    return ParameterVector(total / sum(weights), manifest)
 
 
 def aggregate_metrics(reports: Sequence[MetricsReport]) -> MetricsReport:

@@ -192,10 +192,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg, run_id = _load(args)
     out = Path(cfg.out_dir)
-    candidates = sorted(out.glob("*.compare.csv")) if out.is_dir() else []
-    preferred = out / f"{run_id}.compare.csv"
-    if args.config is not None and preferred.exists():
-        candidates = [preferred]
+    if args.config is not None:
+        # a config names one run: summarize its comparison or nothing
+        candidates = [out / f"{run_id}.compare.csv"]
+        if not candidates[0].is_file():
+            raise ConfigurationError(
+                f"no {candidates[0]} for this config; run compare with it first"
+            )
+    else:
+        candidates = sorted(out.glob("*.compare.csv")) if out.is_dir() else []
     if not candidates:
         raise ConfigurationError(f"no .compare.csv files under {out}; run compare first")
     rows = []

@@ -131,18 +131,6 @@ class EvalSets:
     external_test: Split
 
 
-@dataclass(frozen=True)
-class CorpusPools:
-    """Per-class sample pools drawn from ``spec``, sized for the client count
-    ``generate_corpus`` was given."""
-
-    spec: CorpusSpec
-    train: tuple[Split, ...]
-    val: tuple[Split, ...]
-    test: tuple[Split, ...]
-    external: tuple[Split, ...]
-
-
 def class_directions(class_count: int, feature_dim: int) -> np.ndarray:
     """Deterministic unit direction per class; orthonormal when the feature
     dimension allows it."""
@@ -162,108 +150,12 @@ def shift_direction(feature_dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def generate_corpus(spec: CorpusSpec, client_count: int = 4) -> CorpusPools:
-    """Draws per-class pools large enough for ``client_count`` clients.
-
-    Class c is sampled from N(class_separation * u_c, noise_scale^2 * I). The
-    external pool uses the same class layout with every mean displaced by
-    shift_magnitude along one fixed direction. Fully determined by spec.seed.
-    """
-    if client_count < 1:
-        raise ConfigurationError(f"client_count must be >= 1, got {client_count}")
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    means = spec.class_separation * class_directions(spec.class_count, spec.feature_dim)
-    shifted = means + spec.shift_magnitude * shift_direction(spec.feature_dim)
-
-    next_id = 0
-
-    def draw(mean: np.ndarray, count: int, label: int) -> Split:
-        nonlocal next_id
-        x = mean + spec.noise_scale * rng.standard_normal((count, spec.feature_dim))
-        ids = np.arange(next_id, next_id + count)
-        next_id += count
-        return Split(x, np.full(count, label), ids)
-
-    sizes = {
-        "train": spec.per_class_train * client_count,
-        "val": spec.per_class_val * client_count,
-        "test": spec.per_class_test * client_count,
-    }
-    pools = {
-        name: tuple(draw(means[c], size, c) for c in range(spec.class_count))
-        for name, size in sizes.items()
-    }
-    external = tuple(
-        draw(shifted[c], spec.per_class_test, c) for c in range(spec.class_count)
-    )
-    return CorpusPools(
-        spec=spec,
-        train=pools["train"],
-        val=pools["val"],
-        test=pools["test"],
-        external=external,
-    )
-
-
-class _PoolCursor:
-    """Hands out disjoint consecutive slices of one per-class pool."""
-
-    def __init__(self, name: str, pools: tuple[Split, ...]):
-        self.name = name
-        self.pools = pools
-        self.offsets = [0] * len(pools)
-
-    def take(self, label: int, count: int) -> Split:
-        pool = self.pools[label]
-        start = self.offsets[label]
-        if start + count > len(pool):
-            raise ConfigurationError(
-                f"{self.name} pool for class {label} exhausted: "
-                f"need {count} more, {len(pool) - start} left"
-            )
-        self.offsets[label] = start + count
-        sl = slice(start, start + count)
-        return Split(pool.x[sl], pool.y[sl], pool.ids[sl])
-
-
 def _concat(splits: list[Split]) -> Split:
     return Split(
         np.concatenate([s.x for s in splits]),
         np.concatenate([s.y for s in splits]),
         np.concatenate([s.ids for s in splits]),
     )
-
-
-def partition(
-    pools: CorpusPools, pspec: PartitionSpec
-) -> tuple[list[ClientDataset], EvalSets]:
-    """Deals disjoint slices to each client; client k's train/val omit its
-    missing class while its test covers everything. The global test set is the
-    concatenation of client tests in client order."""
-    cspec = pools.spec
-    for client, missing in pspec.missing_class.items():
-        if not 0 <= missing < cspec.class_count:
-            raise ConfigurationError(
-                f"client {client} maps to class {missing}, outside 0..{cspec.class_count - 1}"
-            )
-    cursors = {name: _PoolCursor(name, getattr(pools, name)) for name in ("train", "val", "test")}
-
-    clients = []
-    for k in range(pspec.client_count):
-        missing = pspec.missing_class[k]
-        present = [c for c in range(cspec.class_count) if c != missing]
-        train = _concat([cursors["train"].take(c, cspec.per_class_train) for c in present])
-        val = _concat([cursors["val"].take(c, cspec.per_class_val) for c in present])
-        test = _concat(
-            [cursors["test"].take(c, cspec.per_class_test) for c in range(cspec.class_count)]
-        )
-        clients.append(
-            ClientDataset(client_id=k, missing_class=missing, train=train, val=val, test=test)
-        )
-
-    global_test = _concat([c.test for c in clients])
-    external_test = _concat(list(pools.external))
-    return clients, EvalSets(global_test=global_test, external_test=external_test)
 
 
 def merge_for_centralized(clients: list[ClientDataset]) -> tuple[Split, Split]:
@@ -277,9 +169,69 @@ def merge_for_centralized(clients: list[ClientDataset]) -> tuple[Split, Split]:
 def make_dataset(
     cspec: CorpusSpec, pspec: PartitionSpec
 ) -> tuple[list[ClientDataset], EvalSets]:
-    """Generate and partition in one step."""
-    pools = generate_corpus(cspec, client_count=pspec.client_count)
-    return partition(pools, pspec)
+    """Draws per-class sample pools and deals disjoint slices of them to the
+    clients. Fully determined by the two specs.
+
+    Class c is sampled from N(class_separation * u_c, noise_scale^2 * I).
+    The train, val and test pools, in that order and each class in turn,
+    hold one slice per client; then come the external pools, which use the
+    same class layout with every mean displaced by shift_magnitude along one
+    fixed direction. Client k's train/val omit its missing class, and for
+    each class c it takes the slice after those of the earlier clients that
+    hold c; its test takes the k-th slice of every class. The global test
+    set is the concatenation of client tests in client order.
+    """
+    for client, missing in pspec.missing_class.items():
+        if not 0 <= missing < cspec.class_count:
+            raise ConfigurationError(
+                f"client {client} maps to class {missing}, outside 0..{cspec.class_count - 1}"
+            )
+    rng = np.random.default_rng(np.random.SeedSequence(cspec.seed))
+    means = cspec.class_separation * class_directions(cspec.class_count, cspec.feature_dim)
+    shifted = means + cspec.shift_magnitude * shift_direction(cspec.feature_dim)
+    classes = range(cspec.class_count)
+
+    next_id = 0
+
+    def draw(mean: np.ndarray, count: int, label: int) -> Split:
+        nonlocal next_id
+        x = mean + cspec.noise_scale * rng.standard_normal((count, cspec.feature_dim))
+        ids = np.arange(next_id, next_id + count)
+        next_id += count
+        return Split(x, np.full(count, label), ids)
+
+    sizes = {
+        "train": cspec.per_class_train,
+        "val": cspec.per_class_val,
+        "test": cspec.per_class_test,
+    }
+    pools = {
+        name: [draw(means[c], size * pspec.client_count, c) for c in classes]
+        for name, size in sizes.items()
+    }
+    external = _concat([draw(shifted[c], cspec.per_class_test, c) for c in classes])
+
+    def take(name: str, label: int, slot: int) -> Split:
+        pool, size = pools[name][label], sizes[name]
+        sl = slice(slot * size, (slot + 1) * size)
+        return Split(pool.x[sl], pool.y[sl], pool.ids[sl])
+
+    clients = []
+    holders = [0] * cspec.class_count  # earlier clients that hold each class
+    for k in range(pspec.client_count):
+        missing = pspec.missing_class[k]
+        present = [c for c in classes if c != missing]
+        train = _concat([take("train", c, holders[c]) for c in present])
+        val = _concat([take("val", c, holders[c]) for c in present])
+        test = _concat([take("test", c, k) for c in classes])
+        for c in present:
+            holders[c] += 1
+        clients.append(
+            ClientDataset(client_id=k, missing_class=missing, train=train, val=val, test=test)
+        )
+
+    global_test = _concat([c.test for c in clients])
+    return clients, EvalSets(global_test=global_test, external_test=external)
 
 
 def dataset_csv_text(clients: list[ClientDataset], evals: EvalSets) -> str:

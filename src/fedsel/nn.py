@@ -204,14 +204,11 @@ def _forward_pass(
     return inputs, z
 
 
-def forward(
-    weights: np.ndarray, spec: ModelSpec, batch: np.ndarray, *, log: bool = False
-) -> np.ndarray:
-    """Class probabilities of R models, row r of ``weights`` on its own
+def forward(weights: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
+    """Class log-probabilities of R models, row r of ``weights`` on its own
     batch ``batch[r]``: an (R, n, classes) array whose last axis holds
-    softmax distributions. With ``log`` it holds log-probabilities, whose
-    ``exp`` is exactly the probabilities, so one pass can yield both a loss
-    and predictions."""
+    log-softmax values. Their ``exp`` is exactly the probabilities, so one
+    pass yields both a loss and predictions."""
     weights = _check_stack(spec, weights)
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[0] != weights.shape[0]:
@@ -220,7 +217,7 @@ def forward(
         raise ShapeError(f"batch has {batch.shape[2]} features, model expects {spec.feature_dim}")
     relu = spec.activation is Activation.RELU
     _, log_probs = _forward_pass(_stack_layers(weights, spec.manifest), relu, batch)
-    return log_probs if log else np.exp(log_probs)
+    return log_probs
 
 
 @dataclass(frozen=True)

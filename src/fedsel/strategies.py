@@ -70,41 +70,22 @@ class MetricsReport:
         return getattr(self, name)
 
 
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, class_count: int) -> np.ndarray:
-    """C x C count matrix, rows indexed by true class, columns by prediction."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
-        raise DataError("labels and predictions must be 1-D and the same length")
-    if y_true.size == 0:
-        raise DataError("cannot build a confusion matrix from zero samples")
-    for name, arr in (("labels", y_true), ("predictions", y_pred)):
-        if arr.min() < 0 or arr.max() >= class_count:
-            raise DataError(f"{name} outside 0..{class_count - 1}")
-    return _confusions(y_true[None], y_pred[None], class_count)[0]
-
-
 def _confusions(labels: np.ndarray, preds: np.ndarray, class_count: int) -> np.ndarray:
     """(R, C, C) confusion matrices of R rows of labels and predictions,
-    from one ``bincount``."""
+    from one ``bincount``; rows index the true class, columns the
+    prediction."""
     rows, cells = len(labels), class_count * class_count
     flat = labels * class_count + preds
     flat += np.arange(0, rows * cells, cells)[:, None]
     return np.bincount(flat.ravel(), minlength=rows * cells).reshape(rows, class_count, class_count)
 
 
-def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
-    """Macro averages divide by the full class count; a class with no support
-    or no predictions contributes zero rather than being skipped."""
-    confusion = np.asarray(confusion)
-    if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
-        raise DataError(f"confusion matrix must be square, got {confusion.shape}")
-    return _reports(confusion[None])[0]
-
-
 def _reports(confusions: np.ndarray) -> list[MetricsReport]:
-    """``metrics_from_confusion`` of each of R confusion matrices, as
-    (R, C) array math; each row's bits equal those of that matrix alone."""
+    """Accuracy and macro averages of each of R confusion matrices, as
+    (R, C) array math; each row's bits equal those of that matrix alone.
+    Macro averages divide by the full class count: a class with no support
+    or no predictions contributes zero rather than being skipped. Every
+    matrix must count at least one sample."""
     rows, c = len(confusions), confusions.shape[-1]
     counts = confusions.astype(np.float64)
     # per class: the diagonal, then precision and recall, then F1
@@ -114,8 +95,6 @@ def _reports(confusions: np.ndarray) -> list[MetricsReport]:
     np.add.reduce(counts, axis=1, out=sums[0])
     np.add.reduce(counts, axis=2, out=sums[1])
     total = np.add.reduce(sums[1], axis=1)
-    if not total.all():
-        raise DataError("confusion matrix has zero samples")
     np.divide(parts[0], sums, out=parts[1:3], where=sums > 0)
     precision, recall = parts[1], parts[2]
     pr_sum = precision + recall
@@ -186,7 +165,7 @@ def score(
         batch = x[lo:hi]
         if hi - lo == 1:
             batch = np.asarray(batch[0])[None]  # a view: one row needs no stacked copy
-        log_probs = forward(weights[lo:hi], model, batch, log=True)
+        log_probs = forward(weights[lo:hi], model, batch)
         probs = np.exp(log_probs)
         probs.argmax(axis=2, out=preds[lo:hi])
         at = offsets[: hi - lo]
@@ -206,13 +185,6 @@ def score(
         start, end = end, end + count
         confidences.append(float(np.add.reduce(hits[start:end]) / count) if count else 0.0)
     return [Scores(*fields) for fields in zip(reports, losses, confidences)]
-
-
-def evaluate(
-    params: ParameterVector, model: ModelSpec, x: np.ndarray, y: np.ndarray
-) -> MetricsReport:
-    """``score`` of one model on one split, its metrics only."""
-    return score(params.values[None], model, np.asarray(x)[None], np.asarray(y)[None])[0].report
 
 
 def score_params(
@@ -389,22 +361,3 @@ def train_local(
     )
     return [picks(i) if error is None else error for i, error in enumerate(errors)]
 
-
-def run_local(
-    global_params: ParameterVector,
-    model: ModelSpec,
-    client: ClientDataset,
-    optimizer: OptimizerConfig,
-    epochs: int,
-    strategy: StrategyKind,
-    rng: np.random.Generator,
-    metric: SelectionMetric = SelectionMetric.MACRO_F1,
-) -> LocalRunResult:
-    """One client's contribution to a round: the strategy's pick of
-    ``train_local`` of one row. The strategy changes which epoch is
-    returned, never how training runs."""
-    strategy = StrategyKind(strategy)
-    (picks,) = train_local([(global_params, client, rng)], model, optimizer, epochs, metric)
-    if isinstance(picks, Exception):
-        raise picks
-    return picks[strategy]

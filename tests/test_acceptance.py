@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from fedsel.aggregation import (
+    AggregationKind,
     ClientUpdate,
     HaltingCriterion,
-    aggregate_plain,
-    aggregate_weighted,
+    aggregate,
     should_halt,
     threshold_met,
 )
@@ -39,7 +39,7 @@ from fedsel.nn import (
 from fedsel.orchestrator import client_stream
 from fedsel.presets import preset_run_config
 from fedsel.reporting import run_comparison
-from fedsel.strategies import MetricsReport, StrategyKind, evaluate, run_local, select_epoch
+from fedsel.strategies import MetricsReport, StrategyKind, score, select_epoch, train_local
 from oracle import cross_entropy_loss, forward, loss_and_gradient
 
 SEEDS = list(range(1, 11))
@@ -155,9 +155,9 @@ def test_a2_aggregation_matches_brute_force():
         ]
         uniform = [ClientUpdate(i, ParameterVector(v, manifest), 7) for i, v in enumerate(vecs)]
 
-        plain = aggregate_plain(updates).values
-        weighted = aggregate_weighted(updates).values
-        uniform_w = aggregate_weighted(uniform).values
+        plain = aggregate(updates, AggregationKind.PLAIN).values
+        weighted = aggregate(updates, AggregationKind.WEIGHTED).values
+        uniform_w = aggregate(uniform, AggregationKind.WEIGHTED).values
         total = sum(counts)
         for i in range(size):
             mean = sum(v[i] for v in vecs) / k
@@ -208,13 +208,9 @@ def test_a3_selection_properties():
     opt = OptimizerConfig(learning_rate=0.01)
 
     def both(client, epochs, stream_seed):
-        out = []
-        for strat in (StrategyKind.FEWS, StrategyKind.OEWS):
-            out.append(
-                run_local(init_parameters(model), model, client, opt, epochs,
-                          strat, client_stream(stream_seed, 1, client.client_id))
-            )
-        return out
+        rows = [(init_parameters(model), client, client_stream(stream_seed, 1, client.client_id))]
+        (picks,) = train_local(rows, model, opt, epochs)
+        return picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
 
     single_ok = nondec_found = nondec_ok = 0
     for client in clients:
@@ -368,7 +364,7 @@ def brute_force_metrics(y_true, y_pred, class_count):
 
 
 def test_a8_evaluate_matches_brute_force():
-    """evaluate() vs an independent loop implementation on 1000 random
+    """score() vs an independent loop implementation on 1000 random
     model/data draws, degenerate label sets included, within 1e-12."""
     rng = np.random.default_rng(808)
     worst = 0.0
@@ -392,7 +388,7 @@ def test_a8_evaluate_matches_brute_force():
             y = np.full(n, int(rng.integers(0, classes)))  # single-class labels
         else:
             y = rng.integers(0, classes, n)
-        report = evaluate(params, spec, x, y)
+        report = score(params.values[None], spec, x[None], y[None])[0].report
         pred = forward(params, spec, x).argmax(axis=1)
         if len(set(y.tolist()) | set(pred.tolist())) < classes:
             degenerate += 1

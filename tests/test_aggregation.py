@@ -10,17 +10,21 @@ from fedsel.aggregation import (
     HaltingMetric,
     aggregate,
     aggregate_metrics,
-    aggregate_plain,
-    aggregate_weighted,
     should_halt,
     threshold_met,
 )
 from fedsel.errors import ConfigurationError, ProtocolError, ShapeError
 from fedsel.nn import ParameterVector
-from fedsel.strategies import MetricsReport, metrics_from_confusion
+from fedsel.strategies import MetricsReport
 from oracle import halt_round
 
 PAIR = ((1, 1),)  # two-parameter manifest: one weight, one bias
+
+
+def _report(value: float) -> MetricsReport:
+    return MetricsReport(
+        accuracy=value, macro_precision=value, macro_recall=value, macro_f1=value,
+    )
 
 
 def _update(values, client_id=0, count=10, manifest=PAIR):
@@ -32,13 +36,13 @@ def _update(values, client_id=0, count=10, manifest=PAIR):
 
 
 def test_plain_two_point_mean():
-    result = aggregate_plain([_update([1.0, 3.0]), _update([3.0, 5.0], client_id=1)])
+    result = aggregate([_update([1.0, 3.0]), _update([3.0, 5.0], client_id=1)])
     assert (result.values == np.array([2.0, 4.0])).all()
 
 
 def test_plain_single_update_is_identity():
     u = _update([7.5, -2.25])
-    assert (aggregate_plain([u]).values == u.params.values).all()
+    assert (aggregate([u]).values == u.params.values).all()
 
 
 def test_plain_matches_brute_force_oracle():
@@ -53,14 +57,14 @@ def test_plain_matches_brute_force_oracle():
         for v in vectors:
             oracle = oracle + v
         oracle = oracle / k
-        assert np.abs(aggregate_plain(updates).values - oracle).max() <= 1e-15
+        assert np.abs(aggregate(updates).values - oracle).max() <= 1e-15
 
 
 def test_plain_is_permutation_invariant_and_bounded():
     rng = np.random.default_rng(7)
     updates = [_update(rng.standard_normal(2), client_id=i) for i in range(5)]
-    forward_ = aggregate_plain(updates).values
-    backward = aggregate_plain(list(reversed(updates))).values
+    forward_ = aggregate(updates).values
+    backward = aggregate(list(reversed(updates))).values
     assert np.abs(forward_ - backward).max() <= 1e-15
     stacked = np.stack([u.params.values for u in updates])
     assert (forward_ >= stacked.min(axis=0) - 1e-15).all()
@@ -83,16 +87,10 @@ def test_plain_permutation_moves_the_mean_by_summation_rounding_only(vectors, da
     k = len(vectors)
     order = data.draw(st.permutations(range(k)))
     updates = [_update(v, client_id=i) for i, v in enumerate(vectors)]
-    forward_ = aggregate_plain(updates).values
-    permuted = aggregate_plain([updates[i] for i in order]).values
+    forward_ = aggregate(updates).values
+    permuted = aggregate([updates[i] for i in order]).values
     magnitude = np.abs(np.array(vectors)).sum(axis=0) / k
     assert (np.abs(forward_ - permuted) <= 2 * k * np.spacing(magnitude)).all()
-
-
-def _report(value: float) -> MetricsReport:
-    return MetricsReport(
-        accuracy=value, macro_precision=value, macro_recall=value, macro_f1=value,
-    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,7 +119,7 @@ def test_weighted_hand_oracle():
         _update([0.0, 0.0], client_id=0, count=1),
         _update([4.0, 4.0], client_id=1, count=3),
     ]
-    assert (aggregate_weighted(updates).values == np.array([3.0, 3.0])).all()
+    assert (aggregate(updates, AggregationKind.WEIGHTED).values == np.array([3.0, 3.0])).all()
 
 
 def test_weighted_uniform_counts_equal_plain():
@@ -129,8 +127,8 @@ def test_weighted_uniform_counts_equal_plain():
     for _ in range(20):
         k = int(rng.integers(1, 9))
         updates = [_update(rng.standard_normal(2), client_id=i, count=17) for i in range(k)]
-        plain = aggregate_plain(updates).values
-        weighted = aggregate_weighted(updates).values
+        plain = aggregate(updates).values
+        weighted = aggregate(updates, AggregationKind.WEIGHTED).values
         assert np.abs(plain - weighted).max() <= 1e-15
 
 
@@ -148,7 +146,8 @@ def test_weighted_matches_brute_force_oracle():
         for v, c in zip(vectors, counts):
             total = total + c * v
         oracle = total / sum(counts)
-        assert np.abs(aggregate_weighted(updates).values - oracle).max() <= 1e-15
+        weighted = aggregate(updates, AggregationKind.WEIGHTED).values
+        assert np.abs(weighted - oracle).max() <= 1e-15
 
 
 def test_aggregate_dispatch():
@@ -159,10 +158,10 @@ def test_aggregate_dispatch():
 
 def test_aggregation_error_cases():
     with pytest.raises(ProtocolError):
-        aggregate_plain([])
+        aggregate([])
     mixed = [_update([1.0, 2.0]), _update(np.zeros(6), client_id=1, manifest=((2, 2),))]
     with pytest.raises(ShapeError):
-        aggregate_plain(mixed)
+        aggregate(mixed)
     with pytest.raises(ConfigurationError):
         ClientUpdate(client_id=0, params=ParameterVector(np.zeros(2), PAIR), train_sample_count=0)
 
@@ -176,8 +175,8 @@ def test_non_finite_update_is_rejected_naming_the_client(bad):
 
 
 def test_aggregate_metrics_means_and_sums():
-    a = metrics_from_confusion(np.array([[4, 1], [1, 4]]))  # accuracy 0.8
-    b = metrics_from_confusion(np.array([[5, 0], [0, 5]]))  # accuracy 1.0
+    a = MetricsReport(accuracy=0.8, macro_precision=0.75, macro_recall=0.85, macro_f1=0.7)
+    b = _report(1.0)
     agg = aggregate_metrics([a, b])
     assert agg.accuracy == pytest.approx(0.9)
     assert agg.macro_f1 == pytest.approx((a.macro_f1 + b.macro_f1) / 2)
@@ -201,8 +200,8 @@ def test_halting_criterion_validation():
 
 
 def test_should_halt_threshold_and_cap():
-    high = metrics_from_confusion(np.array([[19, 1], [1, 19]]))  # accuracy 0.95
-    low = metrics_from_confusion(np.array([[17, 3], [3, 17]]))  # accuracy 0.85
+    high = _report(0.95)
+    low = _report(0.85)
     crit = HaltingCriterion(metric=HaltingMetric.ACCURACY, threshold=0.90, max_rounds=5)
     assert should_halt(high, crit, 1)
     assert not should_halt(low, crit, 1)
@@ -215,8 +214,8 @@ def test_should_halt_threshold_and_cap():
 
 def test_halting_is_monotone_in_the_metric():
     crit = HaltingCriterion(metric=HaltingMetric.ACCURACY, threshold=0.75, max_rounds=9)
-    reached = metrics_from_confusion(np.array([[3, 1], [1, 3]]))  # 0.75 exactly
-    better = metrics_from_confusion(np.array([[4, 0], [1, 3]]))
+    reached = _report(0.75)  # the threshold exactly
+    better = _report(0.875)
     assert should_halt(reached, crit, 2)
     assert should_halt(better, crit, 2)
 

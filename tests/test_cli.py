@@ -203,6 +203,23 @@ def test_report_names_its_summary_after_the_one_csv_it_reads(tiny_config, tmp_pa
     assert {p.name: p.read_bytes() for p in out.glob("*.summary.*")} == written
 
 
+def test_report_with_a_config_reads_only_that_config_s_run(tiny_config, tmp_path, capsys):
+    """With --config, report summarizes that config's compare CSV or nothing:
+    another run's CSV in the same directory is neither read nor rewritten."""
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(tiny_config), "--seeds", "1", "--out", str(out)]) == 0
+    other = tiny_config.parent / "other.cfg"
+    other.write_text(TINY + "corpus.noise_scale = 2.0\n")
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--config", str(other), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "sources:" not in captured.out
+    assert ".compare.csv for this config; run compare with it first" in captured.err
+    assert str(out) in captured.err
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+
+
 def test_report_without_compare_output_fails(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path / "empty")])
     assert code == 2

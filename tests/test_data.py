@@ -12,10 +12,8 @@ from fedsel.data import (
     class_directions,
     dataset_csv_text,
     default_missing_class,
-    generate_corpus,
     make_dataset,
     merge_for_centralized,
-    partition,
     partition_summary,
     shift_direction,
 )
@@ -65,20 +63,12 @@ def test_class_directions_orthonormal():
 
 
 def test_generate_corpus_is_deterministic():
-    a = generate_corpus(SMALL, client_count=4)
-    b = generate_corpus(SMALL, client_count=4)
-    for pool_a, pool_b in zip(a.train, b.train):
-        assert (pool_a.x == pool_b.x).all()
-    c = generate_corpus(CorpusSpec(per_class_train=12, per_class_val=6, per_class_test=5, seed=43), client_count=4)
-    assert not (a.train[0].x == c.train[0].x).all()
-
-
-def test_pool_sizes_cover_clients():
-    pools = generate_corpus(SMALL, client_count=4)
-    assert all(len(p) == 12 * 4 for p in pools.train)
-    assert all(len(p) == 6 * 4 for p in pools.val)
-    assert all(len(p) == 5 * 4 for p in pools.test)
-    assert all(len(p) == 5 for p in pools.external)
+    a, _ = make_dataset(SMALL, PartitionSpec.default())
+    b, _ = make_dataset(SMALL, PartitionSpec.default())
+    for client_a, client_b in zip(a, b):
+        assert (client_a.train.x == client_b.train.x).all()
+    c, _ = make_dataset(replace(SMALL, seed=43), PartitionSpec.default())
+    assert not (a[0].train.x == c[0].train.x).all()
 
 
 def test_partition_respects_missing_class():
@@ -111,17 +101,10 @@ def test_global_test_is_concatenation_of_client_tests():
     assert set(evals.external_test.y) == set(range(5))
 
 
-def test_partition_exhausts_pool():
-    pools = generate_corpus(SMALL, client_count=2)
-    with pytest.raises(ConfigurationError):
-        partition(pools, PartitionSpec.default())  # 4 clients, pools sized for 2
-
-
 def test_partition_rejects_out_of_range_class():
-    pools = generate_corpus(SMALL, client_count=2)
     bad = PartitionSpec(client_count=2, missing_class={0: 9, 1: 1})
-    with pytest.raises(ConfigurationError):
-        partition(pools, bad)
+    with pytest.raises(ConfigurationError, match="client 0 maps to class 9, outside 0..4"):
+        make_dataset(SMALL, bad)
 
 
 def test_shift_moves_external_means():

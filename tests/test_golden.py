@@ -19,6 +19,11 @@ The ``campaign_elevated_noise`` case, a three-seed comparison, was recorded
 while ``run_comparison`` still ran its seeds one after another, before the
 seeds of a campaign trained in lockstep.
 
+The ``shared_missing_class`` case pins how ``make_dataset`` deals a
+partition other than the default rotation, in which two clients lack the
+same class; it was recorded while pools were drawn and partitioned in two
+separate steps.
+
 The benchmark's two workloads are pinned too: one unit of each at seed 7,
 digested and checked as ``bench/run.py`` does, from ``bench/workloads.py``
 imported as it stands.
@@ -32,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from fedsel.config import load_config
-from fedsel.data import make_dataset
+from fedsel.data import CorpusSpec, PartitionSpec, dataset_csv_text, make_dataset
 from fedsel.orchestrator import baseline_stream, run_baselines, run_federation, write_metrics_logs
 from fedsel.presets import preset_run_config
 from fedsel.reporting import rows_to_csv, run_comparison
@@ -112,6 +117,9 @@ GOLDEN = {
         "weights": "6afa68dd959eaedc238a85268514ba414695f39f92bd38022373c991bbe252e4",
         "metrics_jsonl": "406870e11487f39f27df052001f6ee0918c4b3041b759cc09dd8ec263636fffb",
         "compare_csv": "1835509533193caf30e0461bf5990559bf264883ff1a1b14661c4d693c25a38d",
+    },
+    "shared_missing_class": {
+        "dataset_csv": "214b22d83706c83425d933b89ee61e639d714428678ba43fa71cf24f9d980ec8",
     },
 }
 
@@ -212,6 +220,17 @@ def _campaign(out_dir) -> dict[str, str]:
     return {"compare_csv": _sha256(rows_to_csv(run_comparison(cfg, CAMPAIGN_SEEDS)).encode())}
 
 
+def _shared_missing_class(out_dir) -> dict[str, str]:
+    """Four classes dealt to three clients: clients 0 and 1 both lack class
+    1 and client 2 lacks class 3, so class 1's train and val pools go to
+    client 2 alone and class 3's to clients 0 and 1."""
+    clients, evals = make_dataset(
+        CorpusSpec(class_count=4, seed=11),
+        PartitionSpec(client_count=3, missing_class={0: 1, 1: 1, 2: 3}),
+    )
+    return {"dataset_csv": _sha256(dataset_csv_text(clients, evals).encode())}
+
+
 CASES = {
     "campaign_elevated_noise": _campaign,
     "early_stopping_baselines": _early_stopping,
@@ -220,6 +239,7 @@ CASES = {
     "preset_default": _preset("default"),
     "preset_elevated_noise": _preset("elevated_noise"),
     "preset_hard_shift": _preset("hard_shift"),
+    "shared_missing_class": _shared_missing_class,
 }
 
 

@@ -76,7 +76,7 @@ def test_forward_rows_are_probabilities():
     spec = ModelSpec(layer_sizes=(3, 7, 4), seed=2)
     params = init_parameters(spec)
     rng = np.random.default_rng(0)
-    probs = forward(params.values[None], spec, rng.standard_normal((1, 9, 3)))[0]
+    probs = np.exp(forward(params.values[None], spec, rng.standard_normal((1, 9, 3)))[0])
     assert probs.shape == (9, 4)
     assert (probs > 0).all()
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -86,8 +86,10 @@ def test_forward_survives_huge_logits():
     spec = ModelSpec(layer_sizes=(3, 7, 4), seed=2)
     params = init_parameters(spec)
     big = ParameterVector(params.values * 1e4, params.manifest)
-    probs = forward(big.values[None], spec, np.random.default_rng(1).standard_normal((1, 5, 3)) * 100)
-    assert np.isfinite(probs).all()
+    x = np.random.default_rng(1).standard_normal((1, 5, 3)) * 100
+    log_probs = forward(big.values[None], spec, x)
+    assert np.isfinite(log_probs).all()
+    assert (log_probs <= 0.0).all()
 
 
 def test_zero_params_give_uniform_loss():

@@ -34,7 +34,7 @@ from fedsel.orchestrator import (
     write_metrics_logs,
 )
 from fedsel.reporting import rows_to_csv, run_comparison
-from fedsel.strategies import MetricsReport, StrategyKind, evaluate
+from fedsel.strategies import MetricsReport, StrategyKind, score_params, train_local
 
 MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
 SMALL = CorpusSpec(per_class_train=8, per_class_val=4, per_class_test=4, seed=21)
@@ -87,15 +87,13 @@ def test_single_client_federation_is_local_training():
     cfg = fast_cfg(rounds=1)
     records, params = run_federation(cfg, pools_clients, evals)
     # plain mean of one client's update is that update, bitwise
-    from fedsel.strategies import run_local
     from fedsel.nn import init_parameters
 
-    expected = run_local(
-        init_parameters(MODEL), MODEL, pools_clients[0], cfg.optimizer,
-        cfg.local_epochs, cfg.strategy, client_stream(cfg.master_seed, 1, 0),
-        cfg.selection_metric,
+    (picks,) = train_local(
+        [(init_parameters(MODEL), pools_clients[0], client_stream(cfg.master_seed, 1, 0))],
+        MODEL, cfg.optimizer, cfg.local_epochs, cfg.selection_metric,
     )
-    assert (params.values == expected.selected_params.values).all()
+    assert (params.values == picks[cfg.strategy].selected_params.values).all()
 
 
 def test_replay_determinism():
@@ -266,8 +264,8 @@ def test_last_record_reports_the_shipped_weights():
     outcomes = run_federations([(cfgs, clients, evals)])[0]
     assert outcomes[0][1].values.tobytes() != outcomes[1][1].values.tobytes()
     for records, params in outcomes:
-        shipped = evaluate(params, MODEL, evals.global_test.x, evals.global_test.y)
-        assert records[-1].metrics == shipped
+        (shipped,) = score_params([params], MODEL, evals.global_test)
+        assert records[-1].metrics == shipped.report
 
 
 def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
@@ -545,8 +543,8 @@ def test_centralized_early_stop_automaton():
     assert result.epochs_run == result.best_epoch + 7
     assert result.trace[result.best_epoch - 1] == max(result.trace)
     # recorded val metric of the returned weights is the trace maximum
-    report = evaluate(result.params, MODEL, val.x, val.y)
-    assert report.macro_f1 == max(result.trace)
+    (scores,) = score_params([result.params], MODEL, val)
+    assert scores.report.macro_f1 == max(result.trace)
 
 
 def test_centralized_patience_equal_to_cap_runs_everything():

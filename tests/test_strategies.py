@@ -20,15 +20,19 @@ from fedsel.nn import (
 from fedsel.strategies import (
     SelectionMetric,
     StrategyKind,
-    confusion_matrix,
-    evaluate,
-    metrics_from_confusion,
-    run_local,
     score,
+    score_params,
     select_epoch,
     train_local,
 )
-from oracle import cross_entropy_loss, forward, loss_and_gradient, score_rows
+from oracle import (
+    confusion_matrix,
+    cross_entropy_loss,
+    forward,
+    loss_and_gradient,
+    metrics_from_confusion,
+    score_rows,
+)
 
 
 def brute_force_metrics(y_true, y_pred, class_count):
@@ -53,15 +57,27 @@ def brute_force_metrics(y_true, y_pred, class_count):
     )
 
 
+def _report_of(y_true, y_pred, class_count):
+    """The metrics ``score`` reports for the predictions ``y_pred``: a
+    one-layer identity model fed one-hot inputs predicts each input's hot
+    class."""
+    spec = ModelSpec(layer_sizes=(class_count, class_count))
+    identity = np.concatenate([np.eye(class_count).ravel(), np.zeros(class_count)])
+    x = np.eye(class_count)[np.asarray(y_pred)]
+    (scores,) = score(identity[None], spec, x[None], np.asarray(y_true)[None])
+    return scores.report
+
+
 def test_confusion_matrix_layout():
     y_true = np.array([0, 0, 1, 1])
     y_pred = np.array([0, 1, 1, 1])
-    cm = confusion_matrix(y_true, y_pred, 2)
+    (cm,) = strategies._confusions(y_true[None], y_pred[None], 2)
     assert (cm == np.array([[1, 1], [0, 2]])).all()
 
 
 def test_two_class_hand_oracle():
-    report = metrics_from_confusion(np.array([[3, 1], [1, 3]]))
+    # confusion [[3, 1], [1, 3]]
+    report = _report_of([0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1, 0], 2)
     assert report.accuracy == 0.75
     assert report.macro_precision == 0.75
     assert report.macro_recall == 0.75
@@ -70,8 +86,8 @@ def test_two_class_hand_oracle():
 
 def test_absent_class_counts_in_divisor():
     # 3 classes but class 2 never appears in labels or predictions
-    cm = np.array([[4, 0, 0], [0, 4, 0], [0, 0, 0]])
-    report = metrics_from_confusion(cm)
+    labels = [0, 0, 0, 0, 1, 1, 1, 1]
+    report = _report_of(labels, labels, 3)
     assert report.accuracy == 1.0
     assert report.macro_precision == pytest.approx(2 / 3)
     assert report.macro_recall == pytest.approx(2 / 3)
@@ -85,19 +101,12 @@ def test_metrics_match_brute_force_on_random_sets():
         n = int(rng.integers(1, 60))
         y_true = rng.integers(0, c, n)
         y_pred = rng.integers(0, c, n)
-        report = metrics_from_confusion(confusion_matrix(y_true, y_pred, c))
+        report = _report_of(y_true, y_pred, c)
         acc, prec, rec, f1 = brute_force_metrics(y_true.tolist(), y_pred.tolist(), c)
         assert abs(report.accuracy - acc) < 1e-12
         assert abs(report.macro_precision - prec) < 1e-12
         assert abs(report.macro_recall - rec) < 1e-12
         assert abs(report.macro_f1 - f1) < 1e-12
-
-
-def test_confusion_rejects_degenerate_input():
-    with pytest.raises(DataError):
-        confusion_matrix(np.array([]), np.array([]), 3)
-    with pytest.raises(DataError):
-        confusion_matrix(np.array([0, 5]), np.array([0, 1]), 3)
 
 
 def test_uniform_predictor_confidence():
@@ -132,12 +141,13 @@ def test_score_is_one_pass_of_the_separate_scorers(activation):
         assert got.loss == cross_entropy_loss(params, spec, x, y)
         assert got.loss == loss_and_gradient(params, spec, x, y)[0]
         assert got.confidence == float(probs[correct, preds[correct]].mean())
-        assert evaluate(params, spec, x, y).macro_f1 == got.report.macro_f1
+        assert score_params([params], spec, Split(x, y, np.arange(33))) == [got]
 
 
 def test_score_rejects_row_count_mismatch():
     """Every weight row needs its own features and labels: a short list of
-    either fails naming the counts instead of scoring fewer rows."""
+    either fails naming the counts instead of scoring fewer rows, and
+    splits of zero samples fail too."""
     spec = ModelSpec(layer_sizes=(4, 6, 3), seed=1)
     weights = np.tile(init_parameters(spec).values, (3, 1))
     x, y = np.zeros((3, 5, 4)), np.zeros((3, 5), dtype=int)
@@ -146,6 +156,8 @@ def test_score_rejects_row_count_mismatch():
         score(weights, spec, x, y[:2])
     with pytest.raises(ShapeError, match="3 weight rows, 2 feature and 3 label rows"):
         score(weights, spec, x[:2], y)
+    with pytest.raises(DataError, match="cannot score zero samples"):
+        score(weights, spec, x[:, :0], y[:, :0])
 
 
 def test_score_checks_labels_by_the_split_rule():
@@ -293,10 +305,12 @@ MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
 
 
 def test_run_local_shapes_and_ranges():
+    """One client's local run, as ``train_local`` of one row."""
     client = _client()
     incoming = init_parameters(MODEL)
-    result = run_local(incoming, MODEL, client, OptimizerConfig(), 4,
-                       StrategyKind.OEWS, np.random.default_rng(1))
+    (picks,) = train_local([(incoming, client, np.random.default_rng(1))], MODEL,
+                           OptimizerConfig(), 4)
+    result = picks[StrategyKind.OEWS]
     assert len(result.trace) == 4
     assert all(0.0 <= v <= 1.0 for v in result.trace)
     assert 1 <= result.selected_epoch <= 4
@@ -306,9 +320,14 @@ def test_run_local_never_mutates_incoming():
     client = _client()
     incoming = init_parameters(MODEL)
     before = incoming.values.copy()
-    run_local(incoming, MODEL, client, OptimizerConfig(learning_rate=0.05), 3,
-              StrategyKind.FEWS, np.random.default_rng(2))
+    train_local([(incoming, client, np.random.default_rng(2))], MODEL,
+                OptimizerConfig(learning_rate=0.05), 3)
     assert (incoming.values == before).all()
+
+
+def _twin_rows(incoming, client, rng_seed):
+    """Two rows of equal incoming weights, client and rng stream."""
+    return [(incoming, client, np.random.default_rng(rng_seed)) for _ in range(2)]
 
 
 def test_fews_and_oews_share_the_trajectory():
@@ -317,10 +336,8 @@ def test_fews_and_oews_share_the_trajectory():
     client = _client(seed=5)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    fews = run_local(incoming, MODEL, client, opt, 10, StrategyKind.FEWS,
-                     np.random.default_rng(7))
-    oews = run_local(incoming, MODEL, client, opt, 10, StrategyKind.OEWS,
-                     np.random.default_rng(7))
+    first, second = train_local(_twin_rows(incoming, client, 7), MODEL, opt, 10)
+    fews, oews = first[StrategyKind.FEWS], second[StrategyKind.OEWS]
     assert fews.trace == oews.trace
     assert fews.selected_epoch == 10
     assert oews.selected_epoch == select_epoch(oews.trace, StrategyKind.OEWS)
@@ -331,10 +348,8 @@ def test_fews_and_oews_share_the_trajectory():
 def test_single_epoch_makes_strategies_identical():
     client = _client(seed=6)
     incoming = init_parameters(MODEL)
-    fews = run_local(incoming, MODEL, client, OptimizerConfig(), 1, StrategyKind.FEWS,
-                     np.random.default_rng(3))
-    oews = run_local(incoming, MODEL, client, OptimizerConfig(), 1, StrategyKind.OEWS,
-                     np.random.default_rng(3))
+    first, second = train_local(_twin_rows(incoming, client, 3), MODEL, OptimizerConfig(), 1)
+    fews, oews = first[StrategyKind.FEWS], second[StrategyKind.OEWS]
     assert (fews.selected_params.values == oews.selected_params.values).all()
     assert fews.selected_epoch == oews.selected_epoch == 1
 
@@ -345,11 +360,9 @@ def test_final_epoch_pick_equals_fews_bitwise():
     client = _client(seed=9)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    for rng_seed in range(12):
-        fews = run_local(incoming, MODEL, client, opt, 6, StrategyKind.FEWS,
-                         np.random.default_rng(rng_seed))
-        oews = run_local(incoming, MODEL, client, opt, 6, StrategyKind.OEWS,
-                         np.random.default_rng(rng_seed))
+    rows = [(incoming, client, np.random.default_rng(rng_seed)) for rng_seed in range(12)]
+    for picks in train_local(rows, MODEL, opt, 6):
+        fews, oews = picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
         if oews.selected_epoch == 6:
             assert (oews.selected_params.values == fews.selected_params.values).all()
         else:
@@ -360,8 +373,9 @@ def test_val_loss_selection_prefers_low_loss():
     client = _client(seed=11)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    result = run_local(incoming, MODEL, client, opt, 8, StrategyKind.OEWS,
-                       np.random.default_rng(4), metric=SelectionMetric.VAL_LOSS)
+    (picks,) = train_local([(incoming, client, np.random.default_rng(4))], MODEL, opt, 8,
+                           metric=SelectionMetric.VAL_LOSS)
+    result = picks[StrategyKind.OEWS]
     best = result.trace[result.selected_epoch - 1]
     assert all(best <= v for v in result.trace)
     assert result.selected_epoch == select_epoch(result.trace, StrategyKind.OEWS,
@@ -375,13 +389,14 @@ def test_shipped_weights_are_the_reported_epochs(metric):
     client = _client(seed=5)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    oews = run_local(incoming, MODEL, client, opt, 8, StrategyKind.OEWS,
-                     np.random.default_rng(7), metric)
+    (picks,) = train_local([(incoming, client, np.random.default_rng(7))], MODEL, opt, 8, metric)
+    oews = picks[StrategyKind.OEWS]
     assert oews.selected_epoch == select_epoch(
         oews.trace, StrategyKind.OEWS, higher_is_better=metric.higher_is_better
     )
-    upto = run_local(incoming, MODEL, client, opt, oews.selected_epoch, StrategyKind.FEWS,
-                     np.random.default_rng(7), metric)
+    (picks,) = train_local([(incoming, client, np.random.default_rng(7))], MODEL, opt,
+                           oews.selected_epoch, metric)
+    upto = picks[StrategyKind.FEWS]
     assert (oews.selected_params.values == upto.selected_params.values).all()
 
 
@@ -445,20 +460,23 @@ def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
 
     monkeypatch.setattr(strategies, "score", first_loss_nan)
     client = _client(seed=11)
-    with pytest.raises(DataError, match=f"client {client.client_id} epoch 1: validation val_loss"):
-        run_local(init_parameters(MODEL), MODEL, client, OptimizerConfig(learning_rate=0.02),
-                  3, StrategyKind.OEWS, np.random.default_rng(4), SelectionMetric.VAL_LOSS)
+    (error,) = train_local([(init_parameters(MODEL), client, np.random.default_rng(4))], MODEL,
+                           OptimizerConfig(learning_rate=0.02), 3, SelectionMetric.VAL_LOSS)
+    assert isinstance(error, DataError)
+    assert str(error).startswith(f"client {client.client_id} epoch 1: validation val_loss")
 
 
 def test_run_local_rejects_bad_input():
+    """Zero epochs fail the call; an empty split fails its own row, which
+    ``train_local`` returns as the exception."""
     client = _client()
     incoming = init_parameters(MODEL)
     with pytest.raises(ConfigurationError):
-        run_local(incoming, MODEL, client, OptimizerConfig(), 0, StrategyKind.FEWS,
-                  np.random.default_rng(0))
+        train_local([(incoming, client, np.random.default_rng(0))], MODEL, OptimizerConfig(), 0)
     empty = Split(np.zeros((0, 16)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     broken = ClientDataset(client_id=0, missing_class=1, train=empty,
                            val=client.val, test=client.test)
-    with pytest.raises(DataError):
-        run_local(incoming, MODEL, broken, OptimizerConfig(), 2, StrategyKind.FEWS,
-                  np.random.default_rng(0))
+    rows = [(incoming, broken, np.random.default_rng(0)), (incoming, client, np.random.default_rng(0))]
+    failed, picks = train_local(rows, MODEL, OptimizerConfig(), 2)
+    assert isinstance(failed, DataError)
+    assert picks[StrategyKind.FEWS].selected_epoch == 2

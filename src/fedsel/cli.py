@@ -26,14 +26,7 @@ from .orchestrator import (
     round_metrics,
     write_metrics_logs,
 )
-from .reporting import (
-    csv_to_rows,
-    run_comparison,
-    summarize,
-    summary_to_csv,
-    summary_to_text,
-    write_comparison,
-)
+from .reporting import csv_to_rows, run_comparison, write_comparison, write_summary
 
 _FLAG_KEYS = {
     "out": "output.dir",
@@ -173,8 +166,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg, run_id = _load(args)
     seeds = _parse_seeds(args.seeds)
     rows = run_comparison(cfg, seeds)
-    paths = write_comparison(rows, run_id, cfg.out_dir)
-    print(summary_to_text(summarize(rows)))
+    text, paths = write_comparison(rows, run_id, cfg.out_dir)
+    print(text)
     for name in ("rows", "summary_csv", "summary_txt"):
         print(f"{name}: {paths[name]}")
     failures = [r for r in rows if r.status == "failed"]
@@ -207,13 +200,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in candidates:
         try:
             rows.extend(csv_to_rows(path.read_text(encoding="utf-8")))
-        except ConfigurationError as exc:
+        except (ConfigurationError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
-    summaries = summarize(rows)
-    text = summary_to_text(summaries)
     stem = candidates[0].name.removesuffix(".compare.csv") if len(candidates) == 1 else "report"
-    atomic_write_text(out / f"{stem}.summary.csv", summary_to_csv(summaries))
-    atomic_write_text(out / f"{stem}.summary.txt", text)
+    text, _ = write_summary(rows, stem, out)
     print(text)
     print(f"sources: {', '.join(str(p) for p in candidates)}")
     return 0

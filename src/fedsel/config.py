@@ -210,7 +210,7 @@ def load_config(
         source = str(path)
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {source}: {exc}") from exc
         raw = parse_config_text(text, source)
     for key, value in (overrides or {}).items():

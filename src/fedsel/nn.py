@@ -1,15 +1,16 @@
 """Minimal feed-forward classifier with manual backprop and SGD-with-momentum.
 
-The model is a configurable MLP over 64-bit floats. A ``ParameterVector``
-holds one model's weights, frozen on construction. The forward pass and the
-epoch kernel work on a stack of R models at once: weights and velocity as
-(R, P) arrays, data as (R, n, d) features and (R, n) labels. R = 1 is the
-single model. Stacking batches the numpy calls and nothing else, so every
-row's bits equal those of a run of that row alone.
+The model is an MLP over 64-bit floats whose hidden layers, of configurable
+widths, apply ReLU. A ``ParameterVector`` holds one model's weights, frozen
+on construction. The forward pass and the epoch kernel work on a stack of R
+models at once: weights and velocity as (R, P) arrays, data as (R, n, d)
+features and (R, n) labels. R = 1 is the single model. Stacking batches the
+numpy calls and nothing else, so every row's bits equal those of a run of
+that row alone.
 
 ``_forward_pass`` is the only forward math: ``forward`` (scoring) and
 ``train_epoch`` both call it on per-layer weight and bias views of the
-stack, and it applies the activations and the log-softmax in place.
+stack, and it applies the ReLUs and the log-softmax in place.
 ``train_epoch`` builds those views, and the backward pass's gradient and
 transposed-weight views, once per epoch, so a mini-batch step is the
 forward pass, the backward pass inline and the momentum update.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -42,21 +42,15 @@ MAX_SEED = 2**64 - 1
 GATHER_VALUES = 1 << 16
 
 
-class Activation(str, Enum):
-    RELU = "relu"
-    TANH = "tanh"
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture of the classifier: layer widths, hidden activation, init seed.
+    """Architecture of the classifier: layer widths and init seed.
 
     ``layer_sizes`` runs input dim, hidden dims..., class count. The last
     entry must equal the task's class count.
     """
 
     layer_sizes: tuple[int, ...]
-    activation: Activation = Activation.RELU
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,8 +60,6 @@ class ModelSpec:
             raise ConfigurationError("layer_sizes needs at least input and output dims")
         if any(s < 1 for s in sizes):
             raise ConfigurationError(f"layer_sizes entries must be >= 1, got {sizes}")
-        if not isinstance(self.activation, Activation):
-            object.__setattr__(self, "activation", Activation(self.activation))
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigurationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -180,21 +172,16 @@ def _check_stack(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _forward_pass(
-    layers: Layers, relu: bool, batch: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _forward_pass(layers: Layers, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Returns (layer inputs, log-probabilities), each (R, n, width), for
-    ``_stack_layers`` views. Hidden activations, relu or else tanh, and the
-    log-softmax are applied in place, so each layer keeps one array."""
+    ``_stack_layers`` views. The hidden ReLUs and the log-softmax are
+    applied in place, so each layer keeps one array."""
     inputs = [batch]
     h = batch
     for w, b in layers[:-1]:
         h = np.matmul(h, w)
         h += b
-        if relu:
-            np.maximum(h, 0.0, out=h)
-        else:
-            np.tanh(h, out=h)
+        np.maximum(h, 0.0, out=h)
         inputs.append(h)
     w, b = layers[-1]
     z = np.matmul(h, w)
@@ -215,8 +202,7 @@ def forward(weights: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> np.ndarr
         raise ShapeError(f"batch must be ({weights.shape[0]}, n, d), got shape {batch.shape}")
     if batch.shape[2] != spec.feature_dim:
         raise ShapeError(f"batch has {batch.shape[2]} features, model expects {spec.feature_dim}")
-    relu = spec.activation is Activation.RELU
-    _, log_probs = _forward_pass(_stack_layers(weights, spec.manifest), relu, batch)
+    _, log_probs = _forward_pass(_stack_layers(weights, spec.manifest), batch)
     return log_probs
 
 
@@ -287,7 +273,6 @@ def train_epoch(
     ys = np.empty((rows, min(window, n)), dtype=np.int64)
     classes = np.arange(spec.class_count)
     grad = np.empty_like(weights)
-    relu = spec.activation is Activation.RELU
     layers = _stack_layers(weights, spec.manifest)
     # the backward pass, output layer first: each layer's gradient views and
     # the transposed weights that carry the delta to the layer below
@@ -301,7 +286,7 @@ def train_epoch(
         target = (ys[:, :count, None] == classes).astype(np.float64)
         for start in range(0, count, size):
             end = min(start + size, count)
-            inputs, delta = _forward_pass(layers, relu, xs[:, start:end])
+            inputs, delta = _forward_pass(layers, xs[:, start:end])
             # gradient w.r.t. the logits of each row's mean cross-entropy:
             # subtracting the one-hot changes only the label's entry, by 1
             np.exp(delta, out=delta)
@@ -311,13 +296,9 @@ def train_epoch(
                 np.matmul(inputs[i].swapaxes(1, 2), delta, out=grad_w)
                 np.add.reduce(delta, axis=1, keepdims=True, out=grad_b)
                 if i:
-                    # the activation's derivative from its output: relu(z) > 0
-                    # iff z > 0, and tanh'(z) = 1 - tanh(z)**2
+                    # the ReLU's derivative from its output: relu(z) > 0 iff z > 0
                     delta = np.matmul(delta, w_t)
-                    if relu:
-                        delta *= inputs[i] > 0.0
-                    else:
-                        delta *= 1.0 - inputs[i] ** 2
+                    delta *= inputs[i] > 0.0
             velocity *= optimizer.momentum
             velocity += grad
             # the gradient is spent: its buffer holds the step

@@ -11,12 +11,12 @@ Two round-loop flavors:
 Per-client RNG streams are child streams of the master seed keyed by
 (round, client_id), so no client's result depends on which other clients
 train beside it, and one client run yields the epochs both strategies ship.
-So federations that differ only in strategy, a cohort, run in lockstep:
-each round, every distinct client run is trained once, keyed by client id
-and incoming weights, and the cohort's federations advance together, each
-scoring pass one ``score_params`` call over all of them. Cohorts, one per
-campaign seed, also run in lockstep: each round, the distinct client runs
-of every cohort train first, as one stack.
+So one seed's federations of one config under several strategies, a
+cohort, run in lockstep: each round, every distinct client run is trained
+once, keyed by client id and incoming weights, and the cohort's federations
+advance together, each scoring pass one ``score_params`` call over all of
+them. Cohorts, one per campaign seed, also run in lockstep: each round, the
+distinct client runs of every cohort train first, as one stack.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -81,7 +81,7 @@ class FederationConfig:
     selection_metric: SelectionMetric = SelectionMetric.MACRO_F1
     aggregation: AggregationKind = AggregationKind.PLAIN
     workflow: Workflow = Workflow.ACADEMIC
-    halting: HaltingCriterion | None = None
+    halting: HaltingCriterion = HaltingCriterion()
     optimizer: OptimizerConfig = OptimizerConfig()
     master_seed: int = 0
 
@@ -95,8 +95,6 @@ class FederationConfig:
         object.__setattr__(self, "selection_metric", SelectionMetric(self.selection_metric))
         object.__setattr__(self, "aggregation", AggregationKind(self.aggregation))
         object.__setattr__(self, "workflow", Workflow(self.workflow))
-        if self.workflow is Workflow.INDUSTRIAL and self.halting is None:
-            raise ConfigurationError("industrial workflow requires a halting criterion")
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ FederationOutcome = tuple[list[RoundRecord], ParameterVector]
 class _Lockstep:
     """One federation's state as the lockstep round loop advances it."""
 
-    cfg: FederationConfig
+    strategy: StrategyKind
     params: ParameterVector
     records: list[RoundRecord] = field(default_factory=list)
     error: Exception | None = None
@@ -137,10 +135,10 @@ def _round(
     evals: EvalSets,
     picks: dict,
 ) -> None:
-    """Round ``t`` of a cohort's live federations, which ``cfg`` describes
-    up to strategy. A run finds its client runs' picks, or the error that
-    failed them, in ``picks`` (``_train_missing``); a failed client run or
-    aggregation ends that run. Each scoring pass is one ``score_params``
+    """Round ``t`` of a cohort's live federations, each running ``cfg``
+    with its own strategy. A run finds its client runs' picks, or the error
+    that failed them, in ``picks`` (``_train_missing``); a failed client run
+    or aggregation ends that run. Each scoring pass is one ``score_params``
     call over every run: per client test split (industrial) or on the
     global test set (academic). A pass that raises fails the round."""
     industrial = cfg.workflow is Workflow.INDUSTRIAL
@@ -155,7 +153,7 @@ def _round(
                 outcome = picks[c.client_id, weights]
                 if isinstance(outcome, Exception):
                     raise outcome
-                results.append(outcome[run.cfg.strategy])
+                results.append(outcome[run.strategy])
             updates = [
                 ClientUpdate(c.client_id, r.selected_params, len(c.train))
                 for c, r in zip(clients, results)
@@ -184,68 +182,56 @@ def _round(
         ))
 
 
-# One seed's federations: configs that differ only in strategy, and the
-# clients and evaluation sets they all train and score on.
-Cohort = tuple[list[FederationConfig], list[ClientDataset], EvalSets]
+# One seed's federations: its master seed, and the clients and evaluation
+# sets its federations all train and score on.
+Cohort = tuple[int, list[ClientDataset], EvalSets]
 
 
-def _check_cohorts(cohorts: list[Cohort]) -> FederationConfig:
-    """Reject cohorts that cannot share a round's stack; returns the first
-    config, whose model, optimizer and schedule every config shares."""
-    if not cohorts or not all(cfgs for cfgs, _, _ in cohorts):
-        raise ConfigurationError("run_federations needs at least one config per cohort")
-    first = cohorts[0][0][0]
-    for cfgs, clients, _ in cohorts:
-        lead = cfgs[0]
-        for cfg in cfgs[1:]:
-            # a cohort's client runs are keyed by weights and client ids only
-            if replace(cfg, strategy=lead.strategy) != lead:
-                raise ConfigurationError("lockstep federations may differ only in strategy")
-        if replace(lead, strategy=first.strategy, master_seed=first.master_seed) != first:
-            raise ConfigurationError(
-                "lockstep cohorts may differ only in strategy and master_seed"
-            )
-        if not clients:
-            raise ConfigurationError("a federation needs at least one client")
-        dim = clients[0].train.x.shape[1]
-        if dim != first.model.feature_dim:
-            raise ShapeError(f"model expects {first.model.feature_dim} features, data has {dim}")
-    return first
+def run_federations(
+    cfg: FederationConfig, strategies: list[StrategyKind], cohorts: list[Cohort]
+) -> list[list[FederationOutcome | Exception]]:
+    """Run ``cfg`` once per strategy on every cohort, all in lockstep.
 
-
-def run_federations(cohorts: list[Cohort]) -> list[list[FederationOutcome | Exception]]:
-    """Run the federations of every cohort in lockstep.
-
-    A cohort is one seed's federations, which differ only in strategy;
-    cohorts differ from each other only in strategy and master seed. Each
-    round, the client runs of every cohort train as one ``train_local``
-    call; a cohort's runs are keyed by client id and incoming weights, so
-    its federations whose global weights are bitwise equal train each
-    client once. Then each cohort's live federations advance together
-    through one ``_round`` call, which scores them all in one
-    ``score_params`` pass per split. Cohorts share no client run: they
+    A cohort is one seed's master seed, clients and evaluation sets. Each
+    federation runs ``cfg`` with its own strategy, from ``strategies``, and
+    its cohort's master seed: ``cfg.strategy`` and ``cfg.master_seed`` are
+    not read. Each round, the client runs of every cohort train as one
+    ``train_local`` call; a cohort's runs are keyed by client id and
+    incoming weights, so its federations whose global weights are bitwise
+    equal train each client once. Then each cohort's live federations
+    advance together through one ``_round`` call, which scores them all in
+    one ``score_params`` pass per split. Cohorts share no client run: they
     start from the same weights, but train on their own data and streams.
     In the industrial flow each federation halts on its own. Every result
     is bitwise what a federation run alone produces.
 
-    Returns, per cohort and per config, its round records and final
+    Returns, per cohort and per strategy, its round records and final
     weights, or the exception that ended it. A failed client run or
     aggregation ends the federations that reach it; a failed scoring pass
     ends every federation of its cohort that has no earlier error. No
     failure reaches another cohort.
     """
-    first = _check_cohorts(cohorts)
-    horizon = first.halting.max_rounds if first.workflow is Workflow.INDUSTRIAL else first.rounds
-    init = init_parameters(first.model)
-    runs = [[_Lockstep(cfg, init) for cfg in cfgs] for cfgs, _, _ in cohorts]
+    if not strategies or not cohorts:
+        raise ConfigurationError("run_federations needs at least one strategy and one cohort")
+    for seed, clients, _ in cohorts:
+        if not 0 <= seed <= MAX_SEED:
+            raise ConfigurationError(f"master seed must fit in 64 unsigned bits, got {seed}")
+        if not clients:
+            raise ConfigurationError("a federation needs at least one client")
+        dim = clients[0].train.x.shape[1]
+        if dim != cfg.model.feature_dim:
+            raise ShapeError(f"model expects {cfg.model.feature_dim} features, data has {dim}")
+    horizon = cfg.halting.max_rounds if cfg.workflow is Workflow.INDUSTRIAL else cfg.rounds
+    init = init_parameters(cfg.model)
+    runs = [[_Lockstep(StrategyKind(s), init) for s in strategies] for _ in cohorts]
     for t in range(1, horizon + 1):
         live = [[run for run in cohort if run.error is None and not run.halted] for cohort in runs]
-        picks = _train_missing(first, t, cohorts, live)
+        picks = _train_missing(cfg, t, cohorts, live)
         for (_, clients, evals), cohort, cohort_picks in zip(cohorts, live, picks):
             if not cohort:
                 continue
             try:
-                _round(first, t, cohort, clients, evals, cohort_picks)
+                _round(cfg, t, cohort, clients, evals, cohort_picks)
             except Exception as exc:
                 for run in cohort:
                     run.error = run.error or exc
@@ -264,16 +250,16 @@ def _train_missing(
     """Train every distinct client run of round ``t`` that the live
     federations of each cohort start, in one ``train_local`` call, so runs
     of equal size share one stack whatever their cohort. Each run draws
-    from its own federation's client stream. Returns, per cohort, each
-    run's picks keyed by (client id, incoming weights), or, for a run that
-    failed, a ProtocolError naming its client and the round."""
+    from its cohort's client stream. Returns, per cohort, each run's picks
+    keyed by (client id, incoming weights), or, for a run that failed, a
+    ProtocolError naming its client and the round."""
     rows = {}
-    for i, ((_, clients, _), cohort) in enumerate(zip(cohorts, live)):
+    for i, ((seed, clients, _), cohort) in enumerate(zip(cohorts, live)):
         for run in cohort:
             weights = run.params.values.tobytes()
             for c in clients:
                 if (i, c.client_id, weights) not in rows:
-                    stream = client_stream(run.cfg.master_seed, t, c.client_id)
+                    stream = client_stream(seed, t, c.client_id)
                     rows[i, c.client_id, weights] = (run.params, c, stream)
     picks: list[dict] = [{} for _ in cohorts]
     if not rows:
@@ -295,7 +281,7 @@ def run_federation(
 ) -> FederationOutcome:
     """Execute the round loop; returns one record per executed round plus the
     final aggregated weights."""
-    outcome = run_federations([([cfg], clients, evals)])[0][0]
+    outcome = run_federations(cfg, [cfg.strategy], [(cfg.master_seed, clients, evals)])[0][0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -66,22 +66,17 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
         raise ConfigurationError(f"comparison seeds must be distinct; seed {repeated} is repeated")
     datasets = [make_dataset(replace(cfg.corpus, seed=seed), cfg.partition) for seed in seeds]
     baselines = _baselines(cfg, seeds, datasets)
-    cohorts = [
-        ([replace(cfg.federation, strategy=strategy, master_seed=seed)
-          for strategy in (StrategyKind.FEWS, StrategyKind.OEWS)], clients, evals)
-        for seed, (clients, evals) in zip(seeds, datasets)
-    ]
+    strategies = [StrategyKind.FEWS, StrategyKind.OEWS]
+    cohorts = [(seed, clients, evals) for seed, (clients, evals) in zip(seeds, datasets)]
     try:
-        federations = run_federations(cohorts)
+        federations = run_federations(cfg.federation, strategies, cohorts)
     except Exception as exc:
-        federations = [[exc] * len(fed_cfgs) for fed_cfgs, _, _ in cohorts]
+        federations = [[exc] * len(strategies) for _ in cohorts]
 
     rows: list[ComparisonRow] = []
-    for seed, (clients, evals), results, (fed_cfgs, _, _), outcomes in zip(
-        seeds, datasets, baselines, cohorts, federations
-    ):
+    for seed, (clients, evals), results, outcomes in zip(seeds, datasets, baselines, federations):
         variants = [f"local_client_{c.client_id}" for c in clients] + ["centralized"]
-        variants += [f"fl_{fed_cfg.strategy.value}" for fed_cfg in fed_cfgs]
+        variants += [f"fl_{strategy.value}" for strategy in strategies]
         trained = [r if isinstance(r, Exception) else r.params for r in results]
         trained += [o if isinstance(o, Exception) else o[1] for o in outcomes]
         rows += _score_seed(seed, zip(variants, trained), cfg.federation.model, evals)
@@ -260,18 +255,32 @@ def summary_to_text(summaries: list[SummaryRow]) -> str:
     return "\n".join(lines)
 
 
+def write_summary(
+    rows: list[ComparisonRow], stem: str, out_dir: Path
+) -> tuple[str, dict[str, Path]]:
+    """Write the summary of ``rows`` to ``<stem>.summary.csv`` and
+    ``<stem>.summary.txt`` in ``out_dir``. Returns the text table and the
+    two paths, keyed ``summary_csv`` and ``summary_txt``."""
+    summaries = summarize(rows)
+    text = summary_to_text(summaries)
+    paths = {
+        "summary_csv": out_dir / f"{stem}.summary.csv",
+        "summary_txt": out_dir / f"{stem}.summary.txt",
+    }
+    atomic_write_text(paths["summary_csv"], summary_to_csv(summaries))
+    atomic_write_text(paths["summary_txt"], text)
+    return text, paths
+
+
 def write_comparison(
     rows: list[ComparisonRow], run_id: str, out_dir: Path | str
-) -> dict[str, Path]:
+) -> tuple[str, dict[str, Path]]:
+    """Write ``<run_id>.compare.csv`` and its ``write_summary`` files in
+    ``out_dir``. Returns the summary's text table and the three paths,
+    keyed ``rows``, ``summary_csv`` and ``summary_txt``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = summarize(rows)
-    paths = {
-        "rows": out_dir / f"{run_id}.compare.csv",
-        "summary_csv": out_dir / f"{run_id}.summary.csv",
-        "summary_txt": out_dir / f"{run_id}.summary.txt",
-    }
-    atomic_write_text(paths["rows"], rows_to_csv(rows))
-    atomic_write_text(paths["summary_csv"], summary_to_csv(summaries))
-    atomic_write_text(paths["summary_txt"], summary_to_text(summaries))
-    return paths
+    rows_path = out_dir / f"{run_id}.compare.csv"
+    atomic_write_text(rows_path, rows_to_csv(rows))
+    text, paths = write_summary(rows, run_id, out_dir)
+    return text, {"rows": rows_path, **paths}

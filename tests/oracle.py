@@ -23,7 +23,7 @@ import numpy as np
 
 from fedsel.aggregation import HaltingCriterion
 from fedsel.errors import ConfigurationError, DataError, ShapeError
-from fedsel.nn import Activation, ModelSpec, OptimizerConfig, ParameterVector, check_split
+from fedsel.nn import ModelSpec, OptimizerConfig, ParameterVector, check_split
 from fedsel.strategies import MetricsReport, Scores
 
 
@@ -46,18 +46,14 @@ def _layers(params: ParameterVector, spec: ModelSpec):
     return unflatten(params.values, params.manifest)
 
 
-def _activate(z, kind):
-    return np.maximum(z, 0.0) if kind is Activation.RELU else np.tanh(z)
-
-
-def _forward_pass(layers, kind, batch):
+def _forward_pass(layers, batch):
     inputs = [batch]
     pre = []
     h = batch
     for w, b in layers[:-1]:
         z = h @ w + b
         pre.append(z)
-        h = _activate(z, kind)
+        h = np.maximum(z, 0.0)
         inputs.append(h)
     w, b = layers[-1]
     return inputs, pre, h @ w + b
@@ -73,7 +69,7 @@ def forward(params: ParameterVector, spec: ModelSpec, batch, *, log: bool = Fals
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != spec.feature_dim:
         raise ShapeError(f"batch of shape {batch.shape} does not fit the model")
-    _, _, logits = _forward_pass(_layers(params, spec), spec.activation, batch)
+    _, _, logits = _forward_pass(_layers(params, spec), batch)
     log_probs = _log_softmax(logits)
     return log_probs if log else np.exp(log_probs)
 
@@ -96,7 +92,7 @@ def loss_and_gradient(
     if n == 0:
         raise DataError("batch is empty")
     layers = _layers(params, spec)
-    inputs, pre, logits = _forward_pass(layers, spec.activation, batch)
+    inputs, pre, logits = _forward_pass(layers, batch)
     log_probs = _log_softmax(logits)
 
     delta = np.exp(log_probs)
@@ -111,10 +107,7 @@ def loss_and_gradient(
         np.sum(delta, axis=0, out=grad_b)
         if i > 0:
             upstream = delta @ layers[i][0].T
-            if spec.activation is Activation.RELU:
-                delta = upstream * (pre[i - 1] > 0.0)
-            else:
-                delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
+            delta = upstream * (pre[i - 1] > 0.0)
     loss = float(-log_probs[np.arange(n), labels].mean())
     return loss, ParameterVector(grad, params.manifest)
 

@@ -167,6 +167,7 @@ def test_compare_and_report_flow(tiny_config, tmp_path, capsys):
 @pytest.mark.parametrize("damage, message", [
     ("short_row", "5 cells, expected 10"),
     ("bad_metric", "could not convert string to float: 'n/a'"),
+    ("not_utf8", "'utf-8' codec can't decode byte 0xff"),
 ])
 def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys, damage, message):
     out = tmp_path / "cmp"
@@ -177,14 +178,18 @@ def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys
     assert cells[3] == "ok"
     if damage == "short_row":
         cells = cells[:5]
-    else:
+    elif damage == "bad_metric":
         cells[4] = "n/a"
     lines[3] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode()
+    if damage == "not_utf8":
+        data += b"\xff\n"  # a line that is not UTF-8
+    path.write_bytes(data)
     capsys.readouterr()
     code = main(["report", "--config", str(tiny_config), "--out", str(out)])
     assert code == 2
-    assert f"{path.name}: comparison CSV line 4: {message}" in capsys.readouterr().err
+    where = "" if damage == "not_utf8" else "comparison CSV line 4: "
+    assert f"{path.name}: {where}{message}" in capsys.readouterr().err
 
 
 def test_report_names_its_summary_after_the_one_csv_it_reads(tiny_config, tmp_path, capsys):
@@ -266,3 +271,11 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"corpus.noise_scale = 2\xff\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff" in err

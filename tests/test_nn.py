@@ -5,7 +5,6 @@ import pytest
 
 from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import (
-    Activation,
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
@@ -39,8 +38,7 @@ def test_model_spec_validation():
         ModelSpec(layer_sizes=(4, 0, 5))
     with pytest.raises(ConfigurationError):
         ModelSpec(layer_sizes=(4, 8, 5), seed=-1)
-    spec = ModelSpec(layer_sizes=(4, 8, 5), activation="tanh")
-    assert spec.activation is Activation.TANH
+    spec = ModelSpec(layer_sizes=(4, 8, 5))
     assert spec.feature_dim == 4
     assert spec.class_count == 5
     assert spec.manifest == ((4, 8), (8, 5))
@@ -130,18 +128,15 @@ def _fd_gradient(params, spec, x, y, h=1e-5):
 
 
 def test_gradient_matches_finite_differences():
-    """Central differences on small models for both activations. The error
+    """Central differences on small models. The error
     is measured relative to max(|analytic|, |numeric|) with a 1e-4 floor so
     near-zero coordinates are compared absolutely."""
     master = np.random.default_rng(20240817)
-    for k in range(6):
+    for _ in range(6):
         dim = int(master.integers(2, 7))
         hidden = int(master.integers(2, 9))
         classes = int(master.integers(2, 6))
-        act = Activation.RELU if k % 2 == 0 else Activation.TANH
-        spec = ModelSpec(
-            layer_sizes=(dim, hidden, classes), activation=act, seed=int(master.integers(0, 2**32))
-        )
+        spec = ModelSpec(layer_sizes=(dim, hidden, classes), seed=int(master.integers(0, 2**32)))
         params = init_parameters(spec)
         params = ParameterVector(
             params.values + master.standard_normal(len(params)) * 0.3, params.manifest
@@ -228,22 +223,20 @@ def test_train_epoch_matches_manual_loop():
 
 
 @pytest.mark.parametrize(
-    "layer_sizes, activation, n, batch_size",
+    "layer_sizes, n, batch_size",
     [
-        ((6, 9, 4), "relu", 40, 16),  # partial last batch
-        ((6, 9, 4), "tanh", 40, 16),
-        ((5, 8, 7, 3), "relu", 37, 8),  # two hidden layers
-        ((5, 8, 7, 3), "tanh", 37, 8),
-        ((4, 6, 3), "relu", 9, 1),  # batch_size 1
-        ((4, 6, 5, 3), "tanh", 11, 32),  # batch_size larger than n
-        ((6, 4), "relu", 23, 8),  # no hidden layer: no delta to propagate
+        ((6, 9, 4), 40, 16),  # partial last batch
+        ((5, 8, 7, 3), 37, 8),  # two hidden layers
+        ((4, 6, 3), 9, 1),  # batch_size 1
+        ((4, 6, 5, 3), 11, 32),  # batch_size larger than n
+        ((6, 4), 23, 8),  # no hidden layer: no delta to propagate
     ],
 )
-def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, activation, n, batch_size):
+def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_size):
     """Several epochs in a row, from a nonzero velocity and at a learning
     rate that moves the weights: weights and velocity equal the reference
     bit for bit, they are updated in place, and the data is left as it was."""
-    spec = ModelSpec(layer_sizes=layer_sizes, activation=activation, seed=4)
+    spec = ModelSpec(layer_sizes=layer_sizes, seed=4)
     data_rng = np.random.default_rng(n)
     x = data_rng.standard_normal((1, n, layer_sizes[0]))
     y = data_rng.integers(0, layer_sizes[-1], (1, n))

@@ -54,8 +54,6 @@ def fast_cfg(**kwargs):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         fast_cfg(rounds=0)
-    with pytest.raises(ConfigurationError):
-        fast_cfg(workflow=Workflow.INDUSTRIAL)  # no halting criterion
     cfg = fast_cfg(strategy="oews", workflow="academic", aggregation="weighted")
     assert cfg.strategy is StrategyKind.OEWS
     assert cfg.workflow is Workflow.ACADEMIC
@@ -121,22 +119,33 @@ def test_client_failure_becomes_protocol_error():
     with pytest.raises(ProtocolError) as alone:
         run_federation(fast_cfg(), broken, evals)
     # a failure in a client run that both federations share fails both alike
-    outcomes = run_federations([([fast_cfg(), fast_cfg(strategy="oews")], broken, evals)])[0]
+    outcomes = run_federations(fast_cfg(), ["fews", "oews"], [(13, broken, evals)])[0]
     for outcome in outcomes:
         assert isinstance(outcome, ProtocolError)
         assert str(outcome) == str(alone.value)
 
 
-def test_lockstep_needs_configs_that_differ_only_in_strategy():
+def test_lockstep_runs_cfg_under_the_given_strategies_and_cohort_seeds():
+    """A lockstep call needs a strategy, a cohort and a client per cohort,
+    and a master seed in range; each federation runs the cohort's seed and
+    its own strategy, whatever ``cfg.strategy`` and ``cfg.master_seed`` say."""
     clients, evals = small_dataset()
+    cfg = fast_cfg()
+    for strategies, cohorts in (
+        ([], [(13, clients, evals)]),
+        (["fews"], []),
+        (["fews"], [(13, clients, evals), (14, [], evals)]),
+        (["fews"], [(-1, clients, evals)]),
+    ):
+        with pytest.raises(ConfigurationError):
+            run_federations(cfg, strategies, cohorts)
     with pytest.raises(ConfigurationError):
-        run_federations([([], clients, evals)])[0]
-    with pytest.raises(ConfigurationError):
-        run_federations([([fast_cfg(), fast_cfg(strategy="oews", rounds=3)], clients, evals)])[0]
-    with pytest.raises(ConfigurationError):
-        run_federations([([fast_cfg(), fast_cfg(master_seed=14)], clients, evals)])[0]
-    with pytest.raises(ConfigurationError):
-        run_federation(fast_cfg(), [], evals)
+        run_federation(cfg, [], evals)
+    elsewhere = replace(cfg, strategy="oews", master_seed=99)
+    ((records, params),) = run_federations(elsewhere, ["fews"], [(13, clients, evals)])[0]
+    alone_records, alone_params = run_federation(replace(cfg, master_seed=13), clients, evals)
+    assert params.values.tobytes() == alone_params.values.tobytes()
+    assert _records_key(records) == _records_key(alone_records)
 
 
 def _records_key(records):
@@ -166,7 +175,7 @@ def _scoring_stacks(module):
         yield stacks
 
 
-def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
+def _assert_lockstep_matches_separate_runs(cfg, strategies, clients, evals, tmp_path):
     import fedsel.orchestrator as orchestrator
 
     trained = []
@@ -179,15 +188,17 @@ def _assert_lockstep_matches_separate_runs(cfgs, clients, evals, tmp_path):
     # client runs count stacked rows; scoring passes count rows per call
     with mock.patch.object(orchestrator, "train_local", train_local), \
             _scoring_stacks(orchestrator) as scored:
-        together = run_federations([(cfgs, clients, evals)])[0]
-    for i, (cfg, outcome) in enumerate(zip(cfgs, together)):
+        together = run_federations(cfg, strategies, [(cfg.master_seed, clients, evals)])[0]
+    for i, (strategy, outcome) in enumerate(zip(strategies, together)):
         records, params = outcome
-        alone_records, alone_params = run_federation(cfg, clients, evals)
+        alone_records, alone_params = run_federation(
+            replace(cfg, strategy=strategy), clients, evals
+        )
         assert params.values.tobytes() == alone_params.values.tobytes()
         assert _records_key(records) == _records_key(alone_records)
         logs = []
         for tag, recs in (("together", records), ("alone", alone_records)):
-            jsonl, txt = write_metrics_logs(recs, "run", cfg.workflow, cfg.strategy,
+            jsonl, txt = write_metrics_logs(recs, "run", cfg.workflow, StrategyKind(strategy),
                                             tmp_path / f"{i}-{tag}")
             logs.append((jsonl.read_bytes(), txt.read_bytes()))
         assert logs[0] == logs[1]
@@ -240,11 +251,10 @@ DIVERGING = dict(local_epochs=3, optimizer=OptimizerConfig(learning_rate=0.03, b
 
 def test_lockstep_academic_equals_separate_runs(tmp_path):
     """FEWS and OEWS share round 1, then part: OEWS ships an earlier epoch in
-    round 2. A second FEWS config shares every FEWS run throughout."""
+    round 2. A second FEWS federation shares every FEWS run throughout."""
     clients, evals = small_dataset(noise=2.0, seed=55)
-    cfgs = [fast_cfg(strategy=s, rounds=3, **DIVERGING) for s in ("fews", "oews", "fews")]
     together, trained, scored = _assert_lockstep_matches_separate_runs(
-        cfgs, clients, evals, tmp_path
+        fast_cfg(rounds=3, **DIVERGING), ["fews", "oews", "fews"], clients, evals, tmp_path
     )
     (fews, _), (oews, _) = together[:2]
     assert fews[1].selected_epochs != oews[1].selected_epochs
@@ -260,8 +270,8 @@ def test_last_record_reports_the_shipped_weights():
     """Run in lockstep, FEWS and OEWS part, and each federation's last
     record reports exactly its final weights on the global test set."""
     clients, evals = small_dataset(noise=2.0, seed=55)
-    cfgs = [fast_cfg(strategy=s, rounds=3, **DIVERGING) for s in ("fews", "oews")]
-    outcomes = run_federations([(cfgs, clients, evals)])[0]
+    cfg = fast_cfg(rounds=3, **DIVERGING)
+    outcomes = run_federations(cfg, ["fews", "oews"], [(cfg.master_seed, clients, evals)])[0]
     assert outcomes[0][1].values.tobytes() != outcomes[1][1].values.tobytes()
     for records, params in outcomes:
         (shipped,) = score_params([params], MODEL, evals.global_test)
@@ -273,12 +283,9 @@ def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
     FEWS halts in round 3 (0.875) and OEWS runs on alone to the cap."""
     clients, evals = small_dataset(noise=2.0, seed=55)
     crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.85, max_rounds=4)
-    cfgs = [
-        fast_cfg(strategy=s, workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
-        for s in ("fews", "oews")
-    ]
+    cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
     together, trained, scored = _assert_lockstep_matches_separate_runs(
-        cfgs, clients, evals, tmp_path
+        cfg, ["fews", "oews"], clients, evals, tmp_path
     )
     (fews, _), (oews, _) = together
     assert [r.halted for r in fews] == [False, False, True]
@@ -297,15 +304,9 @@ def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
     import fedsel.orchestrator as orchestrator
 
     crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8, max_rounds=4)
-    cohorts = []
-    for data_seed, master_seed in ((55, 13), (56, 14)):
-        clients, evals = small_dataset(noise=2.0, seed=data_seed)
-        cfgs = [
-            fast_cfg(strategy=s, workflow=Workflow.INDUSTRIAL, halting=crit,
-                     master_seed=master_seed, **DIVERGING)
-            for s in ("fews", "oews")
-        ]
-        cohorts.append((cfgs, clients, evals))
+    cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
+    strategies = [StrategyKind.FEWS, StrategyKind.OEWS]
+    cohorts = [(13, *small_dataset(noise=2.0, seed=55)), (14, *small_dataset(noise=2.0, seed=56))]
     calls = []
     real = orchestrator.train_local
 
@@ -314,19 +315,19 @@ def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
         return real(rows, *args)
 
     with mock.patch.object(orchestrator, "train_local", train_local):
-        together = run_federations(cohorts)
+        together = run_federations(cfg, strategies, cohorts)
     assert calls == [4 + 4, 4 + 8, 8]
     assert [[len(records) for records, _ in outcomes] for outcomes in together] == [[3, 3], [2, 2]]
     for i, (cohort, outcomes) in enumerate(zip(cohorts, together)):
-        alone = run_federations([cohort])[0]
-        for j, (cfg, (records, params), (alone_records, alone_params)) in enumerate(
-            zip(cohort[0], outcomes, alone)
+        alone = run_federations(cfg, strategies, [cohort])[0]
+        for j, (strategy, (records, params), (alone_records, alone_params)) in enumerate(
+            zip(strategies, outcomes, alone)
         ):
             assert params.values.tobytes() == alone_params.values.tobytes()
             assert _records_key(records) == _records_key(alone_records)
             logs = [
                 tuple(p.read_bytes() for p in write_metrics_logs(
-                    recs, "run", cfg.workflow, cfg.strategy, tmp_path / f"{i}-{j}-{tag}"))
+                    recs, "run", cfg.workflow, strategy, tmp_path / f"{i}-{j}-{tag}"))
                 for tag, recs in (("together", records), ("alone", alone_records))
             ]
             assert logs[0] == logs[1]
@@ -340,31 +341,26 @@ def test_a_failed_scoring_pass_fails_its_cohort_alone(workflow):
     federations end with the DataError; the second cohort's outcomes are
     bitwise those of a call with it alone."""
     crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8, max_rounds=3)
-    flow = dict(workflow=workflow, halting=crit if workflow is Workflow.INDUSTRIAL else None)
-    cohorts = []
-    for data_seed, master_seed in ((55, 13), (56, 14)):
-        clients, evals = small_dataset(noise=2.0, seed=data_seed)
-        cfgs = [fast_cfg(strategy=s, master_seed=master_seed, **flow, **DIVERGING)
-                for s in ("fews", "oews")]
-        cohorts.append((cfgs, clients, evals))
+    cfg = fast_cfg(workflow=workflow, halting=crit, **DIVERGING)
+    cohorts = [(13, *small_dataset(noise=2.0, seed=55)), (14, *small_dataset(noise=2.0, seed=56))]
 
     def spoiled(split):
         y = split.y.copy()
         y[0] = MODEL.class_count
         return replace(split, y=y)
 
-    cfgs, clients, evals = cohorts[0]
+    seed, clients, evals = cohorts[0]
     if workflow is Workflow.INDUSTRIAL:
         clients = [replace(c, test=spoiled(c.test)) if c.client_id == 2 else c for c in clients]
     else:
         evals = replace(evals, global_test=spoiled(evals.global_test))
-    cohorts[0] = (cfgs, clients, evals)
+    cohorts[0] = (seed, clients, evals)
 
-    failed, kept = run_federations(cohorts)
+    failed, kept = run_federations(cfg, ["fews", "oews"], cohorts)
     for outcome in failed:
         assert isinstance(outcome, DataError)
         assert "labels must lie in [0, 5), got range [0, 5]" in str(outcome)
-    alone = run_federations(cohorts[1:])[0]
+    alone = run_federations(cfg, ["fews", "oews"], cohorts[1:])[0]
     assert len(kept[0][0]) > 1
     for (records, params), (alone_records, alone_params) in zip(kept, alone):
         assert params.values.tobytes() == alone_params.values.tobytes()
@@ -378,8 +374,11 @@ def test_a_failed_scoring_pass_keeps_a_run_s_own_earlier_error():
     import fedsel.orchestrator as orchestrator
 
     clients, evals = small_dataset(noise=2.0, seed=55)
-    cfgs = [fast_cfg(strategy=s, rounds=3, **DIVERGING) for s in ("fews", "oews")]
-    parted = [run_federation(replace(cfg, rounds=2), clients, evals)[1] for cfg in cfgs]
+    cfg = fast_cfg(rounds=3, **DIVERGING)
+    parted = [
+        run_federation(replace(cfg, strategy=s, rounds=2), clients, evals)[1]
+        for s in ("fews", "oews")
+    ]
     assert parted[0].values.tobytes() != parted[1].values.tobytes()
 
     def oews_round_three(params, client, rng):
@@ -395,29 +394,10 @@ def test_a_failed_scoring_pass_keeps_a_run_s_own_earlier_error():
 
     with _spoiled_score(oews_round_three, 2, _nan_macro_f1), \
             mock.patch.object(orchestrator, "score_params", score_params):
-        fews, oews = run_federations([(cfgs, clients, evals)])[0]
+        fews, oews = run_federations(cfg, ["fews", "oews"], [(13, clients, evals)])[0]
     assert str(fews) == "round 3 scoring failed"
     assert isinstance(oews, ProtocolError)
     assert str(oews).startswith("client 1 failed in round 3: client 1 epoch 2")
-
-
-@pytest.mark.parametrize("change", [
-    dict(rounds=3),
-    dict(local_epochs=3),
-    dict(optimizer=OptimizerConfig(learning_rate=0.03)),
-    dict(model=ModelSpec(layer_sizes=(16, 8, 5), seed=3)),
-    dict(selection_metric="val_loss"),
-    dict(aggregation="weighted"),
-    dict(workflow=Workflow.INDUSTRIAL, halting=HaltingCriterion(max_rounds=2)),
-])
-def test_cohorts_may_differ_only_in_strategy_and_master_seed(change):
-    clients, evals = small_dataset()
-    other = small_dataset(seed=22)
-    with pytest.raises(ConfigurationError, match="differ only in strategy and master_seed"):
-        run_federations([
-            ([fast_cfg()], clients, evals),
-            ([fast_cfg(strategy="oews", master_seed=14, **change)], *other),
-        ])
 
 
 def test_comparison_fails_only_the_federation_whose_own_run_fails():
@@ -599,7 +579,7 @@ def test_non_finite_weights_name_client_round_and_epoch():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ProtocolError) as alone:
             run_federation(cfg, clients, evals)
-        outcomes = run_federations([([cfg, replace(cfg, strategy="oews")], clients, evals)])[0]
+        outcomes = run_federations(cfg, ["fews", "oews"], [(13, clients, evals)])[0]
     assert re.fullmatch(
         r"client 0 failed in round 1: client 0 epoch \d+: weights are not finite", str(alone.value)
     )

@@ -264,7 +264,7 @@ def test_summary_outputs_render(campaign):
 
 
 def test_write_comparison_files(tmp_path, campaign):
-    paths = write_comparison(campaign, "abc123", tmp_path)
+    text, paths = write_comparison(campaign, "abc123", tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "abc123.compare.csv",
         "abc123.summary.csv",
@@ -272,3 +272,4 @@ def test_write_comparison_files(tmp_path, campaign):
     ]
     back = csv_to_rows(paths["rows"].read_text())
     assert len(back) == len(campaign)
+    assert paths["summary_txt"].read_text(encoding="utf-8") == text

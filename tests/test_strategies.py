@@ -120,12 +120,11 @@ def test_uniform_predictor_confidence():
     assert miss.confidence == 0.0
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_score_is_one_pass_of_the_separate_scorers(activation):
+def test_score_is_one_pass_of_the_separate_scorers():
     """Metrics, loss and confidence from one pass equal, bit for bit, what a
     probability pass plus a separate loss pass compute."""
     rng = np.random.default_rng(12)
-    spec = ModelSpec(layer_sizes=(6, 10, 7, 4), activation=activation, seed=5)
+    spec = ModelSpec(layer_sizes=(6, 10, 7, 4), seed=5)
     for _ in range(5):
         start = init_parameters(spec)
         params = ParameterVector(start.values + rng.standard_normal(len(start)), start.manifest)
@@ -194,10 +193,9 @@ def test_score_equals_the_per_row_oracle(data):
     rows = data.draw(st.integers(1, 8), label="R")
     n = data.draw(st.one_of(st.just(1), st.integers(1, 300)), label="n")
     hidden = data.draw(st.lists(st.integers(1, 9), max_size=2), label="hidden")
-    activation = data.draw(st.sampled_from(["relu", "tanh"]), label="activation")
     dim, classes = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 10))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    spec = ModelSpec(layer_sizes=(dim, *hidden, classes), activation=activation)
+    spec = ModelSpec(layer_sizes=(dim, *hidden, classes))
 
     scale = data.draw(st.sampled_from([0.0, 0.5, 3.0]), label="weight scale")
     weights = rng.standard_normal((rows, manifest_size(spec.manifest))) * scale
@@ -225,18 +223,17 @@ def test_stacking_equals_separate_runs(data):
     calls bit for bit: weights and velocity after two epochs, and every
     field of every row's scores. Rows differ in their incoming weights,
     velocity, data and rng; shapes cover partial and single-sample batches,
-    batches larger than the data, zero to two hidden layers, relu and tanh.
+    batches larger than the data, zero to two hidden layers.
     The stack runs under a drawn buffer cap, so its data is gathered a few
     batches at a time and it is scored a few rows per pass."""
     rows = data.draw(st.integers(1, 6), label="R")
     n = data.draw(st.integers(1, 40), label="n")
     batch_size = data.draw(st.integers(1, n + 3), label="batch_size")
     hidden = data.draw(st.lists(st.integers(1, 9), min_size=0, max_size=2), label="hidden")
-    activation = data.draw(st.sampled_from(["relu", "tanh"]), label="activation")
     dim, classes = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
-    spec = ModelSpec(layer_sizes=(dim, *hidden, classes), activation=activation)
+    spec = ModelSpec(layer_sizes=(dim, *hidden, classes))
     size = manifest_size(spec.manifest)
     weights = init_parameters(spec).values + rng.standard_normal((rows, size))
     velocity = rng.standard_normal((rows, size)) * 0.1

@@ -39,8 +39,8 @@ for client in clients:
     )
 
 print("\nrunning the federation (15 local epochs x 5 rounds, plain averaging)...")
-cfg = FederationConfig(model=model, master_seed=1)
-records, params = run_federation(cfg, clients, evals)
+cfg = FederationConfig(model=model)
+records, params = run_federation(cfg, "fews", (1, clients, evals))
 for record in records:
     print(f"  round {record.round}: global macro-F1 {record.metrics.macro_f1:.4f}")
 

@@ -41,8 +41,7 @@ for epoch, value in enumerate(result.trace, start=1):
 # same schedule end to end, both strategies
 print("\nfull federation, both strategies:")
 for strategy in (StrategyKind.FEWS, StrategyKind.OEWS):
-    cfg = replace(fed, strategy=strategy, master_seed=seed)
-    records, _ = run_federation(cfg, clients, evals)
+    records, _ = run_federation(fed, strategy, (seed, clients, evals))
     final = records[-1].metrics
     epochs = ",".join(str(e) for e in records[-1].selected_epochs)
     print(

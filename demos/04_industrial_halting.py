@@ -20,10 +20,9 @@ cfg = FederationConfig(
     workflow=Workflow.INDUSTRIAL,
     halting=criterion,
     rounds=10,
-    master_seed=2,
 )
 
-records, params = run_federation(cfg, clients, evals)
+records, params = run_federation(cfg, "fews", (2, clients, evals))
 
 print(f"halting threshold: aggregated macro-F1 >= {criterion.threshold}, cap {criterion.max_rounds} rounds\n")
 for r in records:

@@ -122,11 +122,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, run_id = _load(args)
     clients, evals = make_dataset(cfg.corpus, cfg.partition)
-    records, params = run_federation(cfg.federation, clients, evals)
+    cohort = (cfg.master_seed, clients, evals)
+    records, params = run_federation(cfg.federation, cfg.strategy, cohort)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jsonl_path, txt_path = write_metrics_logs(
-        records, run_id, cfg.federation.workflow, cfg.federation.strategy, out
+        records, run_id, cfg.federation.workflow, cfg.strategy, out
     )
     weights_path = out / f"{run_id}.weights.txt"
     atomic_write_text(weights_path, weights_text(params))
@@ -146,7 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         train, val = merge_for_centralized(clients)
         result = run_centralized(
             cfg.baseline, train, val, cfg.federation.model,
-            baseline_stream(cfg.federation.master_seed, tag=0),
+            baseline_stream(cfg.master_seed, tag=0),
         )
         lines = [
             f"epoch {i} val_macro_f1 {v:.6f}" for i, v in enumerate(result.trace, start=1)

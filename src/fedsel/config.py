@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .aggregation import AggregationKind, HaltingCriterion, HaltingMetric
@@ -171,9 +171,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's settings; ``fedsel run`` applies the federation recipe under
+    ``strategy`` from ``master_seed``."""
+
     corpus: CorpusSpec
     partition: PartitionSpec
     federation: FederationConfig
+    strategy: StrategyKind
+    master_seed: int
     baseline: BaselineConfig
     baseline_enabled: bool
     out_dir: str
@@ -222,24 +227,20 @@ def load_config(
     for key, (parser, default) in KEY_TABLE.items():
         values[key] = parser(key, raw[key]) if key in raw else default
 
+    seed_source = "federation.master_seed"  # what a range error names
     if seed_override is not None:
         values["federation.master_seed"] = seed_override
     elif SEED_ENV_VAR in os.environ:
+        seed_source = SEED_ENV_VAR
         values["federation.master_seed"] = _parse_int(SEED_ENV_VAR, os.environ[SEED_ENV_VAR])
     if not 0 <= values["federation.master_seed"] <= MAX_SEED:
-        raise ConfigurationError("federation.master_seed must fit in 64 unsigned bits")
+        raise ConfigurationError(f"{seed_source} must fit in 64 unsigned bits")
 
-    corpus = CorpusSpec(
-        class_count=values["corpus.class_count"],
-        feature_dim=values["corpus.feature_dim"],
-        per_class_train=values["corpus.per_class_train"],
-        per_class_val=values["corpus.per_class_val"],
-        per_class_test=values["corpus.per_class_test"],
-        class_separation=values["corpus.class_separation"],
-        noise_scale=values["corpus.noise_scale"],
-        shift_magnitude=values["corpus.shift_magnitude"],
-        seed=values["corpus.seed"],
-    )
+    def build(cls, section: str):
+        """``cls`` from the ``<section>.<field>`` key of each of its fields."""
+        return cls(**{f.name: values[f"{section}.{f.name}"] for f in fields(cls)})
+
+    corpus = build(CorpusSpec, "corpus")
     if values["partition.missing_class"] is None:
         partition = PartitionSpec.default(values["partition.client_count"], corpus.class_count)
     else:
@@ -267,26 +268,16 @@ def load_config(
         model=model,
         rounds=values["federation.rounds"],
         local_epochs=values["federation.local_epochs"],
-        strategy=values["federation.strategy"],
         selection_metric=values["federation.selection_metric"],
         aggregation=values["federation.aggregation"],
         workflow=values["federation.workflow"],
         halting=halting,
-        optimizer=OptimizerConfig(
-            learning_rate=values["federation.learning_rate"],
-            momentum=values["federation.momentum"],
-            batch_size=values["federation.batch_size"],
-        ),
-        master_seed=values["federation.master_seed"],
+        optimizer=build(OptimizerConfig, "federation"),
     )
     baseline = BaselineConfig(
         max_epochs=values["baseline.max_epochs"],
         patience=values["baseline.patience"],
-        optimizer=OptimizerConfig(
-            learning_rate=values["baseline.learning_rate"],
-            momentum=values["baseline.momentum"],
-            batch_size=values["baseline.batch_size"],
-        ),
+        optimizer=build(OptimizerConfig, "baseline"),
     )
 
     # output.dir is plumbing, not experiment content: the same run written
@@ -301,6 +292,8 @@ def load_config(
         corpus=corpus,
         partition=partition,
         federation=federation,
+        strategy=values["federation.strategy"],
+        master_seed=values["federation.master_seed"],
         baseline=baseline,
         baseline_enabled=values["baseline.enabled"],
         out_dir=values["output.dir"],

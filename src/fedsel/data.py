@@ -89,9 +89,11 @@ class PartitionSpec:
         return PartitionSpec(client_count=client_count, missing_class=missing)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _frozen(arr, dtype) -> np.ndarray:
+    """A read-only view of ``arr``, which stays as writable as it was."""
+    view = np.asarray(arr, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,9 @@ class Split:
     ids: np.ndarray
 
     def __post_init__(self) -> None:
-        x = _freeze(np.asarray(self.x, dtype=np.float64))
-        y = _freeze(np.asarray(self.y, dtype=np.int64))
-        ids = _freeze(np.asarray(self.ids, dtype=np.int64))
+        x = _frozen(self.x, np.float64)
+        y = _frozen(self.y, np.int64)
+        ids = _frozen(self.ids, np.int64)
         if x.shape[0] != y.shape[0] or x.shape[0] != ids.shape[0]:
             raise DataError("x, y, and ids must have matching lengths")
         object.__setattr__(self, "x", x)
@@ -190,48 +192,39 @@ def make_dataset(
     means = cspec.class_separation * class_directions(cspec.class_count, cspec.feature_dim)
     shifted = means + cspec.shift_magnitude * shift_direction(cspec.feature_dim)
     classes = range(cspec.class_count)
+    sizes = (cspec.per_class_train, cspec.per_class_val, cspec.per_class_test)
+    # each pool's (mean, label, rows) in drawing order; the corpus is one table
+    layout = [(means[c], c, size * pspec.client_count) for size in sizes for c in classes]
+    layout += [(shifted[c], c, cspec.per_class_test) for c in classes]
+    starts = np.cumsum([0] + [rows for _, _, rows in layout]).tolist()
+    x = rng.standard_normal((starts[-1], cspec.feature_dim))
+    x *= cspec.noise_scale
+    for (mean, _, _), lo, hi in zip(layout, starts, starts[1:]):
+        x[lo:hi] += mean
+    y = np.repeat([label for _, label, _ in layout], np.diff(starts))
+    ids = np.arange(starts[-1])
 
-    next_id = 0
-
-    def draw(mean: np.ndarray, count: int, label: int) -> Split:
-        nonlocal next_id
-        x = mean + cspec.noise_scale * rng.standard_normal((count, cspec.feature_dim))
-        ids = np.arange(next_id, next_id + count)
-        next_id += count
-        return Split(x, np.full(count, label), ids)
-
-    sizes = {
-        "train": cspec.per_class_train,
-        "val": cspec.per_class_val,
-        "test": cspec.per_class_test,
-    }
-    pools = {
-        name: [draw(means[c], size * pspec.client_count, c) for c in classes]
-        for name, size in sizes.items()
-    }
-    external = _concat([draw(shifted[c], cspec.per_class_test, c) for c in classes])
-
-    def take(name: str, label: int, slot: int) -> Split:
-        pool, size = pools[name][label], sizes[name]
-        sl = slice(slot * size, (slot + 1) * size)
-        return Split(pool.x[sl], pool.y[sl], pool.ids[sl])
+    def deal(split: int, slots: list[tuple[int, int]]) -> Split:
+        """Slot k of class c's pool of ``split`` for each (c, k), in order."""
+        size = sizes[split]
+        los = [starts[split * cspec.class_count + c] + k * size for c, k in slots]
+        return Split(*(np.concatenate([a[lo:lo + size] for lo in los]) for a in (x, y, ids)))
 
     clients = []
     holders = [0] * cspec.class_count  # earlier clients that hold each class
     for k in range(pspec.client_count):
         missing = pspec.missing_class[k]
-        present = [c for c in classes if c != missing]
-        train = _concat([take("train", c, holders[c]) for c in present])
-        val = _concat([take("val", c, holders[c]) for c in present])
-        test = _concat([take("test", c, k) for c in classes])
-        for c in present:
+        held = [(c, holders[c]) for c in classes if c != missing]
+        test = deal(2, [(c, k) for c in classes])
+        clients.append(ClientDataset(
+            client_id=k, missing_class=missing, train=deal(0, held), val=deal(1, held), test=test
+        ))
+        for c, _ in held:
             holders[c] += 1
-        clients.append(
-            ClientDataset(client_id=k, missing_class=missing, train=train, val=val, test=test)
-        )
 
-    global_test = _concat([c.test for c in clients])
-    return clients, EvalSets(global_test=global_test, external_test=external)
+    global_test = deal(2, [(c, k) for k in range(pspec.client_count) for c in classes])
+    external = starts[len(sizes) * cspec.class_count]  # copied: the table is not kept alive
+    return clients, EvalSets(global_test, Split(*(a[external:].copy() for a in (x, y, ids))))
 
 
 def dataset_csv_text(clients: list[ClientDataset], evals: EvalSets) -> str:

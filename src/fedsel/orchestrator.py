@@ -11,7 +11,7 @@ Two round-loop flavors:
 Per-client RNG streams are child streams of the master seed keyed by
 (round, client_id), so no client's result depends on which other clients
 train beside it, and one client run yields the epochs both strategies ship.
-So one seed's federations of one config under several strategies, a
+So one seed's federations of one recipe under several strategies, a
 cohort, run in lockstep: each round, every distinct client run is trained
 once, keyed by client id and incoming weights, and the cohort's federations
 advance together, each scoring pass one ``score_params`` call over all of
@@ -74,24 +74,21 @@ def baseline_stream(master_seed: int, tag: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class FederationConfig:
+    """The recipe alone: each run names its strategy and master seed."""
+
     model: ModelSpec
     rounds: int = 5
     local_epochs: int = 15
-    strategy: StrategyKind = StrategyKind.FEWS
     selection_metric: SelectionMetric = SelectionMetric.MACRO_F1
     aggregation: AggregationKind = AggregationKind.PLAIN
     workflow: Workflow = Workflow.ACADEMIC
     halting: HaltingCriterion = HaltingCriterion()
     optimizer: OptimizerConfig = OptimizerConfig()
-    master_seed: int = 0
 
     def __post_init__(self) -> None:
         for name, low in (("rounds", 1), ("local_epochs", 1)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0 <= self.master_seed <= MAX_SEED:
-            raise ConfigurationError("master_seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "strategy", StrategyKind(self.strategy))
         object.__setattr__(self, "selection_metric", SelectionMetric(self.selection_metric))
         object.__setattr__(self, "aggregation", AggregationKind(self.aggregation))
         object.__setattr__(self, "workflow", Workflow(self.workflow))
@@ -194,11 +191,10 @@ def run_federations(
 
     A cohort is one seed's master seed, clients and evaluation sets. Each
     federation runs ``cfg`` with its own strategy, from ``strategies``, and
-    its cohort's master seed: ``cfg.strategy`` and ``cfg.master_seed`` are
-    not read. Each round, the client runs of every cohort train as one
-    ``train_local`` call; a cohort's runs are keyed by client id and
-    incoming weights, so its federations whose global weights are bitwise
-    equal train each client once. Then each cohort's live federations
+    its cohort's master seed. Each round, the client runs of every cohort
+    train as one ``train_local`` call; a cohort's runs are keyed by client
+    id and incoming weights, so its federations whose global weights are
+    bitwise equal train each client once. Then each cohort's live federations
     advance together through one ``_round`` call, which scores them all in
     one ``score_params`` pass per split. Cohorts share no client run: they
     start from the same weights, but train on their own data and streams.
@@ -277,11 +273,11 @@ def _train_missing(
 
 
 def run_federation(
-    cfg: FederationConfig, clients: list[ClientDataset], evals: EvalSets
+    cfg: FederationConfig, strategy: StrategyKind, cohort: Cohort
 ) -> FederationOutcome:
-    """Execute the round loop; returns one record per executed round plus the
-    final aggregated weights."""
-    outcome = run_federations(cfg, [cfg.strategy], [(cfg.master_seed, clients, evals)])[0][0]
+    """``run_federations`` of one strategy and one cohort, raising its
+    failure: one record per executed round plus the final weights."""
+    outcome = run_federations(cfg, [strategy], [cohort])[0][0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

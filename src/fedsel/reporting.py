@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 from .config import RunConfig
 from .data import ClientDataset, EvalSets, make_dataset, merge_for_centralized
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .nn import ParameterVector
 from .orchestrator import (
     CentralizedResult,
@@ -119,7 +120,8 @@ def _score_seed(
     """A seed's rows from its (variant, final weights or exception) pairs:
     the weights scored on both test sets, or the error on both. The
     trained weights go through one ``score_params`` call per test set; if
-    one raises, every variant it scores fails with its error."""
+    one raises, every variant it scores fails with its error, and a test-set
+    loss that is not finite fails its variant, naming the test set."""
     trained = list(trained)
     params = [p for _, p in trained if not isinstance(p, Exception)]
     try:
@@ -130,11 +132,15 @@ def _score_seed(
         trained = [(variant, exc) for variant, _ in trained]
     rows = []
     for variant, outcome in trained:
+        scores = () if isinstance(outcome, Exception) else next(scored)
+        bad = [(name, s.loss) for name, s in zip(TEST_SETS, scores) if not math.isfinite(s.loss)]
+        if bad:
+            outcome = DataError("{} test set: loss is {}".format(*bad[0]))
         if isinstance(outcome, Exception):
             rows += [ComparisonRow(seed, variant, name, "failed", None, str(outcome))
                      for name in TEST_SETS]
             continue
-        for name, s in zip(TEST_SETS, next(scored)):
+        for name, s in zip(TEST_SETS, scores):
             metrics = {**{m: s.report.scalar(m) for m in METRIC_NAMES}, "confidence": s.confidence}
             rows.append(ComparisonRow(seed, variant, name, "ok", metrics))
     return rows
@@ -209,6 +215,9 @@ def csv_to_rows(text: str) -> list[ComparisonRow]:
             metrics = None
             if status == "ok":
                 metrics = {m: float(v) for m, v in zip(METRIC_COLUMNS, cells[4:-1])}
+                for m, raw in zip(METRIC_COLUMNS, cells[4:-1]):
+                    if not math.isfinite(metrics[m]):
+                        raise ValueError(f"{m} cell {raw!r} is not a finite number")
         except ValueError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
         rows.append(ComparisonRow(seed_number, variant, test_set, status, metrics, cells[-1]))

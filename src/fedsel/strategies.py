@@ -246,10 +246,10 @@ def train_stacked(
     After each epoch, each live row's weights are scored on its val split
     by one ``score`` call, and ``visit(row, epoch, weights, scores)`` gets
     them: it returns False to stop the row, or raises to fail it. A row
-    whose weights turn non-finite fails with a DataError naming its label
-    and the epoch. A row that stops or fails leaves its stack, which is
-    compacted, so no dead row costs work. Returns, per row, the exception
-    that failed it, or None.
+    whose weights turn non-finite, or whose validation loss is not finite,
+    fails with a DataError naming its label and the epoch. A row that stops
+    or fails leaves its stack, which is compacted, so no dead row costs
+    work. Returns, per row, the exception that failed it, or None.
     """
     errors: list[Exception | None] = [None] * len(rows)
     stacks: dict[tuple[int, int], list[int]] = {}
@@ -288,6 +288,10 @@ def train_stacked(
                 score(weights, model, [v.x for v in val], [v.y for v in val])
             ):
                 try:
+                    if not math.isfinite(scores.loss):
+                        raise DataError(
+                            f"{rows[live[j]][4]} epoch {epoch}: validation loss is {scores.loss}"
+                        )
                     keep[j] = visit(int(live[j]), epoch, weights[j], scores)
                 except Exception as exc:
                     errors[live[j]] = exc
@@ -319,8 +323,8 @@ def train_local(
     data and its rng stream, never on the other rows; both strategies pick
     from it with ``select_epoch``. Returns, per row, each strategy's pick,
     both sharing one trace, or the exception that failed the row alone: a
-    non-finite weight or validation score is a DataError naming the client
-    and the epoch.
+    non-finite weight or validation loss is a DataError naming the client
+    and the epoch (``train_stacked``).
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
@@ -333,11 +337,6 @@ def train_local(
             value = scores.loss
         else:
             value = scores.report.scalar(metric.value)
-        if not math.isfinite(value):
-            raise DataError(
-                f"client {rows[i][1].client_id} epoch {epoch}: "
-                f"validation {metric.value} is {value}"
-            )
         traces[i].append(value)
         # keep only the weights a strategy can pick: OEWS's pick so far,
         # which replaces its earlier pick, and the last epoch's

@@ -167,6 +167,7 @@ def test_compare_and_report_flow(tiny_config, tmp_path, capsys):
 @pytest.mark.parametrize("damage, message", [
     ("short_row", "5 cells, expected 10"),
     ("bad_metric", "could not convert string to float: 'n/a'"),
+    ("non_finite_metric", "macro_precision cell 'nan' is not a finite number"),
     ("not_utf8", "'utf-8' codec can't decode byte 0xff"),
 ])
 def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys, damage, message):
@@ -180,6 +181,8 @@ def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys
         cells = cells[:5]
     elif damage == "bad_metric":
         cells[4] = "n/a"
+    elif damage == "non_finite_metric":
+        cells[5] = "nan"
     lines[3] = ",".join(cells)
     data = ("\n".join(lines) + "\n").encode()
     if damage == "not_utf8":

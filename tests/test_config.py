@@ -32,7 +32,7 @@ def test_defaults_without_any_file(monkeypatch):
     assert cfg.partition.missing_class == {0: 1, 1: 4, 2: 3, 3: 2}
     assert cfg.federation.rounds == 5
     assert cfg.federation.local_epochs == 15
-    assert cfg.federation.strategy is StrategyKind.FEWS
+    assert cfg.strategy is StrategyKind.FEWS
     assert cfg.federation.workflow is Workflow.ACADEMIC
     assert cfg.federation.model.layer_sizes == (16, 32, 5)
     assert cfg.federation.halting.max_rounds == 5  # falls back to rounds
@@ -65,7 +65,7 @@ output.dir = results
     cfg, run_id = load_config(path)
     assert cfg.corpus.class_count == 3
     assert cfg.partition.missing_class == {0: 1, 1: 2}
-    assert cfg.federation.strategy is StrategyKind.OEWS
+    assert cfg.strategy is StrategyKind.OEWS
     assert cfg.federation.selection_metric is SelectionMetric.VAL_LOSS
     assert cfg.federation.aggregation is AggregationKind.WEIGHTED
     assert cfg.federation.workflow is Workflow.INDUSTRIAL
@@ -147,20 +147,32 @@ def test_seed_precedence(tmp_path, monkeypatch):
 
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     cfg, _ = load_config(path)
-    assert cfg.federation.master_seed == 11
+    assert cfg.master_seed == 11
 
     monkeypatch.setenv(SEED_ENV_VAR, "22")
     cfg, _ = load_config(path)
-    assert cfg.federation.master_seed == 22
+    assert cfg.master_seed == 22
 
     cfg, _ = load_config(path, seed_override=33)
-    assert cfg.federation.master_seed == 33
+    assert cfg.master_seed == 33
 
 
 def test_bad_env_seed_rejected(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "eleven")
     with pytest.raises(ConfigurationError):
         load_config()
+
+
+def test_out_of_range_seed_names_where_it_came_from(tmp_path, monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"federation.master_seed = {2**64}\n")
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    for kwargs in ({"path": path}, {"seed_override": -1}):
+        with pytest.raises(ConfigurationError, match="^federation.master_seed must fit in 64"):
+            load_config(**kwargs)
+    monkeypatch.setenv(SEED_ENV_VAR, "-3")
+    with pytest.raises(ConfigurationError, match=f"^{SEED_ENV_VAR} must fit in 64 unsigned bits"):
+        load_config(path)
 
 
 def test_run_id_tracks_content_not_formatting(tmp_path):

@@ -144,6 +144,16 @@ def test_merge_for_centralized_orders_by_client():
         merge_for_centralized([])
 
 
+def test_split_freezes_its_own_view_of_the_callers_arrays():
+    x, y, ids = np.ones((3, 2)), np.arange(3), np.arange(10, 13)
+    split = Split(x, y, ids)
+    for mine, theirs in ((x, split.x), (y, split.y), (ids, split.ids)):
+        assert mine.flags.writeable and not theirs.flags.writeable
+        assert np.shares_memory(mine, theirs)  # a view, not a copy
+    x[0, 0] = 5.0
+    assert split.x[0, 0] == 5.0
+
+
 def _check_dataset_csv(text, clients, evals):
     """Parse the CSV text in the test's own way and check every row against
     the splits it came from: split, client and class, and every feature

@@ -22,7 +22,10 @@ seeds of a campaign trained in lockstep.
 The ``shared_missing_class`` case pins how ``make_dataset`` deals a
 partition other than the default rotation, in which two clients lack the
 same class; it was recorded while pools were drawn and partitioned in two
-separate steps.
+separate steps. The ``noiseless_shifted_corpus`` case deals six clients
+five classes, so missing classes repeat, with no noise and a displaced
+external set; it was recorded while each pool was drawn by its own
+``standard_normal`` call.
 
 The benchmark's two workloads are pinned too: one unit of each at seed 7,
 digested and checked as ``bench/run.py`` does, from ``bench/workloads.py``
@@ -121,6 +124,9 @@ GOLDEN = {
     "shared_missing_class": {
         "dataset_csv": "214b22d83706c83425d933b89ee61e639d714428678ba43fa71cf24f9d980ec8",
     },
+    "noiseless_shifted_corpus": {
+        "dataset_csv": "75c841d833740fa1d8567d08dc04248cfba7360303b37c8fc161c0450941e6ae",
+    },
 }
 
 
@@ -130,10 +136,9 @@ def _sha256(data: bytes) -> str:
 
 def _federation_digests(cfg, out_dir) -> dict[str, str]:
     clients, evals = make_dataset(cfg.corpus, cfg.partition)
-    records, params = run_federation(cfg.federation, clients, evals)
-    jsonl, _ = write_metrics_logs(
-        records, "golden", cfg.federation.workflow, cfg.federation.strategy, out_dir
-    )
+    cohort = (cfg.master_seed, clients, evals)
+    records, params = run_federation(cfg.federation, cfg.strategy, cohort)
+    jsonl, _ = write_metrics_logs(records, "golden", cfg.federation.workflow, cfg.strategy, out_dir)
     return {
         "weights": _sha256(params.values.tobytes()),
         "metrics_jsonl": _sha256(jsonl.read_bytes()),
@@ -165,9 +170,9 @@ def _preset(name: str, seed: int = 1):
                 full.federation,
                 rounds=int(SHORT["federation.rounds"]),
                 local_epochs=int(SHORT["federation.local_epochs"]),
-                strategy=StrategyKind.OEWS,
-                master_seed=seed,
             ),
+            strategy=StrategyKind.OEWS,
+            master_seed=seed,
             baseline=replace(
                 full.baseline,
                 max_epochs=int(SHORT["baseline.max_epochs"]),
@@ -231,6 +236,18 @@ def _shared_missing_class(out_dir) -> dict[str, str]:
     return {"dataset_csv": _sha256(dataset_csv_text(clients, evals).encode())}
 
 
+def _noiseless_shifted_corpus(out_dir) -> dict[str, str]:
+    """Six clients on five classes by the default rotation, so classes 1
+    and 4 are each missing twice; noise 0 puts every sample on its mean,
+    and the external means are displaced by 4."""
+    clients, evals = make_dataset(
+        CorpusSpec(feature_dim=6, per_class_train=7, per_class_val=3, per_class_test=2,
+                   noise_scale=0.0, shift_magnitude=4.0, seed=23),
+        PartitionSpec.default(6, 5),
+    )
+    return {"dataset_csv": _sha256(dataset_csv_text(clients, evals).encode())}
+
+
 CASES = {
     "campaign_elevated_noise": _campaign,
     "early_stopping_baselines": _early_stopping,
@@ -240,6 +257,7 @@ CASES = {
     "preset_elevated_noise": _preset("elevated_noise"),
     "preset_hard_shift": _preset("hard_shift"),
     "shared_missing_class": _shared_missing_class,
+    "noiseless_shifted_corpus": _noiseless_shifted_corpus,
 }
 
 

@@ -45,8 +45,11 @@ def small_dataset(noise=1.0, seed=21):
     return make_dataset(cspec, PartitionSpec.default())
 
 
+SEED = 13
+
+
 def fast_cfg(**kwargs):
-    base = dict(model=MODEL, rounds=2, local_epochs=2, master_seed=13)
+    base = dict(model=MODEL, rounds=2, local_epochs=2)
     base.update(kwargs)
     return FederationConfig(**base)
 
@@ -54,8 +57,7 @@ def fast_cfg(**kwargs):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         fast_cfg(rounds=0)
-    cfg = fast_cfg(strategy="oews", workflow="academic", aggregation="weighted")
-    assert cfg.strategy is StrategyKind.OEWS
+    cfg = fast_cfg(workflow="academic", aggregation="weighted")
     assert cfg.workflow is Workflow.ACADEMIC
 
 
@@ -70,7 +72,7 @@ def test_client_streams_are_keyed_and_stable():
 
 def test_academic_runs_fixed_horizon():
     clients, evals = small_dataset()
-    records, params = run_federation(fast_cfg(rounds=3), clients, evals)
+    records, params = run_federation(fast_cfg(rounds=3), "fews", (SEED, clients, evals))
     assert [r.round for r in records] == [1, 2, 3]
     for r in records:
         assert isinstance(r.metrics, MetricsReport)
@@ -83,22 +85,22 @@ def test_single_client_federation_is_local_training():
     cspec = replace(SMALL, seed=33)
     pools_clients, evals = make_dataset(cspec, PartitionSpec(client_count=1, missing_class={0: 2}))
     cfg = fast_cfg(rounds=1)
-    records, params = run_federation(cfg, pools_clients, evals)
+    records, params = run_federation(cfg, "fews", (SEED, pools_clients, evals))
     # plain mean of one client's update is that update, bitwise
     from fedsel.nn import init_parameters
 
     (picks,) = train_local(
-        [(init_parameters(MODEL), pools_clients[0], client_stream(cfg.master_seed, 1, 0))],
+        [(init_parameters(MODEL), pools_clients[0], client_stream(SEED, 1, 0))],
         MODEL, cfg.optimizer, cfg.local_epochs, cfg.selection_metric,
     )
-    assert (params.values == picks[cfg.strategy].selected_params.values).all()
+    assert (params.values == picks[StrategyKind.FEWS].selected_params.values).all()
 
 
 def test_replay_determinism():
     """Same config, same data: identical records and final weights over
     three runs. tests/test_golden.py pins the bits themselves."""
     clients, evals = small_dataset()
-    runs = [run_federation(fast_cfg(), clients, evals) for _ in range(3)]
+    runs = [run_federation(fast_cfg(), "fews", (SEED, clients, evals)) for _ in range(3)]
     (rec_a, par_a), (rec_b, par_b), (rec_c, par_c) = runs
     assert (par_a.values == par_b.values).all()
     assert (par_a.values == par_c.values).all()
@@ -117,7 +119,7 @@ def test_client_failure_becomes_protocol_error():
         train=clients[2].train, val=empty, test=clients[2].test,
     )
     with pytest.raises(ProtocolError) as alone:
-        run_federation(fast_cfg(), broken, evals)
+        run_federation(fast_cfg(), "fews", (SEED, broken, evals))
     # a failure in a client run that both federations share fails both alike
     outcomes = run_federations(fast_cfg(), ["fews", "oews"], [(13, broken, evals)])[0]
     for outcome in outcomes:
@@ -128,7 +130,7 @@ def test_client_failure_becomes_protocol_error():
 def test_lockstep_runs_cfg_under_the_given_strategies_and_cohort_seeds():
     """A lockstep call needs a strategy, a cohort and a client per cohort,
     and a master seed in range; each federation runs the cohort's seed and
-    its own strategy, whatever ``cfg.strategy`` and ``cfg.master_seed`` say."""
+    its own strategy, and one of them alone is ``run_federation``."""
     clients, evals = small_dataset()
     cfg = fast_cfg()
     for strategies, cohorts in (
@@ -140,10 +142,9 @@ def test_lockstep_runs_cfg_under_the_given_strategies_and_cohort_seeds():
         with pytest.raises(ConfigurationError):
             run_federations(cfg, strategies, cohorts)
     with pytest.raises(ConfigurationError):
-        run_federation(cfg, [], evals)
-    elsewhere = replace(cfg, strategy="oews", master_seed=99)
-    ((records, params),) = run_federations(elsewhere, ["fews"], [(13, clients, evals)])[0]
-    alone_records, alone_params = run_federation(replace(cfg, master_seed=13), clients, evals)
+        run_federation(cfg, "fews", (13, [], evals))
+    ((records, params),) = run_federations(cfg, ["fews"], [(13, clients, evals)])[0]
+    alone_records, alone_params = run_federation(cfg, "fews", (13, clients, evals))
     assert params.values.tobytes() == alone_params.values.tobytes()
     assert _records_key(records) == _records_key(alone_records)
 
@@ -188,12 +189,10 @@ def _assert_lockstep_matches_separate_runs(cfg, strategies, clients, evals, tmp_
     # client runs count stacked rows; scoring passes count rows per call
     with mock.patch.object(orchestrator, "train_local", train_local), \
             _scoring_stacks(orchestrator) as scored:
-        together = run_federations(cfg, strategies, [(cfg.master_seed, clients, evals)])[0]
+        together = run_federations(cfg, strategies, [(SEED, clients, evals)])[0]
     for i, (strategy, outcome) in enumerate(zip(strategies, together)):
         records, params = outcome
-        alone_records, alone_params = run_federation(
-            replace(cfg, strategy=strategy), clients, evals
-        )
+        alone_records, alone_params = run_federation(cfg, strategy, (SEED, clients, evals))
         assert params.values.tobytes() == alone_params.values.tobytes()
         assert _records_key(records) == _records_key(alone_records)
         logs = []
@@ -205,8 +204,8 @@ def _assert_lockstep_matches_separate_runs(cfg, strategies, clients, evals, tmp_
     return together, sum(trained), scored
 
 
-def _nan_macro_f1(scores):
-    return replace(scores, report=replace(scores.report, macro_f1=float("nan")))
+def _nan_loss(scores):
+    return replace(scores, loss=float("nan"))
 
 
 @contextmanager
@@ -271,7 +270,7 @@ def test_last_record_reports_the_shipped_weights():
     record reports exactly its final weights on the global test set."""
     clients, evals = small_dataset(noise=2.0, seed=55)
     cfg = fast_cfg(rounds=3, **DIVERGING)
-    outcomes = run_federations(cfg, ["fews", "oews"], [(cfg.master_seed, clients, evals)])[0]
+    outcomes = run_federations(cfg, ["fews", "oews"], [(SEED, clients, evals)])[0]
     assert outcomes[0][1].values.tobytes() != outcomes[1][1].values.tobytes()
     for records, params in outcomes:
         (shipped,) = score_params([params], MODEL, evals.global_test)
@@ -376,7 +375,7 @@ def test_a_failed_scoring_pass_keeps_a_run_s_own_earlier_error():
     clients, evals = small_dataset(noise=2.0, seed=55)
     cfg = fast_cfg(rounds=3, **DIVERGING)
     parted = [
-        run_federation(replace(cfg, strategy=s, rounds=2), clients, evals)[1]
+        run_federation(replace(cfg, rounds=2), s, (SEED, clients, evals))[1]
         for s in ("fews", "oews")
     ]
     assert parted[0].values.tobytes() != parted[1].values.tobytes()
@@ -392,7 +391,7 @@ def test_a_failed_scoring_pass_keeps_a_run_s_own_earlier_error():
             raise RuntimeError("round 3 scoring failed")
         return real(*args)
 
-    with _spoiled_score(oews_round_three, 2, _nan_macro_f1), \
+    with _spoiled_score(oews_round_three, 2, _nan_loss), \
             mock.patch.object(orchestrator, "score_params", score_params):
         fews, oews = run_federations(cfg, ["fews", "oews"], [(13, clients, evals)])[0]
     assert str(fews) == "round 3 scoring failed"
@@ -415,8 +414,8 @@ def test_comparison_fails_only_the_federation_whose_own_run_fails():
     seeds = [1, 3]
     clients, evals = make_dataset(replace(cfg.corpus, seed=1), cfg.partition)
     round_one = {
-        s: run_federation(replace(cfg.federation, strategy=s, rounds=1, master_seed=1),
-                          clients, evals)[1].values.tobytes()
+        s: run_federation(replace(cfg.federation, rounds=1), s, (1, clients, evals))[1]
+        .values.tobytes()
         for s in ("fews", "oews")
     }
     assert round_one["fews"] != round_one["oews"]
@@ -425,12 +424,12 @@ def test_comparison_fails_only_the_federation_whose_own_run_fails():
         return client.client_id == 1 and params.values.tobytes() == round_one["oews"]
 
     clean = run_comparison(cfg, seeds)
-    with _spoiled_score(oews_round_two, 2, _nan_macro_f1):
+    with _spoiled_score(oews_round_two, 2, _nan_loss):
         rows = run_comparison(cfg, seeds)
     failed = [r for r in rows if r.status == "failed"]
     assert [(r.seed, r.variant) for r in failed] == [(1, "fl_oews"), (1, "fl_oews")]
     for r in failed:
-        assert r.error == "client 1 failed in round 2: client 1 epoch 2: validation macro_f1 is nan"
+        assert r.error == "client 1 failed in round 2: client 1 epoch 2: validation loss is nan"
     kept = [r for r in rows if r.status == "ok"]
     assert rows_to_csv(kept) == rows_to_csv(
         [r for r in clean if (r.seed, r.variant) != (1, "fl_oews")]
@@ -439,17 +438,89 @@ def test_comparison_fails_only_the_federation_whose_own_run_fails():
 
 def test_non_finite_score_names_client_round_and_epoch():
     """A validation loss forced to NaN in round 2, client 1, epoch 2 stops
-    the run with an error naming all three."""
+    the run with an error naming all three, whether or not the loss is the
+    selection metric."""
     clients, evals = small_dataset()
-    cfg = fast_cfg(selection_metric="val_loss", strategy="oews")
-    round_two = client_stream(cfg.master_seed, 2, 1).bit_generator.state
+    round_two = client_stream(SEED, 2, 1).bit_generator.state
 
     def client_1_round_2(params, client, rng):
         return client.client_id == 1 and rng.bit_generator.state == round_two
 
-    with _spoiled_score(client_1_round_2, 2, lambda s: replace(s, loss=float("nan"))):
-        with pytest.raises(ProtocolError, match="client 1 failed in round 2: client 1 epoch 2"):
-            run_federation(cfg, clients, evals)
+    for metric in ("val_loss", "macro_f1"):
+        cfg = fast_cfg(selection_metric=metric)
+        with _spoiled_score(client_1_round_2, 2, _nan_loss):
+            with pytest.raises(ProtocolError, match="client 1 failed in round 2: client 1 epoch 2: "
+                                                    "validation loss is nan"):
+                run_federation(cfg, "oews", (SEED, clients, evals))
+
+
+def test_non_finite_baseline_loss_fails_that_baseline_alone():
+    """The four local baselines train as one stack; a validation loss
+    forced to NaN at client 2's epoch 2 fails that baseline with an error
+    naming it and the epoch, and the other three match a clean call."""
+    import fedsel.strategies as strategies
+
+    clients, _ = small_dataset()
+    bcfg = BaselineConfig(max_epochs=3, patience=3)
+
+    def rows():
+        return [(f"client {c.client_id}", c.train, c.val, baseline_stream(SEED, c.client_id + 1))
+                for c in clients]
+
+    real, calls = strategies.score, []
+
+    def score(*args):
+        scores = real(*args)
+        calls.append(len(scores))
+        if len(calls) == 2:  # epoch 2 of the one stack, whose row 2 is client 2
+            scores[2] = _nan_loss(scores[2])
+        return scores
+
+    clean = run_baselines(bcfg, rows(), MODEL)
+    with mock.patch.object(strategies, "score", score):
+        spoiled = run_baselines(bcfg, rows(), MODEL)
+    assert calls[:2] == [4, 4]
+    assert isinstance(spoiled[2], DataError)
+    assert str(spoiled[2]) == "client 2 epoch 2: validation loss is nan"
+    for i in (0, 1, 3):
+        assert spoiled[i].params.values.tobytes() == clean[i].params.values.tobytes()
+        assert spoiled[i].trace == clean[i].trace
+
+
+def test_comparison_fails_the_variant_whose_test_loss_is_not_finite():
+    """A loss forced to NaN where seed 3's OEWS federation is scored on the
+    global test set fails both of that variant's rows, naming the test set;
+    every other row is as in a clean run."""
+    import fedsel.reporting as reporting
+
+    cfg, _ = load_config(overrides={
+        "corpus.per_class_train": "8", "corpus.per_class_val": "4",
+        "corpus.per_class_test": "4", "federation.rounds": "1", "federation.local_epochs": "2",
+        "baseline.max_epochs": "2", "baseline.patience": "2",
+    })
+    seeds = [1, 3]
+    real, calls = reporting.score_params, []
+
+    def score_params(params, model, split):
+        scores = real(params, model, split)
+        calls.append(split)
+        if len(calls) == 3:  # seed 3's global test set; fl_oews is the last variant
+            scores[-1] = _nan_loss(scores[-1])
+        return scores
+
+    clean = run_comparison(cfg, seeds)
+    with mock.patch.object(reporting, "score_params", score_params):
+        rows = run_comparison(cfg, seeds)
+    failed = [r for r in rows if r.status == "failed"]
+    assert [(r.seed, r.variant, r.test_set) for r in failed] == [
+        (3, "fl_oews", "global"), (3, "fl_oews", "external")
+    ]
+    for r in failed:
+        assert r.error == "global test set: loss is nan"
+    kept = [r for r in rows if r.status == "ok"]
+    assert rows_to_csv(kept) == rows_to_csv(
+        [r for r in clean if (r.seed, r.variant) != (3, "fl_oews")]
+    )
 
 
 def test_industrial_halts_at_first_qualifying_round():
@@ -461,7 +532,7 @@ def test_industrial_halts_at_first_qualifying_round():
     def run_with(threshold):
         crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=threshold, max_rounds=4)
         cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit, local_epochs=3)
-        return run_federation(cfg, clients, evals)
+        return run_federation(cfg, "fews", (SEED, clients, evals))
 
     scout, _ = run_with(1.0)
     trace = [r.metrics.macro_f1 for r in scout]
@@ -488,7 +559,7 @@ def test_industrial_record_shape():
     clients, evals = small_dataset()
     crit = HaltingCriterion(threshold=0.0, max_rounds=5)
     cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit)
-    records, _ = run_federation(cfg, clients, evals)
+    records, _ = run_federation(cfg, "fews", (SEED, clients, evals))
     assert len(records) == 1  # threshold 0 is met by any metric
     r = records[0]
     assert r.halted
@@ -571,30 +642,33 @@ def test_stacked_baselines_equal_separate_runs():
 
 
 def test_non_finite_weights_name_client_round_and_epoch():
-    """A learning rate of 1e150 overflows every client's weights in round 1;
+    """A learning rate of 1e200 overflows every client's weights in round 1;
     the run fails with the first client and the first epoch whose weights
-    are not finite, and lockstep federations fail alike."""
+    are not finite, and lockstep federations fail alike. At 1e150 the
+    weights stay finite through epoch 1 but the validation loss is NaN, and
+    the run fails there."""
     clients, evals = small_dataset()
-    cfg = fast_cfg(optimizer=OptimizerConfig(learning_rate=1e150))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ProtocolError) as alone:
-            run_federation(cfg, clients, evals)
-        outcomes = run_federations(cfg, ["fews", "oews"], [(13, clients, evals)])[0]
-    assert re.fullmatch(
-        r"client 0 failed in round 1: client 0 epoch \d+: weights are not finite", str(alone.value)
-    )
-    assert [str(o) for o in outcomes] == [str(alone.value)] * 2
+    for rate, reason in ((1e200, "weights are not finite"), (1e150, "validation loss is nan")):
+        cfg = fast_cfg(optimizer=OptimizerConfig(learning_rate=rate))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ProtocolError) as alone:
+                run_federation(cfg, "fews", (SEED, clients, evals))
+            outcomes = run_federations(cfg, ["fews", "oews"], [(SEED, clients, evals)])[0]
+        assert re.fullmatch(
+            rf"client 0 failed in round 1: client 0 epoch \d+: {reason}", str(alone.value)
+        )
+        assert [str(o) for o in outcomes] == [str(alone.value)] * 2
 
 
 def test_metrics_logs_shape_and_determinism(tmp_path):
     clients, evals = small_dataset()
-    cfg = fast_cfg(strategy="oews")
-    records, _ = run_federation(cfg, clients, evals)
+    cfg = fast_cfg()
+    records, _ = run_federation(cfg, "oews", (SEED, clients, evals))
 
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    jsonl_a, txt_a = write_metrics_logs(records, "runx", cfg.workflow, cfg.strategy, out_a)
-    jsonl_b, txt_b = write_metrics_logs(records, "runx", cfg.workflow, cfg.strategy, out_b)
+    jsonl_a, txt_a = write_metrics_logs(records, "runx", cfg.workflow, StrategyKind.OEWS, out_a)
+    jsonl_b, txt_b = write_metrics_logs(records, "runx", cfg.workflow, StrategyKind.OEWS, out_b)
     assert jsonl_a.read_bytes() == jsonl_b.read_bytes()
     assert txt_a.read_bytes() == txt_b.read_bytes()
 
@@ -618,7 +692,7 @@ def test_round_metrics_rounds_the_record_report():
     clients, evals = small_dataset()
     crit = HaltingCriterion(threshold=1.0, max_rounds=2)
     for cfg in (fast_cfg(), fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit)):
-        records, _ = run_federation(cfg, clients, evals)
+        records, _ = run_federation(cfg, "fews", (SEED, clients, evals))
         for r in records:
             m = r.metrics
             assert round_metrics(r) == {

@@ -460,7 +460,7 @@ def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
     (error,) = train_local([(init_parameters(MODEL), client, np.random.default_rng(4))], MODEL,
                            OptimizerConfig(learning_rate=0.02), 3, SelectionMetric.VAL_LOSS)
     assert isinstance(error, DataError)
-    assert str(error).startswith(f"client {client.client_id} epoch 1: validation val_loss")
+    assert str(error) == f"client {client.client_id} epoch 1: validation loss is nan"
 
 
 def test_run_local_rejects_bad_input():

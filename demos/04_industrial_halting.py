@@ -14,7 +14,7 @@ from fedsel.orchestrator import FederationConfig, Workflow, run_federation
 
 clients, evals = make_dataset(CorpusSpec(seed=2, noise_scale=1.5), PartitionSpec.default())
 
-criterion = HaltingCriterion(threshold=0.9, max_rounds=10)
+criterion = HaltingCriterion(threshold=0.9)
 cfg = FederationConfig(
     model=ModelSpec(layer_sizes=(16, 32, 5), seed=3),
     workflow=Workflow.INDUSTRIAL,
@@ -24,7 +24,7 @@ cfg = FederationConfig(
 
 records, params = run_federation(cfg, "fews", (2, clients, evals))
 
-print(f"halting threshold: aggregated macro-F1 >= {criterion.threshold}, cap {criterion.max_rounds} rounds\n")
+print(f"halting threshold: aggregated macro-F1 >= {criterion.threshold}, cap {cfg.rounds} rounds\n")
 for r in records:
     scores = " ".join(f"{m.macro_f1:.3f}" for m in r.per_client_metrics)
     print(

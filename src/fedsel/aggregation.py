@@ -86,28 +86,15 @@ class HaltingMetric(str, Enum):
 class HaltingCriterion:
     metric: HaltingMetric = HaltingMetric.MACRO_F1
     threshold: float = 0.95
-    max_rounds: int = 5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metric", HaltingMetric(self.metric))
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.max_rounds < 1:
-            raise ConfigurationError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
 def threshold_met(aggregated: MetricsReport, criterion: HaltingCriterion) -> bool:
     """True once the aggregated halting metric reaches the threshold
     (>=, not >)."""
     return aggregated.scalar(criterion.metric.value) >= criterion.threshold
-
-
-def should_halt(
-    aggregated: MetricsReport, criterion: HaltingCriterion, round_index: int
-) -> bool:
-    """Stop after this round? True when the threshold is met or the round cap
-    is reached. ``round_index`` is 1-based."""
-    if round_index < 1:
-        raise ConfigurationError(f"round_index must be >= 1, got {round_index}")
-    return threshold_met(aggregated, criterion) or round_index >= criterion.max_rounds
 

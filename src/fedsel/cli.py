@@ -198,11 +198,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not candidates:
         raise ConfigurationError(f"no .compare.csv files under {out}; run compare first")
     rows = []
+    source = {}  # (seed, variant, test set) -> the file whose row it is
     for path in candidates:
         try:
-            rows.extend(csv_to_rows(path.read_text(encoding="utf-8")))
+            found = csv_to_rows(path.read_text(encoding="utf-8"))
         except (ConfigurationError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
+        for r in found:
+            key = (r.seed, r.variant, r.test_set)
+            if key in source:
+                files = path if source[key] == path else f"{source[key]} and {path}"
+                raise ConfigurationError(
+                    f"{files}: two rows for seed {r.seed} {r.variant} on the {r.test_set} test set"
+                )
+            source[key] = path
+        rows.extend(found)
     stem = candidates[0].name.removesuffix(".compare.csv") if len(candidates) == 1 else "report"
     text, _ = write_summary(rows, stem, out)
     print(text)
@@ -225,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FedselError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FedselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

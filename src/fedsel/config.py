@@ -255,18 +255,18 @@ def load_config(
         layer_sizes=(corpus.feature_dim, *values["federation.hidden_layers"], corpus.class_count),
         seed=values["federation.model_seed"],
     )
-    max_rounds = values["federation.max_rounds"]
-    if max_rounds is None:
-        max_rounds = values["federation.rounds"]
-        values["federation.max_rounds"] = max_rounds
+    if values["federation.max_rounds"] is None:
+        values["federation.max_rounds"] = values["federation.rounds"]
     halting = HaltingCriterion(
-        metric=values["federation.halting_metric"],
-        threshold=values["federation.halting_threshold"],
-        max_rounds=max_rounds,
+        values["federation.halting_metric"], values["federation.halting_threshold"]
     )
+    for name in ("max_rounds", "rounds"):  # both are hashed, so both must be valid
+        if values[f"federation.{name}"] < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {values[f'federation.{name}']}")
+    industrial = values["federation.workflow"] is Workflow.INDUSTRIAL
     federation = FederationConfig(
         model=model,
-        rounds=values["federation.rounds"],
+        rounds=values["federation.max_rounds" if industrial else "federation.rounds"],
         local_epochs=values["federation.local_epochs"],
         selection_metric=values["federation.selection_metric"],
         aggregation=values["federation.aggregation"],

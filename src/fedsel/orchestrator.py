@@ -1,12 +1,12 @@
 """Federation round loop, centralized baseline, and run logging.
 
-Two round-loop flavors:
+Both round-loop flavors run up to ``FederationConfig.rounds`` rounds:
 
-* academic: fixed horizon; after every aggregation the server scores the new
+* academic: every round; after every aggregation the server scores the new
   global weights on the pooled global test set.
 * industrial: every client scores the incoming global weights on its local
   test split before training; the server averages those reports and stops at
-  the first round whose aggregate reaches the halting threshold.
+  the first round whose aggregate meets ``threshold_met``.
 
 Per-client RNG streams are child streams of the master seed keyed by
 (round, client_id), so no client's result depends on which other clients
@@ -36,7 +36,6 @@ from .aggregation import (
     HaltingCriterion,
     aggregate,
     aggregate_metrics,
-    should_halt,
     threshold_met,
 )
 from .data import ClientDataset, EvalSets, Split
@@ -121,7 +120,6 @@ class _Lockstep:
     params: ParameterVector
     records: list[RoundRecord] = field(default_factory=list)
     error: Exception | None = None
-    halted: bool = False
 
 
 def _round(
@@ -160,7 +158,6 @@ def _round(
             if industrial:
                 reports = tuple(scores[i].report for scores in incoming)
                 agg = aggregate_metrics(reports)
-                run.halted = should_halt(agg, cfg.halting, t)
                 run.records.append(RoundRecord(
                     round=t, metrics=agg, per_client_metrics=reports,
                     selected_epochs=selected, halted=threshold_met(agg, cfg.halting),
@@ -198,8 +195,9 @@ def run_federations(
     advance together through one ``_round`` call, which scores them all in
     one ``score_params`` pass per split. Cohorts share no client run: they
     start from the same weights, but train on their own data and streams.
-    In the industrial flow each federation halts on its own. Every result
-    is bitwise what a federation run alone produces.
+    Each runs ``cfg.rounds`` rounds, or, in the industrial flow, stops on
+    its own after its first ``halted`` record. Every result is bitwise what
+    a federation run alone produces.
 
     Returns, per cohort and per strategy, its round records and final
     weights, or the exception that ended it. A failed client run or
@@ -217,11 +215,11 @@ def run_federations(
         dim = clients[0].train.x.shape[1]
         if dim != cfg.model.feature_dim:
             raise ShapeError(f"model expects {cfg.model.feature_dim} features, data has {dim}")
-    horizon = cfg.halting.max_rounds if cfg.workflow is Workflow.INDUSTRIAL else cfg.rounds
     init = init_parameters(cfg.model)
     runs = [[_Lockstep(StrategyKind(s), init) for s in strategies] for _ in cohorts]
-    for t in range(1, horizon + 1):
-        live = [[run for run in cohort if run.error is None and not run.halted] for cohort in runs]
+    for t in range(1, cfg.rounds + 1):
+        live = [[r for r in cohort if r.error is None and not (r.records and r.records[-1].halted)]
+                for cohort in runs]
         picks = _train_missing(cfg, t, cohorts, live)
         for (_, clients, evals), cohort, cohort_picks in zip(cohorts, live, picks):
             if not cohort:

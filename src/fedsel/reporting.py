@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -30,6 +31,7 @@ from .strategies import METRIC_NAMES, StrategyKind, score_params
 
 METRIC_COLUMNS = (*METRIC_NAMES, "confidence")
 TEST_SETS = ("global", "external")
+POOLED_VARIANTS = ("centralized", "fl_fews", "fl_oews")
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class ComparisonRow:
 
 def variant_order(rows: list[ComparisonRow]) -> list[str]:
     locals_ = sorted({r.variant for r in rows if r.variant.startswith("local_client_")})
-    tail = [v for v in ("centralized", "fl_fews", "fl_oews") if any(r.variant == v for r in rows)]
+    tail = [v for v in POOLED_VARIANTS if any(r.variant == v for r in rows)]
     return locals_ + tail
 
 
@@ -208,6 +210,10 @@ def csv_to_rows(text: str) -> list[ComparisonRow]:
         if len(cells) != len(expected):
             raise ConfigurationError(f"{where}: {len(cells)} cells, expected {len(expected)}")
         seed, variant, test_set, status = cells[:4]
+        if variant not in POOLED_VARIANTS and not re.fullmatch("local_client_[0-9]+", variant):
+            raise ConfigurationError(f"{where}: unknown variant {variant!r}")
+        if test_set not in TEST_SETS:
+            raise ConfigurationError(f"{where}: unknown test set {test_set!r}")
         if status not in ("ok", "failed"):
             raise ConfigurationError(f"{where}: status {status!r} is neither ok nor failed")
         try:

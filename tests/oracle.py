@@ -10,21 +10,28 @@ differences and check the kernel against it bit for bit.
 replaced: one model at a time, a confusion matrix, the metrics read off it
 and the loss and confidence of that row, on the 2-D forward pass here.
 
-``halt_round`` is the halting rule read off a whole trace at once, which the
-tests hold the package's round-by-round ``should_halt`` to.
+``halt_round`` is the halting rule read off a whole trace at once, and
+``scripted_halt`` runs the package's round loop on such a trace, so the
+tests can hold the loop to the rule. ``brute_force_metrics`` and
+``fd_gradient`` are the plain-loop metrics and the central-difference
+gradient the tests check the package's scoring and this module's gradient
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 
+from fedsel import orchestrator
 from fedsel.aggregation import HaltingCriterion
+from fedsel.data import ClientDataset, EvalSets, Split
 from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import ModelSpec, OptimizerConfig, ParameterVector, check_split
-from fedsel.strategies import MetricsReport, Scores
+from fedsel.strategies import LocalRunResult, MetricsReport, Scores, StrategyKind
 
 
 def unflatten(values: np.ndarray, manifest) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -112,6 +119,23 @@ def loss_and_gradient(
     return loss, ParameterVector(grad, params.manifest)
 
 
+def fd_gradient(params: ParameterVector, spec: ModelSpec, x, y, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of ``cross_entropy_loss``, one
+    coordinate at a time."""
+    base = params.values
+    out = np.zeros_like(base)
+    for i in range(base.size):
+        up = base.copy()
+        up[i] += h
+        dn = base.copy()
+        dn[i] -= h
+        out[i] = (
+            cross_entropy_loss(ParameterVector(up, params.manifest), spec, x, y)
+            - cross_entropy_loss(ParameterVector(dn, params.manifest), spec, x, y)
+        ) / (2 * h)
+    return out
+
+
 def confusion_matrix(labels: np.ndarray, preds: np.ndarray, class_count: int) -> np.ndarray:
     """C x C counts of one row, indexed by true class, then prediction."""
     flat = np.bincount(labels * class_count + preds, minlength=class_count * class_count)
@@ -135,6 +159,29 @@ def metrics_from_confusion(confusion: np.ndarray) -> MetricsReport:
         macro_precision=float(precision.sum() / c),
         macro_recall=float(recall.sum() / c),
         macro_f1=float(f1.sum() / c),
+    )
+
+
+def brute_force_metrics(y_true, y_pred, class_count):
+    """(accuracy, macro precision, macro recall, macro F1) from an
+    independent per-class loop, no shared code with the implementation."""
+    correct = sum(1 for t, p in zip(y_true, y_pred) if t == p)
+    precisions, recalls, f1s = [], [], []
+    for c in range(class_count):
+        tp = sum(1 for t, p in zip(y_true, y_pred) if t == c and p == c)
+        fp = sum(1 for t, p in zip(y_true, y_pred) if t != c and p == c)
+        fn = sum(1 for t, p in zip(y_true, y_pred) if t == c and p != c)
+        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
+        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+        precisions.append(prec)
+        recalls.append(rec)
+        f1s.append(f1)
+    return (
+        correct / len(y_true),
+        sum(precisions) / class_count,
+        sum(recalls) / class_count,
+        sum(f1s) / class_count,
     )
 
 
@@ -202,16 +249,55 @@ def reference_epoch(params, spec, state, x, y, rng):
     return params, state, batches
 
 
-def halt_round(trace: Sequence[float], criterion: HaltingCriterion) -> tuple[int, bool]:
-    """Where a run with the given per-round aggregated metric values stops.
+def halt_round(
+    trace: Sequence[float], criterion: HaltingCriterion, rounds: int
+) -> tuple[int, bool]:
+    """Where a run of ``rounds`` rounds with the given per-round aggregated
+    metric values stops.
 
     Returns the 1-based stopping round and whether the threshold was met
-    there. A trace that never reaches the threshold stops at max_rounds (or
+    there. A trace that never reaches the threshold stops at ``rounds`` (or
     at the end of a shorter trace)."""
-    last = min(len(trace), criterion.max_rounds)
+    last = min(len(trace), rounds)
     if last == 0:
         raise ConfigurationError("halting needs at least one round value")
     for i in range(last):
         if trace[i] >= criterion.threshold:
             return i + 1, True
     return last, False
+
+
+def scripted_halt(
+    trace: Sequence[float], criterion: HaltingCriterion, rounds: int
+) -> tuple[int, bool]:
+    """Where ``run_federation`` stops an industrial run of ``rounds`` rounds
+    whose aggregated metric reads ``trace[t - 1]`` in round t.
+
+    The cohort is one client: its scoring pass returns the round's scripted
+    value as every metric, and its local run ships the incoming weights, so
+    with K = 1 the aggregate is that value exactly. A loop that scores past
+    the end of the trace fails. Returns the number of rounds run and whether
+    the last record is ``halted``."""
+    split = Split(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    client = ClientDataset(client_id=0, missing_class=0, train=split, val=split, test=split)
+    cfg = orchestrator.FederationConfig(
+        model=ModelSpec(layer_sizes=(2, 2)), rounds=rounds, local_epochs=1,
+        workflow=orchestrator.Workflow.INDUSTRIAL, halting=criterion,
+    )
+    values = iter(trace)
+
+    def score_params(params, *_):
+        report = MetricsReport(*[next(values)] * 4)
+        return [Scores(report, 0.0, 0.0) for _ in params]
+
+    def train_local(rows, *_):
+        return [
+            {s: LocalRunResult(p, 1, (0.0,)) for s in StrategyKind} for p, _, _ in rows
+        ]
+
+    with mock.patch.object(orchestrator, "score_params", score_params), \
+            mock.patch.object(orchestrator, "train_local", train_local):
+        records, _ = orchestrator.run_federation(
+            cfg, StrategyKind.FEWS, (0, [client], EvalSets(split, split))
+        )
+    return len(records), records[-1].halted

@@ -18,14 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from fedsel.aggregation import (
-    AggregationKind,
-    ClientUpdate,
-    HaltingCriterion,
-    aggregate,
-    should_halt,
-    threshold_met,
-)
+from fedsel.aggregation import AggregationKind, ClientUpdate, HaltingCriterion, aggregate
 from fedsel.cli import main
 from fedsel.data import CorpusSpec, PartitionSpec, make_dataset
 from fedsel.nn import (
@@ -38,8 +31,14 @@ from fedsel.nn import (
 from fedsel.orchestrator import client_stream
 from fedsel.presets import preset_run_config
 from fedsel.reporting import run_comparison
-from fedsel.strategies import MetricsReport, StrategyKind, score, select_epoch, train_local
-from oracle import cross_entropy_loss, forward, loss_and_gradient
+from fedsel.strategies import StrategyKind, score, select_epoch, train_local
+from oracle import (
+    brute_force_metrics,
+    fd_gradient,
+    forward,
+    loss_and_gradient,
+    scripted_halt,
+)
 
 SEEDS = list(range(1, 11))
 
@@ -80,21 +79,6 @@ def metric_by_seed(rows, variant, test_set, metric):
 # ------------------------------------------------------------------- A1
 
 
-def _fd_gradient(params, spec, x, y, h=1e-5):
-    base = params.values
-    out = np.zeros_like(base)
-    for i in range(base.size):
-        up = base.copy()
-        up[i] += h
-        dn = base.copy()
-        dn[i] -= h
-        out[i] = (
-            cross_entropy_loss(ParameterVector(up, params.manifest), spec, x, y)
-            - cross_entropy_loss(ParameterVector(dn, params.manifest), spec, x, y)
-        ) / (2 * h)
-    return out
-
-
 def test_a1_gradients_match_finite_differences():
     """20 random small models, every coordinate, central differences with
     h=1e-5, relative error < 1e-5 (denominator floored at 1e-4), under 10 s."""
@@ -121,7 +105,7 @@ def test_a1_gradients_match_finite_differences():
         x = master.standard_normal((n, dim))
         y = master.integers(0, classes, n)
         _, grad = loss_and_gradient(params, spec, x, y)
-        fd = _fd_gradient(params, spec, x, y)
+        fd = fd_gradient(params, spec, x, y)
         denom = np.maximum(1e-4, np.maximum(np.abs(grad.values), np.abs(fd)))
         worst = max(worst, float((np.abs(grad.values - fd) / denom).max()))
     elapsed = time.perf_counter() - start
@@ -238,9 +222,9 @@ def test_a3_selection_properties():
 
 
 def test_a4_halting_exactness():
-    """Asked round by round, should_halt stops at exactly the first round
-    whose metric reaches the threshold, or at max_rounds when no round does,
-    and threshold_met there says which, on 50 random traces."""
+    """run_federation stops at exactly the first round whose aggregated
+    metric reaches the threshold, or at its round count when no round does,
+    and its last record's ``halted`` says which, on 50 random traces."""
     rng = np.random.default_rng(404)
     never_met = 0
     for i in range(50):
@@ -250,19 +234,13 @@ def test_a4_halting_exactness():
             threshold = min(1.0, max(trace) + 0.05)  # unreachable
         else:
             threshold = float(rng.uniform(0.0, 1.0))
-        criterion = HaltingCriterion(threshold=threshold, max_rounds=length)
+        criterion = HaltingCriterion(threshold=threshold)
         expected_round = next(
             (idx + 1 for idx, v in enumerate(trace) if v >= threshold), length
         )
         expected_met = any(v >= threshold for v in trace[:expected_round])
-        for t, value in enumerate(trace, start=1):
-            report = MetricsReport(value, value, value, value)
-            if should_halt(report, criterion, t):
-                break
-        else:
-            pytest.fail(f"should_halt never halted on {trace} at threshold {threshold}")
-        got_round, got_met = t, threshold_met(report, criterion)
-        assert (got_round, got_met) == (expected_round, expected_met), (trace, threshold)
+        got = scripted_halt(trace, criterion, length)
+        assert got == (expected_round, expected_met), (trace, threshold)
         never_met += int(not expected_met)
     verdict(
         "A4",
@@ -338,27 +316,6 @@ def test_a7_federation_generalizes_under_shift(shift_campaign):
 
 
 # ------------------------------------------------------------------- A8
-
-
-def brute_force_metrics(y_true, y_pred, class_count):
-    correct = sum(1 for t, p in zip(y_true, y_pred) if t == p)
-    precisions, recalls, f1s = [], [], []
-    for c in range(class_count):
-        tp = sum(1 for t, p in zip(y_true, y_pred) if t == c and p == c)
-        fp = sum(1 for t, p in zip(y_true, y_pred) if t != c and p == c)
-        fn = sum(1 for t, p in zip(y_true, y_pred) if t == c and p != c)
-        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
-    return (
-        correct / len(y_true),
-        sum(precisions) / class_count,
-        sum(recalls) / class_count,
-        sum(f1s) / class_count,
-    )
 
 
 def test_a8_evaluate_matches_brute_force():

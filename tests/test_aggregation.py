@@ -10,13 +10,12 @@ from fedsel.aggregation import (
     HaltingMetric,
     aggregate,
     aggregate_metrics,
-    should_halt,
     threshold_met,
 )
 from fedsel.errors import ConfigurationError, ProtocolError, ShapeError
 from fedsel.nn import ParameterVector
 from fedsel.strategies import MetricsReport
-from oracle import halt_round
+from oracle import halt_round, scripted_halt
 
 PAIR = ((1, 1),)  # two-parameter manifest: one weight, one bias
 
@@ -97,21 +96,16 @@ def test_plain_permutation_moves_the_mean_by_summation_rounding_only(vectors, da
 @given(
     trace=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]) | st.floats(0, 1),
                    min_size=1, max_size=8),
-    max_rounds=st.integers(1, 8),
     data=st.data(),
 )
-def test_should_halt_agrees_with_halt_round(trace, max_rounds, data):
-    """Asking should_halt round by round stops where halt_round says, and
-    threshold_met there says whether the threshold was the reason."""
+def test_should_halt_agrees_with_halt_round(trace, data):
+    """An industrial run_federation of up to ``rounds`` rounds, whose
+    aggregated metric reads the trace, stops where halt_round says, and its
+    last record's ``halted`` says whether the threshold was the reason."""
+    rounds = data.draw(st.integers(1, len(trace)))
     threshold = data.draw(st.sampled_from(trace) | st.floats(0, 1))
-    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=threshold,
-                            max_rounds=max_rounds)
-    stop, met = len(trace), False
-    for t, value in enumerate(trace, start=1):
-        if should_halt(_report(value), crit, t):
-            stop, met = t, threshold_met(_report(value), crit)
-            break
-    assert halt_round(trace, crit) == (stop, met)
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=threshold)
+    assert scripted_halt(trace, crit, rounds) == halt_round(trace, crit, rounds)
 
 
 def test_weighted_hand_oracle():
@@ -193,40 +187,40 @@ def test_aggregate_metrics_rejects_mismatch():
 def test_halting_criterion_validation():
     with pytest.raises(ConfigurationError):
         HaltingCriterion(threshold=1.5)
-    with pytest.raises(ConfigurationError):
-        HaltingCriterion(max_rounds=0)
-    crit = HaltingCriterion(metric="accuracy", threshold=0.9, max_rounds=3)
+    crit = HaltingCriterion(metric="accuracy", threshold=0.9)
     assert crit.metric is HaltingMetric.ACCURACY
 
 
 def test_should_halt_threshold_and_cap():
     high = _report(0.95)
     low = _report(0.85)
-    crit = HaltingCriterion(metric=HaltingMetric.ACCURACY, threshold=0.90, max_rounds=5)
-    assert should_halt(high, crit, 1)
-    assert not should_halt(low, crit, 1)
-    assert should_halt(low, crit, 5)  # round cap
+    crit = HaltingCriterion(metric=HaltingMetric.ACCURACY, threshold=0.90)
+    assert scripted_halt([0.95], crit, 5) == (1, True)
+    assert scripted_halt([0.85, 0.95], crit, 5) == (2, True)
+    assert scripted_halt([0.85] * 5, crit, 5) == (5, False)  # round cap
     assert threshold_met(high, crit)
     assert not threshold_met(low, crit)
     with pytest.raises(ConfigurationError):
-        should_halt(high, crit, 0)
+        scripted_halt([0.95], crit, 0)
 
 
 def test_halting_is_monotone_in_the_metric():
-    crit = HaltingCriterion(metric=HaltingMetric.ACCURACY, threshold=0.75, max_rounds=9)
+    crit = HaltingCriterion(metric=HaltingMetric.ACCURACY, threshold=0.75)
     reached = _report(0.75)  # the threshold exactly
     better = _report(0.875)
-    assert should_halt(reached, crit, 2)
-    assert should_halt(better, crit, 2)
+    assert threshold_met(reached, crit)
+    assert threshold_met(better, crit)
+    assert scripted_halt([0.5, 0.75], crit, 9) == (2, True)
+    assert scripted_halt([0.5, 0.875], crit, 9) == (2, True)
 
 
 def test_halt_round_scripted_traces():
-    crit = HaltingCriterion(threshold=0.9, max_rounds=5)
-    assert halt_round([0.5, 0.92, 0.99], crit) == (2, True)
-    assert halt_round([0.95], crit) == (1, True)
-    assert halt_round([0.1, 0.2, 0.3, 0.4, 0.5], crit) == (5, False)
-    assert halt_round([0.1, 0.2], crit) == (2, False)
-    # values past max_rounds are never consulted
-    assert halt_round([0.1, 0.1, 0.1, 0.1, 0.1, 0.99], crit) == (5, False)
+    crit = HaltingCriterion(threshold=0.9)
+    assert halt_round([0.5, 0.92, 0.99], crit, 5) == (2, True)
+    assert halt_round([0.95], crit, 5) == (1, True)
+    assert halt_round([0.1, 0.2, 0.3, 0.4, 0.5], crit, 5) == (5, False)
+    assert halt_round([0.1, 0.2], crit, 5) == (2, False)
+    # values past the round count are never consulted
+    assert halt_round([0.1, 0.1, 0.1, 0.1, 0.1, 0.99], crit, 5) == (5, False)
     with pytest.raises(ConfigurationError):
-        halt_round([], crit)
+        halt_round([], crit, 5)

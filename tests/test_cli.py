@@ -169,6 +169,9 @@ def test_compare_and_report_flow(tiny_config, tmp_path, capsys):
     ("bad_metric", "could not convert string to float: 'n/a'"),
     ("non_finite_metric", "macro_precision cell 'nan' is not a finite number"),
     ("not_utf8", "'utf-8' codec can't decode byte 0xff"),
+    ("unknown_variant", "unknown variant 'fl_fedprox'"),
+    ("unknown_test_set", "unknown test set 'internal'"),
+    ("repeated_row", "two rows for seed 1 local_client_1 on the global test set"),
 ])
 def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys, damage, message):
     out = tmp_path / "cmp"
@@ -183,7 +186,13 @@ def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys
         cells[4] = "n/a"
     elif damage == "non_finite_metric":
         cells[5] = "nan"
+    elif damage == "unknown_variant":
+        cells[1] = "fl_fedprox"
+    elif damage == "unknown_test_set":
+        cells[2] = "internal"
     lines[3] = ",".join(cells)
+    if damage == "repeated_row":
+        lines.append(lines[3])
     data = ("\n".join(lines) + "\n").encode()
     if damage == "not_utf8":
         data += b"\xff\n"  # a line that is not UTF-8
@@ -191,8 +200,27 @@ def test_report_over_a_damaged_compare_csv_exits_2(tiny_config, tmp_path, capsys
     capsys.readouterr()
     code = main(["report", "--config", str(tiny_config), "--out", str(out)])
     assert code == 2
-    where = "" if damage == "not_utf8" else "comparison CSV line 4: "
+    where = "" if damage in ("not_utf8", "repeated_row") else "comparison CSV line 4: "
     assert f"{path.name}: {where}{message}" in capsys.readouterr().err
+
+
+def test_report_over_two_runs_of_the_same_seeds_exits_2(tiny_config, tmp_path, capsys):
+    """Two compare runs of seeds 1-2 that differ only in their round count
+    write two CSVs into one directory. Summarizing both would count each
+    seed twice, from two experiments, so report refuses, naming both."""
+    out = tmp_path / "cmp"
+    for rounds in ("1", "2"):
+        args = ["compare", "--config", str(tiny_config), "--seeds", "1-2", "--rounds", rounds]
+        assert main([*args, "--epochs", "1", "--out", str(out)]) == 0
+    first, second = sorted(out.glob("*.compare.csv"))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "sources:" not in captured.out
+    assert (
+        f"{first} and {second}: two rows for seed 1 local_client_0 on the global test set"
+        in captured.err
+    )
 
 
 def test_report_names_its_summary_after_the_one_csv_it_reads(tiny_config, tmp_path, capsys):

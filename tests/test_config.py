@@ -35,7 +35,9 @@ def test_defaults_without_any_file(monkeypatch):
     assert cfg.strategy is StrategyKind.FEWS
     assert cfg.federation.workflow is Workflow.ACADEMIC
     assert cfg.federation.model.layer_sizes == (16, 32, 5)
-    assert cfg.federation.halting.max_rounds == 5  # falls back to rounds
+    # the industrial round count, federation.max_rounds, falls back to rounds
+    industrial = load_config(overrides={"federation.workflow": "industrial"})[0]
+    assert industrial.federation.rounds == 5
     assert cfg.baseline.max_epochs == 100
     assert cfg.baseline.patience == 30
     assert not cfg.baseline_enabled
@@ -70,7 +72,7 @@ output.dir = results
     assert cfg.federation.aggregation is AggregationKind.WEIGHTED
     assert cfg.federation.workflow is Workflow.INDUSTRIAL
     assert cfg.federation.halting.threshold == 0.8
-    assert cfg.federation.halting.max_rounds == 9
+    assert cfg.federation.rounds == 9  # the industrial workflow runs max_rounds
     assert cfg.federation.model.layer_sizes == (8, 12, 7, 3)
     assert cfg.out_dir == "results"
     # the strategy is part of the hashed content
@@ -100,6 +102,30 @@ def test_bad_value_names_key():
         load_config(overrides={"federation.strategy": "freshest"})
     with pytest.raises(ConfigurationError, match="baseline.enabled"):
         load_config(overrides={"baseline.enabled": "maybe"})
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"federation.max_rounds": "0"}, "max_rounds must be >= 1, got 0"),
+        (
+            {"federation.workflow": "industrial", "federation.rounds": "0",
+             "federation.max_rounds": "3"},
+            "rounds must be >= 1, got 0",
+        ),
+        (
+            {"federation.workflow": "industrial", "federation.rounds": "0"},
+            "max_rounds must be >= 1, got 0",
+        ),
+    ],
+    ids=["academic_max_rounds", "industrial_rounds", "industrial_defaulted_max_rounds"],
+)
+def test_a_round_count_below_one_is_rejected_whichever_workflow_reads_it(overrides, message):
+    """Both round counts are hashed into the run_id, so each must be at
+    least 1 even where the workflow runs the other one."""
+    with pytest.raises(ConfigurationError) as info:
+        load_config(overrides=overrides)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "infinity"])

@@ -18,6 +18,7 @@ from fedsel.nn import (
 from oracle import (
     OptimizerState,
     cross_entropy_loss,
+    fd_gradient,
     init_optimizer,
     loss_and_gradient,
     reference_epoch,
@@ -112,21 +113,6 @@ def test_forward_shape_errors():
         check_split(spec, np.zeros((3, 4)), np.array([0.5, 1.0, 2.0]))
 
 
-def _fd_gradient(params, spec, x, y, h=1e-5):
-    base = params.values
-    out = np.zeros_like(base)
-    for i in range(base.size):
-        up = base.copy()
-        up[i] += h
-        dn = base.copy()
-        dn[i] -= h
-        out[i] = (
-            cross_entropy_loss(ParameterVector(up, params.manifest), spec, x, y)
-            - cross_entropy_loss(ParameterVector(dn, params.manifest), spec, x, y)
-        ) / (2 * h)
-    return out
-
-
 def test_gradient_matches_finite_differences():
     """Central differences on small models. The error
     is measured relative to max(|analytic|, |numeric|) with a 1e-4 floor so
@@ -144,7 +130,7 @@ def test_gradient_matches_finite_differences():
         x = master.standard_normal((12, dim))
         y = master.integers(0, classes, 12)
         _, grad = loss_and_gradient(params, spec, x, y)
-        fd = _fd_gradient(params, spec, x, y)
+        fd = fd_gradient(params, spec, x, y)
         denom = np.maximum(1e-4, np.maximum(np.abs(grad.values), np.abs(fd)))
         assert (np.abs(grad.values - fd) / denom).max() < 1e-5
 

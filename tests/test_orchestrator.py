@@ -281,8 +281,8 @@ def test_lockstep_industrial_equals_separate_runs_that_halt_apart(tmp_path):
     """Threshold 0.85 on this corpus: the federations share rounds 1 and 2,
     FEWS halts in round 3 (0.875) and OEWS runs on alone to the cap."""
     clients, evals = small_dataset(noise=2.0, seed=55)
-    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.85, max_rounds=4)
-    cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.85)
+    cfg = fast_cfg(rounds=4, workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
     together, trained, scored = _assert_lockstep_matches_separate_runs(
         cfg, ["fews", "oews"], clients, evals, tmp_path
     )
@@ -302,8 +302,8 @@ def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
     cohorts, and every outcome equals a call with its cohort alone."""
     import fedsel.orchestrator as orchestrator
 
-    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8, max_rounds=4)
-    cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8)
+    cfg = fast_cfg(rounds=4, workflow=Workflow.INDUSTRIAL, halting=crit, **DIVERGING)
     strategies = [StrategyKind.FEWS, StrategyKind.OEWS]
     cohorts = [(13, *small_dataset(noise=2.0, seed=55)), (14, *small_dataset(noise=2.0, seed=56))]
     calls = []
@@ -339,8 +339,8 @@ def test_a_failed_scoring_pass_fails_its_cohort_alone(workflow):
     (industrial) fails that cohort's scoring pass, so both of its
     federations end with the DataError; the second cohort's outcomes are
     bitwise those of a call with it alone."""
-    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8, max_rounds=3)
-    cfg = fast_cfg(workflow=workflow, halting=crit, **DIVERGING)
+    crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=0.8)
+    cfg = fast_cfg(rounds=3, workflow=workflow, halting=crit, **DIVERGING)
     cohorts = [(13, *small_dataset(noise=2.0, seed=55)), (14, *small_dataset(noise=2.0, seed=56))]
 
     def spoiled(split):
@@ -530,8 +530,8 @@ def test_industrial_halts_at_first_qualifying_round():
     clients, evals = small_dataset(noise=2.0, seed=55)
 
     def run_with(threshold):
-        crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=threshold, max_rounds=4)
-        cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit, local_epochs=3)
+        crit = HaltingCriterion(metric=HaltingMetric.MACRO_F1, threshold=threshold)
+        cfg = fast_cfg(rounds=4, workflow=Workflow.INDUSTRIAL, halting=crit, local_epochs=3)
         return run_federation(cfg, "fews", (SEED, clients, evals))
 
     scout, _ = run_with(1.0)
@@ -555,9 +555,22 @@ def test_industrial_halts_at_first_qualifying_round():
             assert not r.halted
 
 
+def test_industrial_run_lasts_its_config_s_rounds():
+    """An industrial federation that never meets its threshold runs
+    exactly ``rounds`` rounds: the config's round count is its horizon."""
+    clients, evals = small_dataset()
+    cfg = FederationConfig(
+        model=MODEL, rounds=8, local_epochs=1, workflow=Workflow.INDUSTRIAL,
+        halting=HaltingCriterion(threshold=1.0),
+    )
+    records, _ = run_federation(cfg, "fews", (SEED, clients, evals))
+    assert [r.round for r in records] == list(range(1, 9))
+    assert not any(r.halted for r in records)
+
+
 def test_industrial_record_shape():
     clients, evals = small_dataset()
-    crit = HaltingCriterion(threshold=0.0, max_rounds=5)
+    crit = HaltingCriterion(threshold=0.0)
     cfg = fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit)
     records, _ = run_federation(cfg, "fews", (SEED, clients, evals))
     assert len(records) == 1  # threshold 0 is met by any metric
@@ -690,7 +703,7 @@ def test_round_metrics_rounds_the_record_report():
     """In both flows, round_metrics is the record's one report, each metric
     rounded to 6 decimals."""
     clients, evals = small_dataset()
-    crit = HaltingCriterion(threshold=1.0, max_rounds=2)
+    crit = HaltingCriterion(threshold=1.0)
     for cfg in (fast_cfg(), fast_cfg(workflow=Workflow.INDUSTRIAL, halting=crit)):
         records, _ = run_federation(cfg, "fews", (SEED, clients, evals))
         for r in records:

@@ -26,6 +26,7 @@ from fedsel.strategies import (
     train_local,
 )
 from oracle import (
+    brute_force_metrics,
     confusion_matrix,
     cross_entropy_loss,
     forward,
@@ -33,28 +34,6 @@ from oracle import (
     metrics_from_confusion,
     score_rows,
 )
-
-
-def brute_force_metrics(y_true, y_pred, class_count):
-    """Independent per-class loop, no shared code with the implementation."""
-    correct = sum(1 for t, p in zip(y_true, y_pred) if t == p)
-    precisions, recalls, f1s = [], [], []
-    for c in range(class_count):
-        tp = sum(1 for t, p in zip(y_true, y_pred) if t == c and p == c)
-        fp = sum(1 for t, p in zip(y_true, y_pred) if t != c and p == c)
-        fn = sum(1 for t, p in zip(y_true, y_pred) if t == c and p != c)
-        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
-    return (
-        correct / len(y_true),
-        sum(precisions) / class_count,
-        sum(recalls) / class_count,
-        sum(f1s) / class_count,
-    )
 
 
 def _report_of(y_true, y_pred, class_count):

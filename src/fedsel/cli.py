@@ -28,12 +28,14 @@ from .orchestrator import (
 )
 from .reporting import csv_to_rows, run_comparison, write_comparison, write_summary
 
+# flag -> the config keys it sets; --rounds sets the round count of both
+# workflows, so it holds whichever one the file or --workflow picks
 _FLAG_KEYS = {
-    "out": "output.dir",
-    "strategy": "federation.strategy",
-    "workflow": "federation.workflow",
-    "rounds": "federation.rounds",
-    "epochs": "federation.local_epochs",
+    "out": ("output.dir",),
+    "strategy": ("federation.strategy",),
+    "workflow": ("federation.workflow",),
+    "rounds": ("federation.rounds", "federation.max_rounds"),
+    "epochs": ("federation.local_epochs",),
 }
 
 
@@ -70,10 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
     out = {}
-    for flag, key in _FLAG_KEYS.items():
+    for flag, keys in _FLAG_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
-            out[key] = str(value)
+            out.update((key, str(value)) for key in keys)
     return out
 
 

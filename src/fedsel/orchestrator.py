@@ -332,7 +332,7 @@ def run_baselines(
     init = init_parameters(model)
     runs = [_EarlyStop(init) for _ in rows]
 
-    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
+    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> int:
         run, report = runs[i], scores.report
         run.trace.append(report.macro_f1)
         if report.macro_f1 > run.best_score:
@@ -340,13 +340,14 @@ def run_baselines(
             run.params = ParameterVector(weights, model.manifest)
             run.best_epoch = epoch
             run.stale = 0
-            return True
-        run.stale += 1
-        return run.stale < bcfg.patience
+        else:
+            run.stale += 1
+        # without an improvement, the row stops when stale reaches patience
+        return bcfg.patience - run.stale
 
     errors = train_stacked(
         [(init, train, val, rng, label) for label, train, val, rng in rows],
-        model, bcfg.optimizer, bcfg.max_epochs, visit,
+        model, bcfg.optimizer, bcfg.max_epochs, bcfg.patience, visit,
     )
     return [
         error if error is not None else CentralizedResult(

@@ -7,11 +7,12 @@ epoch on ties.
 
 Models that train side by side, such as a round's client runs or a seed's
 baselines, train as one stack (``train_stacked``): each epoch is one
-``nn.train_epoch`` call and one ``score`` call over every live row.
-``score`` is array math over the stack's rows, the metrics included: one
-``bincount`` builds every row's confusion matrix, and the metrics and
-losses come from (R, C) and (R, n) arrays, with each row's bits those of
-that row scored alone. Models scored on one shared split, such as a
+``nn.train_epoch`` call over every live row, and a window of epochs, as
+many as every live row is sure to train, is scored in one ``score`` call
+over each of those epochs' weights. ``score`` is array math over its
+rows, the metrics included: one ``bincount`` builds every row's confusion
+matrix, and the metrics come from (R, C) arrays, with each row's bits
+those of that row scored alone. Models scored on one shared split, such as a
 round's global weights or a campaign seed's final ones, go through
 ``score_params``, where equal weights share one row of the stack.
 """
@@ -28,6 +29,7 @@ import numpy as np
 from .data import ClientDataset, Split
 from .errors import ConfigurationError, DataError, ShapeError
 from .nn import (
+    GATHER_VALUES,
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
@@ -75,7 +77,8 @@ def _confusions(labels: np.ndarray, preds: np.ndarray, class_count: int) -> np.n
     from one ``bincount``; rows index the true class, columns the
     prediction."""
     rows, cells = len(labels), class_count * class_count
-    flat = labels * class_count + preds
+    flat = labels * class_count
+    flat += preds
     flat += np.arange(0, rows * cells, cells)[:, None]
     return np.bincount(flat.ravel(), minlength=rows * cells).reshape(rows, class_count, class_count)
 
@@ -137,12 +140,13 @@ def score(
     and a label out of range is a DataError. No rows score as ``[]``.
 
     Rows go through batched forward passes of as many rows as keep each
-    activation within ``SCORE_VALUES`` values, at least one. The metrics
-    and losses of all R rows are then computed at once: one ``bincount``
-    builds every confusion matrix, and (R, C) and (R, n) array math does
-    the rest. Only the confidence, a mean over a different number of
-    samples in each row, is reduced row by row. Each row's bits equal
-    those of scoring that row alone."""
+    activation within ``SCORE_VALUES`` values, at least one. Each pass's
+    losses are reduced as it ends, and its confidences, means over a
+    different number of samples in each row, row by row; only the (R, n)
+    predictions outlive it. The metrics of all R rows are then computed at
+    once: one ``bincount`` builds every confusion matrix, and (R, C) array
+    math does the rest. Each row's bits equal those of scoring that row
+    alone."""
     if not len(x) == len(y) == len(weights):
         raise ShapeError(f"{len(weights)} weight rows, {len(x)} feature and {len(y)} label rows")
     if not len(weights):
@@ -158,8 +162,7 @@ def score(
     # flat offset of each (row, sample) of a chunk's (rows, n, classes) output
     offsets = np.arange(0, min(chunk, rows) * n * classes, classes).reshape(-1, n)
     preds = np.empty((rows, n), dtype=np.intp)
-    at_label = np.empty((rows, n))  # log-probability of each label
-    top = np.empty((rows, n))  # probability of each prediction
+    losses, confidences = [], []
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
         batch = x[lo:hi]
@@ -169,21 +172,19 @@ def score(
         probs = np.exp(log_probs)
         probs.argmax(axis=2, out=preds[lo:hi])
         at = offsets[: hi - lo]
-        # the indices are in range, so "clip" only spares take a buffer
-        log_probs.take(at + labels[lo:hi], out=at_label[lo:hi], mode="clip")
-        probs.take(at + preds[lo:hi], out=top[lo:hi], mode="clip")
-
+        # the indices are in range, so "clip" changes no value
+        at_label = log_probs.take(at + labels[lo:hi], mode="clip")
+        top = probs.take(at + preds[lo:hi], mode="clip")
+        losses.extend((-(np.add.reduce(at_label, axis=1) / n)).tolist())
+        # the mean over each row's correct predictions: rows differ in how many
+        # there are, so each row's run of ``hits`` is a reduction of its own
+        correct = preds[lo:hi] == labels[lo:hi]
+        hits = top[correct]
+        end = 0
+        for count in np.add.reduce(correct, axis=1).tolist():
+            start, end = end, end + count
+            confidences.append(float(np.add.reduce(hits[start:end]) / count) if count else 0.0)
     reports = _reports(_confusions(labels, preds, classes))
-    losses = (-(np.add.reduce(at_label, axis=1) / n)).tolist()
-    # the mean over each row's correct predictions: rows differ in how many
-    # there are, so each row's run of ``hits`` is a reduction of its own
-    correct = preds == labels
-    hits = top[correct]
-    confidences = []
-    end = 0
-    for count in np.add.reduce(correct, axis=1).tolist():
-        start, end = end, end + count
-        confidences.append(float(np.add.reduce(hits[start:end]) / count) if count else 0.0)
     return [Scores(*fields) for fields in zip(reports, losses, confidences)]
 
 
@@ -237,20 +238,35 @@ def train_stacked(
     model: ModelSpec,
     optimizer: OptimizerConfig,
     epochs: int,
-    visit: Callable[[int, int, np.ndarray, Scores], bool],
+    horizon: int,
+    visit: Callable[[int, int, np.ndarray, Scores], int],
 ) -> list[Exception | None]:
     """Train rows (start weights, train split, val split, rng, label) for up
     to ``epochs`` epochs. Rows whose splits have equal sizes train as one
     stack through ``nn.train_epoch``; no row is padded.
 
-    After each epoch, each live row's weights are scored on its val split
-    by one ``score`` call, and ``visit(row, epoch, weights, scores)`` gets
-    them: it returns False to stop the row, or raises to fail it. A row
-    whose weights turn non-finite, or whose validation loss is not finite,
-    fails with a DataError naming its label and the epoch. A row that stops
-    or fails leaves its stack, which is compacted, so no dead row costs
-    work. Returns, per row, the exception that failed it, or None.
+    Each epoch's weights of each live row are scored on its val split, and
+    ``visit(row, epoch, weights, scores)`` gets them, in epoch order: it
+    returns the row's horizon, the fewest further epochs the row is sure to
+    train (0 stops it), or raises to fail it. ``horizon`` is every row's
+    horizon before its first epoch. A row whose weights turn non-finite,
+    or whose validation loss is not finite, fails with a DataError naming
+    its label and the epoch; at each epoch the weights are checked first,
+    then the loss, then ``visit`` runs, and a row's earliest failure is the
+    one it reports. A row that stops or fails leaves its stack, which is
+    compacted. Returns, per row, the exception that failed it, or None.
+
+    A stack trains a window of epochs, as many as its live rows' least
+    horizon, the epochs left and ``nn.GATHER_VALUES`` values of snapshots
+    allow (at least one), and then scores every epoch of the window in one
+    ``score`` call. So a surviving row trains exactly the epochs it would
+    if scored after every epoch. A row whose loss or ``visit`` fails it
+    mid-window trains on to the window's end: that work is wasted, and
+    changes no other row. A row whose weights turn non-finite leaves the
+    stack at once.
     """
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     errors: list[Exception | None] = [None] * len(rows)
     stacks: dict[tuple[int, int], list[int]] = {}
     for i, (start, train, val, _, label) in enumerate(rows):
@@ -267,44 +283,74 @@ def train_stacked(
         stacks.setdefault((len(train), len(val)), []).append(i)
 
     for members in stacks.values():
-        weights = np.stack([rows[i][0].values for i in members])
-        stack = [np.array(members), weights, np.zeros_like(weights)]
-        for epoch in range(1, epochs + 1):
-            live, weights, velocity = stack
-            finite = train_epoch(
-                weights, velocity, model, optimizer,
-                [rows[i][1].x for i in live], [rows[i][1].y for i in live],
-                [rows[i][3] for i in live],
-            )
-            for i in live[~finite]:
-                errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
-            stack = _compact(finite, stack)
-            live, weights, _ = stack
-            if not len(live):
-                break
-            keep = np.ones(len(live), dtype=bool)
-            val = [rows[i][2] for i in live]
-            for j, scores in enumerate(
-                score(weights, model, [v.x for v in val], [v.y for v in val])
-            ):
+        live = np.array(members)
+        weights = np.stack([rows[i][0].values for i in live])
+        velocity = np.zeros_like(weights)
+        horizons = np.full(len(live), horizon)
+        done = 0  # epochs every live row has trained
+        while len(live) and done < epochs:
+            count, size = weights.shape
+            window = min(int(horizons.min()), epochs - done, _window_cap(count, size))
+            snapshots = np.empty((window, count, size))
+            # per live row: the window epoch whose weights first turned
+            # non-finite (``window`` if none), and the rows still training
+            broken = np.full(count, window)
+            training = np.arange(count)
+            for k in range(window):
+                trainees = live[training]
+                finite = train_epoch(
+                    weights, velocity, model, optimizer,
+                    [rows[i][1].x for i in trainees], [rows[i][1].y for i in trainees],
+                    [rows[i][3] for i in trainees],
+                )
+                snapshots[k, training] = weights
+                if not finite.all():
+                    broken[training[~finite]] = k
+                    training = training[finite]
+                    weights, velocity = weights[finite], velocity[finite]
+                    if not len(training):
+                        break
+
+            # every (epoch, row) with finite weights, epoch-major, in one call
+            scorable = np.arange(window)[:, None] < broken
+            cells = np.argwhere(scorable)  # (epoch, row) pairs in ``flat``'s order
+            flat = snapshots.reshape(-1, size) if scorable.all() else snapshots[scorable]
+            val = [rows[i][2] for i in live[cells[:, 1]]]
+            scored = score(flat, model, [v.x for v in val], [v.y for v in val])
+            ended = np.zeros(count, dtype=bool)
+            for n, (k, j) in enumerate(cells.tolist()):
+                if ended[j]:
+                    continue
+                i, epoch, scores = int(live[j]), done + k + 1, scored[n]
                 try:
                     if not math.isfinite(scores.loss):
                         raise DataError(
-                            f"{rows[live[j]][4]} epoch {epoch}: validation loss is {scores.loss}"
+                            f"{rows[i][4]} epoch {epoch}: validation loss is {scores.loss}"
                         )
-                    keep[j] = visit(int(live[j]), epoch, weights[j], scores)
+                    horizons[j] = visit(i, epoch, flat[n], scores)
+                    ended[j] = horizons[j] < 1
                 except Exception as exc:
-                    errors[live[j]] = exc
-                    keep[j] = False
-            stack = _compact(keep, stack)
-            if not len(stack[0]):
-                break
+                    errors[i] = exc
+                    ended[j] = True
+            for j in np.flatnonzero((broken < window) & ~ended):
+                i = int(live[j])
+                epoch = done + int(broken[j]) + 1
+                errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
+                ended[j] = True
+            done += window
+            del snapshots, flat  # free this window's buffer before the next one's
+            if ended.any():
+                # the rows that go on trained the whole window: all are in ``training``
+                kept = ~ended[training]
+                live, horizons = live[~ended], horizons[~ended]
+                weights, velocity = weights[kept], velocity[kept]
     return errors
 
 
-def _compact(keep: np.ndarray, stack: list[np.ndarray]) -> list[np.ndarray]:
-    """The per-row arrays without the rows ``keep`` leaves out."""
-    return stack if keep.all() else [a[keep] for a in stack]
+def _window_cap(rows: int, size: int) -> int:
+    """The most epochs of snapshots of ``rows`` weight vectors of ``size``
+    values that fit in ``nn.GATHER_VALUES`` values, at least one."""
+    return max(1, GATHER_VALUES // (rows * size))
 
 
 def train_local(
@@ -332,7 +378,7 @@ def train_local(
     snapshots: list[dict[int, ParameterVector]] = [{} for _ in rows]
     traces: list[list[float]] = [[] for _ in rows]
 
-    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> bool:
+    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> int:
         if metric is SelectionMetric.VAL_LOSS:
             value = scores.loss
         else:
@@ -344,7 +390,7 @@ def train_local(
             snapshots[i] = {epoch: ParameterVector(weights, model.manifest)}
         elif epoch == epochs:
             snapshots[i][epoch] = ParameterVector(weights, model.manifest)
-        return True
+        return epochs - epoch
 
     def picks(i: int) -> dict[StrategyKind, LocalRunResult]:
         trace = tuple(traces[i])
@@ -356,7 +402,7 @@ def train_local(
 
     errors = train_stacked(
         [(p, c.train, c.val, rng, f"client {c.client_id}") for p, c, rng in rows],
-        model, optimizer, epochs, visit,
+        model, optimizer, epochs, epochs, visit,
     )
     return [picks(i) if error is None else error for i, error in enumerate(errors)]
 

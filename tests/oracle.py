@@ -10,6 +10,11 @@ differences and check the kernel against it bit for bit.
 replaced: one model at a time, a confusion matrix, the metrics read off it
 and the loss and confidence of that row, on the 2-D forward pass here.
 
+``train_stacked_per_epoch`` is the training loop the windowed
+``fedsel.strategies.train_stacked`` replaced: it scores a stack after every
+epoch. ``rescored`` rewrites the scores of chosen (row, epoch) pairs however
+a loop batches its ``score`` calls.
+
 ``halt_round`` is the halting rule read off a whole trace at once, and
 ``scripted_halt`` runs the package's round loop on such a trace, so the
 tests can hold the loop to the rule. ``brute_force_metrics`` and
@@ -20,13 +25,15 @@ against.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 from unittest import mock
 
 import numpy as np
 
-from fedsel import orchestrator
+from fedsel import orchestrator, strategies
 from fedsel.aggregation import HaltingCriterion
 from fedsel.data import ClientDataset, EvalSets, Split
 from fedsel.errors import ConfigurationError, DataError, ShapeError
@@ -301,3 +308,89 @@ def scripted_halt(
             cfg, StrategyKind.FEWS, (0, [client], EvalSets(split, split))
         )
     return len(records), records[-1].halted
+
+
+def train_stacked_per_epoch(rows, model, optimizer, epochs, visit) -> list[Exception | None]:
+    """``strategies.train_stacked`` as it ran before windows: after each
+    epoch, one ``strategies.score`` call over every live row, then ``visit``
+    per row, whose result is truthy to keep the row. A row whose weights
+    turn non-finite fails at once and is not scored."""
+    errors: list[Exception | None] = [None] * len(rows)
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, (start, train, val, _, label) in enumerate(rows):
+        try:
+            if len(train) == 0 or len(val) == 0:
+                raise DataError(f"{label} has an empty train or val split")
+            if start.manifest != model.manifest:
+                raise ShapeError("params and model manifests must be identical")
+            check_split(model, train.x, train.y)
+            check_split(model, val.x, val.y)
+        except Exception as exc:
+            errors[i] = exc
+            continue
+        stacks.setdefault((len(train), len(val)), []).append(i)
+
+    for members in stacks.values():
+        live = np.array(members)
+        weights = np.stack([rows[i][0].values for i in live])
+        velocity = np.zeros_like(weights)
+        for epoch in range(1, epochs + 1):
+            finite = strategies.train_epoch(
+                weights, velocity, model, optimizer,
+                [rows[i][1].x for i in live], [rows[i][1].y for i in live],
+                [rows[i][3] for i in live],
+            )
+            for i in live[~finite]:
+                errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
+            live, weights, velocity = live[finite], weights[finite], velocity[finite]
+            if not len(live):
+                break
+            keep = np.ones(len(live), dtype=bool)
+            val = [rows[i][2] for i in live]
+            scored = strategies.score(weights, model, [v.x for v in val], [v.y for v in val])
+            for j, scores in enumerate(scored):
+                try:
+                    if not math.isfinite(scores.loss):
+                        raise DataError(
+                            f"{rows[live[j]][4]} epoch {epoch}: validation loss is {scores.loss}"
+                        )
+                    keep[j] = visit(int(live[j]), epoch, weights[j], scores)
+                except Exception as exc:
+                    errors[live[j]] = exc
+                    keep[j] = False
+            live, weights, velocity = live[keep], weights[keep], velocity[keep]
+            if not len(live):
+                break
+    return errors
+
+
+@contextmanager
+def rescored(change: Callable[[np.random.Generator, int, Scores], Scores]):
+    """Within the block, each ``strategies.score`` result for weights that
+    a ``strategies.train_epoch`` call left in a row becomes ``change(rng,
+    epoch, scores)``: ``rng`` is the row's stream and ``epoch`` counts that
+    stream's epochs. Rows are told apart by their streams and scored weights
+    by their bytes, so a rewrite holds however the loop windows, stacks or
+    batches its training and scoring. Scores of other weights pass as they
+    are."""
+    real_epoch, real_score = strategies.train_epoch, strategies.score
+    epochs: dict[np.random.Generator, int] = {}  # epochs trained per stream
+    trained: dict[bytes, tuple[np.random.Generator, int]] = {}
+
+    def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
+        finite = real_epoch(weights, velocity, model, optimizer, x, y, rngs)
+        for row, rng in zip(weights, rngs):
+            epochs[rng] = epochs.get(rng, 0) + 1
+            trained[row.tobytes()] = (rng, epochs[rng])
+        return finite
+
+    def score(weights, *args):
+        result = real_score(weights, *args)
+        for k, row in enumerate(weights):
+            if row.tobytes() in trained:
+                result[k] = change(*trained[row.tobytes()], result[k])
+        return result
+
+    with mock.patch.object(strategies, "train_epoch", train_epoch), \
+            mock.patch.object(strategies, "score", score):
+        yield

@@ -96,6 +96,21 @@ def test_run_industrial_halts_and_reports(tiny_config, tmp_path, capsys):
     assert "threshold met at round 1" in capsys.readouterr().out
 
 
+def test_rounds_flag_sets_the_industrial_round_count_a_file_sets(tiny_config, tmp_path, capsys):
+    """--rounds sets federation.max_rounds too: an industrial run whose
+    file caps it at 4 rounds, and whose threshold it never meets, runs the
+    2 rounds the flag asks for."""
+    out = tmp_path / "ind"
+    cfg = tiny_config.parent / "ind.cfg"
+    cfg.write_text(TINY + "federation.workflow = industrial\nfederation.max_rounds = 4\n"
+                          "federation.halting_threshold = 1.0\n")
+    code = main(["run", "--config", str(cfg), "--rounds", "2", "--out", str(out)])
+    assert code == 0
+    jsonl = next(out.glob("*.metrics.jsonl"))
+    assert len(jsonl.read_text().splitlines()) == 2
+    assert "2 round(s)" in capsys.readouterr().out
+
+
 def test_run_with_baseline(tiny_config, tmp_path, capsys):
     out = tmp_path / "base"
     cfg = tiny_config.parent / "base.cfg"

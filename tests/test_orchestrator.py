@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import replace
@@ -18,7 +19,8 @@ from fedsel.data import (
     merge_for_centralized,
 )
 from fedsel.errors import ConfigurationError, DataError, ProtocolError
-from fedsel.nn import ModelSpec, OptimizerConfig
+from fedsel import nn
+from fedsel.nn import ModelSpec, OptimizerConfig, manifest_size
 from fedsel.orchestrator import (
     BaselineConfig,
     FederationConfig,
@@ -35,6 +37,7 @@ from fedsel.orchestrator import (
 )
 from fedsel.reporting import rows_to_csv, run_comparison
 from fedsel.strategies import MetricsReport, StrategyKind, score_params, train_local
+from oracle import rescored
 
 MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
 SMALL = CorpusSpec(per_class_train=8, per_class_val=4, per_class_test=4, seed=21)
@@ -210,38 +213,26 @@ def _nan_loss(scores):
 
 @contextmanager
 def _spoiled_score(arm, epoch, spoil):
-    """Within each ``orchestrator.train_local`` call, the rows (incoming
-    weights, client, rng) that ``arm`` picks get ``spoil`` applied to their
-    validation scores at ``epoch``. Assumes one stack per call (equal client
-    sizes), so a row's index in the call is its index in the stack up to the
-    spoiled epoch. A call holds the rows of every seed of a campaign, and
-    round-1 weights are equal across seeds, so an arm must pick the rows of
-    one seed by their rng state or by weights from after round 1."""
-    import fedsel.orchestrator as orchestrator
+    """Within each ``strategies.train_stacked`` call, the rows whose (start
+    weights, label, rng) ``arm`` picks get ``spoil`` applied to their
+    validation scores at ``epoch``: the scores are keyed by (row, epoch),
+    whatever window or stack they are scored in. A call holds the rows of
+    every seed of a campaign, and round-1 weights are equal across seeds,
+    so an arm must pick the rows of one seed by their rng state or by
+    weights from after round 1."""
     import fedsel.strategies as strategies
 
-    real_train, real_score = orchestrator.train_local, strategies.score
-    armed = {"rows": [], "epoch": 0}
+    real_train = strategies.train_stacked
+    armed = set()
 
-    def train_local(rows, *args):
-        assert len({(len(c.train), len(c.val)) for _, c, _ in rows}) == 1
-        armed.update(rows=[i for i, row in enumerate(rows) if arm(*row)], epoch=0)
-        try:
-            return real_train(rows, *args)
-        finally:
-            armed["rows"] = []
+    def train_stacked(rows, *args):
+        armed.update(rng for start, _, _, rng, label in rows if arm(start, label, rng))
+        return real_train(rows, *args)
 
-    def score(*args):
-        result = real_score(*args)
-        if armed["rows"]:
-            armed["epoch"] += 1
-            if armed["epoch"] == epoch:
-                for i in armed["rows"]:
-                    result[i] = spoil(result[i])
-        return result
+    def change(rng, at, scores):
+        return spoil(scores) if rng in armed and at == epoch else scores
 
-    with mock.patch.object(orchestrator, "train_local", train_local), \
-            mock.patch.object(strategies, "score", score):
+    with mock.patch.object(strategies, "train_stacked", train_stacked), rescored(change):
         yield
 
 
@@ -380,8 +371,8 @@ def test_a_failed_scoring_pass_keeps_a_run_s_own_earlier_error():
     ]
     assert parted[0].values.tobytes() != parted[1].values.tobytes()
 
-    def oews_round_three(params, client, rng):
-        return client.client_id == 1 and params.values.tobytes() == parted[1].values.tobytes()
+    def oews_round_three(params, label, rng):
+        return label == "client 1" and params.values.tobytes() == parted[1].values.tobytes()
 
     real, calls = orchestrator.score_params, []
 
@@ -420,8 +411,8 @@ def test_comparison_fails_only_the_federation_whose_own_run_fails():
     }
     assert round_one["fews"] != round_one["oews"]
 
-    def oews_round_two(params, client, rng):
-        return client.client_id == 1 and params.values.tobytes() == round_one["oews"]
+    def oews_round_two(params, label, rng):
+        return label == "client 1" and params.values.tobytes() == round_one["oews"]
 
     clean = run_comparison(cfg, seeds)
     with _spoiled_score(oews_round_two, 2, _nan_loss):
@@ -443,8 +434,8 @@ def test_non_finite_score_names_client_round_and_epoch():
     clients, evals = small_dataset()
     round_two = client_stream(SEED, 2, 1).bit_generator.state
 
-    def client_1_round_2(params, client, rng):
-        return client.client_id == 1 and rng.bit_generator.state == round_two
+    def client_1_round_2(params, label, rng):
+        return label == "client 1" and rng.bit_generator.state == round_two
 
     for metric in ("val_loss", "macro_f1"):
         cfg = fast_cfg(selection_metric=metric)
@@ -458,8 +449,6 @@ def test_non_finite_baseline_loss_fails_that_baseline_alone():
     """The four local baselines train as one stack; a validation loss
     forced to NaN at client 2's epoch 2 fails that baseline with an error
     naming it and the epoch, and the other three match a clean call."""
-    import fedsel.strategies as strategies
-
     clients, _ = small_dataset()
     bcfg = BaselineConfig(max_epochs=3, patience=3)
 
@@ -467,19 +456,20 @@ def test_non_finite_baseline_loss_fails_that_baseline_alone():
         return [(f"client {c.client_id}", c.train, c.val, baseline_stream(SEED, c.client_id + 1))
                 for c in clients]
 
-    real, calls = strategies.score, []
+    clean = run_baselines(bcfg, rows(), MODEL)
+    spoiled_rows = rows()
+    (target,) = [rng for label, _, _, rng in spoiled_rows if label == "client 2"]
+    hits = []
 
-    def score(*args):
-        scores = real(*args)
-        calls.append(len(scores))
-        if len(calls) == 2:  # epoch 2 of the one stack, whose row 2 is client 2
-            scores[2] = _nan_loss(scores[2])
+    def change(rng, epoch, scores):
+        if rng is target and epoch == 2:
+            hits.append(epoch)
+            return _nan_loss(scores)
         return scores
 
-    clean = run_baselines(bcfg, rows(), MODEL)
-    with mock.patch.object(strategies, "score", score):
-        spoiled = run_baselines(bcfg, rows(), MODEL)
-    assert calls[:2] == [4, 4]
+    with rescored(change):
+        spoiled = run_baselines(bcfg, spoiled_rows, MODEL)
+    assert hits == [2]
     assert isinstance(spoiled[2], DataError)
     assert str(spoiled[2]) == "client 2 epoch 2: validation loss is nan"
     for i in (0, 1, 3):
@@ -617,6 +607,31 @@ def test_centralized_patience_equal_to_cap_runs_everything():
     result = run_centralized(bcfg, train, val, MODEL, baseline_stream(3, tag=0))
     assert result.epochs_run == 10
     assert len(result.trace) == 10
+
+
+def test_a_long_baseline_scores_once_per_window():
+    """A 150-epoch run with patience 150, as the benchmark's
+    ``centralized_long`` runs it, scores its epochs in windows of as many
+    as ``nn.GATHER_VALUES`` values of snapshots hold: 92 epochs of this
+    709-weight model, so 2 ``score`` calls where scoring after every epoch
+    made 150."""
+    import fedsel.strategies as strategies
+
+    train, val = centralized_inputs()
+    window = nn.GATHER_VALUES // manifest_size(MODEL.manifest)
+    real, calls = strategies.score, []
+
+    def score(weights, *args):
+        calls.append(len(weights))
+        return real(weights, *args)
+
+    bcfg = BaselineConfig(max_epochs=150, patience=150)
+    with mock.patch.object(strategies, "score", score):
+        result = run_centralized(bcfg, train, val, MODEL, baseline_stream(3, tag=0))
+    assert result.epochs_run == 150
+    assert window == 92
+    assert len(calls) == math.ceil(150 / window) == 2
+    assert calls == [92, 58]
 
 
 def test_centralized_improving_trace_returns_final_epoch():

@@ -32,7 +32,9 @@ from oracle import (
     forward,
     loss_and_gradient,
     metrics_from_confusion,
+    rescored,
     score_rows,
+    train_stacked_per_epoch,
 )
 
 
@@ -386,21 +388,16 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
     each strategy, the epoch the selection rule names and ships the weights
     training had at that epoch, rebuilt here by calling train_epoch
     directly; both picks share one trace."""
-    import fedsel.strategies as strategies
-
     client = _client(seed=5)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    real = strategies.score
-    values = iter(trace)
 
-    def scripted(*args):
-        v = next(values)
-        (result,) = real(*args)
+    def scripted(rng, epoch, result):
+        v = trace[epoch - 1]
         report = replace(result.report, accuracy=v, macro_f1=v)
-        return [replace(result, report=report, loss=v)]
+        return replace(result, report=report, loss=v)
 
-    with mock.patch.object(strategies, "score", scripted):
+    with rescored(scripted):
         (picks,) = train_local([(incoming, client, np.random.default_rng(11))], MODEL, opt,
                                len(trace), metric)
     fews, oews = picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
@@ -419,6 +416,87 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
         snapshots.append(weights[0].copy())
     for result in (fews, oews):
         assert (result.selected_params.values == snapshots[result.selected_epoch - 1]).all()
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_windowed_training_equals_the_per_epoch_loop(data):
+    """``train_stacked``, which scores a window of epochs at once, against
+    the loop that scored after every epoch (``oracle.train_stacked_per_epoch``):
+    the same ``visit`` calls in the same order (row, epoch, weight bytes and
+    the repr of the scores), the same error per row, and the same number of
+    epochs trained by every row that did not fail. Rows have unequal split
+    sizes, so several stacks train; the horizon is train_local's or
+    run_baselines'; the window cap is 1, 2 or 10^6 epochs; validation
+    losses turn NaN and ``visit`` raises at drawn (row, epoch) pairs; and
+    the learning rate may overflow the weights, so a row can fail on its
+    loss or its visit and then overflow later in the same window."""
+    epochs = data.draw(st.integers(1, 8), label="epochs")
+    patience = data.draw(st.integers(1, epochs), label="patience")
+    local = data.draw(st.booleans(), label="train_local's horizon")
+    count = data.draw(st.integers(1, 5), label="rows")
+    sizes = data.draw(st.lists(st.sampled_from([(5, 3), (7, 3), (5, 4)]),
+                               min_size=count, max_size=count), label="train/val sizes")
+    rate = data.draw(st.sampled_from([0.05, 0.5, 1e150, 1e200]), label="learning rate")
+    cap = data.draw(st.sampled_from([1, 2, 10**6]), label="window cap")
+    cells = st.tuples(st.integers(0, count - 1), st.integers(1, epochs))
+    nan_at = data.draw(st.sets(cells, max_size=3), label="NaN losses")
+    raise_at = data.draw(st.sets(cells, max_size=3), label="raising visits")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    spec = ModelSpec(layer_sizes=(3, 4, 3))
+    opt = OptimizerConfig(learning_rate=rate, batch_size=2)
+
+    def run(loop):
+        gen = np.random.default_rng(seed)
+
+        def split(n):
+            scale = gen.choice([0.1, 1.0, 3.0])
+            return Split(gen.standard_normal((n, 3)) * scale, gen.integers(0, 3, n), np.arange(n))
+
+        rows = [
+            (ParameterVector(init_parameters(spec).values + gen.standard_normal(31) * 0.1,
+                             spec.manifest),
+             split(train), split(val), np.random.default_rng([seed, i]), f"row {i}")
+            for i, (train, val) in enumerate(sizes)
+        ]
+        row_of = {row[3]: i for i, row in enumerate(rows)}
+        visits, trained, best, stale = [], [0] * count, {}, {}
+
+        def visit(i, epoch, weights, scores):
+            visits.append((i, epoch, weights.tobytes(), repr(scores)))
+            if (i, epoch) in raise_at:
+                raise RuntimeError(f"visit fails row {i} at epoch {epoch}")
+            if local:
+                return epochs - epoch
+            if scores.report.macro_f1 > best.get(i, -np.inf):
+                best[i], stale[i] = scores.report.macro_f1, 0
+            else:
+                stale[i] += 1
+            return patience - stale[i]
+
+        def change(rng, epoch, scores):
+            return replace(scores, loss=float("nan")) if (row_of[rng], epoch) in nan_at else scores
+
+        real_epoch = strategies.train_epoch
+
+        def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
+            for rng in rngs:
+                trained[row_of[rng]] += 1
+            return real_epoch(weights, velocity, model, optimizer, x, y, rngs)
+
+        with np.errstate(all="ignore"), \
+                mock.patch.object(strategies, "_window_cap", lambda rows, size: cap), \
+                mock.patch.object(strategies, "train_epoch", train_epoch), rescored(change):
+            errors = loop(rows, spec, opt, epochs, patience if not local else epochs, visit)
+        ok = [e is None for e in errors]
+        return visits, [None if e is None else str(e) for e in errors], ok, trained
+
+    windowed = run(strategies.train_stacked)
+    per_epoch = run(lambda rows, spec, opt, epochs, _, visit:
+                    train_stacked_per_epoch(rows, spec, opt, epochs, visit))
+    assert windowed[:3] == per_epoch[:3]
+    for ok, a, b in zip(windowed[2], windowed[3], per_epoch[3]):
+        assert not ok or a == b
 
 
 def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
@@ -443,12 +521,15 @@ def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
 
 
 def test_run_local_rejects_bad_input():
-    """Zero epochs fail the call; an empty split fails its own row, which
-    ``train_local`` returns as the exception."""
+    """Zero epochs fail the call, as does a first horizon of zero epochs,
+    which would give ``train_stacked`` an empty window; an empty split fails
+    its own row, which ``train_local`` returns as the exception."""
     client = _client()
     incoming = init_parameters(MODEL)
     with pytest.raises(ConfigurationError):
         train_local([(incoming, client, np.random.default_rng(0))], MODEL, OptimizerConfig(), 0)
+    with pytest.raises(ConfigurationError, match="horizon must be >= 1, got 0"):
+        strategies.train_stacked([], MODEL, OptimizerConfig(), 1, 0, lambda *_: 1)
     empty = Split(np.zeros((0, 16)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     broken = ClientDataset(client_id=0, missing_class=1, train=empty,
                            val=client.val, test=client.test)

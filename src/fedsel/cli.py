@@ -1,5 +1,6 @@
 """Command-line front end: generate datasets, run training, compare variants,
-re-render reports.
+re-render reports. A command offers flags for, and hashes into its run_id,
+only the config keys that can reach its outputs (``_UNREAD``).
 
 Exit codes: 0 when everything requested completed, 1 when a run failed
 partway, 2 for configuration problems (unknown key, bad value, unreadable
@@ -13,10 +14,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import KEY_TABLE, RunConfig, load_config
 from .data import dataset_csv_text, make_dataset, merge_for_centralized, partition_summary
 from .errors import ConfigurationError, FedselError
-from .nn import weights_text
+from .nn import MAX_SEED, weights_text
 from .orchestrator import (
     Workflow,
     atomic_write_text,
@@ -28,14 +29,29 @@ from .orchestrator import (
 )
 from .reporting import csv_to_rows, run_comparison, write_comparison, write_summary
 
-# flag -> the config keys it sets; --rounds sets the round count of both
-# workflows, so it holds whichever one the file or --workflow picks
-_FLAG_KEYS = {
-    "out": ("output.dir",),
-    "strategy": ("federation.strategy",),
-    "workflow": ("federation.workflow",),
-    "rounds": ("federation.rounds", "federation.max_rounds"),
-    "epochs": ("federation.local_epochs",),
+# command -> the config keys that cannot reach its outputs: load_config leaves
+# them out of the run_id, and the command has no flag that sets one. compare
+# runs both strategies and the baselines on the seeds --seeds names.
+_UNREAD = {
+    "generate": frozenset(
+        k for k in KEY_TABLE if not k.startswith(("corpus.", "partition.", "output."))
+    ),
+    "run": frozenset(),
+    "compare": frozenset(
+        {"corpus.seed", "federation.strategy", "federation.master_seed", "baseline.enabled"}
+    ),
+}
+_UNREAD["report"] = _UNREAD["compare"]  # so report --config finds what compare wrote
+
+# flag -> (the config key it sets, argparse options); argparse stores each
+# flag's value under its key
+_FLAGS = {
+    "seed": ("federation.master_seed", {"type": int, "help": "master seed (beats FEDSEL_SEED)"}),
+    "out": ("output.dir", {"help": "output directory (beats output.dir)"}),
+    "strategy": ("federation.strategy", {"choices": ["fews", "oews"]}),
+    "workflow": ("federation.workflow", {"choices": ["academic", "industrial"]}),
+    "rounds": ("federation.rounds", {"type": int, "help": "communication rounds"}),
+    "epochs": ("federation.local_epochs", {"type": int, "help": "local epochs per round"}),
 }
 
 
@@ -47,40 +63,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, unread in _UNREAD.items():
+        # no abbreviations: compare --seed must not pass for --seeds
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
         p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--seed", type=int, help="master seed (beats FEDSEL_SEED and the file)")
-        p.add_argument("--out", help="output directory (beats output.dir)")
-        p.add_argument("--strategy", choices=["fews", "oews"])
-        p.add_argument("--workflow", choices=["academic", "industrial"])
-        p.add_argument("--rounds", type=int, help="communication rounds")
-        p.add_argument("--epochs", type=int, help="local epochs per round")
-
-    add_common(sub.add_parser("generate", help="write dataset CSV and partition summary"))
-    add_common(sub.add_parser("run", help="run the federation (and baseline if enabled)"))
-    compare = sub.add_parser("compare", help="multi-seed strategy/baseline comparison")
-    add_common(compare)
-    compare.add_argument(
-        "--seeds",
-        default="1-10",
-        help="seed list like 3,5,9 or 1-10 (default 1-10)",
-    )
-    add_common(sub.add_parser("report", help="re-render summary tables from compare output"))
+        for flag, (key, options) in _FLAGS.items():
+            if key not in unread:
+                p.add_argument(f"--{flag}", dest=key, **options)
+        if command == "compare":
+            p.add_argument(
+                "--seeds", default="1-10", help="seed list like 3,5,9 or 1-10 (default 1-10)"
+            )
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    out = {}
-    for flag, keys in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out.update((key, str(value)) for key in keys)
-    return out
-
-
 def _load(args: argparse.Namespace) -> tuple[RunConfig, str]:
-    return load_config(args.config, overrides=_overrides(args), seed_override=args.seed)
+    given = {key: v for key, v in vars(args).items() if key in KEY_TABLE and v is not None}
+    seed = given.pop("federation.master_seed", None)  # --seed beats FEDSEL_SEED; overrides do not
+    overrides = {key: str(v) for key, v in given.items()}
+    return load_config(args.config, overrides, seed, unhashed=_UNREAD[args.command])
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -90,23 +91,24 @@ def _parse_seeds(text: str) -> list[int]:
         if not part:
             continue
         sep = ".." if ".." in part else "-" if "-" in part[1:] else None
+        ends = part.split(sep, 1) if sep else [part, part]
         try:
-            if sep:
-                lo, hi = part.split(sep, 1)
-                lo_i, hi_i = int(lo), int(hi)
-                if hi_i < lo_i:
-                    raise ConfigurationError(f"--seeds range {part!r} is reversed")
-                seeds.extend(range(lo_i, hi_i + 1))
-            else:
-                seeds.append(int(part))
+            lo, hi = int(ends[0]), int(ends[1])
         except ValueError:
             raise ConfigurationError(f"--seeds: cannot parse {part!r}") from None
+        if hi < lo:
+            raise ConfigurationError(f"--seeds range {part!r} is reversed")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ConfigurationError("--seeds named no seeds")
+    bad = next((seed for seed in seeds if not 0 <= seed <= MAX_SEED), None)
+    if bad is not None:
+        raise ConfigurationError(f"--seeds: seed {bad} is outside 0..{MAX_SEED}")
     return seeds
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    """write dataset CSV and partition summary"""
     cfg, run_id = _load(args)
     clients, evals = make_dataset(cfg.corpus, cfg.partition)
     out = Path(cfg.out_dir)
@@ -122,6 +124,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """run the federation (and baseline if enabled)"""
     cfg, run_id = _load(args)
     clients, evals = make_dataset(cfg.corpus, cfg.partition)
     cohort = (cfg.master_seed, clients, evals)
@@ -166,6 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """multi-seed strategy/baseline comparison"""
     cfg, run_id = _load(args)
     seeds = _parse_seeds(args.seeds)
     rows = run_comparison(cfg, seeds)
@@ -186,6 +190,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """re-render summary tables from compare output"""
     cfg, run_id = _load(args)
     out = Path(cfg.out_dir)
     if args.config is not None:

@@ -129,7 +129,6 @@ KEY_TABLE: dict[str, tuple] = {
     "federation.workflow": (_enum_parser(Workflow), Workflow.ACADEMIC),
     "federation.halting_metric": (_enum_parser(HaltingMetric), HaltingMetric.MACRO_F1),
     "federation.halting_threshold": (_parse_float, 0.95),
-    "federation.max_rounds": (_parse_int, None),
     "federation.learning_rate": (_parse_float, 0.0001),
     "federation.momentum": (_parse_float, 0.9),
     "federation.batch_size": (_parse_int, 16),
@@ -202,13 +201,17 @@ def load_config(
     path: str | Path | None = None,
     overrides: dict[str, str] | None = None,
     seed_override: int | None = None,
+    unhashed: frozenset[str] = frozenset(),
 ) -> tuple[RunConfig, str]:
     """Assemble a validated run configuration and its run id, the first 12
     hex digits of a SHA-256 over the canonical resolved key values.
 
     ``overrides`` holds raw flag values keyed like file entries; they replace
     file values before typing. ``seed_override`` (the --seed flag) beats the
-    FEDSEL_SEED environment variable, which beats the file.
+    FEDSEL_SEED environment variable, which beats the file. ``unhashed``
+    names keys whose values cannot reach the caller's outputs: they are still
+    validated, but left out of the run id, so runs that differ only there
+    share one name.
     """
     raw: dict[str, str] = {}
     if path is not None:
@@ -255,18 +258,12 @@ def load_config(
         layer_sizes=(corpus.feature_dim, *values["federation.hidden_layers"], corpus.class_count),
         seed=values["federation.model_seed"],
     )
-    if values["federation.max_rounds"] is None:
-        values["federation.max_rounds"] = values["federation.rounds"]
     halting = HaltingCriterion(
         values["federation.halting_metric"], values["federation.halting_threshold"]
     )
-    for name in ("max_rounds", "rounds"):  # both are hashed, so both must be valid
-        if values[f"federation.{name}"] < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {values[f'federation.{name}']}")
-    industrial = values["federation.workflow"] is Workflow.INDUSTRIAL
     federation = FederationConfig(
         model=model,
-        rounds=values["federation.max_rounds" if industrial else "federation.rounds"],
+        rounds=values["federation.rounds"],
         local_epochs=values["federation.local_epochs"],
         selection_metric=values["federation.selection_metric"],
         aggregation=values["federation.aggregation"],
@@ -284,8 +281,7 @@ def load_config(
     # somewhere else must keep its run_id
     canonical_text = "\n".join(
         f"{key} = {_canonical(values[key])}"
-        for key in sorted(KEY_TABLE)
-        if values[key] is not None and key != "output.dir"
+        for key in sorted(KEY_TABLE.keys() - unhashed - {"output.dir"})
     )
     run_id = hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()[:12]
     cfg = RunConfig(

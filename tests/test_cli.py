@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from fedsel.cli import _parse_seeds, main
-from fedsel.config import SEED_ENV_VAR
+from fedsel.cli import _COMMANDS, _UNREAD, _parse_seeds, main
+from fedsel.config import KEY_TABLE, SEED_ENV_VAR, load_config
 from fedsel.errors import ConfigurationError
 from test_config import FLOAT_KEYS
 
@@ -51,6 +51,10 @@ def test_parse_seeds_forms():
     for bad in ("x", "", "4-1", "1..", ","):
         with pytest.raises(ConfigurationError):
             _parse_seeds(bad)
+    for text, seed in (("-5", -5), ("3,-1", -1), (f"{2**64 - 2}-{2**64}", 2**64)):
+        with pytest.raises(ConfigurationError) as info:
+            _parse_seeds(text)
+        assert str(info.value) == f"--seeds: seed {seed} is outside 0..{2**64 - 1}"
 
 
 def test_generate_writes_dataset_and_summary(tiny_config, tmp_path, capsys):
@@ -97,13 +101,13 @@ def test_run_industrial_halts_and_reports(tiny_config, tmp_path, capsys):
 
 
 def test_rounds_flag_sets_the_industrial_round_count_a_file_sets(tiny_config, tmp_path, capsys):
-    """--rounds sets federation.max_rounds too: an industrial run whose
-    file caps it at 4 rounds, and whose threshold it never meets, runs the
-    2 rounds the flag asks for."""
+    """federation.rounds is the round count of both workflows, and --rounds
+    beats it: an industrial run whose file sets 4 rounds, and whose
+    threshold it never meets, runs the 2 rounds the flag asks for."""
     out = tmp_path / "ind"
     cfg = tiny_config.parent / "ind.cfg"
-    cfg.write_text(TINY + "federation.workflow = industrial\nfederation.max_rounds = 4\n"
-                          "federation.halting_threshold = 1.0\n")
+    cfg.write_text(TINY.replace("federation.rounds = 2", "federation.rounds = 4")
+                   + "federation.workflow = industrial\nfederation.halting_threshold = 1.0\n")
     code = main(["run", "--config", str(cfg), "--rounds", "2", "--out", str(out)])
     assert code == 0
     jsonl = next(out.glob("*.metrics.jsonl"))
@@ -290,11 +294,15 @@ def test_run_with_a_non_finite_float_exits_2(tiny_config, tmp_path, capsys, key,
 
 
 def test_bad_seeds_flag_exits_2(tiny_config, tmp_path, capsys):
-    code = main(
-        ["compare", "--config", str(tiny_config), "--seeds", "4-1", "--out", str(tmp_path)]
-    )
-    assert code == 2
-    assert "--seeds" in capsys.readouterr().err
+    out = tmp_path / "cmp"
+    for seeds, message in (
+        ("4-1", "--seeds range '4-1' is reversed"),
+        ("-5", f"--seeds: seed -5 is outside 0..{2**64 - 1}"),
+    ):
+        argv = ["compare", "--config", str(tiny_config), f"--seeds={seeds}", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_repeated_seed_exits_2(tiny_config, tmp_path, capsys):
@@ -325,3 +333,118 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+# The keys each command reads, stated apart from cli._UNREAD: a dataset
+# depends only on the corpus and the partition; compare (and report, which
+# reads what compare wrote) runs both strategies and the baselines on the
+# corpus and master seeds that --seeds names.
+COMPARE_UNREAD = {
+    "corpus.seed", "federation.strategy", "federation.master_seed", "baseline.enabled",
+}
+READS = {
+    "generate": lambda key: key.startswith(("corpus.", "partition.")),
+    "run": lambda key: True,
+    "compare": lambda key: key not in COMPARE_UNREAD,
+    "report": lambda key: key not in COMPARE_UNREAD,
+}
+
+# a valid value other than the default, for every key but output.dir
+OTHER_VALUE = {
+    "corpus.class_count": "4",
+    "corpus.feature_dim": "8",
+    "corpus.per_class_train": "40",
+    "corpus.per_class_val": "10",
+    "corpus.per_class_test": "10",
+    "corpus.class_separation": "3.0",
+    "corpus.noise_scale": "2.0",
+    "corpus.shift_magnitude": "1.0",
+    "corpus.seed": "5",
+    "partition.client_count": "3",
+    "partition.missing_class": "0:2, 1:4, 2:3, 3:1",
+    "federation.rounds": "3",
+    "federation.local_epochs": "4",
+    "federation.strategy": "oews",
+    "federation.selection_metric": "val_loss",
+    "federation.aggregation": "weighted",
+    "federation.workflow": "industrial",
+    "federation.halting_metric": "accuracy",
+    "federation.halting_threshold": "0.8",
+    "federation.learning_rate": "0.01",
+    "federation.momentum": "0.5",
+    "federation.batch_size": "8",
+    "federation.master_seed": "4",
+    "federation.hidden_layers": "24,12",
+    "federation.model_seed": "9",
+    "baseline.enabled": "true",
+    "baseline.max_epochs": "50",
+    "baseline.patience": "10",
+    "baseline.learning_rate": "0.01",
+    "baseline.momentum": "0.5",
+    "baseline.batch_size": "8",
+}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_TABLE.keys() - {"output.dir"}))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_command_s_run_id_moves_with_exactly_the_keys_it_reads(command, key):
+    """A key the command does not read leaves its run_id alone, so one
+    output keeps one name; a key it reads moves it, so two different
+    outputs never share a name."""
+    unhashed = _UNREAD[command]
+    before = load_config(unhashed=unhashed)[1]
+    after = load_config(overrides={key: OTHER_VALUE[key]}, unhashed=unhashed)[1]
+    assert (after != before) == READS[command](key)
+
+
+def test_compare_runs_that_differ_only_in_keys_it_does_not_read_write_one_csv(
+    tiny_config, tmp_path, monkeypatch, capsys
+):
+    """Six compare runs whose configs differ only in keys compare does not
+    read write one CSV under one name, and report can summarize it."""
+    out = tmp_path / "cmp"
+    cfg = tmp_path / "run.cfg"
+
+    def compare(line: str = "") -> bytes:
+        cfg.write_text(TINY + line + "\n")
+        argv = ["compare", "--config", str(cfg), "--seeds", "1", "--rounds", "1", "--epochs", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        return next(out.glob("*.compare.csv")).read_bytes()
+
+    first = compare()
+    for line in ("federation.strategy = oews", "corpus.seed = 5", "baseline.enabled = true",
+                 "federation.master_seed = 4"):
+        assert compare(line) == first
+    monkeypatch.setenv(SEED_ENV_VAR, "9")
+    assert compare() == first
+    assert len(list(out.glob("*.compare.csv"))) == 1
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+
+
+# the flags each command takes: those whose keys it reads
+FLAGS = {
+    "generate": {"--config", "--out"},
+    "run": {"--config", "--seed", "--out", "--strategy", "--workflow", "--rounds", "--epochs"},
+    "compare": {"--config", "--out", "--workflow", "--rounds", "--epochs", "--seeds"},
+    "report": {"--config", "--out", "--workflow", "--rounds", "--epochs"},
+}
+FLAG_VALUES = {
+    "--config": "run.cfg", "--seed": "3", "--out": "o", "--strategy": "oews",
+    "--workflow": "industrial", "--rounds": "2", "--epochs": "1", "--seeds": "1",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_a_command_takes_only_the_flags_of_the_keys_it_reads(command, flag, monkeypatch, capsys):
+    """main parses the flags; the command itself does not run here."""
+    monkeypatch.setitem(_COMMANDS, command, lambda args: 0)
+    argv = [command, flag, FLAG_VALUES[flag]]
+    if flag in FLAGS[command]:
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from fedsel.aggregation import AggregationKind
+from fedsel.cli import _UNREAD
 from fedsel.config import KEY_TABLE, SEED_ENV_VAR, load_config, parse_config_text
 from fedsel.data import CorpusSpec
 from fedsel.errors import ConfigurationError
@@ -12,7 +13,7 @@ from fedsel.presets import PRESETS, preset_run_config
 from fedsel.strategies import SelectionMetric, StrategyKind
 from test_golden import INDUSTRIAL, SHORT
 
-DEFAULT_RUN_ID = "f473121e08d5"
+DEFAULT_RUN_ID = "32607ac04582"
 
 FLOAT_KEYS = [
     "corpus.noise_scale",
@@ -35,7 +36,7 @@ def test_defaults_without_any_file(monkeypatch):
     assert cfg.strategy is StrategyKind.FEWS
     assert cfg.federation.workflow is Workflow.ACADEMIC
     assert cfg.federation.model.layer_sizes == (16, 32, 5)
-    # the industrial round count, federation.max_rounds, falls back to rounds
+    # federation.rounds is the round count of both workflows
     industrial = load_config(overrides={"federation.workflow": "industrial"})[0]
     assert industrial.federation.rounds == 5
     assert cfg.baseline.max_epochs == 100
@@ -58,7 +59,7 @@ federation.selection_metric = val_loss
 federation.aggregation = weighted
 federation.workflow = industrial
 federation.halting_threshold = 0.8
-federation.max_rounds = 9
+federation.rounds = 9
 federation.hidden_layers = 12,7
 output.dir = results
 """
@@ -72,7 +73,7 @@ output.dir = results
     assert cfg.federation.aggregation is AggregationKind.WEIGHTED
     assert cfg.federation.workflow is Workflow.INDUSTRIAL
     assert cfg.federation.halting.threshold == 0.8
-    assert cfg.federation.rounds == 9  # the industrial workflow runs max_rounds
+    assert cfg.federation.rounds == 9
     assert cfg.federation.model.layer_sizes == (8, 12, 7, 3)
     assert cfg.out_dir == "results"
     # the strategy is part of the hashed content
@@ -107,22 +108,18 @@ def test_bad_value_names_key():
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"federation.max_rounds": "0"}, "max_rounds must be >= 1, got 0"),
-        (
-            {"federation.workflow": "industrial", "federation.rounds": "0",
-             "federation.max_rounds": "3"},
-            "rounds must be >= 1, got 0",
-        ),
+        ({"federation.rounds": "0"}, "rounds must be >= 1, got 0"),
         (
             {"federation.workflow": "industrial", "federation.rounds": "0"},
-            "max_rounds must be >= 1, got 0",
+            "rounds must be >= 1, got 0",
         ),
+        ({"federation.max_rounds": "3"}, "unknown config key 'federation.max_rounds'"),
     ],
-    ids=["academic_max_rounds", "industrial_rounds", "industrial_defaulted_max_rounds"],
+    ids=["academic_rounds", "industrial_rounds", "max_rounds_is_unknown"],
 )
 def test_a_round_count_below_one_is_rejected_whichever_workflow_reads_it(overrides, message):
-    """Both round counts are hashed into the run_id, so each must be at
-    least 1 even where the workflow runs the other one."""
+    """federation.rounds is the one round count: both workflows reject 0,
+    and the old industrial key, federation.max_rounds, is unknown."""
     with pytest.raises(ConfigurationError) as info:
         load_config(overrides=overrides)
     assert str(info.value) == message
@@ -234,21 +231,22 @@ def test_run_id_stable_across_processes(tmp_path):
 
 def test_run_ids_pinned_across_versions(monkeypatch):
     """run_ids name the files a run writes, so a change to the canonical
-    form of any key must not move them."""
+    form of any key must not move them. generate and compare hash only the
+    keys they read."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert load_config()[1] == DEFAULT_RUN_ID
-    assert load_config(overrides=INDUSTRIAL)[1] == "6b290075120d"
-    assert load_config(overrides=SHORT)[1] == "f19845582c93"
+    assert load_config(overrides=INDUSTRIAL)[1] == "b74a88788033"
+    assert load_config(overrides=SHORT)[1] == "41b15e6807b4"
+    assert load_config(unhashed=_UNREAD["generate"])[1] == "22dd91ca8541"
+    assert load_config(unhashed=_UNREAD["compare"])[1] == "d856e4717445"
 
 
 def test_every_key_has_parser_and_canonical_default(monkeypatch):
     for key, (parser, default) in KEY_TABLE.items():
         assert callable(parser), key
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    # keys whose None default is resolved are hashed as resolved, so writing
+    # a key whose None default is resolved is hashed as resolved, so writing
     # the resolved value out keeps the run_id, and another value moves it
-    assert load_config(overrides={"federation.max_rounds": "5"})[1] == DEFAULT_RUN_ID
-    assert load_config(overrides={"federation.max_rounds": "6"})[1] != DEFAULT_RUN_ID
     rotation = {"partition.missing_class": "0:1, 1:4, 2:3, 3:2"}
     assert load_config(overrides=rotation)[1] == DEFAULT_RUN_ID
     rotation = {"partition.missing_class": "0:2, 1:4, 2:3, 3:1"}

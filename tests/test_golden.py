@@ -64,7 +64,7 @@ INDUSTRIAL = {
     "federation.learning_rate": "0.03",
     "federation.local_epochs": "4",
     "federation.halting_threshold": "0.8",
-    "federation.max_rounds": "4",
+    "federation.rounds": "4",
     "federation.master_seed": "5",
 }
 

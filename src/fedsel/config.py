@@ -8,7 +8,8 @@ named, so a typo fails fast instead of silently falling back to a default.
 
 Seed precedence: an explicit --seed flag beats the FEDSEL_SEED environment
 variable, which beats ``federation.master_seed`` in the file, which beats the
-default of 0.
+default of 0. FEDSEL_SEED is read only where the master seed is: of the
+commands, by ``fedsel run`` alone.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def load_config(
     FEDSEL_SEED environment variable, which beats the file. ``unhashed``
     names keys whose values cannot reach the caller's outputs: they are still
     validated, but left out of the run id, so runs that differ only there
-    share one name.
+    share one name. FEDSEL_SEED is read only when ``unhashed`` does not name
+    ``federation.master_seed``, so only ``fedsel run`` rejects a bad value.
     """
     raw: dict[str, str] = {}
     if path is not None:
@@ -233,9 +235,14 @@ def load_config(
     seed_source = "federation.master_seed"  # what a range error names
     if seed_override is not None:
         values["federation.master_seed"] = seed_override
-    elif SEED_ENV_VAR in os.environ:
+    elif SEED_ENV_VAR in os.environ and "federation.master_seed" not in unhashed:
         seed_source = SEED_ENV_VAR
-        values["federation.master_seed"] = _parse_int(SEED_ENV_VAR, os.environ[SEED_ENV_VAR])
+        try:
+            values["federation.master_seed"] = int(os.environ[SEED_ENV_VAR])
+        except ValueError:
+            raise ConfigurationError(
+                f"{SEED_ENV_VAR}: expected an integer, got {os.environ[SEED_ENV_VAR]!r}"
+            ) from None
     if not 0 <= values["federation.master_seed"] <= MAX_SEED:
         raise ConfigurationError(f"{seed_source} must fit in 64 unsigned bits")
 

@@ -231,14 +231,14 @@ def train_epoch(
     train_x: Sequence[np.ndarray],
     train_y: Sequence[np.ndarray],
     rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
+) -> None:
     """One epoch of R models at once, updating the (R, P) ``weights`` and
     ``velocity`` in place. Row r trains on its own n samples (train_x[r],
     train_y[r]), in the order ``rngs[r].permutation(n)`` draws, with one
     classical momentum step per mini-batch (v' = momentum*v + grad;
     w' = w - lr*v'); the final partial batch is trained, not dropped. The
     data may be (R, n, d) and (R, n) arrays or R arrays of one size each.
-    Returns the (R,) mask of rows whose weights are all finite.
+    Non-finite weights are not checked: a row that overflows trains on.
 
     Each row's bits equal an epoch of that row alone: the rows' shuffled
     data is gathered into one (R, m, d) stack a window of m samples at a
@@ -304,7 +304,6 @@ def train_epoch(
             # the gradient is spent: its buffer holds the step
             np.multiply(velocity, optimizer.learning_rate, out=grad)
             weights -= grad
-    return np.isfinite(weights).all(axis=1)
 
 
 def weights_text(params: ParameterVector) -> str:

@@ -249,21 +249,21 @@ def train_stacked(
     ``visit(row, epoch, weights, scores)`` gets them, in epoch order: it
     returns the row's horizon, the fewest further epochs the row is sure to
     train (0 stops it), or raises to fail it. ``horizon`` is every row's
-    horizon before its first epoch. A row whose weights turn non-finite,
-    or whose validation loss is not finite, fails with a DataError naming
-    its label and the epoch; at each epoch the weights are checked first,
-    then the loss, then ``visit`` runs, and a row's earliest failure is the
-    one it reports. A row that stops or fails leaves its stack, which is
-    compacted. Returns, per row, the exception that failed it, or None.
+    horizon before its first epoch. A row whose validation loss is not
+    finite, or whose weights turn non-finite, fails with a DataError naming
+    its label and the epoch; a row's earliest failure is the one it reports,
+    and at one epoch non-finite weights come first, then the loss, then
+    ``visit``. Returns, per row, the exception that failed it, or None.
 
     A stack trains a window of epochs, as many as its live rows' least
     horizon, the epochs left and ``nn.GATHER_VALUES`` values of snapshots
-    allow (at least one), and then scores every epoch of the window in one
-    ``score`` call. So a surviving row trains exactly the epochs it would
-    if scored after every epoch. A row whose loss or ``visit`` fails it
+    allow (at least one). Every live row trains the whole window; then each
+    row's epochs before its first non-finite weights are scored in one
+    ``score`` call and visited, and the rows that stopped or failed leave
+    the stack, which is compacted once. So a surviving row trains exactly
+    the epochs it would if scored after every epoch. A row that fails
     mid-window trains on to the window's end: that work is wasted, and
-    changes no other row. A row whose weights turn non-finite leaves the
-    stack at once.
+    changes no other row.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
@@ -292,27 +292,17 @@ def train_stacked(
             count, size = weights.shape
             window = min(int(horizons.min()), epochs - done, _window_cap(count, size))
             snapshots = np.empty((window, count, size))
-            # per live row: the window epoch whose weights first turned
-            # non-finite (``window`` if none), and the rows still training
-            broken = np.full(count, window)
-            training = np.arange(count)
             for k in range(window):
-                trainees = live[training]
-                finite = train_epoch(
+                train_epoch(
                     weights, velocity, model, optimizer,
-                    [rows[i][1].x for i in trainees], [rows[i][1].y for i in trainees],
-                    [rows[i][3] for i in trainees],
+                    [rows[i][1].x for i in live], [rows[i][1].y for i in live],
+                    [rows[i][3] for i in live],
                 )
-                snapshots[k, training] = weights
-                if not finite.all():
-                    broken[training[~finite]] = k
-                    training = training[finite]
-                    weights, velocity = weights[finite], velocity[finite]
-                    if not len(training):
-                        break
+                snapshots[k] = weights
 
-            # every (epoch, row) with finite weights, epoch-major, in one call
-            scorable = np.arange(window)[:, None] < broken
+            # each row's epochs before its first non-finite weights, scored
+            # epoch-major in one call
+            scorable = np.logical_and.accumulate(np.isfinite(snapshots).all(axis=2), axis=0)
             cells = np.argwhere(scorable)  # (epoch, row) pairs in ``flat``'s order
             flat = snapshots.reshape(-1, size) if scorable.all() else snapshots[scorable]
             val = [rows[i][2] for i in live[cells[:, 1]]]
@@ -332,18 +322,16 @@ def train_stacked(
                 except Exception as exc:
                     errors[i] = exc
                     ended[j] = True
-            for j in np.flatnonzero((broken < window) & ~ended):
+            for j in np.flatnonzero(~scorable[-1] & ~ended):
                 i = int(live[j])
-                epoch = done + int(broken[j]) + 1
+                epoch = done + int(scorable[:, j].sum()) + 1
                 errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
                 ended[j] = True
             done += window
             del snapshots, flat  # free this window's buffer before the next one's
             if ended.any():
-                # the rows that go on trained the whole window: all are in ``training``
-                kept = ~ended[training]
                 live, horizons = live[~ended], horizons[~ended]
-                weights, velocity = weights[kept], velocity[kept]
+                weights, velocity = weights[~ended], velocity[~ended]
     return errors
 
 

@@ -335,11 +335,12 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, visit) -> list[Excep
         weights = np.stack([rows[i][0].values for i in live])
         velocity = np.zeros_like(weights)
         for epoch in range(1, epochs + 1):
-            finite = strategies.train_epoch(
+            strategies.train_epoch(
                 weights, velocity, model, optimizer,
                 [rows[i][1].x for i in live], [rows[i][1].y for i in live],
                 [rows[i][3] for i in live],
             )
+            finite = np.isfinite(weights).all(axis=1)
             for i in live[~finite]:
                 errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
             live, weights, velocity = live[finite], weights[finite], velocity[finite]
@@ -378,11 +379,10 @@ def rescored(change: Callable[[np.random.Generator, int, Scores], Scores]):
     trained: dict[bytes, tuple[np.random.Generator, int]] = {}
 
     def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
-        finite = real_epoch(weights, velocity, model, optimizer, x, y, rngs)
+        real_epoch(weights, velocity, model, optimizer, x, y, rngs)
         for row, rng in zip(weights, rngs):
             epochs[rng] = epochs.get(rng, 0) + 1
             trained[row.tobytes()] = (rng, epochs[rng])
-        return finite
 
     def score(weights, *args):
         result = real_score(weights, *args)

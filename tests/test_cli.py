@@ -143,6 +143,27 @@ def test_seed_flag_and_env_agree(tiny_config, tmp_path, monkeypatch, capsys):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("eleven", f"{SEED_ENV_VAR}: expected an integer, got 'eleven'"),
+    ("-4", f"{SEED_ENV_VAR} must fit in 64 unsigned bits"),
+])
+def test_only_run_reads_the_env_seed(tiny_config, tmp_path, monkeypatch, capsys, raw, message):
+    """generate, compare and report do not read the master seed, so a
+    FEDSEL_SEED that run would reject changes none of their files; run
+    exits 2 and names the variable."""
+    def outputs(out):
+        for argv in (["generate"], ["compare", "--seeds", "1"], ["report"]):
+            assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    plain = outputs(tmp_path / "plain")
+    monkeypatch.setenv(SEED_ENV_VAR, raw)
+    assert outputs(tmp_path / "env") == plain
+    capsys.readouterr()
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_repeat_runs_are_byte_identical(tiny_config, tmp_path, capsys):
     out_a = tmp_path / "first"
     out_b = tmp_path / "second"

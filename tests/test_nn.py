@@ -182,8 +182,7 @@ def _epoch(params, spec, cfg, velocity, x, y, rng):
     """One epoch of ``train_epoch`` at R = 1 on copies; returns the new
     weights and velocity as flat arrays."""
     weights, velocity = params.values[None].copy(), velocity[None].copy()
-    finite = train_epoch(weights, velocity, spec, cfg, x[None], y[None], [rng])
-    assert finite.tolist() == [bool(np.isfinite(weights).all())]
+    assert train_epoch(weights, velocity, spec, cfg, x[None], y[None], [rng]) is None
     return weights[0], velocity[0]
 
 
@@ -233,7 +232,8 @@ def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_si
     ref_p, ref_s = params, init_optimizer(params, cfg)
     for epoch in range(3):
         held = weights
-        assert train_epoch(weights, velocity, spec, cfg, x, y, [np.random.default_rng(epoch)])
+        train_epoch(weights, velocity, spec, cfg, x, y, [np.random.default_rng(epoch)])
+        assert np.isfinite(weights).all(axis=1).all()
         ref_p, ref_s, _ = reference_epoch(ref_p, spec, ref_s, x[0], y[0], np.random.default_rng(epoch))
         assert (weights[0] == ref_p.values).all()
         assert (velocity[0] == ref_s.velocity.values).all()

@@ -482,7 +482,7 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
         def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
             for rng in rngs:
                 trained[row_of[rng]] += 1
-            return real_epoch(weights, velocity, model, optimizer, x, y, rngs)
+            real_epoch(weights, velocity, model, optimizer, x, y, rngs)
 
         with np.errstate(all="ignore"), \
                 mock.patch.object(strategies, "_window_cap", lambda rows, size: cap), \
@@ -497,6 +497,68 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
     assert windowed[:3] == per_epoch[:3]
     for ok, a, b in zip(windowed[2], windowed[3], per_epoch[3]):
         assert not ok or a == b
+
+
+def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
+    """Two rows train as one stack in one 5-epoch window. One row's train
+    split is scaled so that its weights overflow partway through; it still
+    trains every epoch of the window, beside the other row, but is visited
+    only for the epochs before its first non-finite weights and fails at
+    that epoch. The finite row's ``visit`` calls (epoch, weight bytes and
+    the repr of the scores) equal those of its run alone."""
+    spec = ModelSpec(layer_sizes=(3, 4, 3))
+    opt = OptimizerConfig(learning_rate=0.05, batch_size=2)
+    gen = np.random.default_rng(0)
+
+    def split(scale):
+        return Split(gen.standard_normal((6, 3)) * scale, gen.integers(0, 3, 6), np.arange(6))
+
+    start = init_parameters(spec)
+    data = {"finite": (split(1.0), split(1.0)), "overflowing": (split(1e20), split(1.0))}
+
+    def run(labels):
+        rows = [(start, *data[label], np.random.default_rng(seed), label)
+                for seed, label in enumerate(data) if label in labels]
+        visits = {label: [] for label in labels}
+        stacks = []  # the rows each train_epoch call trained
+        real_epoch = strategies.train_epoch
+
+        def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
+            stacks.append(len(rngs))
+            real_epoch(weights, velocity, model, optimizer, x, y, rngs)
+
+        def visit(i, epoch, weights, scores):
+            visits[rows[i][4]].append((epoch, weights.tobytes(), repr(scores)))
+            return 5 - epoch
+
+        with np.errstate(all="ignore"), \
+                mock.patch.object(strategies, "_window_cap", lambda rows, size: 10**6), \
+                mock.patch.object(strategies, "train_epoch", train_epoch):
+            errors = strategies.train_stacked(rows, spec, opt, 5, 5, visit)
+        return visits, {row[4]: None if e is None else str(e) for row, e in zip(rows, errors)}, stacks
+
+    # the overflowing row's first epoch with non-finite weights, trained alone
+    weights, velocity = start.values[None].copy(), np.zeros((1, len(start)))
+    rng, overflow = np.random.default_rng(1), None
+    train_x, train_y = data["overflowing"][0].x[None], data["overflowing"][0].y[None]
+    with np.errstate(all="ignore"):
+        for epoch in range(1, 6):
+            train_epoch(weights, velocity, spec, opt, train_x, train_y, [rng])
+            if overflow is None and not np.isfinite(weights).all():
+                overflow = epoch
+    assert overflow is not None and 1 < overflow < 5
+
+    visits, errors, stacks = run(("finite", "overflowing"))
+    assert stacks == [2] * 5
+    assert errors == {
+        "finite": None,
+        "overflowing": f"overflowing epoch {overflow}: weights are not finite",
+    }
+    assert [epoch for epoch, *_ in visits["overflowing"]] == list(range(1, overflow))
+    alone, alone_errors, _ = run(("finite",))
+    assert alone_errors == {"finite": None}
+    assert visits["finite"] == alone["finite"]
+    assert [epoch for epoch, *_ in alone["finite"]] == [1, 2, 3, 4, 5]
 
 
 def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):

@@ -23,7 +23,8 @@ clients, evals = make_dataset(spec, partition)
 # tell apart unless noise_scale drowns the geometry.
 dirs = class_directions(spec.class_count, spec.feature_dim)
 print("pairwise center dot products (should be ~0 off the diagonal):")
-print(np.round(dirs @ dirs.T, 3))
+# adding 0.0 turns a rounded -0.0 into 0.0, which prints the same on every CPU
+print(np.round(dirs @ dirs.T, 3) + 0.0)
 print()
 
 # The label skew: every client is missing one class in train/val but sees

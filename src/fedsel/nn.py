@@ -223,6 +223,7 @@ class OptimizerConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_epoch(
     weights: np.ndarray,
     velocity: np.ndarray,
@@ -238,7 +239,8 @@ def train_epoch(
     classical momentum step per mini-batch (v' = momentum*v + grad;
     w' = w - lr*v'); the final partial batch is trained, not dropped. The
     data may be (R, n, d) and (R, n) arrays or R arrays of one size each.
-    Non-finite weights are not checked: a row that overflows trains on.
+    Non-finite weights are not checked: a row that overflows trains on,
+    without numpy's overflow and invalid-value warnings.
 
     Each row's bits equal an epoch of that row alone: the rows' shuffled
     data is gathered into one (R, m, d) stack a window of m samples at a

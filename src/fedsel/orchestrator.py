@@ -12,11 +12,13 @@ Per-client RNG streams are child streams of the master seed keyed by
 (round, client_id), so no client's result depends on which other clients
 train beside it, and one client run yields the epochs both strategies ship.
 So one seed's federations of one recipe under several strategies, a
-cohort, run in lockstep: each round, every distinct client run is trained
-once, keyed by client id and incoming weights, and the cohort's federations
-advance together, each scoring pass one ``score_params`` call over all of
-them. Cohorts, one per campaign seed, also run in lockstep: each round, the
-distinct client runs of every cohort train first, as one stack.
+cohort, run in lockstep: each round, the federations whose weights are
+bitwise equal form a branch, each branch trains each client once, and the
+cohort's federations advance together, each scoring pass one
+``score_params`` call over all of them. Cohorts, one per campaign seed,
+also run in lockstep: each round, the client runs of every branch of every
+cohort train first, as one ``train_local`` call whose outcomes come back
+in row order.
 """
 
 from __future__ import annotations
@@ -125,29 +127,31 @@ class _Lockstep:
 def _round(
     cfg: FederationConfig,
     t: int,
-    runs: list[_Lockstep],
+    runs: list[tuple[_Lockstep, list]],
     clients: list[ClientDataset],
     evals: EvalSets,
-    picks: dict,
 ) -> None:
     """Round ``t`` of a cohort's live federations, each running ``cfg``
-    with its own strategy. A run finds its client runs' picks, or the error
-    that failed them, in ``picks`` (``_train_missing``); a failed client run
-    or aggregation ends that run. Each scoring pass is one ``score_params``
-    call over every run: per client test split (industrial) or on the
-    global test set (academic). A pass that raises fails the round."""
+    with its own strategy. Each comes paired with its branch's client
+    outcomes, in client order: a client's picks, or the error that failed
+    its run. A failed client run ends the federation with a ProtocolError
+    naming the client and the round, a failed aggregation with its own
+    error. Each scoring pass is one ``score_params`` call over every
+    federation: per client test split (industrial) or on the global test
+    set (academic). A pass that raises fails the round."""
     industrial = cfg.workflow is Workflow.INDUSTRIAL
     if industrial:
-        incoming = [score_params([run.params for run in runs], cfg.model, c.test) for c in clients]
+        incoming = [score_params([run.params for run, _ in runs], cfg.model, c.test)
+                    for c in clients]
     advanced = []
-    for i, run in enumerate(runs):
-        weights = run.params.values.tobytes()
+    for i, (run, outcomes) in enumerate(runs):
         try:
             results = []
-            for c in clients:
-                outcome = picks[c.client_id, weights]
+            for c, outcome in zip(clients, outcomes):
                 if isinstance(outcome, Exception):
-                    raise outcome
+                    raise ProtocolError(
+                        f"client {c.client_id} failed in round {t}: {outcome}"
+                    ) from outcome
                 results.append(outcome[run.strategy])
             updates = [
                 ClientUpdate(c.client_id, r.selected_params, len(c.train))
@@ -188,13 +192,15 @@ def run_federations(
 
     A cohort is one seed's master seed, clients and evaluation sets. Each
     federation runs ``cfg`` with its own strategy, from ``strategies``, and
-    its cohort's master seed. Each round, the client runs of every cohort
-    train as one ``train_local`` call; a cohort's runs are keyed by client
-    id and incoming weights, so its federations whose global weights are
-    bitwise equal train each client once. Then each cohort's live federations
-    advance together through one ``_round`` call, which scores them all in
-    one ``score_params`` pass per split. Cohorts share no client run: they
-    start from the same weights, but train on their own data and streams.
+    its cohort's master seed. Each round, a cohort's live federations whose
+    global weights are bitwise equal form one branch, which trains each
+    client once. The client runs of every branch of every cohort train as
+    one ``train_local`` call, its rows in cohort, then branch, then client
+    order, and each branch reads its outcomes back by position. Then each
+    cohort's live federations advance together through one ``_round``
+    call, which scores them all in one ``score_params`` pass per split.
+    Cohorts share no client run: they start from the same weights, but
+    train on their own data and streams.
     Each runs ``cfg.rounds`` rounds, or, in the industrial flow, stops on
     its own after its first ``halted`` record. Every result is bitwise what
     a federation run alone produces.
@@ -218,56 +224,45 @@ def run_federations(
     init = init_parameters(cfg.model)
     runs = [[_Lockstep(StrategyKind(s), init) for s in strategies] for _ in cohorts]
     for t in range(1, cfg.rounds + 1):
-        live = [[r for r in cohort if r.error is None and not (r.records and r.records[-1].halted)]
-                for cohort in runs]
-        picks = _train_missing(cfg, t, cohorts, live)
-        for (_, clients, evals), cohort, cohort_picks in zip(cohorts, live, picks):
-            if not cohort:
+        # each cohort's live federations in branches of bitwise-equal weights
+        branches = []
+        for cohort in runs:
+            keys, groups = [], []
+            for run in cohort:
+                if run.error is None and not (run.records and run.records[-1].halted):
+                    weights = run.params.values.tobytes()
+                    if weights not in keys:
+                        keys.append(weights)
+                        groups.append([])
+                    groups[keys.index(weights)].append(run)
+            branches.append(groups)
+        rows = [
+            (branch[0].params, c, client_stream(seed, t, c.client_id))
+            for (seed, clients, _), groups in zip(cohorts, branches)
+            for branch in groups
+            for c in clients
+        ]
+        if not rows:
+            break  # every federation has ended
+        outcomes = iter(train_local(
+            rows, cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
+        ))
+        for (_, clients, evals), groups in zip(cohorts, branches):
+            paired = []
+            for branch in groups:
+                results = [next(outcomes) for _ in clients]
+                paired += [(run, results) for run in branch]
+            if not paired:
                 continue
             try:
-                _round(cfg, t, cohort, clients, evals, cohort_picks)
+                _round(cfg, t, paired, clients, evals)
             except Exception as exc:
-                for run in cohort:
+                for run, _ in paired:
                     run.error = run.error or exc
     return [
         [r.error if r.error is not None else (r.records, r.params) for r in cohort]
         for cohort in runs
     ]
-
-
-def _train_missing(
-    cfg: FederationConfig,
-    t: int,
-    cohorts: list[Cohort],
-    live: list[list[_Lockstep]],
-) -> list[dict]:
-    """Train every distinct client run of round ``t`` that the live
-    federations of each cohort start, in one ``train_local`` call, so runs
-    of equal size share one stack whatever their cohort. Each run draws
-    from its cohort's client stream. Returns, per cohort, each run's picks
-    keyed by (client id, incoming weights), or, for a run that failed, a
-    ProtocolError naming its client and the round."""
-    rows = {}
-    for i, ((seed, clients, _), cohort) in enumerate(zip(cohorts, live)):
-        for run in cohort:
-            weights = run.params.values.tobytes()
-            for c in clients:
-                if (i, c.client_id, weights) not in rows:
-                    stream = client_stream(seed, t, c.client_id)
-                    rows[i, c.client_id, weights] = (run.params, c, stream)
-    picks: list[dict] = [{} for _ in cohorts]
-    if not rows:
-        return picks
-    outcomes = train_local(
-        list(rows.values()), cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
-    )
-    for (i, client_id, weights), outcome in zip(rows, outcomes):
-        if isinstance(outcome, Exception):
-            error = ProtocolError(f"client {client_id} failed in round {t}: {outcome}")
-            error.__cause__ = outcome
-            outcome = error
-        picks[i][client_id, weights] = outcome
-    return picks
 
 
 def run_federation(

@@ -17,11 +17,10 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import RunConfig
-from .data import ClientDataset, EvalSets, make_dataset, merge_for_centralized
+from .data import EvalSets, make_dataset, merge_for_centralized
 from .errors import ConfigurationError, DataError
 from .nn import ParameterVector
 from .orchestrator import (
-    CentralizedResult,
     atomic_write_text,
     baseline_stream,
     run_baselines,
@@ -57,18 +56,30 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
 
     The seeds run in lockstep. Every seed's local-client and pooled
     baselines train in one ``run_baselines`` call, so the equal-size local
-    clients of all seeds share a stack. Every seed's two federations run in
-    one ``run_federations`` call, a cohort per seed, so each round's client
-    runs of all seeds share a stack too. A failure stays inside its seed.
-    A seed's final weights are scored by one ``score_params`` call per
-    test set."""
+    clients of all seeds share a stack; its results come back in row order,
+    K local rows and then the pooled row per seed. Every seed's two
+    federations run in one ``run_federations`` call, a cohort per seed, so
+    each round's client runs of all seeds share a stack too. A failure
+    stays inside its seed. A seed's final weights are scored by one
+    ``score_params`` call per test set."""
     if not seeds:
         raise ConfigurationError("comparison needs at least one seed")
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         raise ConfigurationError(f"comparison seeds must be distinct; seed {repeated} is repeated")
     datasets = [make_dataset(replace(cfg.corpus, seed=seed), cfg.partition) for seed in seeds]
-    baselines = _baselines(cfg, seeds, datasets)
+    baselines = []
+    for seed, (clients, _) in zip(seeds, datasets):
+        baselines += [
+            (f"client {c.client_id}", c.train, c.val, baseline_stream(seed, tag=c.client_id + 1))
+            for c in clients
+        ]
+        baselines.append(("centralized", *merge_for_centralized(clients), baseline_stream(seed)))
+    try:
+        results = iter(run_baselines(cfg.baseline, baselines, cfg.federation.model))
+    except Exception as exc:
+        results = iter([exc] * len(baselines))
+    del baselines  # the pooled copies live only as long as the call
     strategies = [StrategyKind.FEWS, StrategyKind.OEWS]
     cohorts = [(seed, clients, evals) for seed, (clients, evals) in zip(seeds, datasets)]
     try:
@@ -77,43 +88,14 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
         federations = [[exc] * len(strategies) for _ in cohorts]
 
     rows: list[ComparisonRow] = []
-    for seed, (clients, evals), results, outcomes in zip(seeds, datasets, baselines, federations):
+    for seed, (clients, evals), outcomes in zip(seeds, datasets, federations):
         variants = [f"local_client_{c.client_id}" for c in clients] + ["centralized"]
+        trained = [next(results) for _ in variants]
+        trained = [r if isinstance(r, Exception) else r.params for r in trained]
         variants += [f"fl_{strategy.value}" for strategy in strategies]
-        trained = [r if isinstance(r, Exception) else r.params for r in results]
         trained += [o if isinstance(o, Exception) else o[1] for o in outcomes]
         rows += _score_seed(seed, zip(variants, trained), cfg.federation.model, evals)
     return rows
-
-
-def _baselines(
-    cfg: RunConfig, seeds: list[int], datasets: list[tuple[list[ClientDataset], EvalSets]]
-) -> list[list[CentralizedResult | Exception]]:
-    """Per seed, the results of its local-client baselines and then of its
-    pooled baseline, every seed's trained in one ``run_baselines`` call. A
-    seed whose clients cannot be pooled fails all of its baselines with
-    that error. The pooled copies live only as long as the call."""
-    per_seed = []
-    for seed, (clients, _) in zip(seeds, datasets):
-        rows = [
-            (f"client {c.client_id}", c.train, c.val, baseline_stream(seed, tag=c.client_id + 1))
-            for c in clients
-        ]
-        try:
-            pooled = merge_for_centralized(clients)
-            rows.append(("centralized", *pooled, baseline_stream(seed, tag=0)))
-        except Exception as exc:
-            rows = [exc] * (len(clients) + 1)
-        per_seed.append(rows)
-    trainable = [row for rows in per_seed for row in rows if not isinstance(row, Exception)]
-    try:
-        results = iter(run_baselines(cfg.baseline, trainable, cfg.federation.model))
-    except Exception as exc:
-        results = iter([exc] * len(trainable))
-    return [
-        [row if isinstance(row, Exception) else next(results) for row in rows]
-        for rows in per_seed
-    ]
 
 
 def _score_seed(

@@ -127,6 +127,7 @@ class Scores:
 SCORE_VALUES = 1 << 14
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def score(
     weights: np.ndarray,
     model: ModelSpec,
@@ -137,7 +138,9 @@ def score(
     the (R, P) ``weights`` on its own split (x[r], y[r]); the splits may be
     (R, n, d) and (R, n) arrays or R arrays of one size each. The labels
     are checked once, by ``nn.check_split``'s rule: integral floats pass,
-    and a label out of range is a DataError. No rows score as ``[]``.
+    and a label out of range is a DataError. No rows score as ``[]``. A row
+    whose forward pass overflows scores a non-finite loss, without numpy's
+    warnings: the callers name it.
 
     Rows go through batched forward passes of as many rows as keep each
     activation within ``SCORE_VALUES`` values, at least one. Each pass's

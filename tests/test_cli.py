@@ -302,6 +302,20 @@ def test_report_without_compare_output_fails(tmp_path, capsys):
     assert "run compare first" in capsys.readouterr().err
 
 
+def test_a_run_whose_weights_overflow_exits_1_with_one_clean_line(tiny_config, tmp_path, capsys):
+    """At a learning rate of 1e200 every client's weights overflow in the
+    first epoch. Under the suite's warnings-as-errors filter, numpy's
+    overflow warnings would escape as exceptions; instead the run fails by
+    the client, the round and the epoch, and stderr holds that line only."""
+    cfg = tiny_config.parent / "overflow.cfg"
+    cfg.write_text(TINY + "federation.learning_rate = 1e200\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: client 0 failed in round 1: client 0 epoch 1: weights are not finite\n"
+    )
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf"])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_run_with_a_non_finite_float_exits_2(tiny_config, tmp_path, capsys, key, raw):

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 STDOUT_SHA256 = {
-    "01_dataset_tour": "98356c28f3216a57032462397777148dfdb988147564a01abe08c95aa90a2093",
+    "01_dataset_tour": "5ea45b4044ccefe589ae3240f6822cf74dd7fc2c71f2c1acb842b7552f0b79b9",
     "02_local_vs_federated": "c400a1bf4216032b8bf65747a51ecaa5950a7e82b1393b598f456bb0d37aac06",
     "03_picking_the_epoch": "c064a0cb0a3a71faa859d3e8463ddf326b5a556aa0f84296ee389677817692df",
     "04_industrial_halting": "969669043ddd8da317d64f6a45bc525ab8b63becdda259c9b8fb7f248bb2f6b6",

@@ -198,8 +198,7 @@ def test_diverged_baselines_fail_naming_client_and_epoch():
                                 optimizer=OptimizerConfig(learning_rate=1e6)),
         federation=replace(full.federation, rounds=1, local_epochs=1),
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = run_comparison(cfg, seeds=[1])
+    rows = run_comparison(cfg, seeds=[1])
     errors = {r.variant: r.error for r in rows if r.status == "failed"}
     assert errors == {
         "local_client_0": "client 0 epoch 2: weights are not finite",

@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{flag}", dest=key, **options)
         if command == "compare":
             p.add_argument(
-                "--seeds", default="1-10", help="seed list like 3,5,9 or 1-10 (default 1-10)"
+                "--seeds",
+                default="1-10",
+                help="comma-separated seeds and inclusive ranges, a-b or a..b, "
+                "like 3,5,9 or 1-10 or 1..4,9 (default 1-10)",
             )
     return parser
 

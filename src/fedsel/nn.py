@@ -14,6 +14,12 @@ stack, and it applies the ReLUs and the log-softmax in place.
 ``train_epoch`` builds those views, and the backward pass's gradient and
 transposed-weight views, once per epoch, so a mini-batch step is the
 forward pass, the backward pass inline and the momentum update.
+
+One model (R = 1) trains on 2-D views of row 0 and multiplies with
+``np.dot``: it makes the same BLAS call as ``np.matmul`` on the same 2-D
+operands, with the same bits, at a lower cost per call, and a step is
+mostly per-call cost. Stacks of two or more rows, and all scoring, keep
+``np.matmul``, which multiplies every row in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import numpy as np
 from .errors import ConfigurationError, DataError, ShapeError
 
 Manifest = tuple[tuple[int, int], ...]
-Layers = list[tuple[np.ndarray, np.ndarray]]  # (R, rows, cols) weights, (R, 1, cols) bias per layer
+# (R, rows, cols) weights and (R, 1, cols) bias per layer, or, of one model's
+# vector, (rows, cols) and (1, cols)
+Layers = list[tuple[np.ndarray, np.ndarray]]
 
 MAX_SEED = 2**64 - 1
 
@@ -152,13 +160,15 @@ def check_labels(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
 
 def _stack_layers(weights: np.ndarray, manifest: Manifest) -> Layers:
     """(R, rows, cols) weight and (R, 1, cols) bias views per layer of an
-    (R, P) stack; writing to a view writes to the stack."""
+    (R, P) stack, or 2-D (rows, cols) and (1, cols) views of one model's
+    (P,) vector, on which ``_forward_pass`` multiplies with ``np.dot``;
+    writing to a view writes to the stack."""
     views = []
     offset = 0
     for rows, cols in manifest:
-        w = weights[:, offset : offset + rows * cols].reshape(-1, rows, cols)
+        w = weights[..., offset : offset + rows * cols].reshape(*weights.shape[:-1], rows, cols)
         offset += rows * cols
-        views.append((w, weights[:, None, offset : offset + cols]))
+        views.append((w, weights[..., None, offset : offset + cols]))
         offset += cols
     return views
 
@@ -174,17 +184,21 @@ def _check_stack(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
 
 def _forward_pass(layers: Layers, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Returns (layer inputs, log-probabilities), each (R, n, width), for
-    ``_stack_layers`` views. The hidden ReLUs and the log-softmax are
-    applied in place, so each layer keeps one array."""
+    ``_stack_layers`` views, or each (n, width) for one model's 2-D views.
+    A 2-D batch is multiplied with ``np.dot``, the same BLAS call as
+    ``np.matmul`` with the same bits at a lower cost per call; a 3-D one
+    with ``np.matmul``, one call for every row. The hidden ReLUs and the
+    log-softmax are applied in place, so each layer keeps one array."""
+    product = np.dot if batch.ndim == 2 else np.matmul
     inputs = [batch]
     h = batch
     for w, b in layers[:-1]:
-        h = np.matmul(h, w)
+        h = product(h, w)
         h += b
         np.maximum(h, 0.0, out=h)
         inputs.append(h)
     w, b = layers[-1]
-    z = np.matmul(h, w)
+    z = product(h, w)
     z += b
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
@@ -247,7 +261,7 @@ def train_epoch(
     time, m a whole number of batches sized so that the stack holds at most
     ``GATHER_VALUES`` values (all n samples when they fit); batches are
     contiguous slices of it, and every numpy call acts on each row as on
-    one model."""
+    one model. One model trains on row 0's 2-D views, through ``np.dot``."""
     weights = _check_stack(spec, weights)
     for name, arr in (("weights", weights), ("velocity", velocity)):
         if not (arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable):
@@ -275,31 +289,35 @@ def train_epoch(
     ys = np.empty((rows, min(window, n)), dtype=np.int64)
     classes = np.arange(spec.class_count)
     grad = np.empty_like(weights)
-    layers = _stack_layers(weights, spec.manifest)
+    # one model trains on 2-D views of row 0 (see _forward_pass)
+    one = rows == 1
+    product = np.dot if one else np.matmul
+    layers = _stack_layers(weights[0] if one else weights, spec.manifest)
     # the backward pass, output layer first: each layer's gradient views and
     # the transposed weights that carry the delta to the layer below
-    grads = _stack_layers(grad, spec.manifest)
-    backward = [(i, grads[i], layers[i][0].swapaxes(1, 2)) for i in reversed(range(len(layers)))]
+    grads = _stack_layers(grad[0] if one else grad, spec.manifest)
+    backward = [(i, grads[i], layers[i][0].swapaxes(-1, -2)) for i in reversed(range(len(layers)))]
     for lo in range(0, n, window):
         count = min(window, n - lo)
         for r, (x, y, order) in enumerate(data):
             np.take(x, order[lo : lo + count], axis=0, out=xs[r, :count])
             np.take(y, order[lo : lo + count], out=ys[r, :count])
         target = (ys[:, :count, None] == classes).astype(np.float64)
+        batch_x, batch_t = (xs[0], target[0]) if one else (xs, target)
         for start in range(0, count, size):
             end = min(start + size, count)
-            inputs, delta = _forward_pass(layers, xs[:, start:end])
+            inputs, delta = _forward_pass(layers, batch_x[..., start:end, :])
             # gradient w.r.t. the logits of each row's mean cross-entropy:
             # subtracting the one-hot changes only the label's entry, by 1
             np.exp(delta, out=delta)
-            delta -= target[:, start:end]
+            delta -= batch_t[..., start:end, :]
             delta /= end - start
             for i, (grad_w, grad_b), w_t in backward:
-                np.matmul(inputs[i].swapaxes(1, 2), delta, out=grad_w)
-                np.add.reduce(delta, axis=1, keepdims=True, out=grad_b)
+                product(inputs[i].swapaxes(-1, -2), delta, out=grad_w)
+                np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
                 if i:
                     # the ReLU's derivative from its output: relu(z) > 0 iff z > 0
-                    delta = np.matmul(delta, w_t)
+                    delta = product(delta, w_t)
                     delta *= inputs[i] > 0.0
             velocity *= optimizer.momentum
             velocity += grad

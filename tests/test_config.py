@@ -1,14 +1,16 @@
 import math
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
-from fedsel.aggregation import AggregationKind
+from fedsel.aggregation import AggregationKind, HaltingCriterion
 from fedsel.cli import _UNREAD
-from fedsel.config import KEY_TABLE, SEED_ENV_VAR, load_config, parse_config_text
-from fedsel.data import CorpusSpec
+from fedsel.config import KEY_TABLE, SEED_ENV_VAR, _canonical, load_config, parse_config_text
+from fedsel.data import CorpusSpec, PartitionSpec
 from fedsel.errors import ConfigurationError
 from fedsel.nn import OptimizerConfig
-from fedsel.orchestrator import Workflow
+from fedsel.orchestrator import BaselineConfig, FederationConfig, Workflow
 from fedsel.presets import PRESETS, preset_run_config
 from fedsel.strategies import SelectionMetric, StrategyKind
 from test_golden import INDUSTRIAL, SHORT
@@ -251,6 +253,57 @@ def test_every_key_has_parser_and_canonical_default(monkeypatch):
     assert load_config(overrides=rotation)[1] == DEFAULT_RUN_ID
     rotation = {"partition.missing_class": "0:2, 1:4, 2:3, 3:1"}
     assert load_config(overrides=rotation)[1] != DEFAULT_RUN_ID
+
+
+def test_readme_key_table_is_the_key_table():
+    """The README's "All keys and defaults" table lists every key of
+    KEY_TABLE, in order, with its default as the run_id hashes it; the
+    missing-class map's resolved default is written as the rotation."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("All keys and defaults:\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[3:]]
+    listed = [(key.strip().strip("`"), default.strip().strip("`")) for key, default in rows]
+    expected = [
+        (key, "rotation" if default is None else _canonical(default))
+        for key, (_, default) in KEY_TABLE.items()
+    ]
+    assert listed == expected
+
+
+def test_key_table_defaults_are_the_dataclass_defaults():
+    """A key named <section>.<field> after a field of a config dataclass
+    defaults to that field's default, so building a dataclass from the
+    defaults and building it bare agree. PartitionSpec's empty map and the
+    key's None both stand for the rotation."""
+    owners = [
+        (CorpusSpec, "corpus."),
+        (PartitionSpec, "partition."),
+        (FederationConfig, "federation."),
+        (HaltingCriterion, "federation.halting_"),
+        (BaselineConfig, "baseline."),
+        (OptimizerConfig, "federation."),
+        (OptimizerConfig, "baseline."),
+    ]
+    named = {
+        prefix + f.name: f.default_factory() if f.default is MISSING else f.default
+        for cls, prefix in owners
+        for f in fields(cls)
+        if prefix + f.name in KEY_TABLE
+    }
+    assert named.pop("partition.missing_class") == {}
+    assert KEY_TABLE["partition.missing_class"][1] is None
+    assert len(named) == 25
+    assert {key: KEY_TABLE[key][1] for key in named} == named
+    # the keys that name no field: run arguments, the model's layout and
+    # seed, and where output goes
+    assert KEY_TABLE.keys() - named.keys() - {"partition.missing_class"} == {
+        "federation.strategy",
+        "federation.master_seed",
+        "federation.hidden_layers",
+        "federation.model_seed",
+        "baseline.enabled",
+        "output.dir",
+    }
 
 
 def test_nonexistent_file_is_a_config_error(tmp_path):

@@ -49,6 +49,7 @@ from .strategies import (
     Scores,
     SelectionMetric,
     StrategyKind,
+    improves,
     score_params,
     train_local,
     train_stacked,
@@ -102,7 +103,11 @@ class RoundRecord:
     the academic flow; in the industrial flow, ``aggregate_metrics`` of
     ``per_client_metrics``, the clients' test reports on the incoming
     weights, and ``halted`` says it met the threshold. The academic flow
-    scores no client: its ``per_client_metrics`` is ()."""
+    scores no client: its ``per_client_metrics`` is ().
+
+    A halted round still trains and aggregates, so an industrial run's
+    final weights are one aggregation past the incoming weights whose
+    record met the threshold."""
 
     round: int
     metrics: MetricsReport
@@ -304,7 +309,7 @@ class _EarlyStop:
     """One baseline's best epoch so far and its patience counter."""
 
     params: ParameterVector
-    best_score: float = -np.inf
+    best_score: float | None = None  # before the first epoch
     best_epoch: int = 0
     stale: int = 0
     trace: list[float] = field(default_factory=list)
@@ -317,8 +322,15 @@ def run_baselines(
 ) -> list[CentralizedResult | Exception]:
     """Non-federated baselines, one model per row (label, train, val, rng),
     each from the model's initial weights: train up to max_epochs, stop
-    after `patience` consecutive epochs without a strict val macro-F1
-    improvement, return the best epoch's snapshot.
+    after `patience` consecutive epochs whose val macro-F1 does not replace
+    the best so far, and return the best epoch's snapshot.
+
+    The best epoch is ``strategies.improves`` with ties going to the
+    earliest epoch: an epoch that only equals the best does not replace it
+    and counts toward patience, so a run that reaches a plateau stops
+    `patience` epochs after the plateau's first epoch and ships that epoch.
+    OEWS uses the same rule with ties going to the latest epoch
+    (``strategies.select_epoch``).
 
     Rows of equal split sizes train as one stack; each keeps its own
     patience and leaves the stack when it stops. Returns, per row, its
@@ -328,13 +340,11 @@ def run_baselines(
     runs = [_EarlyStop(init) for _ in rows]
 
     def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> int:
-        run, report = runs[i], scores.report
-        run.trace.append(report.macro_f1)
-        if report.macro_f1 > run.best_score:
-            run.best_score = report.macro_f1
+        run, f1 = runs[i], scores.report.macro_f1
+        run.trace.append(f1)
+        if improves(f1, run.best_score, higher_is_better=True, ties_to_latest=False):
+            run.best_score, run.best_epoch, run.stale = f1, epoch, 0
             run.params = ParameterVector(weights, model.manifest)
-            run.best_epoch = epoch
-            run.stale = 0
         else:
             run.stale += 1
         # without an improvement, the row stops when stale reaches patience

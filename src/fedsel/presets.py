@@ -13,8 +13,16 @@ calibration sweeps (see the repository README for the numbers they produce):
   the best epoch (OEWS) then beats shipping the last one (FEWS).
 * ``hard_shift``: easy clusters with a large external mean displacement.
   A merged centralized model early-stops at its validation plateau and ships
-  a barely-fit snapshot; the federation trains its full schedule and keeps
-  larger margins, which survive the shift and score as higher confidence.
+  a barely-fit snapshot, while the federation keeps larger margins, which
+  survive the shift and score as higher confidence.
+
+Two tie rules stand behind these claims, both of ``strategies.improves``.
+OEWS ships the latest of equal best validation scores, so on a plateau
+that lasts to the last local epoch it ships what FEWS ships. The
+early-stopping baselines keep the earliest, and an epoch that only ties
+the best counts toward patience. So ``hard_shift``'s centralized model
+stops ``patience`` epochs after the first epoch of its plateau and ships
+that epoch, and the comparison rests on that rule.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 A client trains for a fixed number of epochs and must pick one epoch's
 weights to send back. FEWS always sends the final epoch; OEWS sends the epoch
 that scored best on the client's validation split, preferring the latest
-epoch on ties.
+epoch on ties. One rule, ``improves``, decides whether an epoch's score
+replaces the best so far, and each caller names its tie direction: OEWS
+sends ties to the latest epoch, the early-stopping baselines to the
+earliest.
 
 Models that train side by side, such as a round's client runs or a seed's
 baselines, train as one stack (``train_stacked``): each epoch is one
@@ -206,27 +209,43 @@ def score_params(
     return [scores[row_of[p.values.tobytes()]] for p in params]
 
 
+def improves(
+    value: float, best: float | None, higher_is_better: bool, ties_to_latest: bool
+) -> bool:
+    """Whether an epoch that scored ``value`` replaces the best epoch so
+    far, which scored ``best``: the one "best epoch" rule. ``best`` is None
+    before the first epoch, which always wins. A better value wins; an
+    equal one wins only when ``ties_to_latest``, so a run that keeps every
+    winner ends on the latest of equal best scores, and otherwise on the
+    earliest. A NaN neither wins against a score nor is beaten by one.
+
+    Its callers name their direction: OEWS (``select_epoch`` and
+    ``train_local``) sends ties to the latest epoch, the early-stopping
+    baselines (``orchestrator.run_baselines``) to the earliest."""
+    if value == best:
+        return ties_to_latest
+    return best is None or (value > best if higher_is_better else value < best)
+
+
 def select_epoch(
     trace: Sequence[float], strategy: StrategyKind, higher_is_better: bool = True
 ) -> int:
     """1-based epoch pick from a per-epoch validation trace.
 
     FEWS ignores the values and returns the last epoch. OEWS returns the
-    best-scoring epoch, resolving ties toward the latest one.
+    best-scoring epoch by ``improves`` with ties going to the latest one;
+    the early-stopping baselines use the same rule with ties going to the
+    earliest (``orchestrator.run_baselines``).
     """
     if len(trace) == 0:
         raise ConfigurationError("selection needs at least one epoch")
-    strategy = StrategyKind(strategy)
-    if strategy is StrategyKind.FEWS:
+    if StrategyKind(strategy) is StrategyKind.FEWS:
         return len(trace)
-    best_idx = 0
-    for i in range(1, len(trace)):
-        if higher_is_better:
-            if trace[i] >= trace[best_idx]:
-                best_idx = i
-        elif trace[i] <= trace[best_idx]:
-            best_idx = i
-    return best_idx + 1
+    best = None
+    for epoch, value in enumerate(trace, 1):
+        if improves(value, best, higher_is_better, ties_to_latest=True):
+            best, pick = value, epoch
+    return pick
 
 
 @dataclass(frozen=True)
@@ -357,8 +376,10 @@ def train_local(
     stack (``train_stacked``).
 
     A row's training depends only on its incoming weights, its client's
-    data and its rng stream, never on the other rows; both strategies pick
-    from it with ``select_epoch``. Returns, per row, each strategy's pick,
+    data and its rng stream, never on the other rows. FEWS ships the last
+    epoch; OEWS ships the best so far by ``improves``, ties going to the
+    latest epoch, tracked as each epoch is scored, so a row keeps only
+    those two epochs' weights. Returns, per row, each strategy's pick,
     both sharing one trace, or the exception that failed the row alone: a
     non-finite weight or validation loss is a DataError naming the client
     and the epoch (``train_stacked``).
@@ -366,30 +387,28 @@ def train_local(
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     metric = SelectionMetric(metric)
-    snapshots: list[dict[int, ParameterVector]] = [{} for _ in rows]
+    by_loss = metric is SelectionMetric.VAL_LOSS
     traces: list[list[float]] = [[] for _ in rows]
+    best: list[float | None] = [None] * len(rows)
+    # the only weights a strategy can ship, as (weights, epoch): OEWS's best
+    # so far, which replaces its earlier one, and the last epoch's
+    shipped: list[dict[StrategyKind, tuple[ParameterVector, int]]] = [{} for _ in rows]
 
     def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> int:
-        if metric is SelectionMetric.VAL_LOSS:
-            value = scores.loss
-        else:
-            value = scores.report.scalar(metric.value)
+        value = scores.loss if by_loss else scores.report.scalar(metric.value)
         traces[i].append(value)
-        # keep only the weights a strategy can pick: OEWS's pick so far,
-        # which replaces its earlier pick, and the last epoch's
-        if select_epoch(traces[i], StrategyKind.OEWS, metric.higher_is_better) == epoch:
-            snapshots[i] = {epoch: ParameterVector(weights, model.manifest)}
-        elif epoch == epochs:
-            snapshots[i][epoch] = ParameterVector(weights, model.manifest)
+        if improves(value, best[i], metric.higher_is_better, ties_to_latest=True):
+            best[i] = value
+            shipped[i][StrategyKind.OEWS] = (ParameterVector(weights, model.manifest), epoch)
+        if epoch == epochs:  # FEWS shares OEWS's weights when they are the same epoch's
+            oews = shipped[i][StrategyKind.OEWS]
+            last = oews[0] if oews[1] == epoch else ParameterVector(weights, model.manifest)
+            shipped[i][StrategyKind.FEWS] = (last, epoch)
         return epochs - epoch
 
     def picks(i: int) -> dict[StrategyKind, LocalRunResult]:
         trace = tuple(traces[i])
-        out = {}
-        for strategy in StrategyKind:
-            epoch = select_epoch(trace, strategy, metric.higher_is_better)
-            out[strategy] = LocalRunResult(snapshots[i][epoch], epoch, trace)
-        return out
+        return {s: LocalRunResult(*shipped[i][s], trace) for s in StrategyKind}
 
     errors = train_stacked(
         [(p, c.train, c.val, rng, f"client {c.client_id}") for p, c, rng in rows],

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsel.aggregation import HaltingCriterion, HaltingMetric, aggregate_metrics
 from fedsel.config import load_config
@@ -20,7 +22,7 @@ from fedsel.data import (
 )
 from fedsel.errors import ConfigurationError, DataError, ProtocolError
 from fedsel import nn
-from fedsel.nn import ModelSpec, OptimizerConfig, manifest_size
+from fedsel.nn import ModelSpec, OptimizerConfig, init_parameters, manifest_size
 from fedsel.orchestrator import (
     BaselineConfig,
     FederationConfig,
@@ -90,8 +92,6 @@ def test_single_client_federation_is_local_training():
     cfg = fast_cfg(rounds=1)
     records, params = run_federation(cfg, "fews", (SEED, pools_clients, evals))
     # plain mean of one client's update is that update, bitwise
-    from fedsel.nn import init_parameters
-
     (picks,) = train_local(
         [(init_parameters(MODEL), pools_clients[0], client_stream(SEED, 1, 0))],
         MODEL, cfg.optimizer, cfg.local_epochs, cfg.selection_metric,
@@ -599,6 +599,61 @@ def test_centralized_early_stop_automaton():
     # recorded val metric of the returned weights is the trace maximum
     (scores,) = score_params([result.params], MODEL, val)
     assert scores.report.macro_f1 == max(result.trace)
+
+
+def _epochs_run(trace, patience):
+    """The epoch a baseline stops at, as a plain loop: the first epoch
+    after ``patience`` epochs in a row that do not beat the best value so
+    far (an equal value counts against patience), or the last epoch."""
+    best, stale = trace[0], 0
+    for epoch, value in enumerate(trace[1:], 2):
+        if value > best:
+            best, stale = value, 0
+        else:
+            stale += 1
+        if stale == patience:
+            return epoch
+    return len(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_baselines_stop_on_scripted_plateaus(data):
+    """Two stacked baselines whose val macro-F1 traces are scripted from
+    three levels, so that plateaus and ties are common: each reports the
+    earliest best epoch among those it trained, stops at the first epoch
+    after ``patience`` non-improving epochs (ties counted) or at
+    ``max_epochs``, and ships that best epoch's weights."""
+    max_epochs = data.draw(st.integers(1, 8))
+    patience = data.draw(st.integers(1, max_epochs))
+    levels = st.sampled_from([0.25, 0.5, 0.75])
+    traces = [
+        data.draw(st.lists(levels, min_size=max_epochs, max_size=max_epochs)) for _ in range(2)
+    ]
+    train, val = centralized_inputs(noise=1.0)
+    bcfg = BaselineConfig(max_epochs=max_epochs, patience=patience,
+                          optimizer=OptimizerConfig(learning_rate=0.02, batch_size=8))
+    rngs = [baseline_stream(5, tag) for tag in range(2)]
+    script = dict(zip(rngs, traces))
+
+    def scripted(rng, epoch, result):
+        return replace(result, report=replace(result.report, macro_f1=script[rng][epoch - 1]))
+
+    with rescored(scripted):
+        results = run_baselines(
+            bcfg, [(f"row {tag}", train, val, rng) for tag, rng in enumerate(rngs)], MODEL
+        )
+    for tag, (result, trace) in enumerate(zip(results, traces)):
+        run = _epochs_run(trace, patience)
+        trained = trace[:run]
+        assert (result.epochs_run, result.trace) == (run, tuple(trained))
+        assert result.best_epoch == trained.index(max(trained)) + 1
+        weights = init_parameters(MODEL).values[None].copy()
+        velocity, rng = np.zeros_like(weights), baseline_stream(5, tag)
+        for _ in range(result.best_epoch):
+            nn.train_epoch(weights, velocity, MODEL, bcfg.optimizer, train.x[None],
+                           train.y[None], [rng])
+        assert result.params.values.tobytes() == weights[0].tobytes()
 
 
 def test_centralized_patience_equal_to_cap_runs_everything():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsel import nn, strategies
@@ -20,6 +20,7 @@ from fedsel.nn import (
 from fedsel.strategies import (
     SelectionMetric,
     StrategyKind,
+    improves,
     score,
     score_params,
     select_epoch,
@@ -272,6 +273,52 @@ def test_select_epoch_invariant_under_increasing_transform():
         assert select_epoch(np.exp(trace).tolist(), StrategyKind.OEWS) == base
 
 
+# three validation levels, so that scripted traces tie often
+LEVELS = (0.25, 0.5, 0.75)
+
+
+def _best_epoch(trace, higher_is_better, ties_to_latest):
+    """The plain-loop reference: the 1-based epochs whose value is the
+    trace's best, then the latest or the earliest of them."""
+    best = max(trace) if higher_is_better else min(trace)
+    tied = [epoch for epoch, value in enumerate(trace, 1) if value == best]
+    return tied[-1] if ties_to_latest else tied[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trace=st.lists(st.sampled_from(LEVELS), min_size=1, max_size=12),
+    higher_is_better=st.booleans(),
+    ties_to_latest=st.booleans(),
+)
+def test_improves_folded_over_a_trace_is_the_reference_best(
+    trace, higher_is_better, ties_to_latest
+):
+    """The one best-epoch rule, kept over a trace, picks the reference's
+    best epoch in either tie direction; the first epoch always wins, and
+    ``select_epoch`` is the fold that sends ties to the latest epoch."""
+    best = pick = None
+    for epoch, value in enumerate(trace, 1):
+        if improves(value, best, higher_is_better, ties_to_latest):
+            best, pick = value, epoch
+        if epoch == 1:
+            assert pick == 1
+    assert pick == _best_epoch(trace, higher_is_better, ties_to_latest)
+    assert select_epoch(trace, StrategyKind.OEWS, higher_is_better) == _best_epoch(
+        trace, higher_is_better, ties_to_latest=True
+    )
+    assert select_epoch(trace, StrategyKind.FEWS, higher_is_better) == len(trace)
+
+
+@pytest.mark.parametrize("higher_is_better", [True, False])
+@pytest.mark.parametrize("ties_to_latest", [True, False])
+def test_improves_never_moves_to_or_from_a_nan(higher_is_better, ties_to_latest):
+    nan = float("nan")
+    assert improves(nan, None, higher_is_better, ties_to_latest)
+    assert not improves(nan, 0.5, higher_is_better, ties_to_latest)
+    assert not improves(0.5, nan, higher_is_better, ties_to_latest)
+
+
 def _client(seed=0, train_n=15, noise=2.5):
     cspec = CorpusSpec(per_class_train=train_n, per_class_val=20, per_class_test=5,
                        noise_scale=noise, seed=seed)
@@ -380,14 +427,18 @@ def test_shipped_weights_are_the_reported_epochs(metric):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    trace=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=5),
+    trace=st.lists(st.sampled_from(LEVELS), min_size=1, max_size=6),
     metric=st.sampled_from(list(SelectionMetric)),
 )
+# the best value at an interior epoch and again at a later one
+@example(trace=[0.5, 0.75, 0.25, 0.75, 0.5], metric=SelectionMetric.MACRO_F1)
+@example(trace=[0.5, 0.25, 0.75, 0.25, 0.5], metric=SelectionMetric.VAL_LOSS)
 def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
     """Whatever the validation trace, one train_local call reports, for
     each strategy, the epoch the selection rule names and ships the weights
     training had at that epoch, rebuilt here by calling train_epoch
-    directly; both picks share one trace."""
+    directly; both picks share one trace. OEWS ships the latest of tied
+    best epochs, FEWS the last epoch."""
     client = _client(seed=5)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .nn import MAX_SEED
 
 # Fixed construction constants: class geometry is a function of (class_count,
 # feature_dim) only, so the corpus seed varies samples, never the layout.
@@ -53,7 +54,7 @@ class CorpusSpec:
             raise ConfigurationError("noise_scale must be >= 0")
         if self.shift_magnitude < 0:
             raise ConfigurationError("shift_magnitude must be >= 0")
-        if not 0 <= self.seed <= 2**64 - 1:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
 
 

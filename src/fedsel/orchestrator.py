@@ -46,10 +46,8 @@ from .nn import MAX_SEED, ModelSpec, OptimizerConfig, ParameterVector, init_para
 from .strategies import (
     METRIC_NAMES,
     MetricsReport,
-    Scores,
     SelectionMetric,
     StrategyKind,
-    improves,
     score_params,
     train_local,
     train_stacked,
@@ -304,64 +302,41 @@ class CentralizedResult:
     trace: tuple[float, ...]
 
 
-@dataclass
-class _EarlyStop:
-    """One baseline's best epoch so far and its patience counter."""
-
-    params: ParameterVector
-    best_score: float | None = None  # before the first epoch
-    best_epoch: int = 0
-    stale: int = 0
-    trace: list[float] = field(default_factory=list)
-
-
 def run_baselines(
     bcfg: BaselineConfig,
     rows: list[tuple[str, Split, Split, np.random.Generator]],
     model: ModelSpec,
 ) -> list[CentralizedResult | Exception]:
     """Non-federated baselines, one model per row (label, train, val, rng),
-    each from the model's initial weights: train up to max_epochs, stop
-    after `patience` consecutive epochs whose val macro-F1 does not replace
-    the best so far, and return the best epoch's snapshot.
+    each from the model's initial weights: ``strategies.train_stacked`` on
+    val macro-F1 with up to max_epochs epochs, patience ``bcfg.patience``
+    and ties going to the earliest epoch, returning the best epoch's
+    snapshot.
 
-    The best epoch is ``strategies.improves`` with ties going to the
-    earliest epoch: an epoch that only equals the best does not replace it
-    and counts toward patience, so a run that reaches a plateau stops
-    `patience` epochs after the plateau's first epoch and ships that epoch.
-    OEWS uses the same rule with ties going to the latest epoch
-    (``strategies.select_epoch``).
+    An epoch that only equals the best does not replace it and counts
+    toward patience, so a run that reaches a plateau stops `patience`
+    epochs after the plateau's first epoch and ships that epoch. A client's
+    local run (``strategies.train_local``) is the same run with ties going
+    to the latest epoch.
 
     Rows of equal split sizes train as one stack; each keeps its own
     patience and leaves the stack when it stops. Returns, per row, its
     result or the exception that failed it alone; non-finite weights are a
     DataError naming the row's label and the epoch."""
     init = init_parameters(model)
-    runs = [_EarlyStop(init) for _ in rows]
-
-    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> int:
-        run, f1 = runs[i], scores.report.macro_f1
-        run.trace.append(f1)
-        if improves(f1, run.best_score, higher_is_better=True, ties_to_latest=False):
-            run.best_score, run.best_epoch, run.stale = f1, epoch, 0
-            run.params = ParameterVector(weights, model.manifest)
-        else:
-            run.stale += 1
-        # without an improvement, the row stops when stale reaches patience
-        return bcfg.patience - run.stale
-
-    errors = train_stacked(
+    runs = train_stacked(
         [(init, train, val, rng, label) for label, train, val, rng in rows],
-        model, bcfg.optimizer, bcfg.max_epochs, bcfg.patience, visit,
+        model, bcfg.optimizer, bcfg.max_epochs, bcfg.patience, SelectionMetric.MACRO_F1,
+        ties_to_latest=False,
     )
     return [
-        error if error is not None else CentralizedResult(
-            params=run.params,
+        run if isinstance(run, Exception) else CentralizedResult(
+            params=run.best_params,
             best_epoch=run.best_epoch,
             epochs_run=len(run.trace),
             trace=tuple(run.trace),
         )
-        for run, error in zip(runs, errors)
+        for run in runs
     ]
 
 

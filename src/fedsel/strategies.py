@@ -8,14 +8,20 @@ replaces the best so far, and each caller names its tie direction: OEWS
 sends ties to the latest epoch, the early-stopping baselines to the
 earliest.
 
+Every training run is an early-stopping run of ``train_stacked``, which
+keeps each row's trace, best epoch and weights and patience itself. A
+client's local run (``train_local``) is its setting with patience equal to
+the epochs and ties to the latest epoch; a baseline
+(``orchestrator.run_baselines``) is its setting on val macro-F1 with the
+baseline's patience and ties to the earliest epoch.
+
 Models that train side by side, such as a round's client runs or a seed's
-baselines, train as one stack (``train_stacked``): each epoch is one
-``nn.train_epoch`` call over every live row, and a window of epochs, as
-many as every live row is sure to train, is scored in one ``score`` call
-over each of those epochs' weights. ``score`` is array math over its
-rows, the metrics included: one ``bincount`` builds every row's confusion
-matrix, and the metrics come from (R, C) arrays, with each row's bits
-those of that row scored alone. Models scored on one shared split, such as a
+baselines, train as one stack: each epoch is one ``nn.train_epoch`` call
+over every live row, and a window of epochs, as many as every live row is
+sure to train, is scored in one ``score`` call over each of those epochs'
+weights. ``score`` is array math over its rows, the metrics included: one
+``bincount`` builds every row's confusion matrix, and the metrics come
+from (R, C) arrays, with each row's bits those of that row scored alone. Models scored on one shared split, such as a
 round's global weights or a campaign seed's final ones, go through
 ``score_params``, where equal weights share one row of the stack.
 """
@@ -23,9 +29,9 @@ round's global weights or a campaign seed's final ones, go through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -219,9 +225,11 @@ def improves(
     winner ends on the latest of equal best scores, and otherwise on the
     earliest. A NaN neither wins against a score nor is beaten by one.
 
-    Its callers name their direction: OEWS (``select_epoch`` and
-    ``train_local``) sends ties to the latest epoch, the early-stopping
-    baselines (``orchestrator.run_baselines``) to the earliest."""
+    Its callers name their direction: ``select_epoch`` (OEWS) sends ties
+    to the latest epoch, and ``train_stacked`` takes the direction of its
+    setting: the latest for a client's local run (``train_local``), the
+    earliest for the early-stopping baselines
+    (``orchestrator.run_baselines``)."""
     if value == best:
         return ties_to_latest
     return best is None or (value > best if higher_is_better else value < best)
@@ -233,9 +241,10 @@ def select_epoch(
     """1-based epoch pick from a per-epoch validation trace.
 
     FEWS ignores the values and returns the last epoch. OEWS returns the
-    best-scoring epoch by ``improves`` with ties going to the latest one;
-    the early-stopping baselines use the same rule with ties going to the
-    earliest (``orchestrator.run_baselines``).
+    best-scoring epoch by ``improves`` with ties going to the latest one:
+    the epoch ``train_local``'s run keeps as it trains. The early-stopping
+    baselines (``orchestrator.run_baselines``) use the same rule with ties
+    going to the earliest.
     """
     if len(trace) == 0:
         raise ConfigurationError("selection needs at least one epoch")
@@ -255,41 +264,62 @@ class LocalRunResult:
     trace: tuple[float, ...]
 
 
+@dataclass
+class EarlyStopRun:
+    """One row's early-stopping run as ``train_stacked`` scores it: the
+    metric's value at each epoch, the best of them so far by ``improves``
+    with that epoch and its weights, the epochs since the best (``stale``),
+    and the last epoch's weights, the best's object when the last epoch is
+    the best."""
+
+    trace: list[float] = field(default_factory=list)
+    best: float | None = None  # before the first epoch
+    best_epoch: int = 0
+    best_params: ParameterVector | None = None
+    last_params: ParameterVector | None = None
+    stale: int = 0
+
+
 def train_stacked(
     rows: Sequence[tuple[ParameterVector, Split, Split, np.random.Generator, str]],
     model: ModelSpec,
     optimizer: OptimizerConfig,
     epochs: int,
-    horizon: int,
-    visit: Callable[[int, int, np.ndarray, Scores], int],
-) -> list[Exception | None]:
-    """Train rows (start weights, train split, val split, rng, label) for up
-    to ``epochs`` epochs. Rows whose splits have equal sizes train as one
-    stack through ``nn.train_epoch``; no row is padded.
+    patience: int,
+    metric: SelectionMetric,
+    ties_to_latest: bool,
+) -> list[EarlyStopRun | Exception]:
+    """Early-stopping runs of rows (start weights, train split, val split,
+    rng, label): each row trains up to ``epochs`` epochs, each epoch's
+    weights are scored on its val split, and the row keeps its best epoch
+    by ``metric`` (``val_loss`` reads the loss), ties going to the latest
+    epoch when ``ties_to_latest`` and to the earliest otherwise. A row stops
+    after ``patience`` epochs in a row that do not replace its best. Rows
+    whose splits have equal sizes train as one stack through
+    ``nn.train_epoch``; no row is padded.
 
-    Each epoch's weights of each live row are scored on its val split, and
-    ``visit(row, epoch, weights, scores)`` gets them, in epoch order: it
-    returns the row's horizon, the fewest further epochs the row is sure to
-    train (0 stops it), or raises to fail it. ``horizon`` is every row's
-    horizon before its first epoch. A row whose validation loss is not
-    finite, or whose weights turn non-finite, fails with a DataError naming
-    its label and the epoch; a row's earliest failure is the one it reports,
-    and at one epoch non-finite weights come first, then the loss, then
-    ``visit``. Returns, per row, the exception that failed it, or None.
+    A row whose validation loss is not finite, or whose weights turn
+    non-finite, fails with a DataError naming its label and the epoch; a
+    row's earliest failure is the one it reports, and at one epoch
+    non-finite weights come first. Returns, per row, its run or the
+    exception that failed it.
 
     A stack trains a window of epochs, as many as its live rows' least
-    horizon, the epochs left and ``nn.GATHER_VALUES`` values of snapshots
-    allow (at least one). Every live row trains the whole window; then each
-    row's epochs before its first non-finite weights are scored in one
-    ``score`` call and visited, and the rows that stopped or failed leave
-    the stack, which is compacted once. So a surviving row trains exactly
-    the epochs it would if scored after every epoch. A row that fails
-    mid-window trains on to the window's end: that work is wasted, and
-    changes no other row.
+    patience left, the epochs left and ``nn.GATHER_VALUES`` values of
+    snapshots allow (at least one). Every live row trains the whole window;
+    then each row's epochs before its first non-finite weights are scored
+    in one ``score`` call, in epoch order, and the rows that stopped or
+    failed leave the stack, which is compacted once. So a surviving row
+    trains exactly the epochs it would if scored after every epoch. A row
+    that fails mid-window trains on to the window's end: that work is
+    wasted, and changes no other row.
     """
-    if horizon < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-    errors: list[Exception | None] = [None] * len(rows)
+    for name, value in (("epochs", epochs), ("patience", patience)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    metric = SelectionMetric(metric)
+    by_loss = metric is SelectionMetric.VAL_LOSS
+    runs: list[EarlyStopRun | Exception] = []
     stacks: dict[tuple[int, int], list[int]] = {}
     for i, (start, train, val, _, label) in enumerate(rows):
         try:
@@ -300,19 +330,20 @@ def train_stacked(
             check_split(model, train.x, train.y)
             check_split(model, val.x, val.y)
         except Exception as exc:
-            errors[i] = exc
+            runs.append(exc)
             continue
+        runs.append(EarlyStopRun())
         stacks.setdefault((len(train), len(val)), []).append(i)
 
     for members in stacks.values():
         live = np.array(members)
         weights = np.stack([rows[i][0].values for i in live])
         velocity = np.zeros_like(weights)
-        horizons = np.full(len(live), horizon)
         done = 0  # epochs every live row has trained
         while len(live) and done < epochs:
             count, size = weights.shape
-            window = min(int(horizons.min()), epochs - done, _window_cap(count, size))
+            stale = max(runs[i].stale for i in live.tolist())
+            window = min(patience - stale, epochs - done, _window_cap(count, size))
             snapshots = np.empty((window, count, size))
             for k in range(window):
                 train_epoch(
@@ -334,27 +365,35 @@ def train_stacked(
                 if ended[j]:
                     continue
                 i, epoch, scores = int(live[j]), done + k + 1, scored[n]
-                try:
-                    if not math.isfinite(scores.loss):
-                        raise DataError(
-                            f"{rows[i][4]} epoch {epoch}: validation loss is {scores.loss}"
-                        )
-                    horizons[j] = visit(i, epoch, flat[n], scores)
-                    ended[j] = horizons[j] < 1
-                except Exception as exc:
-                    errors[i] = exc
+                if not math.isfinite(scores.loss):
+                    runs[i] = DataError(
+                        f"{rows[i][4]} epoch {epoch}: validation loss is {scores.loss}"
+                    )
                     ended[j] = True
+                    continue
+                run = runs[i]
+                value = scores.loss if by_loss else scores.report.scalar(metric.value)
+                run.trace.append(value)
+                if improves(value, run.best, metric.higher_is_better, ties_to_latest):
+                    run.best, run.best_epoch, run.stale = value, epoch, 0
+                    run.best_params = ParameterVector(flat[n], model.manifest)
+                else:
+                    run.stale += 1
+                ended[j] = run.stale == patience
+                if ended[j] or epoch == epochs:
+                    run.last_params = (run.best_params if run.best_epoch == epoch
+                                       else ParameterVector(flat[n], model.manifest))
             for j in np.flatnonzero(~scorable[-1] & ~ended):
                 i = int(live[j])
                 epoch = done + int(scorable[:, j].sum()) + 1
-                errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
+                runs[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
                 ended[j] = True
             done += window
             del snapshots, flat  # free this window's buffer before the next one's
             if ended.any():
-                live, horizons = live[~ended], horizons[~ended]
+                live = live[~ended]
                 weights, velocity = weights[~ended], velocity[~ended]
-    return errors
+    return runs
 
 
 def _window_cap(rows: int, size: int) -> int:
@@ -371,48 +410,27 @@ def train_local(
     metric: SelectionMetric = SelectionMetric.MACRO_F1,
 ) -> list[dict[StrategyKind, LocalRunResult] | Exception]:
     """Train each row (incoming weights, client, rng) for ``epochs`` epochs,
-    score each epoch's weights on the client's validation split, and pick
-    the epoch each strategy ships; rows of equal split sizes train as one
-    stack (``train_stacked``).
+    scoring each epoch's weights on the client's validation split, and pick
+    the epoch each strategy ships: ``train_stacked`` with patience equal to
+    ``epochs``, so no row stops early, and ties going to the latest epoch.
 
     A row's training depends only on its incoming weights, its client's
     data and its rng stream, never on the other rows. FEWS ships the last
-    epoch; OEWS ships the best so far by ``improves``, ties going to the
-    latest epoch, tracked as each epoch is scored, so a row keeps only
-    those two epochs' weights. Returns, per row, each strategy's pick,
-    both sharing one trace, or the exception that failed the row alone: a
+    epoch, OEWS the run's best, both sharing one trace. Returns, per row,
+    each strategy's pick, or the exception that failed the row alone: a
     non-finite weight or validation loss is a DataError naming the client
-    and the epoch (``train_stacked``).
+    and the epoch.
     """
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    metric = SelectionMetric(metric)
-    by_loss = metric is SelectionMetric.VAL_LOSS
-    traces: list[list[float]] = [[] for _ in rows]
-    best: list[float | None] = [None] * len(rows)
-    # the only weights a strategy can ship, as (weights, epoch): OEWS's best
-    # so far, which replaces its earlier one, and the last epoch's
-    shipped: list[dict[StrategyKind, tuple[ParameterVector, int]]] = [{} for _ in rows]
-
-    def visit(i: int, epoch: int, weights: np.ndarray, scores: Scores) -> int:
-        value = scores.loss if by_loss else scores.report.scalar(metric.value)
-        traces[i].append(value)
-        if improves(value, best[i], metric.higher_is_better, ties_to_latest=True):
-            best[i] = value
-            shipped[i][StrategyKind.OEWS] = (ParameterVector(weights, model.manifest), epoch)
-        if epoch == epochs:  # FEWS shares OEWS's weights when they are the same epoch's
-            oews = shipped[i][StrategyKind.OEWS]
-            last = oews[0] if oews[1] == epoch else ParameterVector(weights, model.manifest)
-            shipped[i][StrategyKind.FEWS] = (last, epoch)
-        return epochs - epoch
-
-    def picks(i: int) -> dict[StrategyKind, LocalRunResult]:
-        trace = tuple(traces[i])
-        return {s: LocalRunResult(*shipped[i][s], trace) for s in StrategyKind}
-
-    errors = train_stacked(
+    runs = train_stacked(
         [(p, c.train, c.val, rng, f"client {c.client_id}") for p, c, rng in rows],
-        model, optimizer, epochs, epochs, visit,
+        model, optimizer, epochs, epochs, metric, ties_to_latest=True,
     )
-    return [picks(i) if error is None else error for i, error in enumerate(errors)]
 
+    def picks(run: EarlyStopRun) -> dict[StrategyKind, LocalRunResult]:
+        trace = tuple(run.trace)
+        return {
+            StrategyKind.FEWS: LocalRunResult(run.last_params, len(trace), trace),
+            StrategyKind.OEWS: LocalRunResult(run.best_params, run.best_epoch, trace),
+        }
+
+    return [run if isinstance(run, Exception) else picks(run) for run in runs]

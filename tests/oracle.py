@@ -12,7 +12,8 @@ and the loss and confidence of that row, on the 2-D forward pass here.
 
 ``train_stacked_per_epoch`` is the training loop the windowed
 ``fedsel.strategies.train_stacked`` replaced: it scores a stack after every
-epoch. ``rescored`` rewrites the scores of chosen (row, epoch) pairs however
+epoch and tracks each row's best epoch and patience with plain comparisons,
+not ``strategies.improves``. ``rescored`` rewrites the scores of chosen (row, epoch) pairs however
 a loop batches its ``score`` calls.
 
 ``halt_round`` is the halting rule read off a whole trace at once, and
@@ -38,7 +39,13 @@ from fedsel.aggregation import HaltingCriterion
 from fedsel.data import ClientDataset, EvalSets, Split
 from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import ModelSpec, OptimizerConfig, ParameterVector, check_split
-from fedsel.strategies import LocalRunResult, MetricsReport, Scores, StrategyKind
+from fedsel.strategies import (
+    LocalRunResult,
+    MetricsReport,
+    Scores,
+    SelectionMetric,
+    StrategyKind,
+)
 
 
 def unflatten(values: np.ndarray, manifest) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -310,12 +317,17 @@ def scripted_halt(
     return len(records), records[-1].halted
 
 
-def train_stacked_per_epoch(rows, model, optimizer, epochs, visit) -> list[Exception | None]:
+def train_stacked_per_epoch(rows, model, optimizer, epochs, patience, metric, ties_to_latest):
     """``strategies.train_stacked`` as it ran before windows: after each
-    epoch, one ``strategies.score`` call over every live row, then ``visit``
-    per row, whose result is truthy to keep the row. A row whose weights
-    turn non-finite fails at once and is not scored."""
-    errors: list[Exception | None] = [None] * len(rows)
+    epoch, one ``strategies.score`` call over every live row, then each
+    row's early-stopping state is updated with plain comparisons. A row
+    whose weights turn non-finite fails at once and is not scored.
+
+    Returns, per row, its exception or a dict of its ``trace`` (a tuple),
+    ``best_epoch``, and the bytes of its best and last weights (``best``
+    and ``last``)."""
+    higher = metric is not SelectionMetric.VAL_LOSS
+    results: list = [None] * len(rows)
     stacks: dict[tuple[int, int], list[int]] = {}
     for i, (start, train, val, _, label) in enumerate(rows):
         try:
@@ -326,14 +338,16 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, visit) -> list[Excep
             check_split(model, train.x, train.y)
             check_split(model, val.x, val.y)
         except Exception as exc:
-            errors[i] = exc
+            results[i] = exc
             continue
+        results[i] = {"trace": (), "best_epoch": 0, "best": None, "last": None}
         stacks.setdefault((len(train), len(val)), []).append(i)
 
     for members in stacks.values():
         live = np.array(members)
         weights = np.stack([rows[i][0].values for i in live])
         velocity = np.zeros_like(weights)
+        best_value, stale = {}, {}
         for epoch in range(1, epochs + 1):
             strategies.train_epoch(
                 weights, velocity, model, optimizer,
@@ -342,7 +356,7 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, visit) -> list[Excep
             )
             finite = np.isfinite(weights).all(axis=1)
             for i in live[~finite]:
-                errors[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
+                results[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
             live, weights, velocity = live[finite], weights[finite], velocity[finite]
             if not len(live):
                 break
@@ -350,19 +364,33 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, visit) -> list[Excep
             val = [rows[i][2] for i in live]
             scored = strategies.score(weights, model, [v.x for v in val], [v.y for v in val])
             for j, scores in enumerate(scored):
-                try:
-                    if not math.isfinite(scores.loss):
-                        raise DataError(
-                            f"{rows[live[j]][4]} epoch {epoch}: validation loss is {scores.loss}"
-                        )
-                    keep[j] = visit(int(live[j]), epoch, weights[j], scores)
-                except Exception as exc:
-                    errors[live[j]] = exc
+                i = int(live[j])
+                if not math.isfinite(scores.loss):
+                    results[i] = DataError(
+                        f"{rows[i][4]} epoch {epoch}: validation loss is {scores.loss}"
+                    )
                     keep[j] = False
+                    continue
+                value = getattr(scores.report, metric.value) if higher else scores.loss
+                result, best = results[i], best_value.get(i)
+                result["trace"] += (value,)
+                if best is None:
+                    better = True
+                elif higher:
+                    better = value >= best if ties_to_latest else value > best
+                else:
+                    better = value <= best if ties_to_latest else value < best
+                if better:
+                    best_value[i], stale[i] = value, 0
+                    result["best_epoch"], result["best"] = epoch, weights[j].tobytes()
+                else:
+                    stale[i] += 1
+                keep[j] = stale[i] < patience
+                result["last"] = weights[j].tobytes()
             live, weights, velocity = live[keep], weights[keep], velocity[keep]
             if not len(live):
                 break
-    return errors
+    return results
 
 
 @contextmanager

@@ -31,6 +31,10 @@ def test_corpus_spec_validation():
         CorpusSpec(class_separation=0.0)
     with pytest.raises(ConfigurationError):
         CorpusSpec(shift_magnitude=-0.5)
+    for seed in (2**64, -1):
+        with pytest.raises(ConfigurationError, match="seed must fit in 64 unsigned bits"):
+            CorpusSpec(seed=seed)
+    assert CorpusSpec(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_default_missing_class_pattern():

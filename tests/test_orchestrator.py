@@ -225,9 +225,9 @@ def _spoiled_score(arm, epoch, spoil):
     real_train = strategies.train_stacked
     armed = set()
 
-    def train_stacked(rows, *args):
+    def train_stacked(rows, *args, **kwargs):
         armed.update(rng for start, _, _, rng, label in rows if arm(start, label, rng))
-        return real_train(rows, *args)
+        return real_train(rows, *args, **kwargs)
 
     def change(rng, at, scores):
         return spoil(scores) if rng in armed and at == epoch else scores

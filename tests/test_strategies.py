@@ -469,22 +469,39 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
         assert (result.selected_params.values == snapshots[result.selected_epoch - 1]).all()
 
 
+def _outcome(run):
+    """A ``train_stacked`` row as ``oracle.train_stacked_per_epoch`` returns
+    it: its error string, or its trace, best epoch and the bytes of its
+    best and last weights."""
+    if isinstance(run, Exception):
+        return str(run)
+    return {"trace": tuple(run.trace), "best_epoch": run.best_epoch,
+            "best": run.best_params.values.tobytes(), "last": run.last_params.values.tobytes()}
+
+
 @settings(max_examples=250, deadline=None)
 @given(data=st.data())
 def test_windowed_training_equals_the_per_epoch_loop(data):
     """``train_stacked``, which scores a window of epochs at once, against
-    the loop that scored after every epoch (``oracle.train_stacked_per_epoch``):
-    the same ``visit`` calls in the same order (row, epoch, weight bytes and
-    the repr of the scores), the same error per row, and the same number of
-    epochs trained by every row that did not fail. Rows have unequal split
-    sizes, so several stacks train; the horizon is train_local's or
-    run_baselines'; the window cap is 1, 2 or 10^6 epochs; validation
-    losses turn NaN and ``visit`` raises at drawn (row, epoch) pairs; and
-    the learning rate may overflow the weights, so a row can fail on its
-    loss or its visit and then overflow later in the same window."""
+    the loop that scored after every epoch (``oracle.train_stacked_per_epoch``,
+    which tracks each row's best with plain comparisons): per row, the same
+    trace, best epoch and best and last weight bytes, or the same error, and
+    the same number of epochs trained by every row that did not fail. Both
+    settings are drawn: a client's local run (patience equal to the epochs,
+    ties to the latest, any selection metric) and a baseline (drawn
+    patience, ties to the earliest, macro-F1). Rows have unequal split
+    sizes, so several stacks train; the window cap is 1, 2 or 10^6 epochs;
+    validation losses turn NaN at drawn (row, epoch) pairs; and the learning
+    rate may overflow the weights, so a row can fail on its loss and then
+    overflow later in the same window."""
     epochs = data.draw(st.integers(1, 8), label="epochs")
-    patience = data.draw(st.integers(1, epochs), label="patience")
-    local = data.draw(st.booleans(), label="train_local's horizon")
+    local = data.draw(st.booleans(), label="a client's local run")
+    if local:
+        patience, ties_to_latest = epochs, True
+        metric = data.draw(st.sampled_from(SelectionMetric), label="metric")
+    else:
+        patience, ties_to_latest = data.draw(st.integers(1, epochs), label="patience"), False
+        metric = SelectionMetric.MACRO_F1
     count = data.draw(st.integers(1, 5), label="rows")
     sizes = data.draw(st.lists(st.sampled_from([(5, 3), (7, 3), (5, 4)]),
                                min_size=count, max_size=count), label="train/val sizes")
@@ -492,7 +509,6 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
     cap = data.draw(st.sampled_from([1, 2, 10**6]), label="window cap")
     cells = st.tuples(st.integers(0, count - 1), st.integers(1, epochs))
     nan_at = data.draw(st.sets(cells, max_size=3), label="NaN losses")
-    raise_at = data.draw(st.sets(cells, max_size=3), label="raising visits")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     spec = ModelSpec(layer_sizes=(3, 4, 3))
     opt = OptimizerConfig(learning_rate=rate, batch_size=2)
@@ -511,19 +527,7 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
             for i, (train, val) in enumerate(sizes)
         ]
         row_of = {row[3]: i for i, row in enumerate(rows)}
-        visits, trained, best, stale = [], [0] * count, {}, {}
-
-        def visit(i, epoch, weights, scores):
-            visits.append((i, epoch, weights.tobytes(), repr(scores)))
-            if (i, epoch) in raise_at:
-                raise RuntimeError(f"visit fails row {i} at epoch {epoch}")
-            if local:
-                return epochs - epoch
-            if scores.report.macro_f1 > best.get(i, -np.inf):
-                best[i], stale[i] = scores.report.macro_f1, 0
-            else:
-                stale[i] += 1
-            return patience - stale[i]
+        trained = [0] * count
 
         def change(rng, epoch, scores):
             return replace(scores, loss=float("nan")) if (row_of[rng], epoch) in nan_at else scores
@@ -538,25 +542,24 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
         with np.errstate(all="ignore"), \
                 mock.patch.object(strategies, "_window_cap", lambda rows, size: cap), \
                 mock.patch.object(strategies, "train_epoch", train_epoch), rescored(change):
-            errors = loop(rows, spec, opt, epochs, patience if not local else epochs, visit)
-        ok = [e is None for e in errors]
-        return visits, [None if e is None else str(e) for e in errors], ok, trained
+            results = loop(rows, spec, opt, epochs, patience, metric, ties_to_latest)
+        return results, trained
 
-    windowed = run(strategies.train_stacked)
-    per_epoch = run(lambda rows, spec, opt, epochs, _, visit:
-                    train_stacked_per_epoch(rows, spec, opt, epochs, visit))
-    assert windowed[:3] == per_epoch[:3]
-    for ok, a, b in zip(windowed[2], windowed[3], per_epoch[3]):
-        assert not ok or a == b
+    windowed, windowed_trained = run(strategies.train_stacked)
+    per_epoch, per_epoch_trained = run(train_stacked_per_epoch)
+    per_epoch = [str(r) if isinstance(r, Exception) else r for r in per_epoch]
+    assert [_outcome(r) for r in windowed] == per_epoch
+    for result, a, b in zip(windowed, windowed_trained, per_epoch_trained):
+        assert isinstance(result, Exception) or a == b
 
 
 def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
     """Two rows train as one stack in one 5-epoch window. One row's train
     split is scaled so that its weights overflow partway through; it still
-    trains every epoch of the window, beside the other row, but is visited
-    only for the epochs before its first non-finite weights and fails at
-    that epoch. The finite row's ``visit`` calls (epoch, weight bytes and
-    the repr of the scores) equal those of its run alone."""
+    trains every epoch of the window, beside the other row, and fails at
+    its first epoch of non-finite weights. The finite row's run (trace,
+    best epoch and the bytes of its best and last weights) equals its run
+    alone."""
     spec = ModelSpec(layer_sizes=(3, 4, 3))
     opt = OptimizerConfig(learning_rate=0.05, batch_size=2)
     gen = np.random.default_rng(0)
@@ -570,7 +573,6 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
     def run(labels):
         rows = [(start, *data[label], np.random.default_rng(seed), label)
                 for seed, label in enumerate(data) if label in labels]
-        visits = {label: [] for label in labels}
         stacks = []  # the rows each train_epoch call trained
         real_epoch = strategies.train_epoch
 
@@ -578,15 +580,11 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
             stacks.append(len(rngs))
             real_epoch(weights, velocity, model, optimizer, x, y, rngs)
 
-        def visit(i, epoch, weights, scores):
-            visits[rows[i][4]].append((epoch, weights.tobytes(), repr(scores)))
-            return 5 - epoch
-
         with np.errstate(all="ignore"), \
                 mock.patch.object(strategies, "_window_cap", lambda rows, size: 10**6), \
                 mock.patch.object(strategies, "train_epoch", train_epoch):
-            errors = strategies.train_stacked(rows, spec, opt, 5, 5, visit)
-        return visits, {row[4]: None if e is None else str(e) for row, e in zip(rows, errors)}, stacks
+            runs = strategies.train_stacked(rows, spec, opt, 5, 5, SelectionMetric.MACRO_F1, True)
+        return {row[4]: _outcome(run) for row, run in zip(rows, runs)}, stacks
 
     # the overflowing row's first epoch with non-finite weights, trained alone
     weights, velocity = start.values[None].copy(), np.zeros((1, len(start)))
@@ -599,17 +597,12 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
                 overflow = epoch
     assert overflow is not None and 1 < overflow < 5
 
-    visits, errors, stacks = run(("finite", "overflowing"))
+    outcomes, stacks = run(("finite", "overflowing"))
     assert stacks == [2] * 5
-    assert errors == {
-        "finite": None,
-        "overflowing": f"overflowing epoch {overflow}: weights are not finite",
-    }
-    assert [epoch for epoch, *_ in visits["overflowing"]] == list(range(1, overflow))
-    alone, alone_errors, _ = run(("finite",))
-    assert alone_errors == {"finite": None}
-    assert visits["finite"] == alone["finite"]
-    assert [epoch for epoch, *_ in alone["finite"]] == [1, 2, 3, 4, 5]
+    assert outcomes["overflowing"] == f"overflowing epoch {overflow}: weights are not finite"
+    alone, _ = run(("finite",))
+    assert outcomes["finite"] == alone["finite"]
+    assert len(alone["finite"]["trace"]) == 5
 
 
 def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
@@ -633,16 +626,17 @@ def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
     assert str(error) == f"client {client.client_id} epoch 1: validation loss is nan"
 
 
-def test_run_local_rejects_bad_input():
-    """Zero epochs fail the call, as does a first horizon of zero epochs,
-    which would give ``train_stacked`` an empty window; an empty split fails
-    its own row, which ``train_local`` returns as the exception."""
+def test_train_local_rejects_bad_input():
+    """Zero epochs fail the call, as does a patience of zero epochs, which
+    would give ``train_stacked`` an empty window; an empty split fails its
+    own row, which ``train_local`` returns as the exception."""
     client = _client()
     incoming = init_parameters(MODEL)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="epochs must be >= 1, got 0"):
         train_local([(incoming, client, np.random.default_rng(0))], MODEL, OptimizerConfig(), 0)
-    with pytest.raises(ConfigurationError, match="horizon must be >= 1, got 0"):
-        strategies.train_stacked([], MODEL, OptimizerConfig(), 1, 0, lambda *_: 1)
+    with pytest.raises(ConfigurationError, match="patience must be >= 1, got 0"):
+        strategies.train_stacked([], MODEL, OptimizerConfig(), 1, 0, SelectionMetric.MACRO_F1,
+                                 False)
     empty = Split(np.zeros((0, 16)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     broken = ClientDataset(client_id=0, missing_class=1, train=empty,
                            val=client.val, test=client.test)

@@ -14,7 +14,7 @@ from fedsel.data import make_dataset
 from fedsel.nn import init_parameters
 from fedsel.orchestrator import client_stream, run_federation
 from fedsel.presets import preset_run_config
-from fedsel.strategies import StrategyKind, train_local
+from fedsel.strategies import StrategyKind, shipped, train_stacked
 
 preset = preset_run_config("elevated_noise")
 seed = 7
@@ -22,19 +22,23 @@ clients, evals = make_dataset(replace(preset.corpus, seed=seed), preset.partitio
 fed = preset.federation
 model = fed.model
 
-# one client, one round, by hand: train_local trains each (weights, client,
-# random stream) row and returns the pick of each strategy
-(picks,) = train_local(
-    [(init_parameters(model), clients[0], client_stream(seed, 1, 0))],
-    model, fed.optimizer, fed.local_epochs,
+# one client, one round, by hand: a client's local run is train_stacked with
+# patience equal to its epochs and ties going to the latest epoch; shipped
+# reads the epoch each strategy uploads from that one run
+client = clients[0]
+(run,) = train_stacked(
+    [(init_parameters(model), client.train, client.val, client_stream(seed, 1, 0), "client 0")],
+    model, fed.optimizer, fed.local_epochs, fed.local_epochs, fed.selection_metric,
+    ties_to_latest=True,
 )
-result = picks[StrategyKind.OEWS]
+_, fews_epoch = shipped(run, StrategyKind.FEWS)
+_, oews_epoch = shipped(run, StrategyKind.OEWS)
 print("client 0, round 1, per-epoch validation macro-F1:")
-for epoch, value in enumerate(result.trace, start=1):
+for epoch, value in enumerate(run.trace, start=1):
     marker = ""
-    if epoch == result.selected_epoch:
+    if epoch == oews_epoch:
         marker = "  <- OEWS ships this"
-    elif epoch == len(result.trace):
+    elif epoch == fews_epoch:
         marker = "  <- FEWS ships this"
     print(f"  epoch {epoch:2d}: {value:.4f}{marker}")
 

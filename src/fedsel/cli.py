@@ -196,8 +196,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     """re-render summary tables from compare output"""
     cfg, run_id = _load(args)
     out = Path(cfg.out_dir)
-    if args.config is not None:
-        # a config names one run: summarize its comparison or nothing
+    # a config, or a flag for a key in the run_id, names one run: summarize
+    # its comparison or nothing
+    if args.config is not None or any(
+        v is not None for key, v in vars(args).items() if key in KEY_TABLE and key != "output.dir"
+    ):
         candidates = [out / f"{run_id}.compare.csv"]
         if not candidates[0].is_file():
             raise ConfigurationError(

@@ -17,8 +17,15 @@ bitwise equal form a branch, each branch trains each client once, and the
 cohort's federations advance together, each scoring pass one
 ``score_params`` call over all of them. Cohorts, one per campaign seed,
 also run in lockstep: each round, the client runs of every branch of every
-cohort train first, as one ``train_local`` call whose outcomes come back
-in row order.
+cohort train first, as one ``strategies.train_stacked`` call whose
+outcomes come back in row order.
+
+Every training run is one of ``train_stacked``'s two settings, both set
+here: a client's local run (``run_federations``) trains
+``local_epochs`` epochs with patience equal to them and ties going to the
+latest epoch, and ``strategies.shipped`` reads what each strategy uploads
+from it; a baseline (``run_baselines``) trains up to ``max_epochs`` epochs
+with the baseline's patience and ties going to the earliest epoch.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .strategies import (
     SelectionMetric,
     StrategyKind,
     score_params,
-    train_local,
+    shipped,
     train_stacked,
 )
 
@@ -136,10 +143,11 @@ def _round(
 ) -> None:
     """Round ``t`` of a cohort's live federations, each running ``cfg``
     with its own strategy. Each comes paired with its branch's client
-    outcomes, in client order: a client's picks, or the error that failed
-    its run. A failed client run ends the federation with a ProtocolError
-    naming the client and the round, a failed aggregation with its own
-    error. Each scoring pass is one ``score_params`` call over every
+    outcomes, in client order: a client's local run, from which
+    ``shipped`` reads the weights and epoch the federation's strategy
+    uploads, or the error that failed the run. A failed client run ends
+    the federation with a ProtocolError naming the client and the round, a
+    failed aggregation with its own error. Each scoring pass is one ``score_params`` call over every
     federation: per client test split (industrial) or on the global test
     set (academic). A pass that raises fails the round."""
     industrial = cfg.workflow is Workflow.INDUSTRIAL
@@ -149,19 +157,17 @@ def _round(
     advanced = []
     for i, (run, outcomes) in enumerate(runs):
         try:
-            results = []
+            updates, selected = [], []
             for c, outcome in zip(clients, outcomes):
                 if isinstance(outcome, Exception):
                     raise ProtocolError(
                         f"client {c.client_id} failed in round {t}: {outcome}"
                     ) from outcome
-                results.append(outcome[run.strategy])
-            updates = [
-                ClientUpdate(c.client_id, r.selected_params, len(c.train))
-                for c, r in zip(clients, results)
-            ]
+                params, epoch = shipped(outcome, run.strategy)
+                updates.append(ClientUpdate(c.client_id, params, len(c.train)))
+                selected.append(epoch)
             run.params = aggregate(updates, cfg.aggregation)
-            selected = tuple(r.selected_epoch for r in results)
+            selected = tuple(selected)
             if industrial:
                 reports = tuple(scores[i].report for scores in incoming)
                 agg = aggregate_metrics(reports)
@@ -198,10 +204,12 @@ def run_federations(
     its cohort's master seed. Each round, a cohort's live federations whose
     global weights are bitwise equal form one branch, which trains each
     client once. The client runs of every branch of every cohort train as
-    one ``train_local`` call, its rows in cohort, then branch, then client
-    order, and each branch reads its outcomes back by position. Then each
-    cohort's live federations advance together through one ``_round``
-    call, which scores them all in one ``score_params`` pass per split.
+    one ``train_stacked`` call in the client setting (patience equal to
+    ``cfg.local_epochs``, ties going to the latest epoch), its rows in
+    cohort, then branch, then client order, and each branch reads its
+    outcomes back by position. Then each cohort's live federations advance
+    together through one ``_round`` call, which scores them all in one
+    ``score_params`` pass per split.
     Cohorts share no client run: they start from the same weights, but
     train on their own data and streams.
     Each runs ``cfg.rounds`` rounds, or, in the industrial flow, stops on
@@ -240,15 +248,17 @@ def run_federations(
                     groups[keys.index(weights)].append(run)
             branches.append(groups)
         rows = [
-            (branch[0].params, c, client_stream(seed, t, c.client_id))
+            (branch[0].params, c.train, c.val, client_stream(seed, t, c.client_id),
+             f"client {c.client_id}")
             for (seed, clients, _), groups in zip(cohorts, branches)
             for branch in groups
             for c in clients
         ]
         if not rows:
             break  # every federation has ended
-        outcomes = iter(train_local(
-            rows, cfg.model, cfg.optimizer, cfg.local_epochs, cfg.selection_metric
+        outcomes = iter(train_stacked(
+            rows, cfg.model, cfg.optimizer, cfg.local_epochs, cfg.local_epochs,
+            cfg.selection_metric, ties_to_latest=True,
         ))
         for (_, clients, evals), groups in zip(cohorts, branches):
             paired = []
@@ -316,8 +326,8 @@ def run_baselines(
     An epoch that only equals the best does not replace it and counts
     toward patience, so a run that reaches a plateau stops `patience`
     epochs after the plateau's first epoch and ships that epoch. A client's
-    local run (``strategies.train_local``) is the same run with ties going
-    to the latest epoch.
+    local run (``run_federations``) is the same run with patience equal to
+    its epochs and ties going to the latest epoch.
 
     Rows of equal split sizes train as one stack; each keeps its own
     patience and leaves the stack when it stops. Returns, per row, its

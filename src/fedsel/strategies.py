@@ -3,16 +3,17 @@
 A client trains for a fixed number of epochs and must pick one epoch's
 weights to send back. FEWS always sends the final epoch; OEWS sends the epoch
 that scored best on the client's validation split, preferring the latest
-epoch on ties. One rule, ``improves``, decides whether an epoch's score
-replaces the best so far, and each caller names its tie direction: OEWS
-sends ties to the latest epoch, the early-stopping baselines to the
-earliest.
+epoch on ties. ``shipped`` reads either pick from the client's run, and is
+the one place the two strategies differ. One rule, ``improves``, decides
+whether an epoch's score replaces the best so far, and each setting of the
+run names its tie direction: a client's local run sends ties to the latest
+epoch, the early-stopping baselines to the earliest.
 
 Every training run is an early-stopping run of ``train_stacked``, which
-keeps each row's trace, best epoch and weights and patience itself. A
-client's local run (``train_local``) is its setting with patience equal to
-the epochs and ties to the latest epoch; a baseline
-(``orchestrator.run_baselines``) is its setting on val macro-F1 with the
+keeps each row's trace, best epoch and weights and patience itself. Its two
+settings sit side by side in ``orchestrator``: a client's local run
+(``run_federations``) has patience equal to the epochs and ties to the
+latest epoch; a baseline (``run_baselines``) runs on val macro-F1 with the
 baseline's patience and ties to the earliest epoch.
 
 Models that train side by side, such as a round's client runs or a seed's
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClientDataset, Split
+from .data import Split
 from .errors import ConfigurationError, DataError, ShapeError
 from .nn import (
     GATHER_VALUES,
@@ -225,43 +226,12 @@ def improves(
     winner ends on the latest of equal best scores, and otherwise on the
     earliest. A NaN neither wins against a score nor is beaten by one.
 
-    Its callers name their direction: ``select_epoch`` (OEWS) sends ties
-    to the latest epoch, and ``train_stacked`` takes the direction of its
-    setting: the latest for a client's local run (``train_local``), the
-    earliest for the early-stopping baselines
-    (``orchestrator.run_baselines``)."""
+    Its one caller, ``train_stacked``, takes the direction of its setting:
+    the latest for a client's local run, the earliest for the
+    early-stopping baselines."""
     if value == best:
         return ties_to_latest
     return best is None or (value > best if higher_is_better else value < best)
-
-
-def select_epoch(
-    trace: Sequence[float], strategy: StrategyKind, higher_is_better: bool = True
-) -> int:
-    """1-based epoch pick from a per-epoch validation trace.
-
-    FEWS ignores the values and returns the last epoch. OEWS returns the
-    best-scoring epoch by ``improves`` with ties going to the latest one:
-    the epoch ``train_local``'s run keeps as it trains. The early-stopping
-    baselines (``orchestrator.run_baselines``) use the same rule with ties
-    going to the earliest.
-    """
-    if len(trace) == 0:
-        raise ConfigurationError("selection needs at least one epoch")
-    if StrategyKind(strategy) is StrategyKind.FEWS:
-        return len(trace)
-    best = None
-    for epoch, value in enumerate(trace, 1):
-        if improves(value, best, higher_is_better, ties_to_latest=True):
-            best, pick = value, epoch
-    return pick
-
-
-@dataclass(frozen=True)
-class LocalRunResult:
-    selected_params: ParameterVector
-    selected_epoch: int
-    trace: tuple[float, ...]
 
 
 @dataclass
@@ -280,6 +250,16 @@ class EarlyStopRun:
     stale: int = 0
 
 
+def shipped(run: EarlyStopRun, strategy: StrategyKind) -> tuple[ParameterVector, int]:
+    """The weights a client uploads from its local run and their 1-based
+    epoch: FEWS ships the last epoch, OEWS the run's best. The only place
+    the two strategies differ; both read one run, so they share its trace,
+    and when the last epoch is the best they ship one object."""
+    if StrategyKind(strategy) is StrategyKind.FEWS:
+        return run.last_params, len(run.trace)
+    return run.best_params, run.best_epoch
+
+
 def train_stacked(
     rows: Sequence[tuple[ParameterVector, Split, Split, np.random.Generator, str]],
     model: ModelSpec,
@@ -296,7 +276,15 @@ def train_stacked(
     epoch when ``ties_to_latest`` and to the earliest otherwise. A row stops
     after ``patience`` epochs in a row that do not replace its best. Rows
     whose splits have equal sizes train as one stack through
-    ``nn.train_epoch``; no row is padded.
+    ``nn.train_epoch``; no row is padded. A row's run depends only on its
+    start weights, splits and rng stream, never on the other rows.
+
+    Its two settings are ``orchestrator``'s, its only callers: a client's
+    local run (``run_federations``) trains ``local_epochs`` epochs with
+    patience equal to them, so no row stops early, and ties going to the
+    latest epoch, and ``shipped`` reads each strategy's pick from its run;
+    a baseline (``run_baselines``) has the baseline's patience and ties
+    going to the earliest epoch.
 
     A row whose validation loss is not finite, or whose weights turn
     non-finite, fails with a DataError naming its label and the epoch; a
@@ -401,36 +389,3 @@ def _window_cap(rows: int, size: int) -> int:
     values that fit in ``nn.GATHER_VALUES`` values, at least one."""
     return max(1, GATHER_VALUES // (rows * size))
 
-
-def train_local(
-    rows: Sequence[tuple[ParameterVector, ClientDataset, np.random.Generator]],
-    model: ModelSpec,
-    optimizer: OptimizerConfig,
-    epochs: int,
-    metric: SelectionMetric = SelectionMetric.MACRO_F1,
-) -> list[dict[StrategyKind, LocalRunResult] | Exception]:
-    """Train each row (incoming weights, client, rng) for ``epochs`` epochs,
-    scoring each epoch's weights on the client's validation split, and pick
-    the epoch each strategy ships: ``train_stacked`` with patience equal to
-    ``epochs``, so no row stops early, and ties going to the latest epoch.
-
-    A row's training depends only on its incoming weights, its client's
-    data and its rng stream, never on the other rows. FEWS ships the last
-    epoch, OEWS the run's best, both sharing one trace. Returns, per row,
-    each strategy's pick, or the exception that failed the row alone: a
-    non-finite weight or validation loss is a DataError naming the client
-    and the epoch.
-    """
-    runs = train_stacked(
-        [(p, c.train, c.val, rng, f"client {c.client_id}") for p, c, rng in rows],
-        model, optimizer, epochs, epochs, metric, ties_to_latest=True,
-    )
-
-    def picks(run: EarlyStopRun) -> dict[StrategyKind, LocalRunResult]:
-        trace = tuple(run.trace)
-        return {
-            StrategyKind.FEWS: LocalRunResult(run.last_params, len(trace), trace),
-            StrategyKind.OEWS: LocalRunResult(run.best_params, run.best_epoch, trace),
-        }
-
-    return [run if isinstance(run, Exception) else picks(run) for run in runs]

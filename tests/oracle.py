@@ -16,6 +16,10 @@ epoch and tracks each row's best epoch and patience with plain comparisons,
 not ``strategies.improves``. ``rescored`` rewrites the scores of chosen (row, epoch) pairs however
 a loop batches its ``score`` calls.
 
+``folded_run`` is the record ``train_stacked`` keeps for a scripted
+validation trace, ``strategies.improves`` folded over it, so that
+``strategies.shipped`` can read its picks without training.
+
 ``halt_round`` is the halting rule read off a whole trace at once, and
 ``scripted_halt`` runs the package's round loop on such a trace, so the
 tests can hold the loop to the rule. ``brute_force_metrics`` and
@@ -40,11 +44,12 @@ from fedsel.data import ClientDataset, EvalSets, Split
 from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import ModelSpec, OptimizerConfig, ParameterVector, check_split
 from fedsel.strategies import (
-    LocalRunResult,
+    EarlyStopRun,
     MetricsReport,
     Scores,
     SelectionMetric,
     StrategyKind,
+    improves,
 )
 
 
@@ -281,6 +286,20 @@ def halt_round(
     return last, False
 
 
+def folded_run(
+    trace: Sequence[float], higher_is_better: bool, ties_to_latest: bool
+) -> EarlyStopRun:
+    """The record ``train_stacked`` keeps for a run whose validation trace
+    is ``trace``: ``improves`` folded over it in the given direction. It
+    holds no weights, so ``shipped`` reads only epochs from it."""
+    run = EarlyStopRun()
+    for epoch, value in enumerate(trace, 1):
+        run.trace.append(value)
+        if improves(value, run.best, higher_is_better, ties_to_latest):
+            run.best, run.best_epoch = value, epoch
+    return run
+
+
 def scripted_halt(
     trace: Sequence[float], criterion: HaltingCriterion, rounds: int
 ) -> tuple[int, bool]:
@@ -304,13 +323,11 @@ def scripted_halt(
         report = MetricsReport(*[next(values)] * 4)
         return [Scores(report, 0.0, 0.0) for _ in params]
 
-    def train_local(rows, *_):
-        return [
-            {s: LocalRunResult(p, 1, (0.0,)) for s in StrategyKind} for p, _, _ in rows
-        ]
+    def train_stacked(rows, *_, **__):
+        return [EarlyStopRun([0.0], 0.0, 1, start, start) for start, *_ in rows]
 
     with mock.patch.object(orchestrator, "score_params", score_params), \
-            mock.patch.object(orchestrator, "train_local", train_local):
+            mock.patch.object(orchestrator, "train_stacked", train_stacked):
         records, _ = orchestrator.run_federation(
             cfg, StrategyKind.FEWS, (0, [client], EvalSets(split, split))
         )

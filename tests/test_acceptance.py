@@ -31,10 +31,11 @@ from fedsel.nn import (
 from fedsel.orchestrator import client_stream
 from fedsel.presets import preset_run_config
 from fedsel.reporting import run_comparison
-from fedsel.strategies import StrategyKind, score, select_epoch, train_local
+from fedsel.strategies import SelectionMetric, StrategyKind, score, shipped, train_stacked
 from oracle import (
     brute_force_metrics,
     fd_gradient,
+    folded_run,
     forward,
     loss_and_gradient,
     scripted_halt,
@@ -163,7 +164,14 @@ def test_a2_aggregation_matches_brute_force():
 def test_a3_selection_properties():
     """Selected epoch is the latest argmax on 1000 random traces, is
     invariant under strictly increasing transforms, and OEWS coincides with
-    FEWS bitwise when E=1 and when the validation trace never decreases."""
+    FEWS bitwise when E=1 and when the validation trace never decreases.
+    The traces go through the rule a client run keeps (``improves`` folded
+    with ties to the latest epoch) and ``shipped``; the bitwise halves read
+    ``shipped`` of real client runs."""
+
+    def picked(trace, strategy, higher_is_better=True):
+        return shipped(folded_run(trace, higher_is_better, ties_to_latest=True), strategy)[1]
+
     rng = np.random.default_rng(77)
     checked = transform_ok = 0
     for _ in range(1000):
@@ -173,12 +181,12 @@ def test_a3_selection_properties():
             trace = np.round(trace, 1)  # force ties
         trace = [float(v) for v in trace]
         latest_argmax = max(range(length), key=lambda i: (trace[i], i)) + 1
-        assert select_epoch(trace, StrategyKind.OEWS) == latest_argmax
-        assert select_epoch(trace, StrategyKind.FEWS) == length
+        assert picked(trace, StrategyKind.OEWS) == latest_argmax
+        assert picked(trace, StrategyKind.FEWS) == length
         latest_argmin = max(range(length), key=lambda i: (-trace[i], i)) + 1
-        assert select_epoch(trace, StrategyKind.OEWS, higher_is_better=False) == latest_argmin
+        assert picked(trace, StrategyKind.OEWS, higher_is_better=False) == latest_argmin
         for transform in (lambda v: 3.0 * v + 7.0, math.exp, math.atan):
-            if select_epoch([transform(v) for v in trace], StrategyKind.OEWS) == latest_argmax:
+            if picked([transform(v) for v in trace], StrategyKind.OEWS) == latest_argmax:
                 transform_ok += 1
         checked += 1
 
@@ -190,18 +198,23 @@ def test_a3_selection_properties():
     opt = OptimizerConfig(learning_rate=0.01)
 
     def both(client, epochs, stream_seed):
-        rows = [(init_parameters(model), client, client_stream(stream_seed, 1, client.client_id))]
-        (picks,) = train_local(rows, model, opt, epochs)
-        return picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
+        """A client run's trace and the weights FEWS and OEWS ship from it."""
+        rows = [(init_parameters(model), client.train, client.val,
+                 client_stream(stream_seed, 1, client.client_id), f"client {client.client_id}")]
+        (run,) = train_stacked(rows, model, opt, epochs, epochs, SelectionMetric.MACRO_F1,
+                               ties_to_latest=True)
+        fews, _ = shipped(run, StrategyKind.FEWS)
+        oews, _ = shipped(run, StrategyKind.OEWS)
+        return run.trace, fews, oews
 
     single_ok = nondec_found = nondec_ok = 0
     for client in clients:
-        f1, o1 = both(client, 1, 11)
-        single_ok += int((f1.selected_params.values == o1.selected_params.values).all())
-        f6, o6 = both(client, 6, 12)
-        if all(b >= a for a, b in zip(f6.trace, f6.trace[1:])):
+        _, f1, o1 = both(client, 1, 11)
+        single_ok += int((f1.values == o1.values).all())
+        trace, f6, o6 = both(client, 6, 12)
+        if all(b >= a for a, b in zip(trace, trace[1:])):
             nondec_found += 1
-            nondec_ok += int((f6.selected_params.values == o6.selected_params.values).all())
+            nondec_ok += int((f6.values == o6.values).all())
 
     ok = (
         checked == 1000

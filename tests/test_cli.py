@@ -296,6 +296,29 @@ def test_report_with_a_config_reads_only_that_config_s_run(tiny_config, tmp_path
     assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
 
 
+def test_report_flags_name_one_run_as_a_config_does(tmp_path, capsys):
+    """--rounds and --epochs are keys of the run_id, so without --config
+    they name one run too: beside another run of the same seed, report
+    --rounds 1 --epochs 1 summarizes only the comparison those flags hash
+    to, byte for byte as compare did, while --out alone refuses both."""
+    out = tmp_path / "cmp"
+    for rounds in ("1", "2"):
+        args = ["compare", "--seeds", "1", "--rounds", rounds, "--epochs", "1", "--out", str(out)]
+        assert main(args) == 0
+    _, run_id = load_config(overrides={"federation.rounds": "1", "federation.local_epochs": "1"},
+                            unhashed=_UNREAD["report"])
+    written = {p.name: p.read_bytes() for p in out.glob(f"{run_id}.summary.*")}
+    assert len(written) == 2
+    for name in written:
+        (out / name).unlink()
+    capsys.readouterr()
+    assert main(["report", "--rounds", "1", "--epochs", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"sources: {out / run_id}.compare.csv\n")
+    assert {p.name: p.read_bytes() for p in out.glob(f"{run_id}.summary.*")} == written
+    assert main(["report", "--out", str(out)]) == 2
+    assert "two rows for seed 1 local_client_0" in capsys.readouterr().err
+
+
 def test_report_without_compare_output_fails(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path / "empty")])
     assert code == 2

@@ -2,9 +2,9 @@
 completion and prints exactly what it printed when pinned.
 
 The demos call the library the way a reader would (``run_centralized``,
-``train_local``, ``run_federation``, ``score_params``), so a change to those
-signatures, or to the fields they read, that forgets a demo or the README
-fails here. Each demo's stdout is pinned by its SHA-256.
+``train_stacked``, ``shipped``, ``run_federation``, ``score_params``), so a
+change to those signatures, or to the fields they read, that forgets a demo
+or the README fails here. Each demo's stdout is pinned by its SHA-256.
 """
 
 import hashlib

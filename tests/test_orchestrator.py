@@ -38,7 +38,7 @@ from fedsel.orchestrator import (
     write_metrics_logs,
 )
 from fedsel.reporting import rows_to_csv, run_comparison
-from fedsel.strategies import MetricsReport, StrategyKind, score_params, train_local
+from fedsel.strategies import MetricsReport, StrategyKind, score_params, shipped, train_stacked
 from oracle import rescored
 
 MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
@@ -92,11 +92,15 @@ def test_single_client_federation_is_local_training():
     cfg = fast_cfg(rounds=1)
     records, params = run_federation(cfg, "fews", (SEED, pools_clients, evals))
     # plain mean of one client's update is that update, bitwise
-    (picks,) = train_local(
-        [(init_parameters(MODEL), pools_clients[0], client_stream(SEED, 1, 0))],
-        MODEL, cfg.optimizer, cfg.local_epochs, cfg.selection_metric,
+    client = pools_clients[0]
+    (run,) = train_stacked(
+        [(init_parameters(MODEL), client.train, client.val, client_stream(SEED, 1, 0),
+          f"client {client.client_id}")],
+        MODEL, cfg.optimizer, cfg.local_epochs, cfg.local_epochs, cfg.selection_metric,
+        ties_to_latest=True,
     )
-    assert (params.values == picks[StrategyKind.FEWS].selected_params.values).all()
+    fews, _ = shipped(run, StrategyKind.FEWS)
+    assert (params.values == fews.values).all()
 
 
 def test_replay_determinism():
@@ -183,14 +187,14 @@ def _assert_lockstep_matches_separate_runs(cfg, strategies, clients, evals, tmp_
     import fedsel.orchestrator as orchestrator
 
     trained = []
-    real_train = orchestrator.train_local
+    real_train = orchestrator.train_stacked
 
-    def train_local(rows, *args):
+    def train_stacked(rows, *args, **kwargs):
         trained.append(len(rows))
-        return real_train(rows, *args)
+        return real_train(rows, *args, **kwargs)
 
     # client runs count stacked rows; scoring passes count rows per call
-    with mock.patch.object(orchestrator, "train_local", train_local), \
+    with mock.patch.object(orchestrator, "train_stacked", train_stacked), \
             _scoring_stacks(orchestrator) as scored:
         together = run_federations(cfg, strategies, [(SEED, clients, evals)])[0]
     for i, (strategy, outcome) in enumerate(zip(strategies, together)):
@@ -213,16 +217,18 @@ def _nan_loss(scores):
 
 @contextmanager
 def _spoiled_score(arm, epoch, spoil):
-    """Within each ``strategies.train_stacked`` call, the rows whose (start
-    weights, label, rng) ``arm`` picks get ``spoil`` applied to their
-    validation scores at ``epoch``: the scores are keyed by (row, epoch),
-    whatever window or stack they are scored in. A call holds the rows of
-    every seed of a campaign, and round-1 weights are equal across seeds,
-    so an arm must pick the rows of one seed by their rng state or by
-    weights from after round 1."""
-    import fedsel.strategies as strategies
+    """Within each ``train_stacked`` call the orchestrator makes, the rows
+    whose (start weights, label, rng) ``arm`` picks get ``spoil`` applied
+    to their validation scores at ``epoch``: the scores are keyed by (row,
+    epoch), whatever window or stack they are scored in. A client-run call
+    holds the rows of every seed of a campaign, and round-1 weights are
+    equal across seeds, so an arm must pick the rows of one seed by their
+    rng state or by weights from after round 1. Baseline calls pass
+    through the same name; their rows start from the initial weights on
+    baseline streams, which no arm here picks."""
+    import fedsel.orchestrator as orchestrator
 
-    real_train = strategies.train_stacked
+    real_train = orchestrator.train_stacked
     armed = set()
 
     def train_stacked(rows, *args, **kwargs):
@@ -232,7 +238,7 @@ def _spoiled_score(arm, epoch, spoil):
     def change(rng, at, scores):
         return spoil(scores) if rng in armed and at == epoch else scores
 
-    with mock.patch.object(strategies, "train_stacked", train_stacked), rescored(change):
+    with mock.patch.object(orchestrator, "train_stacked", train_stacked), rescored(change):
         yield
 
 
@@ -289,7 +295,7 @@ def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
     """Two seeds' industrial cohorts in one call, at threshold 0.8: the
     first cohort's federations share rounds 1 and 2 and halt in round 3,
     the second's part in round 1 and halt in round 2, so round 3 trains the
-    first cohort alone. Each round is one ``train_local`` call over both
+    first cohort alone. Each round is one ``train_stacked`` call over both
     cohorts, and every outcome equals a call with its cohort alone."""
     import fedsel.orchestrator as orchestrator
 
@@ -298,13 +304,13 @@ def test_cohorts_equal_separate_calls_and_halt_apart(tmp_path):
     strategies = [StrategyKind.FEWS, StrategyKind.OEWS]
     cohorts = [(13, *small_dataset(noise=2.0, seed=55)), (14, *small_dataset(noise=2.0, seed=56))]
     calls = []
-    real = orchestrator.train_local
+    real = orchestrator.train_stacked
 
-    def train_local(rows, *args):
+    def train_stacked(rows, *args, **kwargs):
         calls.append(len(rows))
-        return real(rows, *args)
+        return real(rows, *args, **kwargs)
 
-    with mock.patch.object(orchestrator, "train_local", train_local):
+    with mock.patch.object(orchestrator, "train_stacked", train_stacked):
         together = run_federations(cfg, strategies, cohorts)
     assert calls == [4 + 4, 4 + 8, 8]
     assert [[len(records) for records, _ in outcomes] for outcomes in together] == [[3, 3], [2, 2]]

@@ -23,13 +23,13 @@ from fedsel.strategies import (
     improves,
     score,
     score_params,
-    select_epoch,
-    train_local,
+    shipped,
 )
 from oracle import (
     brute_force_metrics,
     confusion_matrix,
     cross_entropy_loss,
+    folded_run,
     forward,
     loss_and_gradient,
     metrics_from_confusion,
@@ -252,25 +252,31 @@ def test_stacking_equals_separate_runs(data):
         assert _scores_key(stacked[r]) == _scores_key(alone)
 
 
+def _picked(trace, strategy, higher_is_better=True):
+    """The epoch ``strategy`` ships from a client's run whose validation
+    trace is ``trace``: ``improves`` folded with ties to the latest epoch,
+    read through ``shipped``."""
+    _, epoch = shipped(folded_run(trace, higher_is_better, ties_to_latest=True), strategy)
+    return epoch
+
+
 def test_select_epoch_rules():
-    assert select_epoch([0.5, 0.9, 0.7], StrategyKind.FEWS) == 3
-    assert select_epoch([0.60, 0.90, 0.80], StrategyKind.OEWS) == 2
-    assert select_epoch([0.9, 0.5, 0.9], StrategyKind.OEWS) == 3  # tie -> latest
-    assert select_epoch([0.4], StrategyKind.OEWS) == 1
+    assert _picked([0.5, 0.9, 0.7], StrategyKind.FEWS) == 3
+    assert _picked([0.60, 0.90, 0.80], StrategyKind.OEWS) == 2
+    assert _picked([0.9, 0.5, 0.9], StrategyKind.OEWS) == 3  # tie -> latest
+    assert _picked([0.4], StrategyKind.OEWS) == 1
     # lower-is-better (validation loss)
-    assert select_epoch([0.5, 0.2, 0.2], StrategyKind.OEWS, higher_is_better=False) == 3
-    with pytest.raises(ConfigurationError):
-        select_epoch([], StrategyKind.OEWS)
+    assert _picked([0.5, 0.2, 0.2], StrategyKind.OEWS, higher_is_better=False) == 3
 
 
 def test_select_epoch_invariant_under_increasing_transform():
     rng = np.random.default_rng(8)
     for _ in range(200):
         trace = rng.random(int(rng.integers(1, 12))).tolist()
-        base = select_epoch(trace, StrategyKind.OEWS)
+        base = _picked(trace, StrategyKind.OEWS)
         transformed = [3.0 * v + 1.0 for v in trace]
-        assert select_epoch(transformed, StrategyKind.OEWS) == base
-        assert select_epoch(np.exp(trace).tolist(), StrategyKind.OEWS) == base
+        assert _picked(transformed, StrategyKind.OEWS) == base
+        assert _picked(np.exp(trace).tolist(), StrategyKind.OEWS) == base
 
 
 # three validation levels, so that scripted traces tie often
@@ -295,8 +301,9 @@ def test_improves_folded_over_a_trace_is_the_reference_best(
     trace, higher_is_better, ties_to_latest
 ):
     """The one best-epoch rule, kept over a trace, picks the reference's
-    best epoch in either tie direction; the first epoch always wins, and
-    ``select_epoch`` is the fold that sends ties to the latest epoch."""
+    best epoch in either tie direction; the first epoch always wins. A
+    client's run folds it with ties to the latest epoch, and ``shipped``
+    reads that epoch for OEWS and the last one for FEWS."""
     best = pick = None
     for epoch, value in enumerate(trace, 1):
         if improves(value, best, higher_is_better, ties_to_latest):
@@ -304,10 +311,10 @@ def test_improves_folded_over_a_trace_is_the_reference_best(
         if epoch == 1:
             assert pick == 1
     assert pick == _best_epoch(trace, higher_is_better, ties_to_latest)
-    assert select_epoch(trace, StrategyKind.OEWS, higher_is_better) == _best_epoch(
+    assert _picked(trace, StrategyKind.OEWS, higher_is_better) == _best_epoch(
         trace, higher_is_better, ties_to_latest=True
     )
-    assert select_epoch(trace, StrategyKind.FEWS, higher_is_better) == len(trace)
+    assert _picked(trace, StrategyKind.FEWS, higher_is_better) == len(trace)
 
 
 @pytest.mark.parametrize("higher_is_better", [True, False])
@@ -329,23 +336,32 @@ def _client(seed=0, train_n=15, noise=2.5):
 MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
 
 
+def _local_runs(rows, opt, epochs, metric=SelectionMetric.MACRO_F1):
+    """Client local runs of rows (incoming weights, client, rng), each
+    ``train_stacked`` in the setting ``run_federations`` gives it: patience
+    equal to the epochs and ties going to the latest epoch."""
+    return strategies.train_stacked(
+        [(p, c.train, c.val, rng, f"client {c.client_id}") for p, c, rng in rows],
+        MODEL, opt, epochs, epochs, metric, ties_to_latest=True,
+    )
+
+
 def test_run_local_shapes_and_ranges():
-    """One client's local run, as ``train_local`` of one row."""
+    """One client's local run, as ``train_stacked`` of one row."""
     client = _client()
     incoming = init_parameters(MODEL)
-    (picks,) = train_local([(incoming, client, np.random.default_rng(1))], MODEL,
-                           OptimizerConfig(), 4)
-    result = picks[StrategyKind.OEWS]
-    assert len(result.trace) == 4
-    assert all(0.0 <= v <= 1.0 for v in result.trace)
-    assert 1 <= result.selected_epoch <= 4
+    (run,) = _local_runs([(incoming, client, np.random.default_rng(1))], OptimizerConfig(), 4)
+    _, epoch = shipped(run, StrategyKind.OEWS)
+    assert len(run.trace) == 4
+    assert all(0.0 <= v <= 1.0 for v in run.trace)
+    assert 1 <= epoch <= 4
 
 
 def test_run_local_never_mutates_incoming():
     client = _client()
     incoming = init_parameters(MODEL)
     before = incoming.values.copy()
-    train_local([(incoming, client, np.random.default_rng(2))], MODEL,
+    _local_runs([(incoming, client, np.random.default_rng(2))],
                 OptimizerConfig(learning_rate=0.05), 3)
     assert (incoming.values == before).all()
 
@@ -361,22 +377,24 @@ def test_fews_and_oews_share_the_trajectory():
     client = _client(seed=5)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    first, second = train_local(_twin_rows(incoming, client, 7), MODEL, opt, 10)
-    fews, oews = first[StrategyKind.FEWS], second[StrategyKind.OEWS]
-    assert fews.trace == oews.trace
-    assert fews.selected_epoch == 10
-    assert oews.selected_epoch == select_epoch(oews.trace, StrategyKind.OEWS)
-    best = oews.trace[oews.selected_epoch - 1]
-    assert all(best >= v for v in oews.trace)
+    first, second = _local_runs(_twin_rows(incoming, client, 7), opt, 10)
+    assert first.trace == second.trace
+    _, fews_epoch = shipped(first, StrategyKind.FEWS)
+    _, oews_epoch = shipped(second, StrategyKind.OEWS)
+    assert fews_epoch == 10
+    assert oews_epoch == _best_epoch(second.trace, True, ties_to_latest=True)
+    best = second.trace[oews_epoch - 1]
+    assert all(best >= v for v in second.trace)
 
 
 def test_single_epoch_makes_strategies_identical():
     client = _client(seed=6)
     incoming = init_parameters(MODEL)
-    first, second = train_local(_twin_rows(incoming, client, 3), MODEL, OptimizerConfig(), 1)
-    fews, oews = first[StrategyKind.FEWS], second[StrategyKind.OEWS]
-    assert (fews.selected_params.values == oews.selected_params.values).all()
-    assert fews.selected_epoch == oews.selected_epoch == 1
+    first, second = _local_runs(_twin_rows(incoming, client, 3), OptimizerConfig(), 1)
+    fews, fews_epoch = shipped(first, StrategyKind.FEWS)
+    oews, oews_epoch = shipped(second, StrategyKind.OEWS)
+    assert (fews.values == oews.values).all()
+    assert fews_epoch == oews_epoch == 1
 
 
 def test_final_epoch_pick_equals_fews_bitwise():
@@ -386,25 +404,25 @@ def test_final_epoch_pick_equals_fews_bitwise():
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
     rows = [(incoming, client, np.random.default_rng(rng_seed)) for rng_seed in range(12)]
-    for picks in train_local(rows, MODEL, opt, 6):
-        fews, oews = picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
-        if oews.selected_epoch == 6:
-            assert (oews.selected_params.values == fews.selected_params.values).all()
+    for run in _local_runs(rows, opt, 6):
+        fews, _ = shipped(run, StrategyKind.FEWS)
+        oews, oews_epoch = shipped(run, StrategyKind.OEWS)
+        if oews_epoch == 6:
+            assert (oews.values == fews.values).all()
         else:
-            assert not (oews.selected_params.values == fews.selected_params.values).all()
+            assert not (oews.values == fews.values).all()
 
 
 def test_val_loss_selection_prefers_low_loss():
     client = _client(seed=11)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    (picks,) = train_local([(incoming, client, np.random.default_rng(4))], MODEL, opt, 8,
-                           metric=SelectionMetric.VAL_LOSS)
-    result = picks[StrategyKind.OEWS]
-    best = result.trace[result.selected_epoch - 1]
-    assert all(best <= v for v in result.trace)
-    assert result.selected_epoch == select_epoch(result.trace, StrategyKind.OEWS,
-                                                 higher_is_better=False)
+    (run,) = _local_runs([(incoming, client, np.random.default_rng(4))], opt, 8,
+                         metric=SelectionMetric.VAL_LOSS)
+    _, epoch = shipped(run, StrategyKind.OEWS)
+    best = run.trace[epoch - 1]
+    assert all(best <= v for v in run.trace)
+    assert epoch == _best_epoch(run.trace, higher_is_better=False, ties_to_latest=True)
 
 
 @pytest.mark.parametrize("metric", list(SelectionMetric))
@@ -414,15 +432,12 @@ def test_shipped_weights_are_the_reported_epochs(metric):
     client = _client(seed=5)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
-    (picks,) = train_local([(incoming, client, np.random.default_rng(7))], MODEL, opt, 8, metric)
-    oews = picks[StrategyKind.OEWS]
-    assert oews.selected_epoch == select_epoch(
-        oews.trace, StrategyKind.OEWS, higher_is_better=metric.higher_is_better
-    )
-    (picks,) = train_local([(incoming, client, np.random.default_rng(7))], MODEL, opt,
-                           oews.selected_epoch, metric)
-    upto = picks[StrategyKind.FEWS]
-    assert (oews.selected_params.values == upto.selected_params.values).all()
+    (run,) = _local_runs([(incoming, client, np.random.default_rng(7))], opt, 8, metric)
+    oews, oews_epoch = shipped(run, StrategyKind.OEWS)
+    assert oews_epoch == _best_epoch(run.trace, metric.higher_is_better, ties_to_latest=True)
+    (upto,) = _local_runs([(incoming, client, np.random.default_rng(7))], opt, oews_epoch, metric)
+    fews, _ = shipped(upto, StrategyKind.FEWS)
+    assert (oews.values == fews.values).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -434,11 +449,11 @@ def test_shipped_weights_are_the_reported_epochs(metric):
 @example(trace=[0.5, 0.75, 0.25, 0.75, 0.5], metric=SelectionMetric.MACRO_F1)
 @example(trace=[0.5, 0.25, 0.75, 0.25, 0.5], metric=SelectionMetric.VAL_LOSS)
 def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
-    """Whatever the validation trace, one train_local call reports, for
-    each strategy, the epoch the selection rule names and ships the weights
+    """Whatever the validation trace, one client run reports, for each
+    strategy, the epoch the selection rule names and ships the weights
     training had at that epoch, rebuilt here by calling train_epoch
-    directly; both picks share one trace. OEWS ships the latest of tied
-    best epochs, FEWS the last epoch."""
+    directly; both picks are read from the one run and its one trace. OEWS
+    ships the latest of tied best epochs, FEWS the last epoch."""
     client = _client(seed=5)
     incoming = init_parameters(MODEL)
     opt = OptimizerConfig(learning_rate=0.02, batch_size=8)
@@ -449,15 +464,14 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
         return replace(result, report=report, loss=v)
 
     with rescored(scripted):
-        (picks,) = train_local([(incoming, client, np.random.default_rng(11))], MODEL, opt,
-                               len(trace), metric)
-    fews, oews = picks[StrategyKind.FEWS], picks[StrategyKind.OEWS]
-    assert fews.trace is oews.trace
-    assert oews.trace == tuple(trace)
+        (run,) = _local_runs([(incoming, client, np.random.default_rng(11))], opt,
+                             len(trace), metric)
+    assert run.trace == trace
+    fews, oews = shipped(run, StrategyKind.FEWS), shipped(run, StrategyKind.OEWS)
 
     best = max(trace) if metric.higher_is_better else min(trace)
-    assert fews.selected_epoch == len(trace)
-    assert oews.selected_epoch == max(i + 1 for i, v in enumerate(trace) if v == best)
+    assert fews[1] == len(trace)
+    assert oews[1] == max(i + 1 for i, v in enumerate(trace) if v == best)
 
     weights, velocity = incoming.values[None].copy(), np.zeros((1, len(incoming)))
     rng = np.random.default_rng(11)
@@ -465,8 +479,8 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
     for _ in trace:
         train_epoch(weights, velocity, MODEL, opt, client.train.x[None], client.train.y[None], [rng])
         snapshots.append(weights[0].copy())
-    for result in (fews, oews):
-        assert (result.selected_params.values == snapshots[result.selected_epoch - 1]).all()
+    for params, epoch in (fews, oews):
+        assert (params.values == snapshots[epoch - 1]).all()
 
 
 def _outcome(run):
@@ -620,20 +634,21 @@ def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
 
     monkeypatch.setattr(strategies, "score", first_loss_nan)
     client = _client(seed=11)
-    (error,) = train_local([(init_parameters(MODEL), client, np.random.default_rng(4))], MODEL,
+    (error,) = _local_runs([(init_parameters(MODEL), client, np.random.default_rng(4))],
                            OptimizerConfig(learning_rate=0.02), 3, SelectionMetric.VAL_LOSS)
     assert isinstance(error, DataError)
     assert str(error) == f"client {client.client_id} epoch 1: validation loss is nan"
 
 
 def test_train_local_rejects_bad_input():
-    """Zero epochs fail the call, as does a patience of zero epochs, which
-    would give ``train_stacked`` an empty window; an empty split fails its
-    own row, which ``train_local`` returns as the exception."""
+    """Zero epochs fail a client run's call, as does a patience of zero
+    epochs, which would give ``train_stacked`` an empty window; an empty
+    split fails its own row, which ``train_stacked`` returns as the
+    exception."""
     client = _client()
     incoming = init_parameters(MODEL)
     with pytest.raises(ConfigurationError, match="epochs must be >= 1, got 0"):
-        train_local([(incoming, client, np.random.default_rng(0))], MODEL, OptimizerConfig(), 0)
+        _local_runs([(incoming, client, np.random.default_rng(0))], OptimizerConfig(), 0)
     with pytest.raises(ConfigurationError, match="patience must be >= 1, got 0"):
         strategies.train_stacked([], MODEL, OptimizerConfig(), 1, 0, SelectionMetric.MACRO_F1,
                                  False)
@@ -641,6 +656,6 @@ def test_train_local_rejects_bad_input():
     broken = ClientDataset(client_id=0, missing_class=1, train=empty,
                            val=client.val, test=client.test)
     rows = [(incoming, broken, np.random.default_rng(0)), (incoming, client, np.random.default_rng(0))]
-    failed, picks = train_local(rows, MODEL, OptimizerConfig(), 2)
+    failed, run = _local_runs(rows, OptimizerConfig(), 2)
     assert isinstance(failed, DataError)
-    assert picks[StrategyKind.FEWS].selected_epoch == 2
+    assert shipped(run, StrategyKind.FEWS)[1] == 2

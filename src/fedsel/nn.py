@@ -9,11 +9,30 @@ numpy calls and nothing else, so every row's bits equal those of a run of
 that row alone.
 
 ``_forward_pass`` is the only forward math: ``forward`` (scoring) and
-``train_epoch`` both call it on per-layer weight and bias views of the
+the epoch kernel both call it on per-layer weight and bias views of the
 stack, and it applies the ReLUs and the log-softmax in place.
-``train_epoch`` builds those views, and the backward pass's gradient and
-transposed-weight views, once per epoch, so a mini-batch step is the
-forward pass, the backward pass inline and the momentum update.
+
+The log-softmax finds each (row, sample)'s max logit at its ``argmax``:
+the argmax plus the (row, sample)'s ``class_offsets`` is the max's flat
+index in the C-contiguous logits, and one ``take`` reads every max. A max
+reduction over the class axis would run numpy's inner loop once per
+(row, sample) over C = 5 values; it cost 1.5x as much on one model's 16x5
+batch and 3-5x on a scoring chunk (best of 7 ``timeit`` runs on a 2-vCPU
+x86-64 host). The two give the same bits: a max is exact, and they can
+differ only in the sign of a zero max that ties -0.0 against +0.0, whose
+row then sums at least two ones in its softmax, so either sign gives the
+same log-probabilities. The epoch kernel builds the offsets once per
+epoch, for a full batch and for the last one, and ``forward`` once per
+call. (``np.take_along_axis`` at the argmax, which needs no offsets,
+costs 3.4x as much as this on one model's 16x5 batch, more than the
+reduction.)
+
+``_train_epoch``, the epoch kernel, builds the layer views, and the
+backward pass's gradient and transposed-weight views, once per epoch, so
+a mini-batch step is the forward pass, the backward pass inline and the
+momentum update. ``train_epoch`` checks its arguments and each row's
+split and then calls it; ``strategies.train_stacked``, which checks each
+row's splits once per run, calls the kernel every epoch.
 
 One model (R = 1) trains on 2-D views of row 0 and multiplies with
 ``np.dot``: it makes the same BLAS call as ``np.matmul`` on the same 2-D
@@ -182,9 +201,18 @@ def _check_stack(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _forward_pass(layers: Layers, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def class_offsets(shape: tuple[int, ...], classes: int) -> np.ndarray:
+    """The flat index of the first class of each (row, sample) of a
+    C-contiguous ``(*shape, classes)`` array, as a ``shape`` array."""
+    return np.arange(0, math.prod(shape) * classes, classes).reshape(shape)
+
+
+def _forward_pass(
+    layers: Layers, batch: np.ndarray, offsets: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Returns (layer inputs, log-probabilities), each (R, n, width), for
-    ``_stack_layers`` views, or each (n, width) for one model's 2-D views.
+    ``_stack_layers`` views, or each (n, width) for one model's 2-D views;
+    ``offsets`` is ``class_offsets`` of the batch's (R, n) or (n,) shape.
     A 2-D batch is multiplied with ``np.dot``, the same BLAS call as
     ``np.matmul`` with the same bits at a lower cost per call; a 3-D one
     with ``np.matmul``, one call for every row. The hidden ReLUs and the
@@ -200,9 +228,19 @@ def _forward_pass(layers: Layers, batch: np.ndarray) -> tuple[list[np.ndarray], 
     w, b = layers[-1]
     z = product(h, w)
     z += b
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    return inputs, _log_softmax(z, offsets)
+
+
+def _log_softmax(z: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``z``, C-contiguous logits, turned in place into log-softmax values
+    over its last axis; ``offsets`` is ``class_offsets`` of its other axes.
+    Each (row, sample)'s max is read at its argmax (see the module
+    docstring)."""
+    top = z.argmax(axis=-1)
+    top += offsets
+    z -= z.take(top)[..., None]
     z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
-    return inputs, z
+    return z
 
 
 def forward(weights: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
@@ -216,7 +254,8 @@ def forward(weights: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> np.ndarr
         raise ShapeError(f"batch must be ({weights.shape[0]}, n, d), got shape {batch.shape}")
     if batch.shape[2] != spec.feature_dim:
         raise ShapeError(f"batch has {batch.shape[2]} features, model expects {spec.feature_dim}")
-    _, log_probs = _forward_pass(_stack_layers(weights, spec.manifest), batch)
+    offsets = class_offsets(batch.shape[:2], spec.class_count)
+    _, log_probs = _forward_pass(_stack_layers(weights, spec.manifest), batch, offsets)
     return log_probs
 
 
@@ -237,7 +276,6 @@ class OptimizerConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def train_epoch(
     weights: np.ndarray,
     velocity: np.ndarray,
@@ -256,12 +294,8 @@ def train_epoch(
     Non-finite weights are not checked: a row that overflows trains on,
     without numpy's overflow and invalid-value warnings.
 
-    Each row's bits equal an epoch of that row alone: the rows' shuffled
-    data is gathered into one (R, m, d) stack a window of m samples at a
-    time, m a whole number of batches sized so that the stack holds at most
-    ``GATHER_VALUES`` values (all n samples when they fit); batches are
-    contiguous slices of it, and every numpy call acts on each row as on
-    one model. One model trains on row 0's 2-D views, through ``np.dot``."""
+    The arguments and each row's split are checked, by ``check_split``,
+    before any rng is drawn; then ``_train_epoch`` trains them."""
     weights = _check_stack(spec, weights)
     for name, arr in (("weights", weights), ("velocity", velocity)):
         if not (arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable):
@@ -276,13 +310,40 @@ def train_epoch(
     n = len(train_x[0])
     if n == 0:
         raise DataError("training split is empty")
-
-    data = []
+    xs, ys = [], []
     for r in range(rows):
         x, y = check_split(spec, train_x[r], train_y[r])
         if len(x) != n:
             raise ShapeError(f"data row {r} has {len(x)} samples, row 0 has {n}")
-        data.append((x, y, rngs[r].permutation(n)))
+        xs.append(x)
+        ys.append(y)
+    _train_epoch(weights, velocity, spec, optimizer, xs, ys, rngs)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _train_epoch(
+    weights: np.ndarray,
+    velocity: np.ndarray,
+    spec: ModelSpec,
+    optimizer: OptimizerConfig,
+    train_x: Sequence[np.ndarray],
+    train_y: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+) -> None:
+    """``train_epoch`` on arguments it has checked, or that a caller
+    checked once for many epochs: writable C-contiguous float64 (R, P)
+    ``weights`` and ``velocity``, and per row the n >= 1 samples of one
+    split as ``check_split`` returns it, (n, d) float64 features and n
+    int64 labels in range. Nothing is checked here.
+
+    Each row's bits equal an epoch of that row alone: the rows' shuffled
+    data is gathered into one (R, m, d) stack a window of m samples at a
+    time, m a whole number of batches sized so that the stack holds at most
+    ``GATHER_VALUES`` values (all n samples when they fit); batches are
+    contiguous slices of it, and every numpy call acts on each row as on
+    one model. One model trains on row 0's 2-D views, through ``np.dot``."""
+    rows, n = weights.shape[0], len(train_x[0])
+    data = [(x, y, rng.permutation(n)) for x, y, rng in zip(train_x, train_y, rngs)]
     size = optimizer.batch_size
     window = size * max(1, GATHER_VALUES // (rows * size * spec.feature_dim))
     xs = np.empty((rows, min(window, n), spec.feature_dim))
@@ -291,6 +352,11 @@ def train_epoch(
     grad = np.empty_like(weights)
     # one model trains on 2-D views of row 0 (see _forward_pass)
     one = rows == 1
+    # the logits' class offsets of a full batch and of the last one
+    offsets = {
+        b: class_offsets((b,) if one else (rows, b), spec.class_count)
+        for b in (min(size, n), n % size or size)
+    }
     product = np.dot if one else np.matmul
     layers = _stack_layers(weights[0] if one else weights, spec.manifest)
     # the backward pass, output layer first: each layer's gradient views and
@@ -306,7 +372,9 @@ def train_epoch(
         batch_x, batch_t = (xs[0], target[0]) if one else (xs, target)
         for start in range(0, count, size):
             end = min(start + size, count)
-            inputs, delta = _forward_pass(layers, batch_x[..., start:end, :])
+            inputs, delta = _forward_pass(
+                layers, batch_x[..., start:end, :], offsets[end - start]
+            )
             # gradient w.r.t. the logits of each row's mean cross-entropy:
             # subtracting the one-hot changes only the label's entry, by 1
             np.exp(delta, out=delta)

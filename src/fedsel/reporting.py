@@ -32,6 +32,14 @@ METRIC_COLUMNS = (*METRIC_NAMES, "confidence")
 TEST_SETS = ("global", "external")
 POOLED_VARIANTS = ("centralized", "fl_fews", "fl_oews")
 
+# The most seeds that run in lockstep: a campaign of more seeds runs them in
+# contiguous chunks of this many, one lockstep per chunk. A lockstep holds
+# all its seeds' datasets at once, and past about 20 seeds it grows slower
+# as well as larger. Picked from a sweep of 5 to 40 seeds per chunk on 30-
+# and 60-seed campaigns of each preset (the README's Presets section): 10
+# was within noise of the fastest size on each, at about 46 MiB peak RSS.
+LOCKSTEP_SEEDS = 10
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -54,19 +62,32 @@ def run_comparison(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
     order given. A variant that raises is recorded as failed for both test
     sets and the campaign proceeds.
 
-    The seeds run in lockstep. Every seed's local-client and pooled
-    baselines train in one ``run_baselines`` call, so the equal-size local
-    clients of all seeds share a stack; its results come back in row order,
-    K local rows and then the pooled row per seed. Every seed's two
-    federations run in one ``run_federations`` call, a cohort per seed, so
-    each round's client runs of all seeds share a stack too. A failure
-    stays inside its seed. A seed's final weights are scored by one
-    ``score_params`` call per test set."""
+    The seeds run in contiguous chunks of at most ``LOCKSTEP_SEEDS``, in
+    order, each chunk in lockstep (``_run_lockstep``), and their rows are
+    concatenated. A seed's rows depend only on the seed, so the chunk size
+    moves no byte; it bounds how many seeds' datasets and stacks are held
+    at once."""
     if not seeds:
         raise ConfigurationError("comparison needs at least one seed")
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         raise ConfigurationError(f"comparison seeds must be distinct; seed {repeated} is repeated")
+    rows: list[ComparisonRow] = []
+    for lo in range(0, len(seeds), LOCKSTEP_SEEDS):
+        rows += _run_lockstep(cfg, seeds[lo : lo + LOCKSTEP_SEEDS])
+    return rows
+
+
+def _run_lockstep(cfg: RunConfig, seeds: list[int]) -> list[ComparisonRow]:
+    """``run_comparison``'s rows of distinct ``seeds``, run in lockstep.
+    Every seed's local-client and pooled baselines train in one
+    ``run_baselines`` call, so the equal-size local clients of all seeds
+    share a stack; its results come back in row order, K local rows and
+    then the pooled row per seed. Every seed's two federations run in one
+    ``run_federations`` call, a cohort per seed, so each round's client
+    runs of all seeds share a stack too. A failure stays inside its seed.
+    A seed's final weights are scored by one ``score_params`` call per
+    test set."""
     datasets = [make_dataset(replace(cfg.corpus, seed=seed), cfg.partition) for seed in seeds]
     baselines = []
     for seed, (clients, _) in zip(seeds, datasets):

@@ -17,14 +17,16 @@ latest epoch; a baseline (``run_baselines``) runs on val macro-F1 with the
 baseline's patience and ties to the earliest epoch.
 
 Models that train side by side, such as a round's client runs or a seed's
-baselines, train as one stack: each epoch is one ``nn.train_epoch`` call
-over every live row, and a window of epochs, as many as every live row is
-sure to train, is scored in one ``score`` call over each of those epochs'
-weights. ``score`` is array math over its rows, the metrics included: one
+baselines, train as one stack: each row's splits are checked once per run,
+each epoch is one call of ``nn.train_epoch``'s unchecked kernel over every
+live row, and a window of epochs, as many as every live row is sure to
+train, is scored in one ``score`` call over each of those epochs' weights.
+``score`` is array math over its rows, the metrics included: one
 ``bincount`` builds every row's confusion matrix, and the metrics come
-from (R, C) arrays, with each row's bits those of that row scored alone. Models scored on one shared split, such as a
-round's global weights or a campaign seed's final ones, go through
-``score_params``, where equal weights share one row of the stack.
+from (R, C) arrays, with each row's bits those of that row scored alone.
+Models scored on one shared split, such as a round's global weights or a
+campaign seed's final ones, go through ``score_params``, where equal
+weights share one row of the stack.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ from .nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
+    _train_epoch,
     check_labels,
     check_split,
+    class_offsets,
     forward,
-    train_epoch,
 )
 
 
@@ -173,7 +176,7 @@ def score(
     chunk = max(1, SCORE_VALUES // (n * max(model.layer_sizes)))
     classes = model.class_count
     # flat offset of each (row, sample) of a chunk's (rows, n, classes) output
-    offsets = np.arange(0, min(chunk, rows) * n * classes, classes).reshape(-1, n)
+    offsets = class_offsets((min(chunk, rows), n), classes)
     preds = np.empty((rows, n), dtype=np.intp)
     losses, confidences = [], []
     for lo in range(0, rows, chunk):
@@ -276,7 +279,9 @@ def train_stacked(
     epoch when ``ties_to_latest`` and to the earliest otherwise. A row stops
     after ``patience`` epochs in a row that do not replace its best. Rows
     whose splits have equal sizes train as one stack through
-    ``nn.train_epoch``; no row is padded. A row's run depends only on its
+    ``nn._train_epoch``, the kernel of ``nn.train_epoch``, on the train
+    splits ``check_split`` returned when it checked each row once; no row
+    is padded. A row's run depends only on its
     start weights, splits and rng stream, never on the other rows.
 
     Its two settings are ``orchestrator``'s, its only callers: a client's
@@ -309,13 +314,14 @@ def train_stacked(
     by_loss = metric is SelectionMetric.VAL_LOSS
     runs: list[EarlyStopRun | Exception] = []
     stacks: dict[tuple[int, int], list[int]] = {}
+    checked = {}  # row: its train split as ``check_split`` returns it
     for i, (start, train, val, _, label) in enumerate(rows):
         try:
             if len(train) == 0 or len(val) == 0:
                 raise DataError(f"{label} has an empty train or val split")
             if start.manifest != model.manifest:
                 raise ShapeError("params and model manifests must be identical")
-            check_split(model, train.x, train.y)
+            checked[i] = check_split(model, train.x, train.y)
             check_split(model, val.x, val.y)
         except Exception as exc:
             runs.append(exc)
@@ -333,12 +339,10 @@ def train_stacked(
             stale = max(runs[i].stale for i in live.tolist())
             window = min(patience - stale, epochs - done, _window_cap(count, size))
             snapshots = np.empty((window, count, size))
+            train_x, train_y = zip(*[checked[i] for i in live.tolist()])
+            rngs = [rows[i][3] for i in live.tolist()]
             for k in range(window):
-                train_epoch(
-                    weights, velocity, model, optimizer,
-                    [rows[i][1].x for i in live], [rows[i][1].y for i in live],
-                    [rows[i][3] for i in live],
-                )
+                _train_epoch(weights, velocity, model, optimizer, train_x, train_y, rngs)
                 snapshots[k] = weights
 
             # each row's epochs before its first non-finite weights, scored

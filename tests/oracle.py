@@ -366,7 +366,7 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, patience, metric, ti
         velocity = np.zeros_like(weights)
         best_value, stale = {}, {}
         for epoch in range(1, epochs + 1):
-            strategies.train_epoch(
+            strategies._train_epoch(
                 weights, velocity, model, optimizer,
                 [rows[i][1].x for i in live], [rows[i][1].y for i in live],
                 [rows[i][3] for i in live],
@@ -413,13 +413,13 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, patience, metric, ti
 @contextmanager
 def rescored(change: Callable[[np.random.Generator, int, Scores], Scores]):
     """Within the block, each ``strategies.score`` result for weights that
-    a ``strategies.train_epoch`` call left in a row becomes ``change(rng,
-    epoch, scores)``: ``rng`` is the row's stream and ``epoch`` counts that
-    stream's epochs. Rows are told apart by their streams and scored weights
+    a ``strategies._train_epoch`` call (the epoch kernel both training
+    loops call) left in a row becomes ``change(rng, epoch, scores)``:
+    ``rng`` is the row's stream and ``epoch`` counts that stream's epochs. Rows are told apart by their streams and scored weights
     by their bytes, so a rewrite holds however the loop windows, stacks or
     batches its training and scoring. Scores of other weights pass as they
     are."""
-    real_epoch, real_score = strategies.train_epoch, strategies.score
+    real_epoch, real_score = strategies._train_epoch, strategies.score
     epochs: dict[np.random.Generator, int] = {}  # epochs trained per stream
     trained: dict[bytes, tuple[np.random.Generator, int]] = {}
 
@@ -436,6 +436,6 @@ def rescored(change: Callable[[np.random.Generator, int, Scores], Scores]):
                 result[k] = change(*trained[row.tobytes()], result[k])
         return result
 
-    with mock.patch.object(strategies, "train_epoch", train_epoch), \
+    with mock.patch.object(strategies, "_train_epoch", train_epoch), \
             mock.patch.object(strategies, "score", score):
         yield

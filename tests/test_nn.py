@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fedsel import nn
 from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
     check_split,
+    class_offsets,
     forward,
     init_parameters,
     manifest_size,
@@ -17,6 +21,7 @@ from fedsel.nn import (
 )
 from oracle import (
     OptimizerState,
+    _log_softmax,
     cross_entropy_loss,
     fd_gradient,
     init_optimizer,
@@ -89,6 +94,56 @@ def test_forward_survives_huge_logits():
     log_probs = forward(big.values[None], spec, x)
     assert np.isfinite(log_probs).all()
     assert (log_probs <= 0.0).all()
+
+
+# logits where the max-finding differs, if anywhere: ties, zeros of either
+# sign, infinities, NaN, values whose exp overflows or underflows, and
+# subnormals
+SPECIAL_LOGITS = (0.0, -0.0, 1.0, -1.0, 700.0, -745.0, 5e-324, -5e-324, 2e-308,
+                  math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def logit_arrays(draw):
+    """A 2-D (n, C) or 3-D (R, n, C) float64 array, C from 1 to 12, whose
+    rows each draw from one kind: small integers (ties), a zero max of
+    mixed sign, special values, any finite float, or one constant."""
+    classes = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(1,), (3,), (7,), (1, 1), (2, 3), (4, 2)]))
+    kinds = [
+        st.integers(-2, 2).map(float),
+        st.sampled_from([0.0, -0.0, -1.0, -745.0, -math.inf]),
+        st.sampled_from(SPECIAL_LOGITS),
+        st.floats(-1e3, 1e3),
+    ]
+    row = st.one_of(*[st.lists(kind, min_size=classes, max_size=classes) for kind in kinds],
+                    st.sampled_from(SPECIAL_LOGITS).map(lambda v: [v] * classes))
+    rows = draw(st.lists(row, min_size=math.prod(lead), max_size=math.prod(lead)))
+    return np.array(rows, dtype=np.float64).reshape(*lead, classes)
+
+
+def _same_bits(a, b):
+    """Equal shapes, NaN at the same places, and every other value with
+    the same bits, the sign of a zero included."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and (nan == np.isnan(b)).all()
+            and (a[~nan].view(np.uint64) == b[~nan].view(np.uint64)).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(logit_arrays())
+@example(np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -0.0], [-0.0, -math.inf, -0.0]]))
+@example(np.array([[math.nan, 1.0], [1.0, math.nan], [math.inf, math.inf], [-math.inf, -math.inf]]))
+@example(np.array([[[700.0, 700.0, -745.0]], [[5e-324, -5e-324, 0.0]]]))
+def test_log_softmax_is_bitwise_the_reduce_oracle(logits):
+    """The package's log-softmax, which reads each row's max at its
+    argmax, gives the bits of the oracle's, which reduces each row with
+    ``max``, with NaN at the same places."""
+    classes = logits.shape[-1]
+    with np.errstate(all="ignore"):
+        got = nn._log_softmax(logits.copy(), class_offsets(logits.shape[:-1], classes))
+        want = _log_softmax(logits.reshape(-1, classes)).reshape(logits.shape)
+    assert _same_bits(got, want)
 
 
 def test_zero_params_give_uniform_loss():

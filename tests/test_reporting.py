@@ -102,6 +102,43 @@ def test_lockstep_seeds_equal_single_seed_campaigns():
     assert all(fl[s, "fl_fews"] != fl[s, "fl_oews"] for s in seeds)
 
 
+@pytest.mark.parametrize("failing", [False, True])
+def test_chunked_lockstep_gives_the_same_rows(monkeypatch, failing):
+    """Five seeds, given out of order, give the same CSV bytes run one per
+    chunk, two per chunk (the last chunk short) and all in one lockstep,
+    each chunk in one ``run_federations`` call of its own seeds. At a
+    baseline learning rate of 1e6 the pooled baseline diverges and fails
+    in some seeds but not all, and nothing else fails."""
+    import fedsel.reporting as reporting
+
+    cfg = tiny_cfg(**{
+        "corpus.noise_scale": "2.5", "federation.local_epochs": "3",
+        "federation.learning_rate": "0.03", "federation.batch_size": "8",
+        "baseline.max_epochs": "6", "baseline.patience": "2",
+        "baseline.learning_rate": "1e6" if failing else "0.05",
+    })
+    seeds = [4, 1, 3, 2, 5]
+    real = reporting.run_federations
+    chunks = []
+
+    def run_federations(cfg, strategies, cohorts):
+        chunks.append([seed for seed, *_ in cohorts])
+        return real(cfg, strategies, cohorts)
+
+    monkeypatch.setattr(reporting, "run_federations", run_federations)
+    csvs = []
+    for size in (1, 2, len(seeds)):
+        monkeypatch.setattr(reporting, "LOCKSTEP_SEEDS", size)
+        csvs.append(rows_to_csv(run_comparison(cfg, seeds)))
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert chunks == [[4], [1], [3], [2], [5], [4, 1], [3, 2], [5], seeds]
+    rows = csv_to_rows(csvs[0])
+    failed = {r.variant for r in rows if r.status == "failed"}
+    assert failed == ({"centralized"} if failing else set())
+    failed_seeds = {r.seed for r in rows if r.status == "failed"}
+    assert 0 < len(failed_seeds) < len(seeds) if failing else not failed_seeds
+
+
 def test_summarize_handles_failed_rows():
     rows = [
         ComparisonRow(1, "centralized", "global", "failed", None, "boom"),

@@ -546,7 +546,7 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
         def change(rng, epoch, scores):
             return replace(scores, loss=float("nan")) if (row_of[rng], epoch) in nan_at else scores
 
-        real_epoch = strategies.train_epoch
+        real_epoch = strategies._train_epoch
 
         def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
             for rng in rngs:
@@ -555,7 +555,7 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
 
         with np.errstate(all="ignore"), \
                 mock.patch.object(strategies, "_window_cap", lambda rows, size: cap), \
-                mock.patch.object(strategies, "train_epoch", train_epoch), rescored(change):
+                mock.patch.object(strategies, "_train_epoch", train_epoch), rescored(change):
             results = loop(rows, spec, opt, epochs, patience, metric, ties_to_latest)
         return results, trained
 
@@ -587,8 +587,8 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
     def run(labels):
         rows = [(start, *data[label], np.random.default_rng(seed), label)
                 for seed, label in enumerate(data) if label in labels]
-        stacks = []  # the rows each train_epoch call trained
-        real_epoch = strategies.train_epoch
+        stacks = []  # the rows each epoch kernel call trained
+        real_epoch = strategies._train_epoch
 
         def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
             stacks.append(len(rngs))
@@ -596,7 +596,7 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
 
         with np.errstate(all="ignore"), \
                 mock.patch.object(strategies, "_window_cap", lambda rows, size: 10**6), \
-                mock.patch.object(strategies, "train_epoch", train_epoch):
+                mock.patch.object(strategies, "_train_epoch", train_epoch):
             runs = strategies.train_stacked(rows, spec, opt, 5, 5, SelectionMetric.MACRO_F1, True)
         return {row[4]: _outcome(run) for row, run in zip(rows, runs)}, stacks
 

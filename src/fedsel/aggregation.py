@@ -19,7 +19,7 @@ from .nn import ParameterVector
 from .strategies import METRIC_NAMES, MetricsReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientUpdate:
     client_id: int
     params: ParameterVector

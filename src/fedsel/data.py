@@ -97,7 +97,7 @@ def _frozen(arr, dtype) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
     """Feature matrix, label array, and generation-order sample ids."""
 
@@ -119,7 +119,7 @@ class Split:
         return self.x.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientDataset:
     client_id: int
     missing_class: int
@@ -128,7 +128,7 @@ class ClientDataset:
     test: Split
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalSets:
     global_test: Split
     external_test: Split

@@ -8,7 +8,7 @@ features and (R, n) labels. R = 1 is the single model. Stacking batches the
 numpy calls and nothing else, so every row's bits equal those of a run of
 that row alone.
 
-``_forward_pass`` is the only forward math: ``forward`` (scoring) and
+``_forward_pass`` is the only forward math: ``strategies.score`` and
 the epoch kernel both call it on per-layer weight and bias views of the
 stack, and it applies the ReLUs and the log-softmax in place.
 
@@ -22,7 +22,7 @@ x86-64 host). The two give the same bits: a max is exact, and they can
 differ only in the sign of a zero max that ties -0.0 against +0.0, whose
 row then sums at least two ones in its softmax, so either sign gives the
 same log-probabilities. The epoch kernel builds the offsets once per
-epoch, for a full batch and for the last one, and ``forward`` once per
+epoch, for a full batch and for the last one, and ``score`` once per
 call. (``np.take_along_axis`` at the argmax, which needs no offsets,
 costs 3.4x as much as this on one model's 16x5 batch, more than the
 reduction.)
@@ -30,9 +30,9 @@ reduction.)
 ``_train_epoch``, the epoch kernel, builds the layer views, and the
 backward pass's gradient and transposed-weight views, once per epoch, so
 a mini-batch step is the forward pass, the backward pass inline and the
-momentum update. ``train_epoch`` checks its arguments and each row's
-split and then calls it; ``strategies.train_stacked``, which checks each
-row's splits once per run, calls the kernel every epoch.
+momentum update. Neither kernel checks its arguments: their callers,
+``strategies.score`` and ``strategies.train_stacked``, check theirs once
+per call.
 
 One model (R = 1) trains on 2-D views of row 0 and multiplies with
 ``np.dot``: it makes the same BLAS call as ``np.matmul`` on the same 2-D
@@ -108,12 +108,13 @@ def manifest_size(manifest: Manifest) -> int:
     return sum(rows * cols + cols for rows, cols in manifest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterVector:
     """Flat 64-bit weight vector plus the per-layer shape manifest.
 
     Two vectors are aggregation-compatible iff their manifests are identical.
-    The values array is frozen on construction.
+    The values array is frozen on construction. As on every dataclass here
+    that holds an array, ``==`` and ``hash`` go by identity.
     """
 
     values: np.ndarray
@@ -192,15 +193,6 @@ def _stack_layers(weights: np.ndarray, manifest: Manifest) -> Layers:
     return views
 
 
-def _check_stack(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights)
-    if weights.ndim != 2 or weights.shape[1] != manifest_size(spec.manifest):
-        raise ShapeError(
-            f"weights must be (R, {manifest_size(spec.manifest)}), got {weights.shape}"
-        )
-    return weights
-
-
 def class_offsets(shape: tuple[int, ...], classes: int) -> np.ndarray:
     """The flat index of the first class of each (row, sample) of a
     C-contiguous ``(*shape, classes)`` array, as a ``shape`` array."""
@@ -243,22 +235,6 @@ def _log_softmax(z: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return z
 
 
-def forward(weights: np.ndarray, spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
-    """Class log-probabilities of R models, row r of ``weights`` on its own
-    batch ``batch[r]``: an (R, n, classes) array whose last axis holds
-    log-softmax values. Their ``exp`` is exactly the probabilities, so one
-    pass yields both a loss and predictions."""
-    weights = _check_stack(spec, weights)
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3 or batch.shape[0] != weights.shape[0]:
-        raise ShapeError(f"batch must be ({weights.shape[0]}, n, d), got shape {batch.shape}")
-    if batch.shape[2] != spec.feature_dim:
-        raise ShapeError(f"batch has {batch.shape[2]} features, model expects {spec.feature_dim}")
-    offsets = class_offsets(batch.shape[:2], spec.class_count)
-    _, log_probs = _forward_pass(_stack_layers(weights, spec.manifest), batch, offsets)
-    return log_probs
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 0.0001
@@ -276,7 +252,8 @@ class OptimizerConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def train_epoch(
+@np.errstate(over="ignore", invalid="ignore")
+def _train_epoch(
     weights: np.ndarray,
     velocity: np.ndarray,
     spec: ModelSpec,
@@ -289,52 +266,12 @@ def train_epoch(
     ``velocity`` in place. Row r trains on its own n samples (train_x[r],
     train_y[r]), in the order ``rngs[r].permutation(n)`` draws, with one
     classical momentum step per mini-batch (v' = momentum*v + grad;
-    w' = w - lr*v'); the final partial batch is trained, not dropped. The
-    data may be (R, n, d) and (R, n) arrays or R arrays of one size each.
-    Non-finite weights are not checked: a row that overflows trains on,
-    without numpy's overflow and invalid-value warnings.
+    w' = w - lr*v'); the final partial batch is trained, not dropped. A
+    row whose weights overflow trains on, without numpy's warnings.
 
-    The arguments and each row's split are checked, by ``check_split``,
-    before any rng is drawn; then ``_train_epoch`` trains them."""
-    weights = _check_stack(spec, weights)
-    for name, arr in (("weights", weights), ("velocity", velocity)):
-        if not (arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable):
-            raise ShapeError(f"{name} must be a writable C-contiguous float64 array")
-    if velocity.shape != weights.shape:
-        raise ShapeError(f"velocity shape {velocity.shape} differs from weights {weights.shape}")
-    rows = weights.shape[0]
-    if not rows or not len(train_x) == len(train_y) == len(rngs) == rows:
-        raise ShapeError(
-            f"{rows} weight rows, {len(train_x)} and {len(train_y)} data rows, {len(rngs)} rngs"
-        )
-    n = len(train_x[0])
-    if n == 0:
-        raise DataError("training split is empty")
-    xs, ys = [], []
-    for r in range(rows):
-        x, y = check_split(spec, train_x[r], train_y[r])
-        if len(x) != n:
-            raise ShapeError(f"data row {r} has {len(x)} samples, row 0 has {n}")
-        xs.append(x)
-        ys.append(y)
-    _train_epoch(weights, velocity, spec, optimizer, xs, ys, rngs)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _train_epoch(
-    weights: np.ndarray,
-    velocity: np.ndarray,
-    spec: ModelSpec,
-    optimizer: OptimizerConfig,
-    train_x: Sequence[np.ndarray],
-    train_y: Sequence[np.ndarray],
-    rngs: Sequence[np.random.Generator],
-) -> None:
-    """``train_epoch`` on arguments it has checked, or that a caller
-    checked once for many epochs: writable C-contiguous float64 (R, P)
-    ``weights`` and ``velocity``, and per row the n >= 1 samples of one
-    split as ``check_split`` returns it, (n, d) float64 features and n
-    int64 labels in range. Nothing is checked here.
+    Nothing is checked: ``weights`` and ``velocity`` are writable
+    C-contiguous float64 arrays, and each row's n >= 1 samples a split as
+    ``check_split`` returns it (an (R, n, d) and (R, n) pair will do).
 
     Each row's bits equal an epoch of that row alone: the rows' shuffled
     data is gathered into one (R, m, d) stack a window of m samples at a

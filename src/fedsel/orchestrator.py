@@ -304,7 +304,7 @@ class BaselineConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralizedResult:
     params: ParameterVector
     best_epoch: int

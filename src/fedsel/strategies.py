@@ -16,17 +16,18 @@ settings sit side by side in ``orchestrator``: a client's local run
 latest epoch; a baseline (``run_baselines``) runs on val macro-F1 with the
 baseline's patience and ties to the earliest epoch.
 
-Models that train side by side, such as a round's client runs or a seed's
-baselines, train as one stack: each row's splits are checked once per run,
-each epoch is one call of ``nn.train_epoch``'s unchecked kernel over every
-live row, and a window of epochs, as many as every live row is sure to
-train, is scored in one ``score`` call over each of those epochs' weights.
-``score`` is array math over its rows, the metrics included: one
-``bincount`` builds every row's confusion matrix, and the metrics come
-from (R, C) arrays, with each row's bits those of that row scored alone.
-Models scored on one shared split, such as a round's global weights or a
-campaign seed's final ones, go through ``score_params``, where equal
-weights share one row of the stack.
+``train_stacked`` and ``score`` are the checked entries to ``nn``'s
+unchecked kernels, ``_train_epoch`` and ``_forward_pass``: each checks its
+inputs once per call. Models that train side by side, such as a round's
+client runs or a seed's baselines, train as one stack: each epoch is one
+kernel call over every live row, and a window of epochs, as many as every
+live row is sure to train, is scored in one ``score`` call over each of
+those epochs' weights. ``score`` is array math over its rows, the metrics
+included: one ``bincount`` builds every row's confusion matrix, and the
+metrics come from (R, C) arrays, with each row's bits those of that row
+scored alone. Models scored on one shared split, such as a round's global
+weights or a campaign seed's final ones, go through ``score_params``,
+where equal weights share one row of the stack.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ from .nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
+    _forward_pass,
+    _stack_layers,
     _train_epoch,
     check_labels,
     check_split,
     class_offsets,
-    forward,
+    manifest_size,
 )
 
 
@@ -149,11 +152,13 @@ def score(
 ) -> list[Scores]:
     """Metrics, loss and correct-prediction confidence of R models, row r of
     the (R, P) ``weights`` on its own split (x[r], y[r]); the splits may be
-    (R, n, d) and (R, n) arrays or R arrays of one size each. The labels
-    are checked once, by ``nn.check_split``'s rule: integral floats pass,
-    and a label out of range is a DataError. No rows score as ``[]``. A row
-    whose forward pass overflows scores a non-finite loss, without numpy's
-    warnings: the callers name it.
+    (R, n, d) and (R, n) arrays or R arrays of one size each. The weights'
+    and features' shapes and the labels are checked once per call, the
+    labels by ``nn.check_split``'s rule (integral floats pass, and a label
+    out of range is a DataError); each pass then calls the unchecked
+    ``nn._forward_pass``. No rows score as ``[]``. A row whose forward pass
+    overflows scores a non-finite loss, without numpy's warnings: the
+    callers name it.
 
     Rows go through batched forward passes of as many rows as keep each
     activation within ``SCORE_VALUES`` values, at least one. Each pass's
@@ -167,10 +172,16 @@ def score(
         raise ShapeError(f"{len(weights)} weight rows, {len(x)} feature and {len(y)} label rows")
     if not len(weights):
         return []
+    weights = np.asarray(weights)
+    size = manifest_size(model.manifest)
+    if weights.ndim != 2 or weights.shape[1] != size:
+        raise ShapeError(f"weights must be (R, {size}), got {weights.shape}")
     labels = check_labels(model, y)
     rows, n = len(weights), len(x[0])
     if labels.shape != (rows, n):
         raise ShapeError(f"labels shape {labels.shape} does not match {rows} rows of {n} samples")
+    if any(np.shape(row) != (n, model.feature_dim) for row in x):
+        raise ShapeError(f"every feature row must be ({n}, {model.feature_dim})")
     if not n:
         raise DataError("cannot score zero samples")
     chunk = max(1, SCORE_VALUES // (n * max(model.layer_sizes)))
@@ -184,10 +195,11 @@ def score(
         batch = x[lo:hi]
         if hi - lo == 1:
             batch = np.asarray(batch[0])[None]  # a view: one row needs no stacked copy
-        log_probs = forward(weights[lo:hi], model, batch)
+        at = offsets[: hi - lo]
+        layers = _stack_layers(weights[lo:hi], model.manifest)
+        _, log_probs = _forward_pass(layers, np.asarray(batch, dtype=np.float64), at)
         probs = np.exp(log_probs)
         probs.argmax(axis=2, out=preds[lo:hi])
-        at = offsets[: hi - lo]
         # the indices are in range, so "clip" changes no value
         at_label = log_probs.take(at + labels[lo:hi], mode="clip")
         top = probs.take(at + preds[lo:hi], mode="clip")
@@ -237,7 +249,7 @@ def improves(
     return best is None or (value > best if higher_is_better else value < best)
 
 
-@dataclass
+@dataclass(eq=False)
 class EarlyStopRun:
     """One row's early-stopping run as ``train_stacked`` scores it: the
     metric's value at each epoch, the best of them so far by ``improves``
@@ -278,11 +290,11 @@ def train_stacked(
     by ``metric`` (``val_loss`` reads the loss), ties going to the latest
     epoch when ``ties_to_latest`` and to the earliest otherwise. A row stops
     after ``patience`` epochs in a row that do not replace its best. Rows
-    whose splits have equal sizes train as one stack through
-    ``nn._train_epoch``, the kernel of ``nn.train_epoch``, on the train
-    splits ``check_split`` returned when it checked each row once; no row
-    is padded. A row's run depends only on its
-    start weights, splits and rng stream, never on the other rows.
+    whose splits have equal sizes train as one stack through the epoch
+    kernel ``nn._train_epoch``, on the train splits ``check_split``
+    returned when it checked each row and its start weights' manifest
+    once; no row is padded. A row's run depends only on its start
+    weights, splits and rng stream, never on the other rows.
 
     Its two settings are ``orchestrator``'s, its only callers: a client's
     local run (``run_federations``) trains ``local_epochs`` epochs with

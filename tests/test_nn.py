@@ -13,10 +13,8 @@ from fedsel.nn import (
     ParameterVector,
     check_split,
     class_offsets,
-    forward,
     init_parameters,
     manifest_size,
-    train_epoch,
     weights_text,
 )
 from oracle import (
@@ -76,11 +74,19 @@ def test_init_parameters_layout():
     assert not (params.values == other.values).all()
 
 
+def _log_probs(params, spec, x):
+    """``nn._forward_pass``'s (n, classes) log-probabilities of one model
+    on an (n, d) batch, as a stack of one row, the way ``score`` calls it."""
+    offsets = class_offsets((1, len(x)), spec.class_count)
+    layers = nn._stack_layers(params.values[None], spec.manifest)
+    return nn._forward_pass(layers, x[None], offsets)[1][0]
+
+
 def test_forward_rows_are_probabilities():
     spec = ModelSpec(layer_sizes=(3, 7, 4), seed=2)
     params = init_parameters(spec)
     rng = np.random.default_rng(0)
-    probs = np.exp(forward(params.values[None], spec, rng.standard_normal((1, 9, 3)))[0])
+    probs = np.exp(_log_probs(params, spec, rng.standard_normal((9, 3))))
     assert probs.shape == (9, 4)
     assert (probs > 0).all()
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -90,8 +96,8 @@ def test_forward_survives_huge_logits():
     spec = ModelSpec(layer_sizes=(3, 7, 4), seed=2)
     params = init_parameters(spec)
     big = ParameterVector(params.values * 1e4, params.manifest)
-    x = np.random.default_rng(1).standard_normal((1, 5, 3)) * 100
-    log_probs = forward(big.values[None], spec, x)
+    x = np.random.default_rng(1).standard_normal((5, 3)) * 100
+    log_probs = _log_probs(big, spec, x)
     assert np.isfinite(log_probs).all()
     assert (log_probs <= 0.0).all()
 
@@ -155,13 +161,8 @@ def test_zero_params_give_uniform_loss():
     assert abs(cross_entropy_loss(zeros, spec, x, y) - math.log(5)) < 1e-14
 
 
-def test_forward_shape_errors():
+def test_check_split_rejects_bad_labels():
     spec = ModelSpec(layer_sizes=(4, 8, 5), seed=0)
-    params = init_parameters(spec)
-    with pytest.raises(ShapeError):
-        forward(params.values[None], spec, np.zeros((1, 3, 6)))
-    with pytest.raises(ShapeError):
-        forward(params.values[None], spec, np.zeros((2, 3, 4)))
     with pytest.raises(DataError):
         check_split(spec, np.zeros((3, 4)), np.array([0, 1, 9]))
     with pytest.raises(DataError):
@@ -234,10 +235,10 @@ def test_optimizer_config_validation():
 
 
 def _epoch(params, spec, cfg, velocity, x, y, rng):
-    """One epoch of ``train_epoch`` at R = 1 on copies; returns the new
+    """One epoch of the epoch kernel at R = 1 on copies; returns the new
     weights and velocity as flat arrays."""
     weights, velocity = params.values[None].copy(), velocity[None].copy()
-    assert train_epoch(weights, velocity, spec, cfg, x[None], y[None], [rng]) is None
+    assert nn._train_epoch(weights, velocity, spec, cfg, x[None], y[None], [rng]) is None
     return weights[0], velocity[0]
 
 
@@ -287,7 +288,7 @@ def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_si
     ref_p, ref_s = params, init_optimizer(params, cfg)
     for epoch in range(3):
         held = weights
-        train_epoch(weights, velocity, spec, cfg, x, y, [np.random.default_rng(epoch)])
+        nn._train_epoch(weights, velocity, spec, cfg, x, y, [np.random.default_rng(epoch)])
         assert np.isfinite(weights).all(axis=1).all()
         ref_p, ref_s, _ = reference_epoch(ref_p, spec, ref_s, x[0], y[0], np.random.default_rng(epoch))
         assert (weights[0] == ref_p.values).all()
@@ -295,33 +296,6 @@ def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_si
         assert held is weights
         assert (x == x_before).all() and (y == y_before).all()
     assert not (weights[0] == params.values).all()
-
-
-def test_train_epoch_rejects_mismatched_manifests():
-    spec = ModelSpec(layer_sizes=(6, 9, 4), seed=10)
-    params = init_parameters(spec)
-    other = init_parameters(ModelSpec(layer_sizes=(6, 8, 4), seed=10))
-    x, y = np.zeros((1, 4, 6)), np.zeros((1, 4), dtype=int)
-    cfg, rngs = OptimizerConfig(), [np.random.default_rng(0)]
-    weights, velocity = params.values[None].copy(), np.zeros((1, len(params)))
-    with pytest.raises(ShapeError):
-        train_epoch(other.values[None].copy(), velocity, spec, cfg, x, y, rngs)
-    with pytest.raises(ShapeError):
-        train_epoch(weights, np.zeros((1, len(other))), spec, cfg, x, y, rngs)
-    with pytest.raises(ShapeError):  # a read-only stack cannot be trained in place
-        train_epoch(params.values[None], velocity, spec, cfg, x, y, rngs)
-    with pytest.raises(ShapeError):
-        train_epoch(weights, velocity, spec, cfg, np.zeros((2, 4, 6)), np.zeros((2, 4), dtype=int), rngs)
-    with pytest.raises(ShapeError):
-        train_epoch(weights, velocity, spec, cfg, x, y, rngs * 2)
-
-
-def test_train_epoch_rejects_empty_data():
-    spec = ModelSpec(layer_sizes=(6, 9, 4), seed=10)
-    params = init_parameters(spec)
-    with pytest.raises(DataError):
-        train_epoch(params.values[None].copy(), np.zeros((1, len(params))), spec, OptimizerConfig(),
-                    np.zeros((1, 0, 6)), np.zeros((1, 0), dtype=int), [np.random.default_rng(0)])
 
 
 def test_weights_file_round_trip():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsel.aggregation import HaltingCriterion, HaltingMetric, aggregate_metrics
+from fedsel.aggregation import ClientUpdate, HaltingCriterion, HaltingMetric, aggregate_metrics
 from fedsel.config import load_config
 from fedsel.data import (
     ClientDataset,
     CorpusSpec,
+    EvalSets,
     PartitionSpec,
     Split,
     make_dataset,
@@ -25,6 +26,7 @@ from fedsel import nn
 from fedsel.nn import ModelSpec, OptimizerConfig, init_parameters, manifest_size
 from fedsel.orchestrator import (
     BaselineConfig,
+    CentralizedResult,
     FederationConfig,
     Workflow,
     atomic_write_text,
@@ -38,11 +40,40 @@ from fedsel.orchestrator import (
     write_metrics_logs,
 )
 from fedsel.reporting import rows_to_csv, run_comparison
-from fedsel.strategies import MetricsReport, StrategyKind, score_params, shipped, train_stacked
+from fedsel.strategies import (
+    EarlyStopRun,
+    MetricsReport,
+    StrategyKind,
+    score_params,
+    shipped,
+    train_stacked,
+)
 from oracle import rescored
 
 MODEL = ModelSpec(layer_sizes=(16, 32, 5), seed=3)
 SMALL = CorpusSpec(per_class_train=8, per_class_val=4, per_class_test=4, seed=21)
+PARAMS = init_parameters(MODEL)
+SPLIT = Split(np.zeros((2, 16)), np.zeros(2, dtype=int), np.arange(2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: init_parameters(MODEL),
+    lambda: Split(SPLIT.x, SPLIT.y, SPLIT.ids),
+    lambda: ClientDataset(0, 1, SPLIT, SPLIT, SPLIT),
+    lambda: EvalSets(SPLIT, SPLIT),
+    lambda: ClientUpdate(0, PARAMS, 2),
+    lambda: CentralizedResult(PARAMS, 1, 1, (0.5,)),
+    lambda: EarlyStopRun(trace=[0.5], best_params=PARAMS),
+], ids=["ParameterVector", "Split", "ClientDataset", "EvalSets", "ClientUpdate",
+        "CentralizedResult", "EarlyStopRun"])
+def test_array_holding_dataclasses_compare_and_hash_by_identity(make):
+    """``==`` and ``hash`` of a dataclass that holds arrays return a value
+    instead of raising on the arrays' elementwise ``==``: equality is
+    identity, so equal fields do not make two objects equal."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
+    assert len({a, a, b}) == 2
 
 
 def small_dataset(noise=1.0, seed=21):
@@ -657,8 +688,8 @@ def test_baselines_stop_on_scripted_plateaus(data):
         weights = init_parameters(MODEL).values[None].copy()
         velocity, rng = np.zeros_like(weights), baseline_stream(5, tag)
         for _ in range(result.best_epoch):
-            nn.train_epoch(weights, velocity, MODEL, bcfg.optimizer, train.x[None],
-                           train.y[None], [rng])
+            nn._train_epoch(weights, velocity, MODEL, bcfg.optimizer, train.x[None],
+                            train.y[None], [rng])
         assert result.params.values.tobytes() == weights[0].tobytes()
 
 

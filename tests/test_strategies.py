@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsel import nn, strategies
-from fedsel.data import ClientDataset, CorpusSpec, PartitionSpec, Split, make_dataset
+from fedsel.data import CorpusSpec, PartitionSpec, Split, make_dataset
 from fedsel.errors import ConfigurationError, DataError, ShapeError
 from fedsel.nn import (
     ModelSpec,
@@ -15,7 +15,6 @@ from fedsel.nn import (
     ParameterVector,
     init_parameters,
     manifest_size,
-    train_epoch,
 )
 from fedsel.strategies import (
     SelectionMetric,
@@ -128,7 +127,8 @@ def test_score_is_one_pass_of_the_separate_scorers():
 def test_score_rejects_row_count_mismatch():
     """Every weight row needs its own features and labels: a short list of
     either fails naming the counts instead of scoring fewer rows, and
-    splits of zero samples fail too."""
+    splits of zero samples fail too. So do weights of another width and
+    features of another count than the model's."""
     spec = ModelSpec(layer_sizes=(4, 6, 3), seed=1)
     weights = np.tile(init_parameters(spec).values, (3, 1))
     x, y = np.zeros((3, 5, 4)), np.zeros((3, 5), dtype=int)
@@ -139,6 +139,10 @@ def test_score_rejects_row_count_mismatch():
         score(weights, spec, x[:2], y)
     with pytest.raises(DataError, match="cannot score zero samples"):
         score(weights, spec, x[:, :0], y[:, :0])
+    with pytest.raises(ShapeError, match=r"weights must be \(R, 51\), got \(3, 50\)"):
+        score(weights[:, :-1], spec, x, y)
+    with pytest.raises(ShapeError, match=r"every feature row must be \(5, 4\)"):
+        score(weights, spec, np.zeros((3, 5, 6)), y)
 
 
 def test_score_checks_labels_by_the_split_rule():
@@ -232,12 +236,12 @@ def test_stacking_equals_separate_runs(data):
     stacked_w, stacked_v = weights.copy(), velocity.copy()
     with gather_cap:
         for epoch in range(2):
-            train_epoch(stacked_w, stacked_v, spec, opt, x, y, streams(slice(None), epoch))
+            nn._train_epoch(stacked_w, stacked_v, spec, opt, x, y, streams(slice(None), epoch))
     for r in range(rows):
         one = slice(r, r + 1)
         w, v = weights[one].copy(), velocity[one].copy()
         for epoch in range(2):
-            train_epoch(w, v, spec, opt, x[one], y[one], streams(one, epoch))
+            nn._train_epoch(w, v, spec, opt, x[one], y[one], streams(one, epoch))
         assert w.tobytes() == stacked_w[one].tobytes()
         assert v.tobytes() == stacked_v[one].tobytes()
 
@@ -260,7 +264,7 @@ def _picked(trace, strategy, higher_is_better=True):
     return epoch
 
 
-def test_select_epoch_rules():
+def test_shipped_epoch_rules():
     assert _picked([0.5, 0.9, 0.7], StrategyKind.FEWS) == 3
     assert _picked([0.60, 0.90, 0.80], StrategyKind.OEWS) == 2
     assert _picked([0.9, 0.5, 0.9], StrategyKind.OEWS) == 3  # tie -> latest
@@ -269,7 +273,7 @@ def test_select_epoch_rules():
     assert _picked([0.5, 0.2, 0.2], StrategyKind.OEWS, higher_is_better=False) == 3
 
 
-def test_select_epoch_invariant_under_increasing_transform():
+def test_oews_epoch_invariant_under_increasing_transform():
     rng = np.random.default_rng(8)
     for _ in range(200):
         trace = rng.random(int(rng.integers(1, 12))).tolist()
@@ -346,7 +350,7 @@ def _local_runs(rows, opt, epochs, metric=SelectionMetric.MACRO_F1):
     )
 
 
-def test_run_local_shapes_and_ranges():
+def test_local_run_trace_and_epoch_ranges():
     """One client's local run, as ``train_stacked`` of one row."""
     client = _client()
     incoming = init_parameters(MODEL)
@@ -357,7 +361,7 @@ def test_run_local_shapes_and_ranges():
     assert 1 <= epoch <= 4
 
 
-def test_run_local_never_mutates_incoming():
+def test_local_run_never_mutates_incoming():
     client = _client()
     incoming = init_parameters(MODEL)
     before = incoming.values.copy()
@@ -451,7 +455,7 @@ def test_shipped_weights_are_the_reported_epochs(metric):
 def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
     """Whatever the validation trace, one client run reports, for each
     strategy, the epoch the selection rule names and ships the weights
-    training had at that epoch, rebuilt here by calling train_epoch
+    training had at that epoch, rebuilt here by calling the epoch kernel
     directly; both picks are read from the one run and its one trace. OEWS
     ships the latest of tied best epochs, FEWS the last epoch."""
     client = _client(seed=5)
@@ -477,7 +481,8 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
     rng = np.random.default_rng(11)
     snapshots = []
     for _ in trace:
-        train_epoch(weights, velocity, MODEL, opt, client.train.x[None], client.train.y[None], [rng])
+        nn._train_epoch(weights, velocity, MODEL, opt, client.train.x[None], client.train.y[None],
+                        [rng])
         snapshots.append(weights[0].copy())
     for params, epoch in (fews, oews):
         assert (params.values == snapshots[epoch - 1]).all()
@@ -606,7 +611,7 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
     train_x, train_y = data["overflowing"][0].x[None], data["overflowing"][0].y[None]
     with np.errstate(all="ignore"):
         for epoch in range(1, 6):
-            train_epoch(weights, velocity, spec, opt, train_x, train_y, [rng])
+            nn._train_epoch(weights, velocity, spec, opt, train_x, train_y, [rng])
             if overflow is None and not np.isfinite(weights).all():
                 overflow = epoch
     assert overflow is not None and 1 < overflow < 5
@@ -640,11 +645,12 @@ def test_non_finite_validation_score_names_client_and_epoch(monkeypatch):
     assert str(error) == f"client {client.client_id} epoch 1: validation loss is nan"
 
 
-def test_train_local_rejects_bad_input():
+def test_train_stacked_rejects_bad_input():
     """Zero epochs fail a client run's call, as does a patience of zero
     epochs, which would give ``train_stacked`` an empty window; an empty
-    split fails its own row, which ``train_stacked`` returns as the
-    exception."""
+    split, or start weights of another model's manifest, fails its own
+    row, which ``train_stacked`` returns as the exception, and the other
+    rows train."""
     client = _client()
     incoming = init_parameters(MODEL)
     with pytest.raises(ConfigurationError, match="epochs must be >= 1, got 0"):
@@ -653,9 +659,11 @@ def test_train_local_rejects_bad_input():
         strategies.train_stacked([], MODEL, OptimizerConfig(), 1, 0, SelectionMetric.MACRO_F1,
                                  False)
     empty = Split(np.zeros((0, 16)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-    broken = ClientDataset(client_id=0, missing_class=1, train=empty,
-                           val=client.val, test=client.test)
-    rows = [(incoming, broken, np.random.default_rng(0)), (incoming, client, np.random.default_rng(0))]
-    failed, run = _local_runs(rows, OptimizerConfig(), 2)
-    assert isinstance(failed, DataError)
+    other = init_parameters(ModelSpec(layer_sizes=(16, 31, 5)))
+    rows = [(incoming, replace(client, train=empty), np.random.default_rng(0)),
+            (other, client, np.random.default_rng(0)), (incoming, client, np.random.default_rng(0))]
+    empty_split, wrong_manifest, run = _local_runs(rows, OptimizerConfig(), 2)
+    assert isinstance(empty_split, DataError)
+    assert isinstance(wrong_manifest, ShapeError)
+    assert str(wrong_manifest) == "params and model manifests must be identical"
     assert shipped(run, StrategyKind.FEWS)[1] == 2

@@ -10,33 +10,34 @@ that row alone.
 
 ``_forward_pass`` is the only forward math: ``strategies.score`` and
 the epoch kernel both call it on per-layer weight and bias views of the
-stack, and it applies the ReLUs and the log-softmax in place.
+stack, with buffers of their own (``_Buffers``) that it writes every
+layer's output into, and it applies the ReLUs and the log-softmax in place.
 
 The log-softmax finds each (row, sample)'s max logit at its ``argmax``:
 the argmax plus the (row, sample)'s ``class_offsets`` is the max's flat
 index in the C-contiguous logits, and one ``take`` reads every max. A max
 reduction over the class axis would run numpy's inner loop once per
-(row, sample) over C = 5 values; it cost 1.5x as much on one model's 16x5
-batch and 3-5x on a scoring chunk (best of 7 ``timeit`` runs on a 2-vCPU
-x86-64 host). The two give the same bits: a max is exact, and they can
-differ only in the sign of a zero max that ties -0.0 against +0.0, whose
-row then sums at least two ones in its softmax, so either sign gives the
-same log-probabilities. The epoch kernel builds the offsets once per
-epoch, for a full batch and for the last one, and ``score`` once per
-call. (``np.take_along_axis`` at the argmax, which needs no offsets,
-costs 3.4x as much as this on one model's 16x5 batch, more than the
-reduction.)
+(row, sample) over a few classes, and costs more; ``np.take_along_axis``
+at the argmax, which needs no offsets, costs more still. The two give the
+same bits: a max is exact, and they can differ only in the sign of a zero
+max that ties -0.0 against +0.0, whose row then sums at least two ones in
+its softmax, so either sign gives the same log-probabilities.
 
-``_train_epoch``, the epoch kernel, builds the layer views, and the
-backward pass's gradient and transposed-weight views, once per epoch, so
-a mini-batch step is the forward pass, the backward pass inline and the
-momentum update. Neither kernel checks its arguments: their callers,
+``_EpochKernel``, the epoch kernel, is built once per stack of models that
+train side by side, and again only when the stack loses rows. Building it
+does all that does not depend on an epoch's shuffle: the layer, gradient
+and transposed-weight views, the gather and one-hot target buffers, one
+workspace per batch size that occurs (the forward pass's buffers, the
+hidden layers' deltas and ReLU masks) and each step's views. Calling it
+trains one epoch, and a mini-batch step, the forward pass, the backward
+pass inline and the momentum update, writes every intermediate into those
+buffers. Neither kernel checks its arguments: their callers,
 ``strategies.score`` and ``strategies.train_stacked``, check theirs once
 per call.
 
 One model (R = 1) trains on 2-D views of row 0 and multiplies with
-``np.dot``: it makes the same BLAS call as ``np.matmul`` on the same 2-D
-operands, with the same bits, at a lower cost per call, and a step is
+``ndarray.dot``: it makes the same BLAS call as ``np.matmul`` on the same
+2-D operands, with the same bits, at a lower cost per call, and a step is
 mostly per-call cost. Stacks of two or more rows, and all scoring, keep
 ``np.matmul``, which multiplies every row in one call.
 """
@@ -181,7 +182,7 @@ def check_labels(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
 def _stack_layers(weights: np.ndarray, manifest: Manifest) -> Layers:
     """(R, rows, cols) weight and (R, 1, cols) bias views per layer of an
     (R, P) stack, or 2-D (rows, cols) and (1, cols) views of one model's
-    (P,) vector, on which ``_forward_pass`` multiplies with ``np.dot``;
+    (P,) vector, on which ``_forward_pass`` multiplies with ``ndarray.dot``;
     writing to a view writes to the stack."""
     views = []
     offset = 0
@@ -199,39 +200,59 @@ def class_offsets(shape: tuple[int, ...], classes: int) -> np.ndarray:
     return np.arange(0, math.prod(shape) * classes, classes).reshape(shape)
 
 
-def _forward_pass(
-    layers: Layers, batch: np.ndarray, offsets: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns (layer inputs, log-probabilities), each (R, n, width), for
-    ``_stack_layers`` views, or each (n, width) for one model's 2-D views;
-    ``offsets`` is ``class_offsets`` of the batch's (R, n) or (n,) shape.
-    A 2-D batch is multiplied with ``np.dot``, the same BLAS call as
+class _Buffers:
+    """What ``_forward_pass`` writes for one batch shape, (R, n) or one
+    model's (n,): each layer's output, ``(*shape, width)`` for ``widths``
+    (the layer sizes after the input), and the log-softmax's argmax
+    indices, ``class_offsets``, per-(row, sample) max and log-sum (``peak``,
+    with its ``[..., None]`` view) and ``exp`` values (``exps``)."""
+
+    __slots__ = ("outs", "top", "offsets", "peak", "peak_col", "exps")
+
+    def __init__(self, shape: tuple[int, ...], widths: Sequence[int]):
+        self.outs = [np.empty((*shape, width)) for width in widths]
+        self.top = np.empty(shape, dtype=np.intp)
+        self.offsets = class_offsets(shape, widths[-1])
+        self.peak = np.empty(shape)
+        self.peak_col = self.peak[..., None]
+        self.exps = np.empty_like(self.outs[-1])
+
+
+def _forward_pass(layers: Layers, batch: np.ndarray, buffers: _Buffers) -> np.ndarray:
+    """The log-probabilities, (R, n, classes) for ``_stack_layers`` views or
+    (n, classes) for one model's 2-D views, written with every layer's
+    output into ``buffers``, made for the batch's (R, n) or (n,) shape;
+    ``buffers.outs[:-1]`` hold the hidden layers' outputs after their ReLUs.
+    A 2-D batch is multiplied with ``ndarray.dot``, the same BLAS call as
     ``np.matmul`` with the same bits at a lower cost per call; a 3-D one
-    with ``np.matmul``, one call for every row. The hidden ReLUs and the
-    log-softmax are applied in place, so each layer keeps one array."""
-    product = np.dot if batch.ndim == 2 else np.matmul
-    inputs = [batch]
+    with ``np.matmul``, one call for every row."""
+    product = np.ndarray.dot if batch.ndim == 2 else np.matmul
     h = batch
-    for w, b in layers[:-1]:
-        h = product(h, w)
-        h += b
-        np.maximum(h, 0.0, out=h)
-        inputs.append(h)
+    for (w, b), out in zip(layers[:-1], buffers.outs):
+        product(h, w, out)
+        out += b
+        np.maximum(out, 0.0, out=out)
+        h = out
     w, b = layers[-1]
-    z = product(h, w)
+    z = buffers.outs[-1]
+    product(h, w, z)
     z += b
-    return inputs, _log_softmax(z, offsets)
+    return _log_softmax(z, buffers)
 
 
-def _log_softmax(z: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _log_softmax(z: np.ndarray, buffers: _Buffers) -> np.ndarray:
     """``z``, C-contiguous logits, turned in place into log-softmax values
-    over its last axis; ``offsets`` is ``class_offsets`` of its other axes.
-    Each (row, sample)'s max is read at its argmax (see the module
-    docstring)."""
-    top = z.argmax(axis=-1)
-    top += offsets
-    z -= z.take(top)[..., None]
-    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    over its last axis, using ``buffers``, made for its other axes. Each
+    (row, sample)'s max is read at its argmax (see the module docstring)."""
+    top, peak = buffers.top, buffers.peak
+    z.argmax(axis=-1, out=top)
+    top += buffers.offsets
+    # the indices are in range, so "clip" changes no value
+    z.take(top, out=peak, mode="clip")
+    z -= buffers.peak_col
+    np.add.reduce(np.exp(z, out=buffers.exps), axis=-1, out=peak)
+    np.log(peak, out=peak)
+    z -= buffers.peak_col
     return z
 
 
@@ -252,18 +273,10 @@ class OptimizerConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _train_epoch(
-    weights: np.ndarray,
-    velocity: np.ndarray,
-    spec: ModelSpec,
-    optimizer: OptimizerConfig,
-    train_x: Sequence[np.ndarray],
-    train_y: Sequence[np.ndarray],
-    rngs: Sequence[np.random.Generator],
-) -> None:
-    """One epoch of R models at once, updating the (R, P) ``weights`` and
-    ``velocity`` in place. Row r trains on its own n samples (train_x[r],
+class _EpochKernel:
+    """The epoch kernel of one stack of R models: ``kernel(rngs)`` trains
+    one epoch, updating the (R, P) ``weights`` and ``velocity`` it was
+    built on in place. Row r trains on its own n samples (train_x[r],
     train_y[r]), in the order ``rngs[r].permutation(n)`` draws, with one
     classical momentum step per mini-batch (v' = momentum*v + grad;
     w' = w - lr*v'); the final partial batch is trained, not dropped. A
@@ -278,57 +291,113 @@ def _train_epoch(
     time, m a whole number of batches sized so that the stack holds at most
     ``GATHER_VALUES`` values (all n samples when they fit); batches are
     contiguous slices of it, and every numpy call acts on each row as on
-    one model. One model trains on row 0's 2-D views, through ``np.dot``."""
-    rows, n = weights.shape[0], len(train_x[0])
-    data = [(x, y, rng.permutation(n)) for x, y, rng in zip(train_x, train_y, rngs)]
-    size = optimizer.batch_size
-    window = size * max(1, GATHER_VALUES // (rows * size * spec.feature_dim))
-    xs = np.empty((rows, min(window, n), spec.feature_dim))
-    ys = np.empty((rows, min(window, n)), dtype=np.int64)
-    classes = np.arange(spec.class_count)
-    grad = np.empty_like(weights)
-    # one model trains on 2-D views of row 0 (see _forward_pass)
-    one = rows == 1
-    # the logits' class offsets of a full batch and of the last one
-    offsets = {
-        b: class_offsets((b,) if one else (rows, b), spec.class_count)
-        for b in (min(size, n), n % size or size)
-    }
-    product = np.dot if one else np.matmul
-    layers = _stack_layers(weights[0] if one else weights, spec.manifest)
-    # the backward pass, output layer first: each layer's gradient views and
-    # the transposed weights that carry the delta to the layer below
-    grads = _stack_layers(grad[0] if one else grad, spec.manifest)
-    backward = [(i, grads[i], layers[i][0].swapaxes(-1, -2)) for i in reversed(range(len(layers)))]
-    for lo in range(0, n, window):
-        count = min(window, n - lo)
-        for r, (x, y, order) in enumerate(data):
-            np.take(x, order[lo : lo + count], axis=0, out=xs[r, :count])
-            np.take(y, order[lo : lo + count], out=ys[r, :count])
-        target = (ys[:, :count, None] == classes).astype(np.float64)
-        batch_x, batch_t = (xs[0], target[0]) if one else (xs, target)
-        for start in range(0, count, size):
-            end = min(start + size, count)
-            inputs, delta = _forward_pass(
-                layers, batch_x[..., start:end, :], offsets[end - start]
-            )
-            # gradient w.r.t. the logits of each row's mean cross-entropy:
-            # subtracting the one-hot changes only the label's entry, by 1
-            np.exp(delta, out=delta)
-            delta -= batch_t[..., start:end, :]
-            delta /= end - start
-            for i, (grad_w, grad_b), w_t in backward:
-                product(inputs[i].swapaxes(-1, -2), delta, out=grad_w)
-                np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
-                if i:
+    one model. One model trains on row 0's 2-D views, through
+    ``ndarray.dot`` (see ``_forward_pass``).
+
+    Building the kernel sets up every view and buffer an epoch uses (see
+    the module docstring), so a mini-batch step allocates nothing. A stack
+    that loses rows gets a new kernel on its new arrays."""
+
+    def __init__(
+        self,
+        weights: np.ndarray,
+        velocity: np.ndarray,
+        spec: ModelSpec,
+        optimizer: OptimizerConfig,
+        train_x: Sequence[np.ndarray],
+        train_y: Sequence[np.ndarray],
+    ):
+        self.weights, self.velocity = weights, velocity
+        self.momentum, self.rate = optimizer.momentum, optimizer.learning_rate
+        rows, n, dim = weights.shape[0], len(train_x[0]), spec.feature_dim
+        self.n, self.sources = n, list(zip(train_x, train_y))
+        size = optimizer.batch_size
+        window = min(n, size * max(1, GATHER_VALUES // (rows * size * dim)))
+        self.xs = np.empty((rows, window, dim))
+        self.ys = np.empty((rows, window), dtype=np.int64)
+        self.target = np.empty((rows, window, spec.class_count))
+        self.classes = np.arange(spec.class_count)
+        self.grad = np.empty_like(weights)
+        # one model trains on 2-D views of row 0 (see _forward_pass)
+        one = rows == 1
+        self.product = np.ndarray.dot if one else np.matmul
+        self.layers = _stack_layers(weights[0] if one else weights, spec.manifest)
+        # each layer's weight-gradient view and its bias gradient's 1-D view
+        grads = [(w, b[..., 0, :]) for w, b in
+                 _stack_layers(self.grad[0] if one else self.grad, spec.manifest)]
+        self.first_grads = grads[0]
+        # a workspace per batch size that occurs, a full batch and the last
+        # one: the forward pass's buffers, and the backward pass through the
+        # layers above the first, output layer first: each one's gradient
+        # views, the transposed weights that carry the delta to the layer
+        # below, its input (the layer below's output) and that input's
+        # transpose, and the buffers of the carried delta and the ReLU's mask
+        workspaces = {}
+        for b in {min(size, n), n % size or size}:
+            buffers = _Buffers((b,) if one else (rows, b), spec.layer_sizes[1:])
+            below = buffers.outs[:-1]
+            backward = [
+                (*grads[i], self.layers[i][0].swapaxes(-1, -2), below[i - 1],
+                 below[i - 1].swapaxes(-1, -2), np.empty_like(below[i - 1]),
+                 np.empty(below[i - 1].shape, dtype=bool))
+                for i in reversed(range(1, len(grads)))
+            ]
+            workspaces[b] = buffers, backward
+        # each window's start and size, then each of its steps' batch view,
+        # the batch's transpose, target view, size and workspace (forward
+        # buffers, backward pass)
+        self.windows = []
+        for lo in range(0, n, window):
+            count = min(window, n - lo)
+            steps = []
+            for start in range(0, count, size):
+                end = min(start + size, count)
+                batch = self.xs[0, start:end] if one else self.xs[:, start:end]
+                target = self.target[0, start:end] if one else self.target[:, start:end]
+                steps.append((batch, batch.swapaxes(-1, -2), target, end - start,
+                              *workspaces[end - start]))
+            self.windows.append((lo, count, steps))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __call__(self, rngs: Sequence[np.random.Generator]) -> None:
+        """One epoch of every row, row r shuffled by ``rngs[r]``."""
+        n, xs, ys, target, classes = self.n, self.xs, self.ys, self.target, self.classes
+        weights, velocity, grad = self.weights, self.velocity, self.grad
+        momentum, rate, layers, product = self.momentum, self.rate, self.layers, self.product
+        grad0_w, grad0_b = self.first_grads
+        take, equal, exp, add, subtract, multiply, divide, greater = (
+            np.take, np.equal, np.exp, np.add, np.subtract, np.multiply, np.divide, np.greater
+        )
+        add_reduce = np.add.reduce
+        orders = [rng.permutation(n) for rng in rngs]
+        for lo, count, steps in self.windows:
+            for r, ((x, y), order) in enumerate(zip(self.sources, orders)):
+                # the indices are in range, so "clip" changes no value
+                take(x, order[lo : lo + count], 0, xs[r, :count], "clip")
+                take(y, order[lo : lo + count], None, ys[r, :count], "clip")
+            equal(ys[:, :count, None], classes, target[:, :count])
+            for batch, batch_t, batch_target, size, buffers, backward in steps:
+                delta = _forward_pass(layers, batch, buffers)
+                # gradient w.r.t. the logits of each row's mean cross-entropy:
+                # subtracting the one-hot changes only the label's entry, by 1
+                exp(delta, delta)
+                subtract(delta, batch_target, delta)
+                divide(delta, size, delta)
+                for grad_w, grad_b, w_t, inputs, inputs_t, below, mask in backward:
+                    product(inputs_t, delta, grad_w)
+                    add_reduce(delta, -2, None, grad_b)
+                    product(delta, w_t, below)
                     # the ReLU's derivative from its output: relu(z) > 0 iff z > 0
-                    delta = product(delta, w_t)
-                    delta *= inputs[i] > 0.0
-            velocity *= optimizer.momentum
-            velocity += grad
-            # the gradient is spent: its buffer holds the step
-            np.multiply(velocity, optimizer.learning_rate, out=grad)
-            weights -= grad
+                    greater(inputs, 0.0, mask)
+                    multiply(below, mask, below)
+                    delta = below
+                product(batch_t, delta, grad0_w)
+                add_reduce(delta, -2, None, grad0_b)
+                multiply(velocity, momentum, velocity)
+                add(velocity, grad, velocity)
+                # the gradient is spent: its buffer holds the step
+                multiply(velocity, rate, grad)
+                subtract(weights, grad, weights)
 
 
 def weights_text(params: ParameterVector) -> str:

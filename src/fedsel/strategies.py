@@ -17,17 +17,18 @@ latest epoch; a baseline (``run_baselines``) runs on val macro-F1 with the
 baseline's patience and ties to the earliest epoch.
 
 ``train_stacked`` and ``score`` are the checked entries to ``nn``'s
-unchecked kernels, ``_train_epoch`` and ``_forward_pass``: each checks its
+unchecked kernels, ``_EpochKernel`` and ``_forward_pass``: each checks its
 inputs once per call. Models that train side by side, such as a round's
-client runs or a seed's baselines, train as one stack: each epoch is one
-kernel call over every live row, and a window of epochs, as many as every
-live row is sure to train, is scored in one ``score`` call over each of
-those epochs' weights. ``score`` is array math over its rows, the metrics
-included: one ``bincount`` builds every row's confusion matrix, and the
-metrics come from (R, C) arrays, with each row's bits those of that row
-scored alone. Models scored on one shared split, such as a round's global
-weights or a campaign seed's final ones, go through ``score_params``,
-where equal weights share one row of the stack.
+client runs or a seed's baselines, train as one stack: ``train_stacked``
+builds one epoch kernel per stack, and a new one only when rows leave the
+stack; each epoch is one call of it over every live row, and a window of
+epochs, as many as every live row is sure to train, is scored in one
+``score`` call over each of those epochs' weights. ``score`` is array math
+over its rows, the metrics included: one ``bincount`` builds every row's
+confusion matrix, and the metrics come from (R, C) arrays, with each row's
+bits those of that row scored alone. Models scored on one shared split,
+such as a round's global weights or a campaign seed's final ones, go
+through ``score_params``, where equal weights share one row of the stack.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ from .nn import (
     ModelSpec,
     OptimizerConfig,
     ParameterVector,
+    _Buffers,
+    _EpochKernel,
     _forward_pass,
     _stack_layers,
-    _train_epoch,
     check_labels,
     check_split,
-    class_offsets,
     manifest_size,
 )
 
@@ -161,13 +162,14 @@ def score(
     callers name it.
 
     Rows go through batched forward passes of as many rows as keep each
-    activation within ``SCORE_VALUES`` values, at least one. Each pass's
-    losses are reduced as it ends, and its confidences, means over a
-    different number of samples in each row, row by row; only the (R, n)
-    predictions outlive it. The metrics of all R rows are then computed at
-    once: one ``bincount`` builds every confusion matrix, and (R, C) array
-    math does the rest. Each row's bits equal those of scoring that row
-    alone."""
+    activation within ``SCORE_VALUES`` values, at least one, into buffers
+    allocated once per call for a full pass and for the last one. Each
+    pass's losses are reduced as it ends, and its confidences, means over a
+    different number of samples in each row, row by row; of its results,
+    only the (R, n) predictions outlive it. The metrics of all R rows are
+    then computed at once: one ``bincount`` builds every confusion matrix,
+    and (R, C) array math does the rest. Each row's bits equal those of
+    scoring that row alone."""
     if not len(x) == len(y) == len(weights):
         raise ShapeError(f"{len(weights)} weight rows, {len(x)} feature and {len(y)} label rows")
     if not len(weights):
@@ -185,9 +187,9 @@ def score(
     if not n:
         raise DataError("cannot score zero samples")
     chunk = max(1, SCORE_VALUES // (n * max(model.layer_sizes)))
-    classes = model.class_count
-    # flat offset of each (row, sample) of a chunk's (rows, n, classes) output
-    offsets = class_offsets((min(chunk, rows), n), classes)
+    # the forward pass's buffers for a full chunk of rows and for the last one
+    sizes = {min(chunk, rows), rows % chunk or chunk}
+    buffers = {c: _Buffers((c, n), model.layer_sizes[1:]) for c in sizes}
     preds = np.empty((rows, n), dtype=np.intp)
     losses, confidences = [], []
     for lo in range(0, rows, chunk):
@@ -195,10 +197,12 @@ def score(
         batch = x[lo:hi]
         if hi - lo == 1:
             batch = np.asarray(batch[0])[None]  # a view: one row needs no stacked copy
-        at = offsets[: hi - lo]
+        chunk_buffers = buffers[hi - lo]
+        # flat offset of each (row, sample) of the chunk's (rows, n, classes) output
+        at = chunk_buffers.offsets
         layers = _stack_layers(weights[lo:hi], model.manifest)
-        _, log_probs = _forward_pass(layers, np.asarray(batch, dtype=np.float64), at)
-        probs = np.exp(log_probs)
+        log_probs = _forward_pass(layers, np.asarray(batch, dtype=np.float64), chunk_buffers)
+        probs = np.exp(log_probs, out=chunk_buffers.exps)
         probs.argmax(axis=2, out=preds[lo:hi])
         # the indices are in range, so "clip" changes no value
         at_label = log_probs.take(at + labels[lo:hi], mode="clip")
@@ -212,7 +216,7 @@ def score(
         for count in np.add.reduce(correct, axis=1).tolist():
             start, end = end, end + count
             confidences.append(float(np.add.reduce(hits[start:end]) / count) if count else 0.0)
-    reports = _reports(_confusions(labels, preds, classes))
+    reports = _reports(_confusions(labels, preds, model.class_count))
     return [Scores(*fields) for fields in zip(reports, losses, confidences)]
 
 
@@ -290,11 +294,12 @@ def train_stacked(
     by ``metric`` (``val_loss`` reads the loss), ties going to the latest
     epoch when ``ties_to_latest`` and to the earliest otherwise. A row stops
     after ``patience`` epochs in a row that do not replace its best. Rows
-    whose splits have equal sizes train as one stack through the epoch
-    kernel ``nn._train_epoch``, on the train splits ``check_split``
+    whose splits have equal sizes train as one stack through one epoch
+    kernel, ``nn._EpochKernel``, built on the train splits ``check_split``
     returned when it checked each row and its start weights' manifest
-    once; no row is padded. A row's run depends only on its start
-    weights, splits and rng stream, never on the other rows.
+    once, and built again each time rows leave the stack; no row is
+    padded. A row's run depends only on its start weights, splits and rng
+    stream, never on the other rows.
 
     Its two settings are ``orchestrator``'s, its only callers: a client's
     local run (``run_federations``) trains ``local_epochs`` epochs with
@@ -345,16 +350,19 @@ def train_stacked(
         live = np.array(members)
         weights = np.stack([rows[i][0].values for i in live])
         velocity = np.zeros_like(weights)
+        kernel = None  # the last stack's goes before this one's is built
         done = 0  # epochs every live row has trained
         while len(live) and done < epochs:
+            if kernel is None:
+                train_x, train_y = zip(*[checked[i] for i in live.tolist()])
+                kernel = _EpochKernel(weights, velocity, model, optimizer, train_x, train_y)
+                rngs = [rows[i][3] for i in live.tolist()]
             count, size = weights.shape
             stale = max(runs[i].stale for i in live.tolist())
             window = min(patience - stale, epochs - done, _window_cap(count, size))
             snapshots = np.empty((window, count, size))
-            train_x, train_y = zip(*[checked[i] for i in live.tolist()])
-            rngs = [rows[i][3] for i in live.tolist()]
             for k in range(window):
-                _train_epoch(weights, velocity, model, optimizer, train_x, train_y, rngs)
+                kernel(rngs)
                 snapshots[k] = weights
 
             # each row's epochs before its first non-finite weights, scored
@@ -396,7 +404,7 @@ def train_stacked(
             del snapshots, flat  # free this window's buffer before the next one's
             if ended.any():
                 live = live[~ended]
-                weights, velocity = weights[~ended], velocity[~ended]
+                weights, velocity, kernel = weights[~ended], velocity[~ended], None
     return runs
 
 

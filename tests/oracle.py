@@ -366,11 +366,10 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, patience, metric, ti
         velocity = np.zeros_like(weights)
         best_value, stale = {}, {}
         for epoch in range(1, epochs + 1):
-            strategies._train_epoch(
+            strategies._EpochKernel(
                 weights, velocity, model, optimizer,
                 [rows[i][1].x for i in live], [rows[i][1].y for i in live],
-                [rows[i][3] for i in live],
-            )
+            )([rows[i][3] for i in live])
             finite = np.isfinite(weights).all(axis=1)
             for i in live[~finite]:
                 results[i] = DataError(f"{rows[i][4]} epoch {epoch}: weights are not finite")
@@ -413,21 +412,23 @@ def train_stacked_per_epoch(rows, model, optimizer, epochs, patience, metric, ti
 @contextmanager
 def rescored(change: Callable[[np.random.Generator, int, Scores], Scores]):
     """Within the block, each ``strategies.score`` result for weights that
-    a ``strategies._train_epoch`` call (the epoch kernel both training
-    loops call) left in a row becomes ``change(rng, epoch, scores)``:
-    ``rng`` is the row's stream and ``epoch`` counts that stream's epochs. Rows are told apart by their streams and scored weights
-    by their bytes, so a rewrite holds however the loop windows, stacks or
-    batches its training and scoring. Scores of other weights pass as they
-    are."""
-    real_epoch, real_score = strategies._train_epoch, strategies.score
+    an epoch of a ``strategies._EpochKernel`` (the epoch kernel both
+    training loops build) left in a row becomes
+    ``change(rng, epoch, scores)``: ``rng`` is the row's stream and
+    ``epoch`` counts that stream's epochs. Rows are told apart by their
+    streams and scored weights by their bytes, so a rewrite holds however
+    the loop windows, stacks or batches its training and scoring. Scores of
+    other weights pass as they are."""
+    real_score = strategies.score
     epochs: dict[np.random.Generator, int] = {}  # epochs trained per stream
     trained: dict[bytes, tuple[np.random.Generator, int]] = {}
 
-    def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
-        real_epoch(weights, velocity, model, optimizer, x, y, rngs)
-        for row, rng in zip(weights, rngs):
-            epochs[rng] = epochs.get(rng, 0) + 1
-            trained[row.tobytes()] = (rng, epochs[rng])
+    class Kernel(strategies._EpochKernel):
+        def __call__(self, rngs):
+            super().__call__(rngs)
+            for row, rng in zip(self.weights, rngs):
+                epochs[rng] = epochs.get(rng, 0) + 1
+                trained[row.tobytes()] = (rng, epochs[rng])
 
     def score(weights, *args):
         result = real_score(weights, *args)
@@ -436,6 +437,6 @@ def rescored(change: Callable[[np.random.Generator, int, Scores], Scores]):
                 result[k] = change(*trained[row.tobytes()], result[k])
         return result
 
-    with mock.patch.object(strategies, "_train_epoch", train_epoch), \
+    with mock.patch.object(strategies, "_EpochKernel", Kernel), \
             mock.patch.object(strategies, "score", score):
         yield

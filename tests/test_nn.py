@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fedsel.nn import (
     OptimizerConfig,
     ParameterVector,
     check_split,
-    class_offsets,
     init_parameters,
     manifest_size,
     weights_text,
@@ -77,9 +77,9 @@ def test_init_parameters_layout():
 def _log_probs(params, spec, x):
     """``nn._forward_pass``'s (n, classes) log-probabilities of one model
     on an (n, d) batch, as a stack of one row, the way ``score`` calls it."""
-    offsets = class_offsets((1, len(x)), spec.class_count)
+    buffers = nn._Buffers((1, len(x)), spec.layer_sizes[1:])
     layers = nn._stack_layers(params.values[None], spec.manifest)
-    return nn._forward_pass(layers, x[None], offsets)[1][0]
+    return nn._forward_pass(layers, x[None], buffers)[0]
 
 
 def test_forward_rows_are_probabilities():
@@ -147,7 +147,7 @@ def test_log_softmax_is_bitwise_the_reduce_oracle(logits):
     ``max``, with NaN at the same places."""
     classes = logits.shape[-1]
     with np.errstate(all="ignore"):
-        got = nn._log_softmax(logits.copy(), class_offsets(logits.shape[:-1], classes))
+        got = nn._log_softmax(logits.copy(), nn._Buffers(logits.shape[:-1], (classes,)))
         want = _log_softmax(logits.reshape(-1, classes)).reshape(logits.shape)
     assert _same_bits(got, want)
 
@@ -238,7 +238,7 @@ def _epoch(params, spec, cfg, velocity, x, y, rng):
     """One epoch of the epoch kernel at R = 1 on copies; returns the new
     weights and velocity as flat arrays."""
     weights, velocity = params.values[None].copy(), velocity[None].copy()
-    assert nn._train_epoch(weights, velocity, spec, cfg, x[None], y[None], [rng]) is None
+    assert nn._EpochKernel(weights, velocity, spec, cfg, x[None], y[None])([rng]) is None
     return weights[0], velocity[0]
 
 
@@ -276,7 +276,10 @@ def test_train_epoch_matches_manual_loop():
 def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_size):
     """Several epochs in a row, from a nonzero velocity and at a learning
     rate that moves the weights: weights and velocity equal the reference
-    bit for bit, they are updated in place, and the data is left as it was."""
+    bit for bit, they are updated in place, and the data is left as it was.
+    One kernel trains every epoch, and a fresh kernel each epoch trains a
+    second copy; both hold under gather caps that split the epoch into
+    windows of one batch or a few, with a partial last window."""
     spec = ModelSpec(layer_sizes=layer_sizes, seed=4)
     data_rng = np.random.default_rng(n)
     x = data_rng.standard_normal((1, n, layer_sizes[0]))
@@ -284,18 +287,24 @@ def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_si
     x_before, y_before = x.copy(), y.copy()
     cfg = OptimizerConfig(learning_rate=0.05, momentum=0.9, batch_size=batch_size)
     params = init_parameters(spec)
-    weights, velocity = params.values[None].copy(), np.zeros((1, len(params)))
-    ref_p, ref_s = params, init_optimizer(params, cfg)
-    for epoch in range(3):
-        held = weights
-        nn._train_epoch(weights, velocity, spec, cfg, x, y, [np.random.default_rng(epoch)])
-        assert np.isfinite(weights).all(axis=1).all()
-        ref_p, ref_s, _ = reference_epoch(ref_p, spec, ref_s, x[0], y[0], np.random.default_rng(epoch))
-        assert (weights[0] == ref_p.values).all()
-        assert (velocity[0] == ref_s.velocity.values).all()
-        assert held is weights
-        assert (x == x_before).all() and (y == y_before).all()
-    assert not (weights[0] == params.values).all()
+    for cap in (nn.GATHER_VALUES, 1, 30, 200):
+        with mock.patch.object(nn, "GATHER_VALUES", cap):
+            weights, velocity = params.values[None].copy(), np.zeros((1, len(params)))
+            fresh_w, fresh_v = weights.copy(), velocity.copy()
+            kernel = nn._EpochKernel(weights, velocity, spec, cfg, x, y)
+            ref_p, ref_s = params, init_optimizer(params, cfg)
+            for epoch in range(3):
+                kernel([np.random.default_rng(epoch)])
+                nn._EpochKernel(fresh_w, fresh_v, spec, cfg, x, y)([np.random.default_rng(epoch)])
+                assert np.isfinite(weights).all(axis=1).all()
+                ref_p, ref_s, _ = reference_epoch(ref_p, spec, ref_s, x[0], y[0],
+                                                  np.random.default_rng(epoch))
+                for w, v in ((weights, velocity), (fresh_w, fresh_v)):
+                    assert (w[0] == ref_p.values).all()
+                    assert (v[0] == ref_s.velocity.values).all()
+                assert kernel.weights is weights and kernel.velocity is velocity
+                assert (x == x_before).all() and (y == y_before).all()
+        assert not (weights[0] == params.values).all()
 
 
 def test_weights_file_round_trip():

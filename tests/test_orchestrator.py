@@ -687,9 +687,10 @@ def test_baselines_stop_on_scripted_plateaus(data):
         assert result.best_epoch == trained.index(max(trained)) + 1
         weights = init_parameters(MODEL).values[None].copy()
         velocity, rng = np.zeros_like(weights), baseline_stream(5, tag)
+        kernel = nn._EpochKernel(weights, velocity, MODEL, bcfg.optimizer, train.x[None],
+                                 train.y[None])
         for _ in range(result.best_epoch):
-            nn._train_epoch(weights, velocity, MODEL, bcfg.optimizer, train.x[None],
-                            train.y[None], [rng])
+            kernel([rng])
         assert result.params.values.tobytes() == weights[0].tobytes()
 
 

@@ -25,6 +25,7 @@ from fedsel.strategies import (
     shipped,
 )
 from oracle import (
+    OptimizerState,
     brute_force_metrics,
     confusion_matrix,
     cross_entropy_loss,
@@ -32,6 +33,7 @@ from oracle import (
     forward,
     loss_and_gradient,
     metrics_from_confusion,
+    reference_epoch,
     rescored,
     score_rows,
     train_stacked_per_epoch,
@@ -211,7 +213,10 @@ def test_stacking_equals_separate_runs(data):
     velocity, data and rng; shapes cover partial and single-sample batches,
     batches larger than the data, zero to two hidden layers.
     The stack runs under a drawn buffer cap, so its data is gathered a few
-    batches at a time and it is scored a few rows per pass."""
+    batches at a time, with a partial last window, and it is scored a few
+    rows per pass. One kernel trains both epochs of the stack, in place in
+    the arrays it was built on; each row alone gets a fresh kernel every
+    epoch; both equal the per-batch reference."""
     rows = data.draw(st.integers(1, 6), label="R")
     n = data.draw(st.integers(1, 40), label="n")
     batch_size = data.draw(st.integers(1, n + 3), label="batch_size")
@@ -235,15 +240,21 @@ def test_stacking_equals_separate_runs(data):
 
     stacked_w, stacked_v = weights.copy(), velocity.copy()
     with gather_cap:
+        kernel = nn._EpochKernel(stacked_w, stacked_v, spec, opt, x, y)
         for epoch in range(2):
-            nn._train_epoch(stacked_w, stacked_v, spec, opt, x, y, streams(slice(None), epoch))
+            assert kernel(streams(slice(None), epoch)) is None
+    assert kernel.weights is stacked_w and kernel.velocity is stacked_v
     for r in range(rows):
         one = slice(r, r + 1)
         w, v = weights[one].copy(), velocity[one].copy()
+        params = ParameterVector(weights[r], spec.manifest)
+        state = OptimizerState(ParameterVector(velocity[r], spec.manifest), 0.05, 0.9, batch_size)
         for epoch in range(2):
-            nn._train_epoch(w, v, spec, opt, x[one], y[one], streams(one, epoch))
-        assert w.tobytes() == stacked_w[one].tobytes()
-        assert v.tobytes() == stacked_v[one].tobytes()
+            nn._EpochKernel(w, v, spec, opt, x[one], y[one])(streams(one, epoch))
+            params, state, _ = reference_epoch(params, spec, state, x[r], y[r],
+                                               *streams(one, epoch))
+        assert w.tobytes() == stacked_w[one].tobytes() == params.values.tobytes()
+        assert v.tobytes() == stacked_v[one].tobytes() == state.velocity.values.tobytes()
 
     m = data.draw(st.integers(1, 20), label="val size")
     val_x, val_y = rng.standard_normal((rows, m, dim)) * 2.0, rng.integers(0, classes, (rows, m))
@@ -480,9 +491,10 @@ def test_shipped_weights_are_the_reported_epochs_snapshot(trace, metric):
     weights, velocity = incoming.values[None].copy(), np.zeros((1, len(incoming)))
     rng = np.random.default_rng(11)
     snapshots = []
+    kernel = nn._EpochKernel(weights, velocity, MODEL, opt, client.train.x[None],
+                             client.train.y[None])
     for _ in trace:
-        nn._train_epoch(weights, velocity, MODEL, opt, client.train.x[None], client.train.y[None],
-                        [rng])
+        kernel([rng])
         snapshots.append(weights[0].copy())
     for params, epoch in (fews, oews):
         assert (params.values == snapshots[epoch - 1]).all()
@@ -551,16 +563,15 @@ def test_windowed_training_equals_the_per_epoch_loop(data):
         def change(rng, epoch, scores):
             return replace(scores, loss=float("nan")) if (row_of[rng], epoch) in nan_at else scores
 
-        real_epoch = strategies._train_epoch
-
-        def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
-            for rng in rngs:
-                trained[row_of[rng]] += 1
-            real_epoch(weights, velocity, model, optimizer, x, y, rngs)
+        class Kernel(strategies._EpochKernel):
+            def __call__(self, rngs):
+                for rng in rngs:
+                    trained[row_of[rng]] += 1
+                super().__call__(rngs)
 
         with np.errstate(all="ignore"), \
                 mock.patch.object(strategies, "_window_cap", lambda rows, size: cap), \
-                mock.patch.object(strategies, "_train_epoch", train_epoch), rescored(change):
+                mock.patch.object(strategies, "_EpochKernel", Kernel), rescored(change):
             results = loop(rows, spec, opt, epochs, patience, metric, ties_to_latest)
         return results, trained
 
@@ -593,15 +604,15 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
         rows = [(start, *data[label], np.random.default_rng(seed), label)
                 for seed, label in enumerate(data) if label in labels]
         stacks = []  # the rows each epoch kernel call trained
-        real_epoch = strategies._train_epoch
 
-        def train_epoch(weights, velocity, model, optimizer, x, y, rngs):
-            stacks.append(len(rngs))
-            real_epoch(weights, velocity, model, optimizer, x, y, rngs)
+        class Kernel(strategies._EpochKernel):
+            def __call__(self, rngs):
+                stacks.append(len(rngs))
+                super().__call__(rngs)
 
         with np.errstate(all="ignore"), \
                 mock.patch.object(strategies, "_window_cap", lambda rows, size: 10**6), \
-                mock.patch.object(strategies, "_train_epoch", train_epoch):
+                mock.patch.object(strategies, "_EpochKernel", Kernel):
             runs = strategies.train_stacked(rows, spec, opt, 5, 5, SelectionMetric.MACRO_F1, True)
         return {row[4]: _outcome(run) for row, run in zip(rows, runs)}, stacks
 
@@ -609,9 +620,10 @@ def test_a_row_that_overflows_mid_window_trains_on_and_changes_no_other_row():
     weights, velocity = start.values[None].copy(), np.zeros((1, len(start)))
     rng, overflow = np.random.default_rng(1), None
     train_x, train_y = data["overflowing"][0].x[None], data["overflowing"][0].y[None]
+    kernel = nn._EpochKernel(weights, velocity, spec, opt, train_x, train_y)
     with np.errstate(all="ignore"):
         for epoch in range(1, 6):
-            nn._train_epoch(weights, velocity, spec, opt, train_x, train_y, [rng])
+            kernel([rng])
             if overflow is None and not np.isfinite(weights).all():
                 overflow = epoch
     assert overflow is not None and 1 < overflow < 5

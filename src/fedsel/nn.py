@@ -39,12 +39,28 @@ One model (R = 1) trains on 2-D views of row 0 and multiplies with
 ``ndarray.dot``: it makes the same BLAS call as ``np.matmul`` on the same
 2-D operands, with the same bits, at a lower cost per call, and a step is
 mostly per-call cost. Stacks of two or more rows, and all scoring, keep
-``np.matmul``, which multiplies every row in one call.
+``np.matmul``, which multiplies every row in one call. So does one model
+whose batch of one meets a layer of one input and one output: there
+``ndarray.dot`` takes a 1x1 by 1x1 product as the product of two scalars,
+a -0.0 where ``np.matmul``'s sum from +0.0 gives +0.0.
+
+Every numpy call of a step takes ready operands. The kernel holds the
+momentum, the learning rate and each step's batch size as float64 0-d
+arrays, and the ReLU and its mask compare against one module-level 0-d
+zero, so numpy converts no Python scalar on a call. Axis, out and mode are
+passed positionally, except ``np.maximum``'s out, which numpy 2.4
+deprecates as a positional argument. ``_forward_pass`` and ``_log_softmax``
+call ufuncs bound once at module level and unpack a ``_Buffers`` tuple.
+The bits are those of Python scalars: a float64 0-d array and a Python
+float or int of the same value select the same float64 loop, under NEP 50
+and under numpy 1.x's value-based casting alike, so every call computes
+the same values.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -200,22 +216,41 @@ def class_offsets(shape: tuple[int, ...], classes: int) -> np.ndarray:
     return np.arange(0, math.prod(shape) * classes, classes).reshape(shape)
 
 
-class _Buffers:
+# the ufuncs and products of the forward pass, bound once so that a step's
+# calls look up no module attribute, and the one 0-d zero that the ReLU and
+# its mask compare against (see the module docstring)
+_add, _subtract, _maximum, _exp, _log = np.add, np.subtract, np.maximum, np.exp, np.log
+_add_reduce, _dot, _matmul = np.add.reduce, np.ndarray.dot, np.matmul
+
+
+def _operand(value: float) -> np.ndarray:
+    """``value`` as a read-only float64 0-d array: a ufunc takes it as it
+    is, where it converts a Python scalar on every call."""
+    operand = np.array(value, dtype=np.float64)
+    operand.flags.writeable = False
+    return operand
+
+
+_ZERO = _operand(0.0)
+
+
+class _Buffers(namedtuple("_Buffers", "outs top offsets peak peak_col exps")):
     """What ``_forward_pass`` writes for one batch shape, (R, n) or one
     model's (n,): each layer's output, ``(*shape, width)`` for ``widths``
     (the layer sizes after the input), and the log-softmax's argmax
     indices, ``class_offsets``, per-(row, sample) max and log-sum (``peak``,
-    with its ``[..., None]`` view) and ``exp`` values (``exps``)."""
+    with its ``[..., None]`` view) and ``exp`` values (``exps``). A tuple,
+    so that ``_log_softmax`` reads every field in one unpacking."""
 
-    __slots__ = ("outs", "top", "offsets", "peak", "peak_col", "exps")
+    __slots__ = ()
 
-    def __init__(self, shape: tuple[int, ...], widths: Sequence[int]):
-        self.outs = [np.empty((*shape, width)) for width in widths]
-        self.top = np.empty(shape, dtype=np.intp)
-        self.offsets = class_offsets(shape, widths[-1])
-        self.peak = np.empty(shape)
-        self.peak_col = self.peak[..., None]
-        self.exps = np.empty_like(self.outs[-1])
+    def __new__(cls, shape: tuple[int, ...], widths: Sequence[int]):
+        outs = [np.empty((*shape, width)) for width in widths]
+        peak = np.empty(shape)
+        return super().__new__(
+            cls, outs, np.empty(shape, dtype=np.intp), class_offsets(shape, widths[-1]),
+            peak, peak[..., None], np.empty_like(outs[-1]),
+        )
 
 
 def _forward_pass(layers: Layers, batch: np.ndarray, buffers: _Buffers) -> np.ndarray:
@@ -224,19 +259,22 @@ def _forward_pass(layers: Layers, batch: np.ndarray, buffers: _Buffers) -> np.nd
     output into ``buffers``, made for the batch's (R, n) or (n,) shape;
     ``buffers.outs[:-1]`` hold the hidden layers' outputs after their ReLUs.
     A 2-D batch is multiplied with ``ndarray.dot``, the same BLAS call as
-    ``np.matmul`` with the same bits at a lower cost per call; a 3-D one
-    with ``np.matmul``, one call for every row."""
-    product = np.ndarray.dot if batch.ndim == 2 else np.matmul
+    ``np.matmul`` with the same bits but for 1x1 by 1x1 products (see the
+    module docstring), at a lower cost per call; a 3-D one with
+    ``np.matmul``, one call for every row."""
+    product = _dot if batch.ndim == 2 else _matmul
+    outs = buffers.outs
     h = batch
-    for (w, b), out in zip(layers[:-1], buffers.outs):
+    for (w, b), out in zip(layers[:-1], outs):
         product(h, w, out)
-        out += b
-        np.maximum(out, 0.0, out=out)
+        _add(out, b, out)
+        # numpy 2.4 deprecates a positional out for np.maximum
+        _maximum(out, _ZERO, out=out)
         h = out
     w, b = layers[-1]
-    z = buffers.outs[-1]
+    z = outs[-1]
     product(h, w, z)
-    z += b
+    _add(z, b, z)
     return _log_softmax(z, buffers)
 
 
@@ -244,15 +282,15 @@ def _log_softmax(z: np.ndarray, buffers: _Buffers) -> np.ndarray:
     """``z``, C-contiguous logits, turned in place into log-softmax values
     over its last axis, using ``buffers``, made for its other axes. Each
     (row, sample)'s max is read at its argmax (see the module docstring)."""
-    top, peak = buffers.top, buffers.peak
-    z.argmax(axis=-1, out=top)
-    top += buffers.offsets
+    _, top, offsets, peak, peak_col, exps = buffers
+    z.argmax(-1, top)
+    _add(top, offsets, top)
     # the indices are in range, so "clip" changes no value
-    z.take(top, out=peak, mode="clip")
-    z -= buffers.peak_col
-    np.add.reduce(np.exp(z, out=buffers.exps), axis=-1, out=peak)
-    np.log(peak, out=peak)
-    z -= buffers.peak_col
+    z.take(top, None, peak, "clip")
+    _subtract(z, peak_col, z)
+    _add_reduce(_exp(z, exps), -1, None, peak)
+    _log(peak, peak)
+    _subtract(z, peak_col, z)
     return z
 
 
@@ -292,7 +330,8 @@ class _EpochKernel:
     ``GATHER_VALUES`` values (all n samples when they fit); batches are
     contiguous slices of it, and every numpy call acts on each row as on
     one model. One model trains on row 0's 2-D views, through
-    ``ndarray.dot`` (see ``_forward_pass``).
+    ``ndarray.dot`` (see ``_forward_pass``), unless a step would multiply
+    a 1x1 by a 1x1 matrix (see the module docstring).
 
     Building the kernel sets up every view and buffer an epoch uses (see
     the module docstring), so a mini-batch step allocates nothing. A stack
@@ -308,7 +347,7 @@ class _EpochKernel:
         train_y: Sequence[np.ndarray],
     ):
         self.weights, self.velocity = weights, velocity
-        self.momentum, self.rate = optimizer.momentum, optimizer.learning_rate
+        self.momentum, self.rate = _operand(optimizer.momentum), _operand(optimizer.learning_rate)
         rows, n, dim = weights.shape[0], len(train_x[0]), spec.feature_dim
         self.n, self.sources = n, list(zip(train_x, train_y))
         size = optimizer.batch_size
@@ -318,9 +357,12 @@ class _EpochKernel:
         self.target = np.empty((rows, window, spec.class_count))
         self.classes = np.arange(spec.class_count)
         self.grad = np.empty_like(weights)
-        # one model trains on 2-D views of row 0 (see _forward_pass)
-        one = rows == 1
-        self.product = np.ndarray.dot if one else np.matmul
+        # one model trains on 2-D views of row 0 (see _forward_pass), unless
+        # a batch of one meets a layer of one input and one output, whose
+        # 1x1 by 1x1 products ndarray.dot takes apart from np.matmul's bits
+        batch_sizes = {min(size, n), n % size or size}
+        one = rows == 1 and not (1 in batch_sizes and (1, 1) in spec.manifest)
+        self.product = _dot if one else _matmul
         self.layers = _stack_layers(weights[0] if one else weights, spec.manifest)
         # each layer's weight-gradient view and its bias gradient's 1-D view
         grads = [(w, b[..., 0, :]) for w, b in
@@ -333,7 +375,7 @@ class _EpochKernel:
         # below, its input (the layer below's output) and that input's
         # transpose, and the buffers of the carried delta and the ReLU's mask
         workspaces = {}
-        for b in {min(size, n), n % size or size}:
+        for b in batch_sizes:
             buffers = _Buffers((b,) if one else (rows, b), spec.layer_sizes[1:])
             below = buffers.outs[:-1]
             backward = [
@@ -344,8 +386,8 @@ class _EpochKernel:
             ]
             workspaces[b] = buffers, backward
         # each window's start and size, then each of its steps' batch view,
-        # the batch's transpose, target view, size and workspace (forward
-        # buffers, backward pass)
+        # the batch's transpose, target view, size (a 0-d operand) and
+        # workspace (forward buffers, backward pass)
         self.windows = []
         for lo in range(0, n, window):
             count = min(window, n - lo)
@@ -354,7 +396,7 @@ class _EpochKernel:
                 end = min(start + size, count)
                 batch = self.xs[0, start:end] if one else self.xs[:, start:end]
                 target = self.target[0, start:end] if one else self.target[:, start:end]
-                steps.append((batch, batch.swapaxes(-1, -2), target, end - start,
+                steps.append((batch, batch.swapaxes(-1, -2), target, _operand(end - start),
                               *workspaces[end - start]))
             self.windows.append((lo, count, steps))
 
@@ -368,7 +410,7 @@ class _EpochKernel:
         take, equal, exp, add, subtract, multiply, divide, greater = (
             np.take, np.equal, np.exp, np.add, np.subtract, np.multiply, np.divide, np.greater
         )
-        add_reduce = np.add.reduce
+        add_reduce, zero = np.add.reduce, _ZERO
         orders = [rng.permutation(n) for rng in rngs]
         for lo, count, steps in self.windows:
             for r, ((x, y), order) in enumerate(zip(self.sources, orders)):
@@ -388,7 +430,7 @@ class _EpochKernel:
                     add_reduce(delta, -2, None, grad_b)
                     product(delta, w_t, below)
                     # the ReLU's derivative from its output: relu(z) > 0 iff z > 0
-                    greater(inputs, 0.0, mask)
+                    greater(inputs, zero, mask)
                     multiply(below, mask, below)
                     delta = below
                 product(batch_t, delta, grad0_w)

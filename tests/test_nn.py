@@ -271,21 +271,29 @@ def test_train_epoch_matches_manual_loop():
         ((4, 6, 3), 9, 1),  # batch_size 1
         ((4, 6, 5, 3), 11, 32),  # batch_size larger than n
         ((6, 4), 23, 8),  # no hidden layer: no delta to propagate
+        ((1, 1, 1, 2), 5, 1),  # 1x1 by 1x1 products: np.matmul, not ndarray.dot
     ],
 )
-def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_size):
-    """Several epochs in a row, from a nonzero velocity and at a learning
-    rate that moves the weights: weights and velocity equal the reference
-    bit for bit, they are updated in place, and the data is left as it was.
-    One kernel trains every epoch, and a fresh kernel each epoch trains a
-    second copy; both hold under gather caps that split the epoch into
-    windows of one batch or a few, with a partial last window."""
+# 0, the least value OptimizerConfig allows for each, and two above it
+@pytest.mark.parametrize("momentum", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("learning_rate", [0.0, 0.003, 0.05])
+def test_train_epoch_is_bitwise_the_per_batch_reference(
+    layer_sizes, n, batch_size, momentum, learning_rate
+):
+    """Several epochs in a row, from a nonzero velocity after the first step:
+    weights and velocity equal the reference bit for bit, they are updated
+    in place, and the data is left as it was. The kernel holds momentum,
+    learning rate and batch sizes as 0-d arrays, the reference as Python
+    scalars. One kernel trains every epoch, and a fresh kernel each epoch
+    trains a second copy; both hold under gather caps that split the epoch
+    into windows of one batch or a few, with a partial last window. A
+    learning rate above 0 moves the weights; at 0 they stay as they were."""
     spec = ModelSpec(layer_sizes=layer_sizes, seed=4)
     data_rng = np.random.default_rng(n)
     x = data_rng.standard_normal((1, n, layer_sizes[0]))
     y = data_rng.integers(0, layer_sizes[-1], (1, n))
     x_before, y_before = x.copy(), y.copy()
-    cfg = OptimizerConfig(learning_rate=0.05, momentum=0.9, batch_size=batch_size)
+    cfg = OptimizerConfig(learning_rate=learning_rate, momentum=momentum, batch_size=batch_size)
     params = init_parameters(spec)
     for cap in (nn.GATHER_VALUES, 1, 30, 200):
         with mock.patch.object(nn, "GATHER_VALUES", cap):
@@ -299,12 +307,16 @@ def test_train_epoch_is_bitwise_the_per_batch_reference(layer_sizes, n, batch_si
                 assert np.isfinite(weights).all(axis=1).all()
                 ref_p, ref_s, _ = reference_epoch(ref_p, spec, ref_s, x[0], y[0],
                                                   np.random.default_rng(epoch))
+                # bytes, so that a zero's sign counts
                 for w, v in ((weights, velocity), (fresh_w, fresh_v)):
-                    assert (w[0] == ref_p.values).all()
-                    assert (v[0] == ref_s.velocity.values).all()
+                    assert w.tobytes() == ref_p.values.tobytes()
+                    assert v.tobytes() == ref_s.velocity.values.tobytes()
                 assert kernel.weights is weights and kernel.velocity is velocity
                 assert (x == x_before).all() and (y == y_before).all()
-        assert not (weights[0] == params.values).all()
+        if learning_rate == 0:
+            assert weights.tobytes() == params.values.tobytes()
+        else:
+            assert not (weights[0] == params.values).all()
 
 
 def test_weights_file_round_trip():

@@ -216,7 +216,10 @@ def test_stacking_equals_separate_runs(data):
     batches at a time, with a partial last window, and it is scored a few
     rows per pass. One kernel trains both epochs of the stack, in place in
     the arrays it was built on; each row alone gets a fresh kernel every
-    epoch; both equal the per-batch reference."""
+    epoch; both equal the per-batch reference, whose momentum and learning
+    rate, each drawn from 0 (the least value ``OptimizerConfig`` allows)
+    and two values above it, are Python floats where the kernels hold 0-d
+    arrays."""
     rows = data.draw(st.integers(1, 6), label="R")
     n = data.draw(st.integers(1, 40), label="n")
     batch_size = data.draw(st.integers(1, n + 3), label="batch_size")
@@ -229,7 +232,9 @@ def test_stacking_equals_separate_runs(data):
     weights = init_parameters(spec).values + rng.standard_normal((rows, size))
     velocity = rng.standard_normal((rows, size)) * 0.1
     x, y = rng.standard_normal((rows, n, dim)) * 2.0, rng.integers(0, classes, (rows, n))
-    opt = OptimizerConfig(learning_rate=0.05, momentum=0.9, batch_size=batch_size)
+    momentum = data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="momentum")
+    learning_rate = data.draw(st.sampled_from([0.0, 0.003, 0.05]), label="learning rate")
+    opt = OptimizerConfig(learning_rate=learning_rate, momentum=momentum, batch_size=batch_size)
     seeds = rng.integers(0, 2**32, rows).tolist()
     cap = data.draw(st.sampled_from([None, 1, 30, 200]), label="buffer cap")
     gather_cap = mock.patch.object(nn, "GATHER_VALUES", cap or nn.GATHER_VALUES)
@@ -248,7 +253,9 @@ def test_stacking_equals_separate_runs(data):
         one = slice(r, r + 1)
         w, v = weights[one].copy(), velocity[one].copy()
         params = ParameterVector(weights[r], spec.manifest)
-        state = OptimizerState(ParameterVector(velocity[r], spec.manifest), 0.05, 0.9, batch_size)
+        state = OptimizerState(
+            ParameterVector(velocity[r], spec.manifest), learning_rate, momentum, batch_size
+        )
         for epoch in range(2):
             nn._EpochKernel(w, v, spec, opt, x[one], y[one])(streams(one, epoch))
             params, state, _ = reference_epoch(params, spec, state, x[r], y[r],

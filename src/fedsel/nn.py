@@ -8,10 +8,13 @@ features and (R, n) labels. R = 1 is the single model. Stacking batches the
 numpy calls and nothing else, so every row's bits equal those of a run of
 that row alone.
 
-``_forward_pass`` is the only forward math: ``strategies.score`` and
-the epoch kernel both call it on per-layer weight and bias views of the
-stack, with buffers of their own (``_Buffers``) that it writes every
-layer's output into, and it applies the ReLUs and the log-softmax in place.
+``_forward_calls`` is the only forward math. It writes a forward pass, on
+per-layer weight and bias views of the stack, as a list of
+``(callable, args)`` pairs: numpy calls with every operand bound, which
+write each layer's output into buffers of their own (``_Buffers``) and
+apply the ReLUs and the log-softmax in place. ``strategies.score`` runs a
+fresh list per pass through ``_forward_pass``; the epoch kernel puts one
+into every mini-batch step.
 
 The log-softmax finds each (row, sample)'s max logit at its ``argmax``:
 the argmax plus the (row, sample)'s ``class_offsets`` is the max's flat
@@ -25,13 +28,17 @@ its softmax, so either sign gives the same log-probabilities.
 
 ``_EpochKernel``, the epoch kernel, is built once per stack of models that
 train side by side, and again only when the stack loses rows. Building it
-does all that does not depend on an epoch's shuffle: the layer, gradient
-and transposed-weight views, the gather and one-hot target buffers, one
-workspace per batch size that occurs (the forward pass's buffers, the
-hidden layers' deltas and ReLU masks) and each step's views. Calling it
-trains one epoch, and a mini-batch step, the forward pass, the backward
-pass inline and the momentum update, writes every intermediate into those
-buffers. Neither kernel checks its arguments: their callers,
+does all that does not depend on an epoch's shuffle: the views, the gather
+and one-hot target buffers, and each window's list of calls, every
+mini-batch step's in order: the forward pass, the logits' gradient, the
+backward pass and the momentum update, each call writing into the
+buffers. Calling it gathers each window's shuffled data and runs its list,
+so a step walks no layer list and allocates nothing. The lists are built
+per workspace, one for each batch size that occurs (a full batch and the
+last one), with its own buffers; a step gets a copy of its workspace's
+list with its three calls that read the step's batch or target set: the
+first layer's product, the one-hot subtraction and the first layer's
+weight gradient. Neither kernel checks its arguments: their callers,
 ``strategies.score`` and ``strategies.train_stacked``, check theirs once
 per call.
 
@@ -44,17 +51,23 @@ whose batch of one meets a layer of one input and one output: there
 ``ndarray.dot`` takes a 1x1 by 1x1 product as the product of two scalars,
 a -0.0 where ``np.matmul``'s sum from +0.0 gives +0.0.
 
-Every numpy call of a step takes ready operands. The kernel holds the
-momentum, the learning rate and each step's batch size as float64 0-d
-arrays, and the ReLU and its mask compare against one module-level 0-d
-zero, so numpy converts no Python scalar on a call. Axis, out and mode are
-passed positionally, except ``np.maximum``'s out, which numpy 2.4
-deprecates as a positional argument. ``_forward_pass`` and ``_log_softmax``
-call ufuncs bound once at module level and unpack a ``_Buffers`` tuple.
-The bits are those of Python scalars: a float64 0-d array and a Python
-float or int of the same value select the same float64 loop, under NEP 50
-and under numpy 1.x's value-based casting alike, so every call computes
-the same values.
+The ReLU's derivative multiplies each hidden delta by a mask of its
+layer's output: on the ``ndarray.dot`` path, the float64 ``np.sign`` of
+the output; on ``np.matmul``'s, a bool ``np.greater`` than zero. ``sign``
+has no SIMD loop: with a float multiply it beats a compare and a bool
+multiply on one model's small layers, not on a stack's. The bits agree:
+``sign`` gives 1.0 where the output is > 0 and +0.0 where it is +0.0 or
+-0.0, the bool mask cast to float64; a NaN output makes that sample's
+whole delta row from above NaN, so the product is NaN under either mask.
+
+Every call takes ready operands: the momentum, the learning rate and each
+step's batch size are float64 0-d arrays, and the ReLU and the bool mask
+compare against one 0-d zero, so numpy converts no Python scalar on a
+call; axis, out and mode are positional, except ``np.maximum``'s out,
+which numpy 2.4 deprecates as a positional argument. A float64 0-d array
+and a Python float or int of the same value select the same float64 loop,
+under NEP 50 and under numpy 1.x's value-based casting alike, so the bits
+are those of Python scalars.
 """
 
 from __future__ import annotations
@@ -62,7 +75,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,6 +86,8 @@ Manifest = tuple[tuple[int, int], ...]
 # (R, rows, cols) weights and (R, 1, cols) bias per layer, or, of one model's
 # vector, (rows, cols) and (1, cols)
 Layers = list[tuple[np.ndarray, np.ndarray]]
+# numpy calls to run in order, each a callable and its positional arguments
+Calls = list[tuple[Callable, tuple]]
 
 MAX_SEED = 2**64 - 1
 
@@ -216,13 +232,6 @@ def class_offsets(shape: tuple[int, ...], classes: int) -> np.ndarray:
     return np.arange(0, math.prod(shape) * classes, classes).reshape(shape)
 
 
-# the ufuncs and products of the forward pass, bound once so that a step's
-# calls look up no module attribute, and the one 0-d zero that the ReLU and
-# its mask compare against (see the module docstring)
-_add, _subtract, _maximum, _exp, _log = np.add, np.subtract, np.maximum, np.exp, np.log
-_add_reduce, _dot, _matmul = np.add.reduce, np.ndarray.dot, np.matmul
-
-
 def _operand(value: float) -> np.ndarray:
     """``value`` as a read-only float64 0-d array: a ufunc takes it as it
     is, where it converts a Python scalar on every call."""
@@ -231,16 +240,16 @@ def _operand(value: float) -> np.ndarray:
     return operand
 
 
+# the 0-d zero that the ReLU and np.matmul's ReLU mask compare against
 _ZERO = _operand(0.0)
 
 
 class _Buffers(namedtuple("_Buffers", "outs top offsets peak peak_col exps")):
-    """What ``_forward_pass`` writes for one batch shape, (R, n) or one
+    """What the forward pass writes for one batch shape, (R, n) or one
     model's (n,): each layer's output, ``(*shape, width)`` for ``widths``
     (the layer sizes after the input), and the log-softmax's argmax
     indices, ``class_offsets``, per-(row, sample) max and log-sum (``peak``,
-    with its ``[..., None]`` view) and ``exp`` values (``exps``). A tuple,
-    so that ``_log_softmax`` reads every field in one unpacking."""
+    with its ``[..., None]`` view) and ``exp`` values (``exps``)."""
 
     __slots__ = ()
 
@@ -253,44 +262,57 @@ class _Buffers(namedtuple("_Buffers", "outs top offsets peak peak_col exps")):
         )
 
 
-def _forward_pass(layers: Layers, batch: np.ndarray, buffers: _Buffers) -> np.ndarray:
-    """The log-probabilities, (R, n, classes) for ``_stack_layers`` views or
-    (n, classes) for one model's 2-D views, written with every layer's
-    output into ``buffers``, made for the batch's (R, n) or (n,) shape;
+def _forward_calls(layers: Layers, batch: np.ndarray, buffers: _Buffers) -> Calls:
+    """The forward pass of ``batch``, the first call multiplying it by the
+    first layer's weights: run in order, the calls write the
+    log-probabilities, (R, n, classes) for ``_stack_layers`` views or
+    (n, classes) for one model's 2-D views, with every layer's output into
+    ``buffers``, made for the batch's (R, n) or (n,) shape;
     ``buffers.outs[:-1]`` hold the hidden layers' outputs after their ReLUs.
     A 2-D batch is multiplied with ``ndarray.dot``, the same BLAS call as
     ``np.matmul`` with the same bits but for 1x1 by 1x1 products (see the
     module docstring), at a lower cost per call; a 3-D one with
     ``np.matmul``, one call for every row."""
-    product = _dot if batch.ndim == 2 else _matmul
-    outs = buffers.outs
-    h = batch
-    for (w, b), out in zip(layers[:-1], outs):
-        product(h, w, out)
-        _add(out, b, out)
+    product = np.ndarray.dot if batch.ndim == 2 else np.matmul
+    calls, h = [], batch
+    for (w, b), out in zip(layers[:-1], buffers.outs):
         # numpy 2.4 deprecates a positional out for np.maximum
-        _maximum(out, _ZERO, out=out)
+        calls += [(product, (h, w, out)), (np.add, (out, b, out)),
+                  (partial(np.maximum, out=out), (out, _ZERO))]
         h = out
-    w, b = layers[-1]
-    z = outs[-1]
-    product(h, w, z)
-    _add(z, b, z)
-    return _log_softmax(z, buffers)
+    (w, b), z = layers[-1], buffers.outs[-1]
+    return [*calls, (product, (h, w, z)), (np.add, (z, b, z)), *_log_softmax_calls(z, buffers)]
+
+
+def _log_softmax_calls(z: np.ndarray, buffers: _Buffers) -> Calls:
+    """The calls that turn ``z``, C-contiguous logits, in place into
+    log-softmax values over its last axis, using ``buffers``, made for its
+    other axes. Each (row, sample)'s max is read at its argmax (see the
+    module docstring); the indices are in range, so "clip" changes no
+    value."""
+    _, top, offsets, peak, peak_col, exps = buffers
+    return [
+        (z.argmax, (-1, top)), (np.add, (top, offsets, top)), (z.take, (top, None, peak, "clip")),
+        (np.subtract, (z, peak_col, z)), (np.exp, (z, exps)),
+        (np.add.reduce, (exps, -1, None, peak)), (np.log, (peak, peak)),
+        (np.subtract, (z, peak_col, z)),
+    ]
+
+
+def _run(calls: Calls) -> None:
+    for call, args in calls:
+        call(*args)
+
+
+def _forward_pass(layers: Layers, batch: np.ndarray, buffers: _Buffers) -> np.ndarray:
+    """The log-probabilities that ``_forward_calls`` writes, after running them."""
+    _run(_forward_calls(layers, batch, buffers))
+    return buffers.outs[-1]
 
 
 def _log_softmax(z: np.ndarray, buffers: _Buffers) -> np.ndarray:
-    """``z``, C-contiguous logits, turned in place into log-softmax values
-    over its last axis, using ``buffers``, made for its other axes. Each
-    (row, sample)'s max is read at its argmax (see the module docstring)."""
-    _, top, offsets, peak, peak_col, exps = buffers
-    z.argmax(-1, top)
-    _add(top, offsets, top)
-    # the indices are in range, so "clip" changes no value
-    z.take(top, None, peak, "clip")
-    _subtract(z, peak_col, z)
-    _add_reduce(_exp(z, exps), -1, None, peak)
-    _log(peak, peak)
-    _subtract(z, peak_col, z)
+    """``z`` after running ``_log_softmax_calls``."""
+    _run(_log_softmax_calls(z, buffers))
     return z
 
 
@@ -330,12 +352,12 @@ class _EpochKernel:
     ``GATHER_VALUES`` values (all n samples when they fit); batches are
     contiguous slices of it, and every numpy call acts on each row as on
     one model. One model trains on row 0's 2-D views, through
-    ``ndarray.dot`` (see ``_forward_pass``), unless a step would multiply
+    ``ndarray.dot`` (see ``_forward_calls``), unless a step would multiply
     a 1x1 by a 1x1 matrix (see the module docstring).
 
-    Building the kernel sets up every view and buffer an epoch uses (see
-    the module docstring), so a mini-batch step allocates nothing. A stack
-    that loses rows gets a new kernel on its new arrays."""
+    Building the kernel sets up every view, buffer and call an epoch uses
+    (see the module docstring), so a mini-batch step allocates nothing. A
+    stack that loses rows gets a new kernel on its new arrays."""
 
     def __init__(
         self,
@@ -347,7 +369,6 @@ class _EpochKernel:
         train_y: Sequence[np.ndarray],
     ):
         self.weights, self.velocity = weights, velocity
-        self.momentum, self.rate = _operand(optimizer.momentum), _operand(optimizer.learning_rate)
         rows, n, dim = weights.shape[0], len(train_x[0]), spec.feature_dim
         self.n, self.sources = n, list(zip(train_x, train_y))
         size = optimizer.batch_size
@@ -356,90 +377,86 @@ class _EpochKernel:
         self.ys = np.empty((rows, window), dtype=np.int64)
         self.target = np.empty((rows, window, spec.class_count))
         self.classes = np.arange(spec.class_count)
-        self.grad = np.empty_like(weights)
-        # one model trains on 2-D views of row 0 (see _forward_pass), unless
+        grad = np.empty_like(weights)
+        # one model trains on 2-D views of row 0 (see _forward_calls), unless
         # a batch of one meets a layer of one input and one output, whose
         # 1x1 by 1x1 products ndarray.dot takes apart from np.matmul's bits
         batch_sizes = {min(size, n), n % size or size}
         one = rows == 1 and not (1 in batch_sizes and (1, 1) in spec.manifest)
-        self.product = _dot if one else _matmul
-        self.layers = _stack_layers(weights[0] if one else weights, spec.manifest)
+        product = np.ndarray.dot if one else np.matmul
+        layers = _stack_layers(weights[0] if one else weights, spec.manifest)
         # each layer's weight-gradient view and its bias gradient's 1-D view
-        grads = [(w, b[..., 0, :]) for w, b in
-                 _stack_layers(self.grad[0] if one else self.grad, spec.manifest)]
-        self.first_grads = grads[0]
+        grads = [(w, b[..., 0, :])
+                 for w, b in _stack_layers(grad[0] if one else grad, spec.manifest)]
+        # a step's last calls, the momentum update: the gradient is spent,
+        # and its buffer holds the step
+        update = [
+            (np.multiply, (velocity, _operand(optimizer.momentum), velocity)),
+            (np.add, (velocity, grad, velocity)),
+            (np.multiply, (velocity, _operand(optimizer.learning_rate), grad)),
+            (np.subtract, (weights, grad, weights)),
+        ]
         # a workspace per batch size that occurs, a full batch and the last
-        # one: the forward pass's buffers, and the backward pass through the
-        # layers above the first, output layer first: each one's gradient
-        # views, the transposed weights that carry the delta to the layer
-        # below, its input (the layer below's output) and that input's
-        # transpose, and the buffers of the carried delta and the ReLU's mask
+        # one: its buffers and a step's calls but for the three that read the
+        # step's batch or target (see the module docstring): the forward pass
+        # after its first product, with the logits' exp; the logits'
+        # gradient's divisor and the backward pass through the layers above
+        # the first, output layer first; the first layer's bias gradient
+        # and the update
         workspaces = {}
         for b in batch_sizes:
             buffers = _Buffers((b,) if one else (rows, b), spec.layer_sizes[1:])
-            below = buffers.outs[:-1]
-            backward = [
-                (*grads[i], self.layers[i][0].swapaxes(-1, -2), below[i - 1],
-                 below[i - 1].swapaxes(-1, -2), np.empty_like(below[i - 1]),
-                 np.empty(below[i - 1].shape, dtype=bool))
-                for i in reversed(range(1, len(grads)))
-            ]
-            workspaces[b] = buffers, backward
-        # each window's start and size, then each of its steps' batch view,
-        # the batch's transpose, target view, size (a 0-d operand) and
-        # workspace (forward buffers, backward pass)
+            forward = _forward_calls(layers, self.xs[0, :b] if one else self.xs[:, :b], buffers)
+            delta = logits = buffers.outs[-1]
+            backward = [(np.divide, (delta, _operand(b), delta))]
+            for i in reversed(range(1, len(grads))):
+                inputs = buffers.outs[i - 1]
+                below = np.empty_like(inputs)
+                mask = np.empty(inputs.shape, dtype=np.float64 if one else bool)
+                backward += [
+                    (product, (inputs.swapaxes(-1, -2), delta, grads[i][0])),
+                    (np.add.reduce, (delta, -2, None, grads[i][1])),
+                    (product, (delta, layers[i][0].swapaxes(-1, -2), below)),
+                    # the ReLU's derivative from its output (see the module docstring)
+                    (np.sign, (inputs, mask)) if one else (np.greater, (inputs, _ZERO, mask)),
+                    (np.multiply, (below, mask, below)),
+                ]
+                delta = below
+            workspaces[b] = (
+                buffers.outs[0], [*forward[1:], (np.exp, (logits, logits))], logits, backward,
+                delta, [(np.add.reduce, (delta, -2, None, grads[0][1])), *update],
+            )
+        # each window's start, size and calls: every step's in order, its
+        # workspace's with the three that read its batch view or target view
         self.windows = []
         for lo in range(0, n, window):
-            count = min(window, n - lo)
-            steps = []
+            count, calls = min(window, n - lo), []
             for start in range(0, count, size):
                 end = min(start + size, count)
                 batch = self.xs[0, start:end] if one else self.xs[:, start:end]
                 target = self.target[0, start:end] if one else self.target[:, start:end]
-                steps.append((batch, batch.swapaxes(-1, -2), target, _operand(end - start),
-                              *workspaces[end - start]))
-            self.windows.append((lo, count, steps))
+                first, forward, logits, backward, delta, rest = workspaces[end - start]
+                # gradient w.r.t. the logits of each row's mean cross-entropy:
+                # subtracting the one-hot changes only the label's entry, by 1
+                calls += [
+                    (product, (batch, layers[0][0], first)), *forward,
+                    (np.subtract, (logits, target, logits)), *backward,
+                    (product, (batch.swapaxes(-1, -2), delta, grads[0][0])), *rest,
+                ]
+            self.windows.append((lo, count, calls))
 
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, rngs: Sequence[np.random.Generator]) -> None:
         """One epoch of every row, row r shuffled by ``rngs[r]``."""
-        n, xs, ys, target, classes = self.n, self.xs, self.ys, self.target, self.classes
-        weights, velocity, grad = self.weights, self.velocity, self.grad
-        momentum, rate, layers, product = self.momentum, self.rate, self.layers, self.product
-        grad0_w, grad0_b = self.first_grads
-        take, equal, exp, add, subtract, multiply, divide, greater = (
-            np.take, np.equal, np.exp, np.add, np.subtract, np.multiply, np.divide, np.greater
-        )
-        add_reduce, zero = np.add.reduce, _ZERO
+        n, xs, ys, target = self.n, self.xs, self.ys, self.target
         orders = [rng.permutation(n) for rng in rngs]
-        for lo, count, steps in self.windows:
+        for lo, count, calls in self.windows:
             for r, ((x, y), order) in enumerate(zip(self.sources, orders)):
                 # the indices are in range, so "clip" changes no value
-                take(x, order[lo : lo + count], 0, xs[r, :count], "clip")
-                take(y, order[lo : lo + count], None, ys[r, :count], "clip")
-            equal(ys[:, :count, None], classes, target[:, :count])
-            for batch, batch_t, batch_target, size, buffers, backward in steps:
-                delta = _forward_pass(layers, batch, buffers)
-                # gradient w.r.t. the logits of each row's mean cross-entropy:
-                # subtracting the one-hot changes only the label's entry, by 1
-                exp(delta, delta)
-                subtract(delta, batch_target, delta)
-                divide(delta, size, delta)
-                for grad_w, grad_b, w_t, inputs, inputs_t, below, mask in backward:
-                    product(inputs_t, delta, grad_w)
-                    add_reduce(delta, -2, None, grad_b)
-                    product(delta, w_t, below)
-                    # the ReLU's derivative from its output: relu(z) > 0 iff z > 0
-                    greater(inputs, zero, mask)
-                    multiply(below, mask, below)
-                    delta = below
-                product(batch_t, delta, grad0_w)
-                add_reduce(delta, -2, None, grad0_b)
-                multiply(velocity, momentum, velocity)
-                add(velocity, grad, velocity)
-                # the gradient is spent: its buffer holds the step
-                multiply(velocity, rate, grad)
-                subtract(weights, grad, weights)
+                np.take(x, order[lo : lo + count], 0, xs[r, :count], "clip")
+                np.take(y, order[lo : lo + count], None, ys[r, :count], "clip")
+            np.equal(ys[:, :count, None], self.classes, target[:, :count])
+            _run(calls)
 
 
 def weights_text(params: ParameterVector) -> str:

@@ -17,17 +17,19 @@ latest epoch; a baseline (``run_baselines``) runs on val macro-F1 with the
 baseline's patience and ties to the earliest epoch.
 
 ``train_stacked`` and ``score`` are the checked entries to ``nn``'s
-unchecked kernels, ``_EpochKernel`` and ``_forward_pass``: each checks its
-inputs once per call. Models that train side by side, such as a round's
-client runs or a seed's baselines, train as one stack: ``train_stacked``
-builds one epoch kernel per stack, and a new one only when rows leave the
-stack; each epoch is one call of it over every live row, and a window of
-epochs, as many as every live row is sure to train, is scored in one
-``score`` call over each of those epochs' weights. ``score`` is array math
-over its rows, the metrics included: one ``bincount`` builds every row's
-confusion matrix, and the metrics come from (R, C) arrays, with each row's
-bits those of that row scored alone. Models scored on one shared split,
-such as a round's global weights or a campaign seed's final ones, go
+unchecked kernels, ``_EpochKernel`` and ``_forward_pass``, which run numpy
+calls listed once with every operand bound, the forward pass's from one
+builder: each entry checks its inputs once per call. Models that train
+side by side, such as a round's client runs or a seed's baselines, train
+as one stack: ``train_stacked`` builds one epoch kernel, and with it
+every mini-batch step's calls, per stack, and a new one only when rows
+leave the stack; each epoch is one call of it over every live row, and a
+window of epochs, as many as every live row is sure to train, is scored in
+one ``score`` call over each of those epochs' weights. ``score`` is array
+math over its rows, the metrics included: one ``bincount`` builds every
+row's confusion matrix, and the metrics come from (R, C) arrays, with each
+row's bits those of that row scored alone. Models scored on one shared
+split, such as a round's global weights or a campaign seed's final ones, go
 through ``score_params``, where equal weights share one row of the stack.
 """
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -287,15 +288,27 @@ def test_train_epoch_is_bitwise_the_per_batch_reference(
     scalars. One kernel trains every epoch, and a fresh kernel each epoch
     trains a second copy; both hold under gather caps that split the epoch
     into windows of one batch or a few, with a partial last window. A
-    learning rate above 0 moves the weights; at 0 they stay as they were."""
+    learning rate above 0 moves the weights; at 0 they stay as they were.
+    With hidden layers, a second start has one dead hidden unit, whose
+    pre-activation is exactly 0.0 on every sample: the kernel's ReLU mask
+    meets the reference's ``pre > 0`` on zeros, through ``np.sign`` on the
+    one-model path, whose float64 mask has the bytes of the bool mask cast
+    to float64, and through ``np.greater`` on the 1x1 by 1x1 shape."""
     spec = ModelSpec(layer_sizes=layer_sizes, seed=4)
     data_rng = np.random.default_rng(n)
     x = data_rng.standard_normal((1, n, layer_sizes[0]))
     y = data_rng.integers(0, layer_sizes[-1], (1, n))
     x_before, y_before = x.copy(), y.copy()
     cfg = OptimizerConfig(learning_rate=learning_rate, momentum=momentum, batch_size=batch_size)
-    params = init_parameters(spec)
-    for cap in (nn.GATHER_VALUES, 1, 30, 200):
+    hidden, matmul_path = len(layer_sizes) > 2, layer_sizes == (1, 1, 1, 2)
+    starts = [init_parameters(spec)]
+    if hidden:
+        # unit 0 of the first hidden layer: zero incoming weights, and its
+        # bias is zero from init; its gradients stay zero, so it stays dead
+        values = starts[0].values.copy()
+        nn._stack_layers(values, spec.manifest)[0][0][:, 0] = 0.0
+        starts.append(ParameterVector(values, spec.manifest))
+    for params, cap in itertools.product(starts, (nn.GATHER_VALUES, 1, 30, 200)):
         with mock.patch.object(nn, "GATHER_VALUES", cap):
             weights, velocity = params.values[None].copy(), np.zeros((1, len(params)))
             fresh_w, fresh_v = weights.copy(), velocity.copy()
@@ -317,6 +330,13 @@ def test_train_epoch_is_bitwise_the_per_batch_reference(
             assert weights.tobytes() == params.values.tobytes()
         else:
             assert not (weights[0] == params.values).all()
+    if hidden:
+        dead = nn._stack_layers(weights[0], spec.manifest)[0]
+        assert not dead[0][:, 0].any() and not dead[1][:, 0].any()
+    ops = {call for *_, calls in kernel.windows for call, _ in calls}
+    assert (np.sign in ops, np.greater in ops) == (hidden and not matmul_path, matmul_path)
+    zeros_and_up = np.array([-0.0, 0.0, 5e-324, 1.0, np.inf])
+    assert np.sign(zeros_and_up).tobytes() == (zeros_and_up > 0).astype(np.float64).tobytes()
 
 
 def test_weights_file_round_trip():

@@ -219,7 +219,7 @@ def test_stacking_equals_separate_runs(data):
     epoch; both equal the per-batch reference, whose momentum and learning
     rate, each drawn from 0 (the least value ``OptimizerConfig`` allows)
     and two values above it, are Python floats where the kernels hold 0-d
-    arrays."""
+    arrays. With hidden layers, the start may have one dead hidden unit."""
     rows = data.draw(st.integers(1, 6), label="R")
     n = data.draw(st.integers(1, 40), label="n")
     batch_size = data.draw(st.integers(1, n + 3), label="batch_size")
@@ -237,6 +237,14 @@ def test_stacking_equals_separate_runs(data):
     opt = OptimizerConfig(learning_rate=learning_rate, momentum=momentum, batch_size=batch_size)
     seeds = rng.integers(0, 2**32, rows).tolist()
     cap = data.draw(st.sampled_from([None, 1, 30, 200]), label="buffer cap")
+    if hidden and data.draw(st.booleans(), label="dead hidden unit"):
+        # unit 0 of the first hidden layer: zero incoming weights, bias and
+        # their velocity, so its gradients stay zero and its pre-activation
+        # is exactly 0.0 on every sample, where the stack's bool mask and a
+        # lone row's np.sign mask meet zeros
+        for values in (weights, velocity):
+            w, b = nn._stack_layers(values, spec.manifest)[0]
+            w[..., 0], b[..., 0] = 0.0, 0.0
     gather_cap = mock.patch.object(nn, "GATHER_VALUES", cap or nn.GATHER_VALUES)
     score_cap = mock.patch.object(strategies, "SCORE_VALUES", cap or strategies.SCORE_VALUES)
 

@@ -51,23 +51,22 @@ whose batch of one meets a layer of one input and one output: there
 ``ndarray.dot`` takes a 1x1 by 1x1 product as the product of two scalars,
 a -0.0 where ``np.matmul``'s sum from +0.0 gives +0.0.
 
-The ReLU's derivative multiplies each hidden delta by a mask of its
-layer's output: on the ``ndarray.dot`` path, the float64 ``np.sign`` of
-the output; on ``np.matmul``'s, a bool ``np.greater`` than zero. ``sign``
-has no SIMD loop: with a float multiply it beats a compare and a bool
-multiply on one model's small layers, not on a stack's. The bits agree:
-``sign`` gives 1.0 where the output is > 0 and +0.0 where it is +0.0 or
--0.0, the bool mask cast to float64; a NaN output makes that sample's
-whole delta row from above NaN, so the product is NaN under either mask.
+The ReLU's derivative multiplies each hidden delta by the float64
+``np.sign`` of its layer's output, which a float multiply takes as it is,
+where a bool mask from a compare is cast to float on every multiply. Its
+bits are those of the bool ``output > 0``: ``sign`` gives 1.0 where the
+output is > 0 and +0.0 where it is +0.0 or -0.0, the bool mask cast to
+float64; a NaN output makes that sample's whole delta row from above NaN,
+so the product is NaN under either mask.
 
 Every call takes ready operands: the momentum, the learning rate and each
-step's batch size are float64 0-d arrays, and the ReLU and the bool mask
-compare against one 0-d zero, so numpy converts no Python scalar on a
-call; axis, out and mode are positional, except ``np.maximum``'s out,
-which numpy 2.4 deprecates as a positional argument. A float64 0-d array
-and a Python float or int of the same value select the same float64 loop,
-under NEP 50 and under numpy 1.x's value-based casting alike, so the bits
-are those of Python scalars.
+step's batch size are float64 0-d arrays, and the ReLU compares against
+one 0-d zero, so numpy converts no Python scalar on a call; axis, out and
+mode are positional, except ``np.maximum``'s out, which numpy 2.4
+deprecates as a positional argument. A float64 0-d array and a Python
+float or int of the same value select the same float64 loop, under NEP 50
+and under numpy 1.x's value-based casting alike, so the bits are those of
+Python scalars.
 """
 
 from __future__ import annotations
@@ -240,7 +239,7 @@ def _operand(value: float) -> np.ndarray:
     return operand
 
 
-# the 0-d zero that the ReLU and np.matmul's ReLU mask compare against
+# the 0-d zero that the ReLU compares against
 _ZERO = _operand(0.0)
 
 
@@ -308,12 +307,6 @@ def _forward_pass(layers: Layers, batch: np.ndarray, buffers: _Buffers) -> np.nd
     """The log-probabilities that ``_forward_calls`` writes, after running them."""
     _run(_forward_calls(layers, batch, buffers))
     return buffers.outs[-1]
-
-
-def _log_softmax(z: np.ndarray, buffers: _Buffers) -> np.ndarray:
-    """``z`` after running ``_log_softmax_calls``."""
-    _run(_log_softmax_calls(z, buffers))
-    return z
 
 
 @dataclass(frozen=True)
@@ -412,13 +405,13 @@ class _EpochKernel:
             for i in reversed(range(1, len(grads))):
                 inputs = buffers.outs[i - 1]
                 below = np.empty_like(inputs)
-                mask = np.empty(inputs.shape, dtype=np.float64 if one else bool)
+                mask = np.empty_like(inputs)
                 backward += [
                     (product, (inputs.swapaxes(-1, -2), delta, grads[i][0])),
                     (np.add.reduce, (delta, -2, None, grads[i][1])),
                     (product, (delta, layers[i][0].swapaxes(-1, -2), below)),
                     # the ReLU's derivative from its output (see the module docstring)
-                    (np.sign, (inputs, mask)) if one else (np.greater, (inputs, _ZERO, mask)),
+                    (np.sign, (inputs, mask)),
                     (np.multiply, (below, mask, below)),
                 ]
                 delta = below

@@ -240,8 +240,8 @@ def test_stacking_equals_separate_runs(data):
     if hidden and data.draw(st.booleans(), label="dead hidden unit"):
         # unit 0 of the first hidden layer: zero incoming weights, bias and
         # their velocity, so its gradients stay zero and its pre-activation
-        # is exactly 0.0 on every sample, where the stack's bool mask and a
-        # lone row's np.sign mask meet zeros
+        # is exactly 0.0 on every sample, where the kernels' np.sign mask
+        # meets the reference's bool mask on zeros
         for values in (weights, velocity):
             w, b = nn._stack_layers(values, spec.manifest)[0]
             w[..., 0], b[..., 0] = 0.0, 0.0
